@@ -13,20 +13,19 @@ from .assess import (AssessmentItem, CategoryAverage, RadarData, RatingSheet,
                      category_average, important_items, load_items, parse_ratings,
                      radar, validate_sheet)
 from .elasticity import (DaySelector, MonthSelector, PatternSpec, UsageSchedule,
-                         evaluate_day, matches, monthly_quantity, monthly_series,
-                         parse_pattern, parse_patterns)
+                         evaluate_day, matches, monthly_series, parse_pattern,
+                         parse_patterns)
 from .engine import (ComparisonTable, CostLine, CostReport, PlanChoice, SummaryRow,
-                     UsageRecord, collect_usage, compare, compare_scenarios,
-                     parse_plan, rollup, simulate, summarize)
+                     compare, compare_scenarios, parse_plan, rollup, simulate,
+                     summarize)
 from .errors import (AssessmentError, CatalogError, CloudCostError, Diagnostic,
                      EmptyCategoryError, EvaluationError, MissingRateError,
                      ModelError, PatternError, PlanError, WindowError)
-from .model import (DeploymentModel, ModelGraph, Node, build_graph, parse_model,
-                    serialize, validate)
+from .model import DeploymentModel, Node, parse_model, serialize, validate
 from .money import format_money, to_money
 from .months import Month, SimulationWindow
 from .pricing import (InstanceSku, PriceCatalog, PurchaseOption, RateEntry, Tier,
-                      load_catalog, lookup_rate, price_quantity, reservation_charges)
+                      load_catalog, lookup_rate, reservation_charges)
 from .report import to_csv, to_html
 
 __version__ = "0.1.0"

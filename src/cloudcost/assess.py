@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import AssessmentError, Diagnostic, EmptyCategoryError
+from .errors import AssessmentError, Diagnostic, EmptyCategoryError, _key_problem
 
 BENEFIT = "benefit"
 RISK = "risk"
@@ -91,21 +91,19 @@ def load_items(text: str) -> list[AssessmentItem]:
     except json.JSONDecodeError as exc:
         raise AssessmentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict) or set(data) != {"items"} or not isinstance(data["items"], list):
+    if _key_problem(data, ("items",)) or not isinstance(data["items"], list):
         raise AssessmentError("item file must be an object with a single 'items' array")
     items: list[AssessmentItem] = []
     seen: set[str] = set()
-    allowed = {"id", "kind", "category", "statement", "mitigation", "indicators",
-               "references", "applies_to_private_cloud"}
+    required = ("id", "kind", "category", "statement")
+    optional = ("mitigation", "indicators", "references", "applies_to_private_cloud")
     for i, raw in enumerate(data["items"]):
         path = f"items[{i}]"
-        if not isinstance(raw, dict):
-            raise AssessmentError(f"{path}: expected an object")
-        unknown = sorted(set(raw) - allowed)
-        if unknown:
-            raise AssessmentError(f"{path}: unknown key(s): {', '.join(unknown)}")
-        for key in ("id", "kind", "category", "statement"):
-            if not isinstance(raw.get(key), str) or not raw[key]:
+        problem = _key_problem(raw, required, optional)
+        if problem:
+            raise AssessmentError(f"{path}: {problem}")
+        for key in required:
+            if not isinstance(raw[key], str) or not raw[key]:
                 raise AssessmentError(f"{path}.{key}: required non-empty string")
         if raw["kind"] not in KINDS:
             raise AssessmentError(f"{path}.kind: unknown kind {raw['kind']!r}")

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error,
-3 missing rate. All output files are written atomically (temp + rename).
+Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
+(including unreadable input and unwritable output paths), 3 missing rate.
+All output files are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from pathlib import Path
 
 from . import assess as assess_mod
 from . import engine, model, pricing, report
-from .errors import (AssessmentError, CatalogError, CloudCostError, MissingRateError,
-                     ModelError, PatternError, PlanError, WindowError)
+from .errors import (CatalogError, CloudCostError, MissingRateError, ModelError,
+                     PlanError, WindowError)
 from .money import format_money, format_money_grouped
 from .months import Month, SimulationWindow
 
@@ -90,7 +91,9 @@ def _comparison_payload(table: engine.ComparisonTable, currency: str) -> dict:
     }
 
 
-def _print_comparison(table: engine.ComparisonTable, currency: str) -> None:
+def _emit_comparison(table: engine.ComparisonTable, currency: str,
+                     out: str | None) -> None:
+    """Print the comparison table; with ``out``, also write comparison.json."""
     labels = [entry.row.label for entry in table.entries]
     header = [f"Cost ({currency})"]
     first = ["1st month"]
@@ -111,6 +114,9 @@ def _print_comparison(table: engine.ComparisonTable, currency: str) -> None:
         print("  ".join(cells))
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    if out:
+        write_atomic(Path(out) / "comparison.json",
+                     json.dumps(_comparison_payload(table, currency), indent=2) + "\n")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -186,11 +192,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             labels_seen[label] = 1
         scenarios.append((label, parsed, _load_plan(plan_path)))
     result = engine.compare_scenarios(scenarios, catalog, _window(args))
-    _print_comparison(result.table, catalog.currency)
-    if args.out:
-        write_atomic(Path(args.out) / "comparison.json",
-                     json.dumps(_comparison_payload(result.table, catalog.currency),
-                                indent=2) + "\n")
+    _emit_comparison(result.table, catalog.currency, args.out)
     return 0
 
 
@@ -216,11 +218,7 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
         print("compare-providers needs at least two map entries", file=sys.stderr)
         return 2
     result = engine.compare_scenarios(scenarios, catalog, _window(args))
-    _print_comparison(result.table, catalog.currency)
-    if args.out:
-        write_atomic(Path(args.out) / "comparison.json",
-                     json.dumps(_comparison_payload(result.table, catalog.currency),
-                                indent=2) + "\n")
+    _emit_comparison(result.table, catalog.currency, args.out)
     return 0
 
 
@@ -314,18 +312,12 @@ def main(argv: list[str] | None = None) -> int:
     except MissingRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except WindowError as exc:
+    except (WindowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, PatternError, CatalogError, PlanError, AssessmentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CloudCostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

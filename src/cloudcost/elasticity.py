@@ -410,21 +410,6 @@ def evaluate_day(schedule: UsageSchedule, day: date, sim_start: Month,
     raise AssertionError("unreachable")
 
 
-def monthly_quantity(schedule: UsageSchedule, month: Month, sim_start: Month,
-                     warn: WarnFn | None = None) -> float:
-    """The month's billable quantity: sum of daily values for flows, their
-    time-average (GB-month) for stocks."""
-    if month < sim_start:
-        raise ValueError(f"{month} precedes the simulation start {sim_start}")
-    total = 0.0
-    for day, value in _walk_days(schedule, sim_start, month, warn):
-        if day.year == month.year and day.month == month.month:
-            total += value
-    if schedule.kind_class == STOCK:
-        return total / month.days()
-    return total
-
-
 def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
                    usage_start: Month | None = None,
                    warn: WarnFn | None = None) -> list[tuple[Month, float]]:

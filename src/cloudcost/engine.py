@@ -1,4 +1,4 @@
-"""Month-by-month cost simulation over the model graph, plus report math.
+"""Month-by-month cost simulation of a deployment model, plus report math.
 
 The engine evaluates every node requirement and communication path for
 each month of the window, prices the quantities against the catalog, and
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import model as m
 from . import pricing
@@ -82,15 +82,6 @@ def parse_plan(data: Mapping) -> dict[str, PlanChoice]:
 
 
 @dataclass(frozen=True)
-class UsageRecord:
-    month: Month
-    subject: str  # node id or path id
-    dimension: str  # requirement kind
-    quantity: float
-    unit: str
-
-
-@dataclass(frozen=True)
 class CostLine:
     month: Month
     subject: str  # node id, or path id for transfer attribution lines
@@ -137,24 +128,6 @@ class CostReport:
         for line in self.lines:
             totals[line.month] += line.cost
         return [(month, totals[month].quantize(MONEY_EXP)) for month in self.window.months()]
-
-
-def collect_usage(model: m.DeploymentModel, window: SimulationWindow,
-                  usage_start: Month | None = None,
-                  warn=None) -> list[UsageRecord]:
-    """Monthly quantities for every node requirement and path volume."""
-    records: list[UsageRecord] = []
-    for node in model.nodes:
-        for req in node.requirements:
-            for month, quantity in _series(req, window, usage_start, node.id, warn):
-                records.append(UsageRecord(month, node.id, req.kind, quantity,
-                                           UNIT_FOR_KIND[req.kind]))
-    for path in model.paths:
-        for month, quantity in _series(path.volume, window, usage_start, path.id, warn):
-            records.append(UsageRecord(month, path.id, path.volume.kind, quantity,
-                                       UNIT_FOR_KIND[path.volume.kind]))
-    records.sort(key=lambda r: (r.month, r.subject, r.dimension))
-    return records
 
 
 def _series(req: m.ResourceRequirement, window: SimulationWindow,

@@ -1,8 +1,9 @@
-"""Exception hierarchy and the shared diagnostic record."""
+"""Exception hierarchy, the shared diagnostic record, and the strict-key check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -15,6 +16,24 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.path}: {self.message}"
+
+
+def _key_problem(value: Any, required: tuple[str, ...] = (),
+                 optional: tuple[str, ...] = ()) -> str | None:
+    """Why ``value`` is not an object with exactly the allowed keys, or None.
+
+    The strict loaders of models, catalogs and assessment items share this
+    check; each raises its own error type with the returned text.
+    """
+    if not isinstance(value, dict):
+        return f"expected an object, got {type(value).__name__}"
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if unknown:
+        return f"unknown key(s): {', '.join(unknown)}"
+    missing = sorted(set(required) - set(value))
+    if missing:
+        return f"missing required key(s): {', '.join(missing)}"
+    return None
 
 
 class CloudCostError(Exception):

@@ -1,4 +1,4 @@
-"""Deployment-model document format, validation, and the simulation graph.
+"""Deployment-model document format and validation.
 
 A model is a strict JSON document describing nodes (virtual machines,
 virtual storage, hosted databases, remote nodes), the artifacts deployed
@@ -9,11 +9,12 @@ used for cost breakdowns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
 from .elasticity import parse_patterns
-from .errors import Diagnostic, ModelError, PatternError
+from .errors import Diagnostic, ModelError, PatternError, _key_problem
 
 VIRTUAL_MACHINE = "virtual_machine"
 VIRTUAL_STORAGE = "virtual_storage"
@@ -125,18 +126,6 @@ class DeploymentModel:
     paths: tuple[CommunicationPath, ...] = ()
     groups: tuple[Group, ...] = ()
 
-    def node_by_id(self, node_id: str) -> Node | None:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        return None
-
-    def group_of(self, node_id: str) -> str | None:
-        for group in self.groups:
-            if node_id in group.node_ids:
-                return group.id
-        return None
-
     def replaced(self, provider: str, region: str) -> DeploymentModel:
         """Copy of the model with every placed node moved to provider/region."""
         placement = Placement(provider, region)
@@ -155,15 +144,9 @@ def _fail(path: str, message: str) -> None:
 
 def _check_obj(value: Any, path: str, required: tuple[str, ...],
                optional: tuple[str, ...]) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(value) - allowed)
-    if unknown:
-        _fail(path, f"unknown key(s): {', '.join(unknown)}")
-    missing = sorted(set(required) - set(value))
-    if missing:
-        _fail(path, f"missing required key(s): {', '.join(missing)}")
+    problem = _key_problem(value, required, optional)
+    if problem:
+        _fail(path, problem)
     return value
 
 
@@ -400,7 +383,9 @@ def validate(model: DeploymentModel) -> list[Diagnostic]:
 
 
 def _check_requirement(req: ResourceRequirement, path: str, err) -> None:
-    if req.baseline < 0:
+    if not math.isfinite(req.baseline):
+        err(f"{path}.baseline", f"baseline must be finite, got {req.baseline}")
+    elif req.baseline < 0:
         err(f"{path}.baseline", f"baseline must be >= 0, got {req.baseline}")
     for k, text in enumerate(req.patterns):
         try:
@@ -449,47 +434,3 @@ def _requirement_doc(req: ResourceRequirement) -> dict:
 
 def serialize(model: DeploymentModel) -> str:
     return json.dumps(to_document(model), indent=2) + "\n"
-
-
-# --- simulation graph -------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelGraph:
-    """Directed (possibly cyclic) graph: vertices are nodes, edges are paths."""
-
-    nodes: dict[str, Node]
-    edges: tuple[CommunicationPath, ...]
-    outgoing: dict[str, tuple[CommunicationPath, ...]]
-    incoming: dict[str, tuple[CommunicationPath, ...]]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def requirements_for(self, subject_id: str) -> tuple[ResourceRequirement, ...]:
-        if subject_id in self.nodes:
-            return self.nodes[subject_id].requirements
-        for edge in self.edges:
-            if edge.id == subject_id:
-                return (edge.volume,)
-        raise KeyError(subject_id)
-
-
-def build_graph(model: DeploymentModel) -> ModelGraph:
-    """Build the simulation graph from a valid model; no edges are synthesized."""
-    nodes = {node.id: node for node in model.nodes}
-    outgoing: dict[str, list[CommunicationPath]] = {node_id: [] for node_id in nodes}
-    incoming: dict[str, list[CommunicationPath]] = {node_id: [] for node_id in nodes}
-    for path in model.paths:
-        outgoing[path.from_node].append(path)
-        incoming[path.to_node].append(path)
-    return ModelGraph(
-        nodes=nodes,
-        edges=tuple(model.paths),
-        outgoing={k: tuple(v) for k, v in outgoing.items()},
-        incoming={k: tuple(v) for k, v in incoming.items()},
-    )

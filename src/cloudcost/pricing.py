@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from typing import Any
 
-from .errors import CatalogError, MissingRateError
+from .errors import CatalogError, MissingRateError, _key_problem
 from .money import MONEY_EXP, as_decimal
 from .months import Month, SimulationWindow
 
@@ -146,22 +146,20 @@ def _bound_at(value: Any, path: str) -> Decimal | None:
         return Decimal(value)
     if isinstance(value, str):
         try:
-            return Decimal(value)
+            bound = Decimal(value)
         except InvalidOperation as exc:
             raise CatalogError(f"{path}: invalid decimal {value!r}") from exc
+        if not bound.is_finite():
+            raise CatalogError(f"{path}: tier bound must be finite")
+        return bound
     raise CatalogError(f"{path}: tier bounds must be integers, strings or null")
 
 
 def _strict_keys(obj: Any, path: str, required: tuple[str, ...],
                  optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(obj, dict):
-        raise CatalogError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise CatalogError(f"{path}: unknown key(s): {', '.join(unknown)}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise CatalogError(f"{path}: missing required key(s): {', '.join(missing)}")
+    problem = _key_problem(obj, required, optional)
+    if problem:
+        raise CatalogError(f"{path}: {problem}")
     return obj
 
 
@@ -306,12 +304,6 @@ def lookup_rate(catalog: PriceCatalog, provider: str, region: str, dimension: st
                 sku: str | None = None, scope: str | None = None) -> RateEntry:
     """The unique entry for the key; MissingRateError names the full key."""
     return catalog.lookup(provider, region, dimension, sku, scope)
-
-
-def price_quantity(entry: RateEntry, quantity: float | int | Decimal) -> Decimal:
-    """Money owed for a quantity: flat multiplication or marginal tiering."""
-    cost, _ = price_breakdown(entry, quantity)
-    return cost
 
 
 def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> tuple[Decimal, str]:

@@ -6,10 +6,16 @@ import random
 from decimal import Decimal
 
 from cloudcost import elasticity, model, pricing
-from cloudcost.months import Month
+from cloudcost.months import Month, SimulationWindow
 
 MONTHS = elasticity.MONTH_NAMES
 DOWS = elasticity.DOW_NAMES
+
+
+def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:
+    """One month's billed quantity, replayed from ``start`` through the
+    same entry point that ``engine.simulate`` uses."""
+    return elasticity.monthly_series(schedule, SimulationWindow(month, month), start)[0][1]
 
 
 def random_pattern_text(rng: random.Random) -> str:

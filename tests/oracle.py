@@ -65,9 +65,9 @@ def _apply(value: float, op: str, operand: float) -> float:
     return result if result >= 0 else 0.0
 
 
-def oracle_monthly_quantity(kind_class: str, baseline: float, patterns,
-                            sim_start: tuple[int, int],
-                            month: tuple[int, int]) -> float:
+def oracle_month_quantity(kind_class: str, baseline: float, patterns,
+                          sim_start: tuple[int, int],
+                          month: tuple[int, int]) -> float:
     """Day-by-day replay of the documented pattern semantics."""
     start_year, start_month = sim_start
     target_year, target_month = month

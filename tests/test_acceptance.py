@@ -21,8 +21,9 @@ from cloudcost.cli import main
 from cloudcost.errors import PatternError
 from cloudcost.months import Month, SimulationWindow
 
-from builders import PLACEMENTS, flat_catalog, random_model, random_schedule
-from oracle import oracle_monthly_quantity, oracle_tiered_price
+from builders import (PLACEMENTS, flat_catalog, month_quantity, random_model,
+                      random_schedule)
+from oracle import oracle_month_quantity, oracle_tiered_price
 
 GOLDEN = Path(__file__).parent / "golden" / "demo_report.csv"
 
@@ -140,11 +141,11 @@ def test_pattern_semantics_against_day_loop_oracle():
         schedule = random_schedule(rng)
         start = Month(rng.randint(2009, 2012), rng.randint(1, 12))
         month = start.add(rng.randint(0, 23))
-        got = el.monthly_quantity(schedule, month, start)
-        want = oracle_monthly_quantity(schedule.kind_class, schedule.baseline,
-                                       schedule.patterns,
-                                       (start.year, start.month),
-                                       (month.year, month.month))
+        got = month_quantity(schedule, month, start)
+        want = oracle_month_quantity(schedule.kind_class, schedule.baseline,
+                                     schedule.patterns,
+                                     (start.year, start.month),
+                                     (month.year, month.month))
         assert got == want
     assert time.monotonic() - began < 30.0
 
@@ -163,7 +164,7 @@ def test_tiered_pricing_against_unit_loop_oracle():
         want = oracle_tiered_price(
             [(None if t.upper_bound is None else int(t.upper_bound), t.unit_price)
              for t in tiers], quantity)
-        assert pricing.price_quantity(entry, quantity) == \
+        assert pricing.price_breakdown(entry, quantity)[0] == \
             want.quantize(Decimal("0.000001"))
     assert time.monotonic() - began < 10.0
 

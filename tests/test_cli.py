@@ -106,6 +106,20 @@ class TestExportCsv:
         assert not (out / "report.html").exists()
 
 
+class TestUnusablePaths:
+    @pytest.mark.parametrize("bad", ["model", "out"])
+    def test_os_error_exits_2_without_traceback(self, tmp_path, capsys, bad):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        model = str(tmp_path) if bad == "model" else DEMO_MODEL  # a directory
+        out = str(taken) if bad == "out" else str(tmp_path / "o")  # a file
+        code = run("export-csv", "--model", model, "--catalog", DEMO_CATALOG,
+                   "--start", "2011-01", "--end", "2011-02", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCompareProviders:
     def test_table_shape(self, tmp_path, capsys):
         remap = tmp_path / "map.json"

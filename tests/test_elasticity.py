@@ -9,8 +9,8 @@ from cloudcost import elasticity as el
 from cloudcost.errors import EvaluationError, PatternError
 from cloudcost.months import Month, SimulationWindow
 
-from builders import random_schedule
-from oracle import oracle_monthly_quantity
+from builders import month_quantity, random_schedule
+from oracle import oracle_month_quantity
 
 
 def schedule(kind_class, baseline, block=""):
@@ -147,42 +147,42 @@ class TestEvaluate:
     def test_overflow_raises_evaluation_error(self):
         sched = schedule(el.STOCK, 1e300, "perm: every month *1e9")
         with pytest.raises(EvaluationError):
-            el.monthly_quantity(sched, Month(2011, 12), Month(2011, 1))
+            month_quantity(sched, Month(2011, 12), Month(2011, 1))
 
 
 class TestMonthlyQuantity:
     def test_constant_stock(self):
         sched = schedule(el.STOCK, 100)
-        assert el.monthly_quantity(sched, Month(2011, 9), Month(2011, 1)) == pytest.approx(100)
+        assert month_quantity(sched, Month(2011, 9), Month(2011, 1)) == pytest.approx(100)
 
     def test_weekend_doubled_flow_september(self):
         sched = schedule(el.FLOW, 300, "temp: every month on weekends *2")
         # September 2011 has 22 weekdays and 8 weekend days
-        assert el.monthly_quantity(sched, Month(2011, 9), Month(2011, 9)) == 380.0
+        assert month_quantity(sched, Month(2011, 9), Month(2011, 9)) == 380.0
 
     def test_monthly_growth_levels(self):
         sched = schedule(el.STOCK, 2000, "perm: every month +17")
         start = Month(2011, 1)
         for k in range(6):
-            got = el.monthly_quantity(sched, start.add(k), start)
+            got = month_quantity(sched, start.add(k), start)
             assert got == pytest.approx(2000 + 17 * k)
 
     def test_no_pattern_flow_identity(self):
         sched = schedule(el.FLOW, 45.5)
         for k in range(4):
-            got = el.monthly_quantity(sched, Month(2011, 1).add(k), Month(2011, 1))
+            got = month_quantity(sched, Month(2011, 1).add(k), Month(2011, 1))
             assert got == pytest.approx(45.5, rel=1e-12)
 
     def test_multiplicative_perm_is_geometric(self):
         sched = schedule(el.STOCK, 100, "perm: every month *2")
         start = Month(2011, 1)
-        levels = [el.monthly_quantity(sched, start.add(k), start) for k in range(5)]
+        levels = [month_quantity(sched, start.add(k), start) for k in range(5)]
         assert levels == [pytest.approx(100 * 2 ** k) for k in range(5)]
 
     def test_additive_perm_is_arithmetic(self):
         sched = schedule(el.STOCK, 100, "perm: every month +10")
         start = Month(2011, 1)
-        levels = [el.monthly_quantity(sched, start.add(k), start) for k in range(5)]
+        levels = [month_quantity(sched, start.add(k), start) for k in range(5)]
         assert levels == [pytest.approx(100 + 10 * k) for k in range(5)]
 
     def test_temp_pattern_leaves_other_months_alone(self):
@@ -191,8 +191,8 @@ class TestMonthlyQuantity:
         start = Month(2011, 1)
         for k in range(12):
             month = start.add(k)
-            a = el.monthly_quantity(with_temp, month, start)
-            b = el.monthly_quantity(without, month, start)
+            a = month_quantity(with_temp, month, start)
+            b = month_quantity(without, month, start)
             if month.month == 7:
                 assert a == pytest.approx(3 * b)
             else:
@@ -207,7 +207,7 @@ class TestMonthlyQuantity:
             series = el.monthly_series(sched, window)
             assert [m for m, _ in series] == window.months()
             for month, quantity in series:
-                assert quantity == el.monthly_quantity(sched, month, start)
+                assert quantity == month_quantity(sched, month, start)
 
 
 class TestOracleEquivalence:
@@ -218,10 +218,10 @@ class TestOracleEquivalence:
             sched = random_schedule(rng)
             months = rng.randint(1, 24)
             month = start.add(months - 1)
-            got = el.monthly_quantity(sched, month, start)
-            want = oracle_monthly_quantity(sched.kind_class, sched.baseline,
-                                           sched.patterns, (2011, 1),
-                                           (month.year, month.month))
+            got = month_quantity(sched, month, start)
+            want = oracle_month_quantity(sched.kind_class, sched.baseline,
+                                         sched.patterns, (2011, 1),
+                                         (month.year, month.month))
             assert got == want
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 18))
@@ -231,10 +231,10 @@ class TestOracleEquivalence:
         sched = random_schedule(rng)
         start = Month(2010, 6)
         month = start.add(offset - 1)
-        got = el.monthly_quantity(sched, month, start)
-        want = oracle_monthly_quantity(sched.kind_class, sched.baseline,
-                                       sched.patterns, (2010, 6),
-                                       (month.year, month.month))
+        got = month_quantity(sched, month, start)
+        want = oracle_month_quantity(sched.kind_class, sched.baseline,
+                                     sched.patterns, (2010, 6),
+                                     (month.year, month.month))
         assert got == want
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -248,6 +248,6 @@ class TestOracleEquivalence:
 
     def test_determinism(self):
         sched = schedule(el.FLOW, 123.4, WORKED)
-        a = el.monthly_quantity(sched, Month(2012, 8), Month(2011, 3))
-        b = el.monthly_quantity(sched, Month(2012, 8), Month(2011, 3))
+        a = month_quantity(sched, Month(2012, 8), Month(2011, 3))
+        b = month_quantity(sched, Month(2012, 8), Month(2011, 3))
         assert a == b

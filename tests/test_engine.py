@@ -184,9 +184,10 @@ class TestSimulate:
 
     def test_usage_records(self):
         node = vm(patterns=("perm: every month +10",))
-        records = engine.collect_usage(m.DeploymentModel("x", (node,)), window(3))
-        assert [r.quantity for r in records] == pytest.approx([720, 730, 740])
-        assert all(r.unit == "hours" for r in records)
+        report = engine.simulate(m.DeploymentModel("x", (node,)), BASIC_CATALOG,
+                                 window(3))
+        assert [line.quantity for line in report.lines] == pytest.approx([720, 730, 740])
+        assert all(line.unit == "hours" for line in report.lines)
 
     def test_multi_pattern_block_in_one_string(self):
         block = vm("a", patterns=("perm: every month +10, temp: every feb /2",))

@@ -63,6 +63,23 @@ class TestParse:
             m.parse_model(json.dumps(doc))
         assert "patterns[0]" in str(exc.value)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("where", ["node", "path"])
+    def test_non_finite_baseline_rejected_with_path(self, where, token):
+        doc = json.loads(MINIMAL)
+        if where == "node":
+            doc["nodes"][0]["requirements"][0]["baseline"] = "BASELINE"
+            located = "nodes[0].requirements[0].baseline"
+        else:
+            doc["paths"] = [{"id": "loop", "from_node": "web1", "to_node": "web1",
+                             "volume": {"kind": "data_link_gb", "baseline": "BASELINE"}}]
+            located = "paths[0].volume.baseline"
+        # json.loads accepts the bare NaN and Infinity tokens
+        text = json.dumps(doc).replace('"BASELINE"', token)
+        with pytest.raises(ModelError) as exc:
+            m.parse_model(text)
+        assert f"{located}: baseline must be finite" in str(exc.value)
+
     def test_digital_library_case(self, demo_model_text):
         parsed = m.parse_model(demo_model_text)
         vms = [n for n in parsed.nodes if n.kind == m.VIRTUAL_MACHINE]
@@ -160,57 +177,6 @@ class TestRoundTrip:
     def test_minimal_round_trip(self):
         parsed = minimal_model()
         assert m.parse_model(m.serialize(parsed)) == parsed
-
-
-class TestGraph:
-    def test_two_cycle(self):
-        doc = {
-            "name": "pair",
-            "nodes": [_vm_doc("a"), _vm_doc("b")],
-            "paths": [
-                {"id": "ab", "from_node": "a", "to_node": "b",
-                 "volume": {"kind": "data_link_gb", "baseline": 1}},
-                {"id": "ba", "from_node": "b", "to_node": "a",
-                 "volume": {"kind": "data_link_gb", "baseline": 1}},
-            ],
-        }
-        graph = m.build_graph(m.parse_model(json.dumps(doc)))
-        assert graph.vertex_count == 2
-        assert graph.edge_count == 2
-        assert [p.id for p in graph.outgoing["a"]] == ["ab"]
-        assert [p.id for p in graph.incoming["a"]] == ["ba"]
-
-    def test_edgeless_graph(self):
-        graph = m.build_graph(minimal_model())
-        assert graph.edge_count == 0
-        assert graph.vertex_count == 1
-
-    def test_demo_adjacency_matches_naive_scan(self, demo_model_text):
-        parsed = m.parse_model(demo_model_text)
-        graph = m.build_graph(parsed)
-        assert graph.vertex_count == len(parsed.nodes)
-        assert graph.edge_count == len(parsed.paths)
-        # oracle: adjacency from a flat scan of the declared path list
-        for node in parsed.nodes:
-            out = [p.id for p in parsed.paths if p.from_node == node.id]
-            incoming = [p.id for p in parsed.paths if p.to_node == node.id]
-            assert [p.id for p in graph.outgoing[node.id]] == out
-            assert [p.id for p in graph.incoming[node.id]] == incoming
-
-    def test_requirements_lookup(self, demo_model_text):
-        parsed = m.parse_model(demo_model_text)
-        graph = m.build_graph(parsed)
-        assert graph.requirements_for("store-1") == parsed.node_by_id("store-1").requirements
-        assert graph.requirements_for("p-backup")[0].kind == m.DATA_LINK_GB
-        with pytest.raises(KeyError):
-            graph.requirements_for("missing")
-
-
-def _vm_doc(node_id):
-    return {"id": node_id, "kind": "virtual_machine",
-            "placement": {"provider": "p", "region": "r"},
-            "vm_spec": {"operating_system": "linux", "sku": "s"},
-            "requirements": [{"kind": "vm_hours", "baseline": 10}]}
 
 
 def _node_of_kind(node_kind, req_kind):

@@ -80,6 +80,17 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError):
             load(doc)
 
+    @pytest.mark.parametrize("bound", ["NaN", "sNaN", "Infinity"])
+    def test_non_finite_tier_bound_rejected(self, bound):
+        doc = catalog_doc()
+        doc["entries"][0]["pricing"] = {"tiers": [
+            {"upper_bound": bound, "unit_price": "1.0"},
+            {"upper_bound": None, "unit_price": "0.5"},
+        ]}
+        with pytest.raises(CatalogError) as exc:
+            load(doc)
+        assert "tiers[0].upper_bound: tier bound must be finite" in str(exc.value)
+
     def test_negative_price_rejected(self):
         doc = catalog_doc()
         doc["entries"][0]["pricing"] = {"flat": "-0.10"}
@@ -184,24 +195,24 @@ def tiered_entry(*tiers):
 
 class TestPriceQuantity:
     def test_flat_hours(self):
-        assert pricing.price_quantity(flat_entry("0.10"), 720) == Decimal("72.000000")
+        assert pricing.price_breakdown(flat_entry("0.10"), 720)[0] == Decimal("72.000000")
 
     def test_marginal_tiers(self):
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
-        assert pricing.price_quantity(entry, 150) == Decimal("125.000000")
+        assert pricing.price_breakdown(entry, 150)[0] == Decimal("125.000000")
 
     def test_zero_quantity(self):
-        assert pricing.price_quantity(flat_entry("0.10"), 0) == Decimal("0.000000")
+        assert pricing.price_breakdown(flat_entry("0.10"), 0)[0] == Decimal("0.000000")
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
-        assert pricing.price_quantity(entry, 0) == Decimal("0.000000")
+        assert pricing.price_breakdown(entry, 0)[0] == Decimal("0.000000")
 
     def test_negative_quantity_rejected(self):
         with pytest.raises(ValueError):
-            pricing.price_quantity(flat_entry("0.10"), -1)
+            pricing.price_breakdown(flat_entry("0.10"), -1)
 
     def test_quantity_inside_first_tier(self):
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
-        assert pricing.price_quantity(entry, 40) == Decimal("40.000000")
+        assert pricing.price_breakdown(entry, 40)[0] == Decimal("40.000000")
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -215,7 +226,7 @@ class TestPriceQuantity:
         want = oracle_tiered_price([(b, Decimal(str(p))) for b, p in
                                     list(zip(bounds, prices)) + [(None, prices[-1])]],
                                    quantity)
-        assert pricing.price_quantity(entry, quantity) == want.quantize(Decimal("0.000001"))
+        assert pricing.price_breakdown(entry, quantity)[0] == want.quantize(Decimal("0.000001"))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -228,23 +239,23 @@ class TestPriceQuantity:
                                  (None, str(Decimal(rng.randint(0, 300)) / 100)))
         a = rng.uniform(0, 1000)
         b = a + rng.uniform(0, 1000)
-        assert pricing.price_quantity(entry, a) <= pricing.price_quantity(entry, b)
+        assert pricing.price_breakdown(entry, a)[0] <= pricing.price_breakdown(entry, b)[0]
 
     def test_volume_discount_subadditive(self):
         entry = tiered_entry((100, "1.00"), (500, "0.60"), (None, "0.30"))
         for a, b in [(50, 80), (100, 400), (300, 700), (0, 10)]:
-            whole = pricing.price_quantity(entry, a + b)
-            split = pricing.price_quantity(entry, a) + pricing.price_quantity(entry, b)
+            whole = pricing.price_breakdown(entry, a + b)[0]
+            split = pricing.price_breakdown(entry, a)[0] + pricing.price_breakdown(entry, b)[0]
             assert whole <= split
 
     def test_flat_is_exactly_additive(self):
         entry = flat_entry("0.37")
-        assert (pricing.price_quantity(entry, 130)
-                == pricing.price_quantity(entry, 100) + pricing.price_quantity(entry, 30))
+        assert (pricing.price_breakdown(entry, 130)[0]
+                == pricing.price_breakdown(entry, 100)[0] + pricing.price_breakdown(entry, 30)[0])
 
     def test_sum_is_order_independent(self):
         rng = random.Random(99)
-        costs = [pricing.price_quantity(flat_entry("0.07"), rng.uniform(0, 500))
+        costs = [pricing.price_breakdown(flat_entry("0.07"), rng.uniform(0, 500))[0]
                  for _ in range(50)]
         total = sum(costs, Decimal(0))
         for _ in range(5):
