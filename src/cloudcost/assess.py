@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import AssessmentError, Diagnostic, EmptyCategoryError, _key_problem
+from .errors import (AssessmentError, Diagnostic, EmptyCategoryError, _key_problem,
+                     read_input)
 
 BENEFIT = "benefit"
 RISK = "risk"
@@ -130,8 +131,7 @@ def load_items(text: str) -> list[AssessmentItem]:
 
 
 def load_items_file(path: str) -> list[AssessmentItem]:
-    with open(path, encoding="utf-8") as handle:
-        return load_items(handle.read())
+    return load_items(read_input(path))
 
 
 def parse_ratings(text: str) -> RatingSheet:
@@ -177,8 +177,7 @@ def parse_ratings(text: str) -> RatingSheet:
 
 
 def parse_ratings_file(path: str) -> RatingSheet:
-    with open(path, encoding="utf-8") as handle:
-        return parse_ratings(handle.read())
+    return parse_ratings(read_input(path))
 
 
 def validate_sheet(sheet: RatingSheet, items: Sequence[AssessmentItem]) -> list[Diagnostic]:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
-(including unreadable input and unwritable output paths), 3 missing rate.
+(including unreadable or non-UTF-8 input and unwritable output paths),
+3 missing rate.
 All output files are written atomically (temp + rename).
 """
 
@@ -16,8 +17,8 @@ from pathlib import Path
 
 from . import assess as assess_mod
 from . import engine, model, pricing, report
-from .errors import (CatalogError, CloudCostError, MissingRateError, ModelError,
-                     PlanError, WindowError)
+from .errors import (CatalogError, CloudCostError, InputError, MissingRateError,
+                     ModelError, PlanError, WindowError, read_input)
 from .money import format_money, format_money_grouped
 from .months import Month, SimulationWindow
 
@@ -49,11 +50,10 @@ def _catalog_path(args: argparse.Namespace) -> str:
 def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise PlanError(f"plan file {path}: invalid JSON: {exc.msg}") from exc
+    try:
+        data = json.loads(read_input(path))
+    except json.JSONDecodeError as exc:
+        raise PlanError(f"plan file {path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise PlanError(f"plan file {path}: expected an object of node choices")
     return engine.parse_plan(data)
@@ -122,8 +122,7 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.model, encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_input(args.model)
     try:
         parsed = model.parse_model(text)
     except ModelError as exc:
@@ -199,11 +198,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_compare_providers(args: argparse.Namespace) -> int:
     parsed = model.load_model(args.model)
     catalog = pricing.load_catalog_file(_catalog_path(args))
-    with open(args.map, encoding="utf-8") as handle:
-        try:
-            mapping = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"map file {args.map}: invalid JSON: {exc.msg}") from exc
+    try:
+        mapping = json.loads(read_input(args.map))
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"map file {args.map}: invalid JSON: {exc.msg}") from exc
     if not isinstance(mapping, dict) or not mapping:
         raise CatalogError(f"map file {args.map}: expected label -> {{provider, region}}")
     plan = _load_plan(getattr(args, "plan", None))
@@ -312,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (WindowError, OSError) as exc:
+    except (WindowError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CloudCostError as exc:

@@ -26,15 +26,26 @@ Evaluation semantics:
 * Every operator application clamps negative results to 0, recording a
   warning. ``/0`` and negative exponents are rejected at parse time;
   ``0^0`` evaluates to 1.
+
+Replay walks the calendar month by month. Each month filters the patterns
+by month selector once; days are matched on (day-of-month, weekday) ints,
+and a ``date`` is built only for a clamp warning. In a month with no
+active day clause, every day after the first repeats the first day's
+value, which is reused unless that day's temps clamped (each clamped day
+warns with its own date). A month's quantity adds its daily values one by
+one from 0.0: the order of float operations is part of the output
+contract, so no closed form, ``sum()`` (compensated since Python 3.12) or
+``math.fsum`` stands in for the loop.
 """
 
 from __future__ import annotations
 
+import calendar
 import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import EvaluationError, PatternError
 from .months import Month, SimulationWindow
@@ -98,7 +109,7 @@ class DaySelector:
 
     ``empty`` is mode-dependent: every day of the month for temp patterns,
     only the month's first day (the firing point) for perm patterns; that
-    asymmetry lives in :func:`matches`.
+    asymmetry lives in :func:`matches`, whose day part the replay shares.
     """
 
     kind: str = EMPTY
@@ -106,21 +117,26 @@ class DaySelector:
     b: int | None = None
 
     def matches_day(self, day: date) -> bool:
+        return self.selects(day.day, day.weekday())
+
+    def selects(self, dom: int, weekday: int) -> bool:
+        """True for day ``dom`` of a month when that day is weekday ``weekday``
+        (0 is Monday); replay calls this with plain ints, never a date."""
         k = self.kind
         if k == EVERYDAY:
             return True
         if k == WEEKDAYS:
-            return day.weekday() < 5
+            return weekday < 5
         if k == WEEKENDS:
-            return day.weekday() >= 5
+            return weekday >= 5
         if k == DOM:
-            return day.day == self.a
+            return dom == self.a
         if k == DOM_RANGE:
-            return self.a <= day.day <= self.b
+            return self.a <= dom <= self.b
         if k == DOW:
-            return day.weekday() == self.a
+            return weekday == self.a
         if k == DOW_RANGE:
-            return self.a <= day.weekday() <= self.b
+            return self.a <= weekday <= self.b
         raise AssertionError(f"unhandled day selector {k!r}")
 
 
@@ -315,11 +331,15 @@ def matches(pattern: PatternSpec, day: date) -> bool:
     patterns but only the month's first day (the firing point) for perm
     patterns.
     """
-    if not pattern.months.contains(day.month):
-        return False
+    return pattern.months.contains(day.month) and _fires(pattern, day.day, day.weekday())
+
+
+def _fires(pattern: PatternSpec, dom: int, weekday: int) -> bool:
+    """The day part of :func:`matches`, on ints: day ``dom`` of a month the
+    pattern already selects, falling on ``weekday`` (0 is Monday)."""
     if pattern.days.kind == EMPTY:
-        return day.day == 1 if pattern.mode == PERM else True
-    return pattern.days.matches_day(day)
+        return dom == 1 or pattern.mode == TEMP
+    return pattern.days.selects(dom, weekday)
 
 
 @dataclass(frozen=True)
@@ -356,43 +376,75 @@ def _apply_op(value: float, op: str, operand: float) -> float:
     return result
 
 
-def _clamped(value: float, pattern: PatternSpec, index: int, day: date,
+def _clamped(pattern: PatternSpec, index: int, year: int, month: int, dom: int,
              warn: WarnFn | None) -> float:
-    if value >= 0:
-        return value
+    """The 0.0 that replaces a negative result, after warning with its date."""
     if warn is not None:
         label = pattern.source or f"{pattern.op}{pattern.operand:g}"
+        day = date(year, month, dom)
         warn(f"clamped negative value to 0 on {day.isoformat()} (pattern {index + 1}: {label})")
     return 0.0
 
 
-def _walk_days(schedule: UsageSchedule, sim_start: Month, last: Month,
-               warn: WarnFn | None = None) -> Iterator[tuple[date, float]]:
-    """Yield (day, value) from sim_start's first day through last's last day.
+def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
+            warn: WarnFn | None = None,
+            last_dom: int | None = None) -> tuple[list[float], float]:
+    """Replay from sim_start's first day through day ``last_dom`` of ``last``
+    (default: its last day); see the module docstring.
 
-    This is the single source of evaluation truth: per-day replay keeps the
-    float operation sequence identical no matter which public entry point
-    drives it, so results are bit-reproducible.
+    Returns each month's billable quantity (the sequential sum of its daily
+    values, divided by its length for stocks) and the value of the final
+    day replayed. This is the single source of evaluation truth: every
+    entry point runs the same float operations in the same order, so
+    results are bit-reproducible.
     """
+    stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
-    month = sim_start
-    while month <= last:
-        days_in_month = month.days()
-        for dom in range(1, days_in_month + 1):
-            day = date(month.year, month.month, dom)
-            for index, p in enumerate(schedule.patterns):
-                if p.mode != PERM or not matches(p, day):
-                    continue
-                if p.days.kind == EMPTY and month == sim_start:
-                    continue  # the first simulated month keeps the raw baseline
-                level = _clamped(_apply_op(level, p.op, p.operand), p, index, day, warn)
-            value = level if schedule.kind_class == STOCK else level / days_in_month
-            for index, p in enumerate(schedule.patterns):
-                if p.mode != TEMP or not matches(p, day):
-                    continue
-                value = _clamped(_apply_op(value, p.op, p.operand), p, index, day, warn)
-            yield day, value
-        month = month.next()
+    value = level
+    quantities: list[float] = []
+    first = sim_start.index()
+    final = last.index()
+    for index in range(first, final + 1):
+        year, month = divmod(index, 12)
+        month += 1
+        weekday1, days_in_month = calendar.monthrange(year, month)
+        perms: list[tuple[int, PatternSpec]] = []
+        temps: list[tuple[int, PatternSpec]] = []
+        for i, p in enumerate(schedule.patterns):
+            if not p.months.contains(month):
+                continue
+            if p.mode == TEMP:
+                temps.append((i, p))
+            # a day-less perm leaves the first simulated month at the raw baseline
+            elif p.days.kind != EMPTY or index != first:
+                perms.append((i, p))
+        # Without an active day clause, perms fire on day 1 only, so every
+        # later day repeats the value of the day before it.
+        uniform = all(p.days.kind == EMPTY for _, p in perms + temps)
+        end = days_in_month if index != final or last_dom is None else last_dom
+        total = 0.0
+        for dom in range(1, end + 1):
+            weekday = (weekday1 + dom - 1) % 7
+            for i, p in perms:
+                if _fires(p, dom, weekday):
+                    level = _apply_op(level, p.op, p.operand)
+                    if level < 0:
+                        level = _clamped(p, i, year, month, dom, warn)
+            value = level if stock else level / days_in_month
+            repeat = uniform
+            for i, p in temps:
+                if _fires(p, dom, weekday):
+                    value = _apply_op(value, p.op, p.operand)
+                    if value < 0:
+                        value = _clamped(p, i, year, month, dom, warn)
+                        repeat = False  # each later day warns with its own date
+            total += value
+            if repeat:
+                for _ in range(dom, end):
+                    total += value
+                break
+        quantities.append(total / days_in_month if stock else total)
+    return quantities, value
 
 
 def evaluate_day(schedule: UsageSchedule, day: date, sim_start: Month,
@@ -400,14 +452,12 @@ def evaluate_day(schedule: UsageSchedule, day: date, sim_start: Month,
     """The day's effective value: perm level replayed from sim_start, then temps.
 
     For flows the value is the day's contribution (level / days in month,
-    scaled by temps); for stocks it is the held level itself.
+    scaled by temps); for stocks it is the held level itself. The replay
+    stops at ``day``, so no later day warns.
     """
     if day < sim_start.first_day():
         raise ValueError(f"{day} precedes the simulation start {sim_start}")
-    for d, value in _walk_days(schedule, sim_start, Month.of(day), warn):
-        if d == day:
-            return value
-    raise AssertionError("unreachable")
+    return _replay(schedule, sim_start, Month.of(day), warn, day.day)[1]
 
 
 def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
@@ -421,21 +471,5 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
     start = usage_start or window.start
     if start > window.start:
         raise ValueError(f"usage start {start} is after the window start {window.start}")
-    series: list[tuple[Month, float]] = []
-    acc = 0.0
-    acc_month = start
-    for day, value in _walk_days(schedule, start, window.end, warn):
-        m = Month.of(day)
-        if m != acc_month:
-            if acc_month in window:
-                series.append((acc_month, _finalize(schedule, acc, acc_month)))
-            acc = 0.0
-            acc_month = m
-        acc += value
-    if acc_month in window:
-        series.append((acc_month, _finalize(schedule, acc, acc_month)))
-    return series
-
-
-def _finalize(schedule: UsageSchedule, total: float, month: Month) -> float:
-    return total / month.days() if schedule.kind_class == STOCK else total
+    quantities, _ = _replay(schedule, start, window.end, warn)
+    return list(zip(window.months(), quantities[window.start.diff(start):]))

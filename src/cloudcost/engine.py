@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from . import model as m
 from . import pricing
 from .elasticity import UsageSchedule, monthly_series, parse_patterns
-from .errors import MissingRateError, ModelError, PlanError
+from .errors import EvaluationError, MissingRateError, ModelError, PlanError
 from .money import CENT_EXP, MONEY_EXP, as_decimal, to_money
 from .months import Month, SimulationWindow
 
@@ -121,13 +121,13 @@ class CostReport:
         total = Decimal(0)
         for line in self.lines:
             total += line.cost
-        return total.quantize(MONEY_EXP)
+        return to_money(total)
 
     def monthly_totals(self) -> list[tuple[Month, Decimal]]:
         totals = {month: Decimal(0) for month in self.window.months()}
         for line in self.lines:
             totals[line.month] += line.cost
-        return [(month, totals[month].quantize(MONEY_EXP)) for month in self.window.months()]
+        return [(month, to_money(totals[month])) for month in self.window.months()]
 
 
 def _series(req: m.ResourceRequirement, window: SimulationWindow,
@@ -184,8 +184,10 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
                 option, term = reserved
                 basis = f"reserved {term}m @ {option.hourly_rate}/hour"
                 for month, quantity in series:
-                    cost = (as_decimal(quantity) * option.hourly_rate).quantize(
-                        MONEY_EXP, rounding=ROUND_HALF_EVEN)
+                    try:
+                        cost = to_money(as_decimal(quantity) * option.hourly_rate)
+                    except EvaluationError as exc:
+                        raise _line_error(node.id, req.kind, month, exc) from exc
                     lines.append(CostLine(month, node.id, node.id, req.kind, quantity,
                                           UNIT_FOR_KIND[req.kind], basis, cost,
                                           group, provider, region))
@@ -194,7 +196,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             entry = _lookup(catalog, provider, region, DIMENSION_FOR_KIND[req.kind],
                             sku, scope, node.id, req.kind)
             for month, quantity in series:
-                cost, basis = pricing.price_breakdown(entry, quantity)
+                cost, basis = _price(entry, quantity, node.id, req.kind, month)
                 lines.append(CostLine(month, node.id, node.id, req.kind, quantity,
                                       UNIT_FOR_KIND[req.kind], basis, cost,
                                       group, provider, region, scope))
@@ -221,7 +223,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             entry = _lookup(catalog, endpoint.placement.provider, endpoint.placement.region,
                             DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
             for month, quantity in series:
-                cost, basis = pricing.price_breakdown(entry, quantity)
+                cost, basis = _price(entry, quantity, path.id, dimension, month)
                 lines.append(CostLine(month, path.id, endpoint.id, dimension, quantity,
                                       UNIT_FOR_KIND[dimension], basis, cost,
                                       group_of.get(endpoint.id),
@@ -256,6 +258,19 @@ def _lookup(catalog: pricing.PriceCatalog, provider: str, region: str, dimension
         return pricing.lookup_rate(catalog, provider, region, dimension, sku, scope)
     except MissingRateError as exc:
         raise MissingRateError(f"{subject}/{kind}: {exc}", exc.key) from exc
+
+
+def _price(entry: pricing.RateEntry, quantity: float, subject: str, kind: str,
+           month: Month) -> tuple[Decimal, str]:
+    try:
+        return pricing.price_breakdown(entry, quantity)
+    except EvaluationError as exc:
+        raise _line_error(subject, kind, month, exc) from exc
+
+
+def _line_error(subject: str, kind: str, month: Month,
+                exc: EvaluationError) -> EvaluationError:
+    return EvaluationError(f"{subject}/{kind} in {month}: {exc}")
 
 
 def _check_plan(model: m.DeploymentModel, plan: Mapping[str, PlanChoice]) -> None:
@@ -307,7 +322,7 @@ def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
         else:
             key = str(line.month)
         totals[key] = totals.get(key, Decimal(0)) + line.cost
-    return [(key, totals[key].quantize(MONEY_EXP)) for key in sorted(totals)]
+    return [(key, to_money(totals[key])) for key in sorted(totals)]
 
 
 @dataclass(frozen=True)
@@ -341,7 +356,7 @@ def summarize(source: CostReport | Sequence, label: str) -> SummaryRow:
     total = Decimal(0)
     for value in series:
         total += value
-    total = total.quantize(MONEY_EXP)
+    total = to_money(total)
     n = len(series)
     if n == 1:
         avg = Fraction(total)
@@ -391,7 +406,7 @@ def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
             continue
         multiple = round(Fraction(row.total) / base_total) if base_total else 0
         entries.append(ComparisonEntry(row, False, f"+{multiple}x",
-                                       (row.total - baseline.total).quantize(MONEY_EXP)))
+                                       to_money(row.total - baseline.total)))
     return ComparisonTable(tuple(entries), baseline.label, tuple(warnings))
 
 

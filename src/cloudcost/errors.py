@@ -1,4 +1,5 @@
-"""Exception hierarchy, the shared diagnostic record, and the strict-key check."""
+"""Exception hierarchy, the shared diagnostic record, the strict-key check,
+and the input-file read."""
 
 from __future__ import annotations
 
@@ -36,6 +37,19 @@ def _key_problem(value: Any, required: tuple[str, ...] = (),
     return None
 
 
+def read_input(path: str) -> str:
+    """The text of a UTF-8 input file (model, catalog, plan, map, items, ratings).
+
+    Bytes that are not UTF-8 raise :class:`InputError` naming the path;
+    ``OSError`` passes through.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 class CloudCostError(Exception):
     """Base class for all toolkit errors."""
 
@@ -71,7 +85,12 @@ class PatternError(CloudCostError):
 
 
 class EvaluationError(CloudCostError):
-    """Usage evaluation produced a non-finite value."""
+    """Usage evaluation produced a non-finite value, or a cost too large for
+    exact decimal money."""
+
+
+class InputError(CloudCostError):
+    """An input file's bytes are not UTF-8 text."""
 
 
 class CatalogError(CloudCostError):

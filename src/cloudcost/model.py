@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .elasticity import parse_patterns
-from .errors import Diagnostic, ModelError, PatternError, _key_problem
+from .errors import Diagnostic, ModelError, PatternError, _key_problem, read_input
 
 VIRTUAL_MACHINE = "virtual_machine"
 VIRTUAL_STORAGE = "virtual_storage"
@@ -268,8 +268,7 @@ def parse_model(text: str) -> DeploymentModel:
 
 
 def load_model(path: str) -> DeploymentModel:
-    with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    return parse_model(read_input(path))
 
 
 # --- semantic validation ---------------------------------------------------

@@ -7,7 +7,9 @@ sub-micro rates (per-request pricing) keep full precision.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, getcontext
+
+from .errors import EvaluationError
 
 MONEY_EXP = Decimal("0.000001")
 CENT_EXP = Decimal("0.01")
@@ -15,7 +17,11 @@ ZERO = Decimal("0.000000")
 
 
 def to_money(value: Decimal | int | float | str) -> Decimal:
-    """Convert to a money amount at 6 fractional digits."""
+    """Convert to a money amount at 6 fractional digits.
+
+    An amount whose digits do not fit the decimal context's precision
+    raises :class:`EvaluationError` instead of a bare decimal signal.
+    """
     if isinstance(value, Decimal):
         d = value
     elif isinstance(value, float):
@@ -23,7 +29,11 @@ def to_money(value: Decimal | int | float | str) -> Decimal:
         d = Decimal(str(value))
     else:
         d = Decimal(value)
-    return d.quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
+    try:
+        return d.quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation as exc:
+        raise EvaluationError(f"amount {d} exceeds the {getcontext().prec}-digit decimal "
+                              f"precision at 6 fractional digits") from exc
 
 
 def as_decimal(value: Decimal | int | float | str) -> Decimal:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation
 from typing import Any
 
-from .errors import CatalogError, MissingRateError, _key_problem
-from .money import MONEY_EXP, as_decimal
+from .errors import CatalogError, MissingRateError, _key_problem, read_input
+from .money import as_decimal, to_money
 from .months import Month, SimulationWindow
 
 VM_HOURS = "vm_hours"
@@ -294,8 +294,7 @@ def load_catalog(text: str) -> PriceCatalog:
 
 
 def load_catalog_file(path: str) -> PriceCatalog:
-    with open(path, encoding="utf-8") as handle:
-        return load_catalog(handle.read())
+    return load_catalog(read_input(path))
 
 
 # --- pricing ------------------------------------------------------------------
@@ -307,13 +306,16 @@ def lookup_rate(catalog: PriceCatalog, provider: str, region: str, dimension: st
 
 
 def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> tuple[Decimal, str]:
-    """Cost plus a human-readable unit-cost basis (flat rate or tier split)."""
+    """Cost plus a human-readable unit-cost basis (flat rate or tier split).
+
+    Raises :class:`EvaluationError` when the cost does not fit the decimal
+    context.
+    """
     q = as_decimal(quantity)
     if q < 0:
         raise ValueError(f"quantity must be >= 0, got {quantity}")
     if entry.flat_price is not None:
-        cost = (q * entry.flat_price).quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
-        return cost, f"flat @ {entry.flat_price}"
+        return to_money(q * entry.flat_price), f"flat @ {entry.flat_price}"
     total = Decimal(0)
     pieces = []
     lower = Decimal(0)
@@ -329,7 +331,7 @@ def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> tuple[
         pieces.append(f"{portion}@{tier.unit_price}")
         if tier.upper_bound is not None and q <= tier.upper_bound:
             break
-    cost = total.quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
+    cost = to_money(total)
     return cost, "tiered " + " + ".join(pieces) if pieces else "tiered (no usage)"
 
 
@@ -344,6 +346,6 @@ def reservation_charges(option: PurchaseOption,
     charges = []
     month = window.start
     while month <= window.end:
-        charges.append((month, option.upfront_fee.quantize(MONEY_EXP)))
+        charges.append((month, to_money(option.upfront_fee)))
         month = month.add(option.term_months)
     return charges

@@ -50,56 +50,75 @@ def _day_matches(selector, day: date) -> bool:
 
 
 def _apply(value: float, op: str, operand: float) -> float:
+    """The operator's raw result; the replay clamps and records negatives."""
     if op == "+":
-        result = value + operand
-    elif op == "-":
-        result = value - operand
-    elif op == "*":
-        result = value * operand
-    elif op == "/":
-        result = value / operand
-    elif op == "^":
-        result = value ** operand
-    else:
-        raise AssertionError(op)
-    return result if result >= 0 else 0.0
+        return value + operand
+    if op == "-":
+        return value - operand
+    if op == "*":
+        return value * operand
+    if op == "/":
+        return value / operand
+    if op == "^":
+        return value ** operand
+    raise AssertionError(op)
 
 
-def oracle_month_quantity(kind_class: str, baseline: float, patterns,
-                          sim_start: tuple[int, int],
-                          month: tuple[int, int]) -> float:
-    """Day-by-day replay of the documented pattern semantics."""
+def oracle_replay(kind_class: str, baseline: float, patterns,
+                  sim_start: tuple[int, int], month: tuple[int, int]
+                  ) -> tuple[float, list[tuple[date, int]]]:
+    """Day-by-day replay of the documented pattern semantics.
+
+    Returns the target month's quantity and every clamp from the first
+    simulated day through the target month's last day, in order, as
+    (day, zero-based pattern index).
+    """
     start_year, start_month = sim_start
     target_year, target_month = month
     level = float(baseline)
     day = date(start_year, start_month, 1)
     end = date(target_year, target_month, _days_in_month(target_year, target_month))
     total = 0.0
+    clamps: list[tuple[date, int]] = []
+
+    def clamped(value: float, index: int) -> float:
+        if value >= 0:
+            return value
+        clamps.append((day, index))
+        return 0.0
+
     while day <= end:
         in_first_month = (day.year, day.month) == (start_year, start_month)
-        for p in patterns:
+        for index, p in enumerate(patterns):
             if p.mode != "perm" or not _month_matches(p.months, day.month):
                 continue
             if p.days.kind == "empty":
                 if day.day == 1 and not in_first_month:
-                    level = _apply(level, p.op, p.operand)
+                    level = clamped(_apply(level, p.op, p.operand), index)
             elif _day_matches(p.days, day):
-                level = _apply(level, p.op, p.operand)
+                level = clamped(_apply(level, p.op, p.operand), index)
         if kind_class == "stock":
             value = level
         else:
             value = level / _days_in_month(day.year, day.month)
-        for p in patterns:
+        for index, p in enumerate(patterns):
             if p.mode != "temp" or not _month_matches(p.months, day.month):
                 continue
             if p.days.kind == "empty" or _day_matches(p.days, day):
-                value = _apply(value, p.op, p.operand)
+                value = clamped(_apply(value, p.op, p.operand), index)
         if (day.year, day.month) == (target_year, target_month):
             total += value
         day += timedelta(days=1)
     if kind_class == "stock":
-        return total / _days_in_month(target_year, target_month)
-    return total
+        return total / _days_in_month(target_year, target_month), clamps
+    return total, clamps
+
+
+def oracle_month_quantity(kind_class: str, baseline: float, patterns,
+                          sim_start: tuple[int, int],
+                          month: tuple[int, int]) -> float:
+    """The target month's quantity from :func:`oracle_replay`."""
+    return oracle_replay(kind_class, baseline, patterns, sim_start, month)[0]
 
 
 def oracle_tiered_price(tiers: list[tuple[int | None, Decimal]], quantity: int) -> Decimal:

@@ -120,6 +120,47 @@ class TestUnusablePaths:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{bad}"],
+        ["export-csv", "--model", "{bad}", "--catalog", DEMO_CATALOG],
+        ["export-csv", "--model", DEMO_MODEL, "--catalog", "{bad}"],
+        ["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG, "--plan", "{bad}"],
+        ["assess", "--items", "{bad}", "--ratings", DEMO_RATINGS],
+        ["assess", "--items", DEMO_ITEMS, "--ratings", "{bad}"],
+    ], ids=["validate", "model", "catalog", "plan", "items", "ratings"])
+    def test_non_utf8_input_exits_2_without_traceback(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"name": "café"}'.encode("latin-1"))
+        argv = [str(bad) if arg == "{bad}" else arg for arg in argv]
+        if argv[0] == "export-csv":
+            argv += ["--start", "2011-01", "--end", "2011-02", "--out", str(tmp_path / "o")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8") and "Traceback" not in err
+
+
+class TestHugeQuantities:
+    @pytest.mark.parametrize("where, message", [
+        ("line", "error: web-1/vm_hours in 2011-05: amount "),
+        ("total", "error: amount "),
+    ])
+    def test_cost_beyond_decimal_precision_exits_1(self, tmp_path, capsys, where, message):
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        if where == "line":
+            doc["nodes"][0]["requirements"][0]["patterns"] = [
+                "perm: every month on everyday *1.5"]
+        else:  # every line fits; three of them together do not
+            for node in doc["nodes"][:3]:
+                node["requirements"][0]["baseline"] = 7e22
+        grown = tmp_path / "grown.json"
+        grown.write_text(json.dumps(doc))
+        code = run("simulate", "--model", str(grown), "--catalog", DEMO_CATALOG,
+                   "--start", "2011-01", "--end", "2013-12", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "exceeds the 28-digit decimal precision" in err
+
+
 class TestCompareProviders:
     def test_table_shape(self, tmp_path, capsys):
         remap = tmp_path / "map.json"

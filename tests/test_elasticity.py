@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date
 
 import pytest
@@ -10,7 +11,7 @@ from cloudcost.errors import EvaluationError, PatternError
 from cloudcost.months import Month, SimulationWindow
 
 from builders import month_quantity, random_schedule
-from oracle import oracle_month_quantity
+from oracle import oracle_month_quantity, oracle_replay
 
 
 def schedule(kind_class, baseline, block=""):
@@ -91,6 +92,8 @@ class TestMatches:
         spec = el.parse_pattern("temp: every month on weekends *2")
         assert el.matches(spec, date(2011, 6, 4))  # a Saturday
         assert not el.matches(spec, date(2011, 6, 3))  # a Friday
+        assert spec.days.matches_day(date(2011, 6, 4))
+        assert not spec.days.matches_day(date(2011, 6, 3))
 
     def test_day_of_month_range(self):
         spec = el.parse_pattern("temp: every dec on 25-30 *2")
@@ -166,6 +169,12 @@ class TestMonthlyQuantity:
         for k in range(6):
             got = month_quantity(sched, start.add(k), start)
             assert got == pytest.approx(2000 + 17 * k)
+
+    def test_flow_month_is_the_sequential_sum_of_its_days(self):
+        # 31 additions of 100/31 one by one; 100/31*31, math.fsum and the
+        # baseline itself all give 100.0
+        sched = schedule(el.FLOW, 100)
+        assert month_quantity(sched, Month(2011, 1), Month(2011, 1)) == 99.99999999999993
 
     def test_no_pattern_flow_identity(self):
         sched = schedule(el.FLOW, 45.5)
@@ -251,3 +260,56 @@ class TestOracleEquivalence:
         a = month_quantity(sched, Month(2012, 8), Month(2011, 3))
         b = month_quantity(sched, Month(2012, 8), Month(2011, 3))
         assert a == b
+
+
+CLAMP_RE = re.compile(r"clamped negative value to 0 on (\d{4}-\d{2}-\d{2}) \(pattern (\d+): ")
+
+
+def clamp_events(warnings):
+    """(day, zero-based pattern index) of each clamp warning, in order."""
+    events = []
+    for text in warnings:
+        m = CLAMP_RE.match(text)
+        assert m, text
+        events.append((date.fromisoformat(m.group(1)), int(m.group(2)) - 1))
+    return events
+
+
+class TestClampWarnings:
+    def test_seeded_warning_sequence_matches_oracle(self):
+        rng = random.Random(4242)
+        start = Month(2011, 1)
+        clamping = 0
+        for _ in range(300):
+            sched = random_schedule(rng)
+            month = start.add(rng.randint(0, 23))
+            warnings = []
+            series = el.monthly_series(sched, SimulationWindow(month, month), start,
+                                       warnings.append)
+            quantity, clamps = oracle_replay(sched.kind_class, sched.baseline,
+                                             sched.patterns, (2011, 1),
+                                             (month.year, month.month))
+            assert series == [(month, quantity)]
+            assert clamp_events(warnings) == clamps
+            clamping += bool(clamps)
+        assert clamping >= 30  # the property is not vacuous
+
+    def test_uniform_month_warns_once_per_day(self):
+        sched = schedule(el.FLOW, 100, "temp: every month -1000")
+        warnings = []
+        series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
+                                   None, warnings.append)
+        assert series == [(Month(2011, 2), 0.0)]
+        assert clamp_events(warnings) == [(date(2011, 2, d), 0) for d in range(1, 29)]
+
+    @pytest.mark.parametrize("block", ["temp: every month -1000",
+                                       "temp: every month on weekdays -1000",
+                                       "perm: every month on 03-31 -60"])
+    def test_evaluate_day_warns_through_the_requested_day_only(self, block):
+        sched = schedule(el.STOCK, 100, block)
+        day = date(2011, 2, 5)
+        warnings = []
+        el.evaluate_day(sched, day, Month(2011, 1), warnings.append)
+        _, clamps = oracle_replay(el.STOCK, 100, sched.patterns, (2011, 1), (2011, 2))
+        assert any(c[0] > day for c in clamps)  # later days would warn
+        assert clamp_events(warnings) == [c for c in clamps if c[0] <= day]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cloudcost import engine, model as m, pricing
-from cloudcost.errors import MissingRateError, PlanError, WindowError
+from cloudcost.errors import EvaluationError, MissingRateError, PlanError, WindowError
 from cloudcost.months import Month, SimulationWindow
 
 from builders import PLACEMENTS, flat_catalog, random_model
@@ -134,6 +134,21 @@ class TestSimulate:
         assert all(l.cost == Decimal("28.800000") for l in hour_lines)  # 720 * 0.04
         upfronts = [l for l in report.lines if l.dimension == engine.RESERVATION_UPFRONT]
         assert len(upfronts) == 1 and upfronts[0].quantity == 1.0
+
+    @pytest.mark.parametrize("choice", [pricing.ON_DEMAND, pricing.RESERVED])
+    def test_cost_too_large_for_decimal_names_the_line(self, choice):
+        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
+            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
+            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.04"), 12, Decimal(100)),
+        ))
+        catalog = catalog_of(
+            entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
+            skus=(sku,))
+        plan = {"vm1": engine.PlanChoice(choice, 12 if choice == pricing.RESERVED else None)}
+        grower = m.DeploymentModel("g", (vm(patterns=("perm: every month *1e6",)),))
+        # May: 7.2e26 hours, a cost with more than 28 digits at 6 decimals
+        with pytest.raises(EvaluationError, match=r"^vm1/vm_hours in 2011-05: "):
+            engine.simulate(grower, catalog, window(5), plan)
 
     def test_missing_rate_names_subject_and_dimension(self):
         report_model = m.DeploymentModel("x", (vm(),))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudcost import pricing
-from cloudcost.errors import CatalogError, MissingRateError
+from cloudcost.errors import CatalogError, EvaluationError, MissingRateError
 from cloudcost.months import Month, SimulationWindow
 
 from oracle import oracle_tiered_price
@@ -210,6 +210,13 @@ class TestPriceQuantity:
         with pytest.raises(ValueError):
             pricing.price_breakdown(flat_entry("0.10"), -1)
 
+    @pytest.mark.parametrize("entry", [flat_entry("0.10"),
+                                       tiered_entry((100, "1.00"), (None, "0.50"))],
+                             ids=["flat", "tiered"])
+    def test_cost_beyond_decimal_precision_is_named_error(self, entry):
+        with pytest.raises(EvaluationError, match="exceeds the 28-digit decimal precision"):
+            pricing.price_breakdown(entry, 1e30)
+
     def test_quantity_inside_first_tier(self):
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
         assert pricing.price_breakdown(entry, 40)[0] == Decimal("40.000000")
@@ -279,6 +286,10 @@ class TestReservationCharges:
         charges = pricing.reservation_charges(self.reserved("1000", 12), self.window(36))
         assert [month for month, _ in charges] == [
             Month(2011, 1), Month(2012, 1), Month(2013, 1)]
+
+    def test_fee_beyond_decimal_precision_is_named_error(self):
+        with pytest.raises(EvaluationError, match="exceeds the 28-digit decimal precision"):
+            pricing.reservation_charges(self.reserved("1E+30", 12), self.window(12))
 
     def test_zero_upfront_is_empty(self):
         assert pricing.reservation_charges(self.reserved("0", 12), self.window(36)) == []
