@@ -59,6 +59,14 @@ def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
     return engine.parse_plan(data)
 
 
+def _month_arg(text: str) -> Month:
+    """``--start``/``--end`` type; argparse prints an ArgumentTypeError's text."""
+    try:
+        return Month.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _window(args: argparse.Namespace) -> SimulationWindow:
     return SimulationWindow(args.start, args.end)
 
@@ -259,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     def sim_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", required=True)
         p.add_argument("--catalog", help=f"price catalog (default ${CATALOG_ENV})")
-        p.add_argument("--start", required=True, type=Month.parse, metavar="YYYY-MM")
-        p.add_argument("--end", required=True, type=Month.parse, metavar="YYYY-MM")
+        p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
+        p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
 
     p = sub.add_parser("simulate", help="simulate costs and write reports")
     sim_args(p)
@@ -278,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="comma-separated model files")
     p.add_argument("--plans", help="comma-separated plan files ('-' for on-demand)")
     p.add_argument("--catalog")
-    p.add_argument("--start", required=True, type=Month.parse, metavar="YYYY-MM")
-    p.add_argument("--end", required=True, type=Month.parse, metavar="YYYY-MM")
+    p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
+    p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

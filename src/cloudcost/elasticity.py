@@ -369,9 +369,9 @@ def _apply_op(value: float, op: str, operand: float) -> float:
             result = value / operand
         else:
             result = value ** operand  # operand >= 0 by parse; 0**0 == 1.0
-    except OverflowError as exc:
-        raise EvaluationError(f"value overflowed applying '{op}{operand:g}'") from exc
-    if math.isinf(result) or math.isnan(result):
+    except OverflowError:  # only ** raises; the other operators give inf
+        result = math.inf
+    if not math.isfinite(result):
         raise EvaluationError(f"value overflowed applying '{op}{operand:g}'")
     return result
 
@@ -396,7 +396,8 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
     values, divided by its length for stocks) and the value of the final
     day replayed. This is the single source of evaluation truth: every
     entry point runs the same float operations in the same order, so
-    results are bit-reproducible.
+    results are bit-reproducible. An overflow raises EvaluationError with
+    its ``month`` set.
     """
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
@@ -404,46 +405,52 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
     quantities: list[float] = []
     first = sim_start.index()
     final = last.index()
-    for index in range(first, final + 1):
-        year, month = divmod(index, 12)
-        month += 1
-        weekday1, days_in_month = calendar.monthrange(year, month)
-        perms: list[tuple[int, PatternSpec]] = []
-        temps: list[tuple[int, PatternSpec]] = []
-        for i, p in enumerate(schedule.patterns):
-            if not p.months.contains(month):
-                continue
-            if p.mode == TEMP:
-                temps.append((i, p))
-            # a day-less perm leaves the first simulated month at the raw baseline
-            elif p.days.kind != EMPTY or index != first:
-                perms.append((i, p))
-        # Without an active day clause, perms fire on day 1 only, so every
-        # later day repeats the value of the day before it.
-        uniform = all(p.days.kind == EMPTY for _, p in perms + temps)
-        end = days_in_month if index != final or last_dom is None else last_dom
-        total = 0.0
-        for dom in range(1, end + 1):
-            weekday = (weekday1 + dom - 1) % 7
-            for i, p in perms:
-                if _fires(p, dom, weekday):
-                    level = _apply_op(level, p.op, p.operand)
-                    if level < 0:
-                        level = _clamped(p, i, year, month, dom, warn)
-            value = level if stock else level / days_in_month
-            repeat = uniform
-            for i, p in temps:
-                if _fires(p, dom, weekday):
-                    value = _apply_op(value, p.op, p.operand)
-                    if value < 0:
-                        value = _clamped(p, i, year, month, dom, warn)
-                        repeat = False  # each later day warns with its own date
-            total += value
-            if repeat:
-                for _ in range(dom, end):
-                    total += value
-                break
-        quantities.append(total / days_in_month if stock else total)
+    try:
+        for index in range(first, final + 1):
+            year, month = divmod(index, 12)
+            month += 1
+            weekday1, days_in_month = calendar.monthrange(year, month)
+            perms: list[tuple[int, PatternSpec]] = []
+            temps: list[tuple[int, PatternSpec]] = []
+            for i, p in enumerate(schedule.patterns):
+                if not p.months.contains(month):
+                    continue
+                if p.mode == TEMP:
+                    temps.append((i, p))
+                # a day-less perm leaves the first simulated month at the raw baseline
+                elif p.days.kind != EMPTY or index != first:
+                    perms.append((i, p))
+            # Without an active day clause, perms fire on day 1 only, so every
+            # later day repeats the value of the day before it.
+            uniform = all(p.days.kind == EMPTY for _, p in perms + temps)
+            end = days_in_month if index != final or last_dom is None else last_dom
+            total = 0.0
+            for dom in range(1, end + 1):
+                weekday = (weekday1 + dom - 1) % 7
+                for i, p in perms:
+                    if _fires(p, dom, weekday):
+                        level = _apply_op(level, p.op, p.operand)
+                        if level < 0:
+                            level = _clamped(p, i, year, month, dom, warn)
+                value = level if stock else level / days_in_month
+                repeat = uniform
+                for i, p in temps:
+                    if _fires(p, dom, weekday):
+                        value = _apply_op(value, p.op, p.operand)
+                        if value < 0:
+                            value = _clamped(p, i, year, month, dom, warn)
+                            repeat = False  # each later day warns with its own date
+                total += value
+                if repeat:
+                    for _ in range(dom, end):
+                        total += value
+                    break
+            if total == math.inf:
+                raise EvaluationError("value overflowed summing the month's days")
+            quantities.append(total / days_in_month if stock else total)
+    except EvaluationError as exc:
+        exc.month = Month(year, month)
+        raise
     return quantities, value
 
 

@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 from . import model as m
 from . import pricing
-from .elasticity import UsageSchedule, monthly_series, parse_patterns
+from .elasticity import UsageSchedule, monthly_series
+from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
 from .errors import EvaluationError, MissingRateError, ModelError, PlanError
 from .money import CENT_EXP, MONEY_EXP, as_decimal, to_money
 from .months import Month, SimulationWindow
@@ -130,14 +131,18 @@ class CostReport:
         return [(month, to_money(totals[month])) for month in self.window.months()]
 
 
-def _series(req: m.ResourceRequirement, window: SimulationWindow,
+def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: SimulationWindow,
             usage_start: Month | None, subject: str, warn) -> list[tuple[Month, float]]:
+    """Replay a requirement of a validated model (all its pattern texts parsed)."""
     specs = []
     for text in req.patterns:
-        specs.extend(parse_patterns(text))
+        specs.extend(model.parsed_patterns[text])
     schedule = UsageSchedule(m.KIND_CLASS[req.kind], req.baseline, tuple(specs))
     sink = None if warn is None else (lambda msg: warn(f"{subject}/{req.kind}: {msg}"))
-    return monthly_series(schedule, window, usage_start, sink)
+    try:
+        return monthly_series(schedule, window, usage_start, sink)
+    except EvaluationError as exc:
+        raise _line_error(subject, req.kind, exc.month, exc) from exc
 
 
 def _transfer_scope(a: m.Placement, b: m.Placement | None) -> str:
@@ -179,7 +184,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         reserved = _resolve_reserved(catalog, node, choice) if choice.kind == pricing.RESERVED else None
 
         for req in node.requirements:
-            series = _series(req, window, usage_start, node.id, warnings.append)
+            series = _series(model, req, window, usage_start, node.id, warnings.append)
             if req.kind == m.VM_HOURS and reserved is not None:
                 option, term = reserved
                 basis = f"reserved {term}m @ {option.hourly_rate}/hour"
@@ -214,7 +219,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         to_node = node_by_id[path.to_node]
         if from_node.placement is None and to_node.placement is None:
             continue  # both endpoints outside the cloud: nothing is billed
-        series = _series(path.volume, window, usage_start, path.id, warnings.append)
+        series = _series(model, path.volume, window, usage_start, path.id, warnings.append)
         for endpoint, dimension in ((from_node, m.DATA_OUT_GB), (to_node, m.DATA_IN_GB)):
             if endpoint.placement is None:
                 continue  # only the cloud-side endpoint is billed

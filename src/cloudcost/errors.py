@@ -86,7 +86,10 @@ class PatternError(CloudCostError):
 
 class EvaluationError(CloudCostError):
     """Usage evaluation produced a non-finite value, or a cost too large for
-    exact decimal money."""
+    exact decimal money. A replay overflow carries the month (a
+    ``months.Month``) it happened in."""
+
+    month = None
 
 
 class InputError(CloudCostError):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any
 
-from .elasticity import parse_patterns
+from .elasticity import PatternSpec, parse_patterns
 from .errors import Diagnostic, ModelError, PatternError, _key_problem, read_input
 
 VIRTUAL_MACHINE = "virtual_machine"
@@ -134,6 +135,22 @@ class DeploymentModel:
             for node in self.nodes
         )
         return replace(self, nodes=nodes)
+
+    @cached_property
+    def parsed_patterns(self) -> dict[str, tuple[PatternSpec, ...] | PatternError]:
+        """Each distinct pattern text of this model, parsed once on first use:
+        its specs, or the PatternError that rejects it."""
+        parsed: dict[str, tuple[PatternSpec, ...] | PatternError] = {}
+        requirements = [req for node in self.nodes for req in node.requirements]
+        requirements += [path.volume for path in self.paths]
+        for req in requirements:
+            for text in req.patterns:
+                if text not in parsed:
+                    try:
+                        parsed[text] = tuple(parse_patterns(text))
+                    except PatternError as exc:
+                        parsed[text] = exc
+        return parsed
 
 
 # --- structural parsing (strict: unknown keys are schema errors) ----------
@@ -321,7 +338,7 @@ def validate(model: DeploymentModel) -> list[Diagnostic]:
             if req.kind not in LEGAL_REQUIREMENTS.get(node.kind, frozenset()):
                 err(f"{path}.kind",
                     f"requirement kind {req.kind!r} is not legal on a {node.kind}")
-            _check_requirement(req, path, err)
+            _check_requirement(model, req, path, err)
 
     artifact_ids: set[str] = set()
     for i, artifact in enumerate(model.artifacts):
@@ -359,7 +376,7 @@ def validate(model: DeploymentModel) -> list[Diagnostic]:
                 err(f"paths[{i}].{key}", f"path references unknown node {ref!r}")
         if path.volume.kind != DATA_LINK_GB:
             err(f"paths[{i}].volume.kind", "path volume must have kind 'data_link_gb'")
-        _check_requirement(path.volume, f"paths[{i}].volume", err)
+        _check_requirement(model, path.volume, f"paths[{i}].volume", err)
 
     group_ids: set[str] = set()
     grouped: dict[str, str] = {}
@@ -381,16 +398,15 @@ def validate(model: DeploymentModel) -> list[Diagnostic]:
     return diags
 
 
-def _check_requirement(req: ResourceRequirement, path: str, err) -> None:
+def _check_requirement(model: DeploymentModel, req: ResourceRequirement, path: str, err) -> None:
     if not math.isfinite(req.baseline):
         err(f"{path}.baseline", f"baseline must be finite, got {req.baseline}")
     elif req.baseline < 0:
         err(f"{path}.baseline", f"baseline must be >= 0, got {req.baseline}")
     for k, text in enumerate(req.patterns):
-        try:
-            parse_patterns(text)
-        except PatternError as exc:
-            err(f"{path}.patterns[{k}]", str(exc))
+        parsed = model.parsed_patterns[text]
+        if isinstance(parsed, PatternError):
+            err(f"{path}.patterns[{k}]", str(parsed))
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cloudcost
 from cloudcost.cli import main
@@ -32,6 +38,28 @@ class TestValidate:
         }))
         assert run("validate", str(bad)) == 1
         assert "not legal" in capsys.readouterr().err
+
+    def test_bad_pattern_texts_are_reported_once_per_use(self, tmp_path, capsys):
+        # one bad text used on two requirements, another on one
+        shared, bad_day = "perm: every month %5", "temp: every month on 32 *2"
+        uses = [[shared], ["temp: every jun-aug on weekends /2", shared], [bad_day]]
+        doc = {"name": "bad-patterns", "nodes": [
+            {"id": f"web-{i}", "kind": "virtual_machine",
+             "placement": {"provider": "nimbus", "region": "us-east"},
+             "vm_spec": {"operating_system": "linux", "sku": "standard.small"},
+             "requirements": [{"kind": "vm_hours", "baseline": 720, "patterns": patterns}]}
+            for i, patterns in enumerate(uses, start=1)]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("validate", str(bad)) == 1
+        assert capsys.readouterr().err == (
+            "model validation failed\n"
+            "  error: nodes[0].requirements[0].patterns[0]: unknown variation operator"
+            " '%' (column 19 of 'perm: every month %5')\n"
+            "  error: nodes[1].requirements[0].patterns[1]: unknown variation operator"
+            " '%' (column 19 of 'perm: every month %5')\n"
+            "  error: nodes[2].requirements[0].patterns[0]: day of month out of range:"
+            " 32 (column 22 of 'temp: every month on 32 *2')\n")
 
 
 class TestSimulate:
@@ -77,6 +105,21 @@ class TestSimulate:
                 "--start", "january", "--end", "2011-02",
                 "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    @pytest.mark.parametrize("text, reason", [
+        ("2011-13", "month number out of range: 13"),
+        ("2011-00", "month number out of range: 0"),
+        ("2011-1", "expected YYYY-MM, got '2011-1'"),
+    ])
+    def test_bad_month_prints_the_reason(self, tmp_path, capsys, flag, text, reason):
+        months = {"--start": "2011-01", "--end": "2011-02", flag: text}
+        with pytest.raises(SystemExit) as exc:
+            run("export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+                "--start", months["--start"], "--end", months["--end"],
+                "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {reason}\n")
 
     def test_env_var_supplies_catalog(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CLOUDCOST_CATALOG", DEMO_CATALOG)
@@ -160,6 +203,19 @@ class TestHugeQuantities:
         err = capsys.readouterr().err
         assert err.startswith(message) and "exceeds the 28-digit decimal precision" in err
 
+    def test_replay_overflow_names_the_line_and_month(self, tmp_path, capsys):
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        web3 = doc["nodes"][2]
+        assert web3["id"] == "web-3"
+        web3["requirements"][0]["patterns"] = ["perm: every month on everyday *1e10"]
+        grown = tmp_path / "grown.json"
+        grown.write_text(json.dumps(doc))
+        code = run("export-csv", "--model", str(grown), "--catalog", DEMO_CATALOG,
+                   "--start", "2011-01", "--end", "2011-03", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: web-3/vm_hours in 2011-01: value overflowed applying '*1e+10'\n")
+
 
 class TestCompareProviders:
     def test_table_shape(self, tmp_path, capsys):
@@ -223,3 +279,74 @@ class TestAssess:
         important = json.loads((out / "important.json").read_text())
         assert important["benefit"] == ["B2"]
         assert important["risk"] == ["R26"]
+
+
+SEED_PATTERNS = ("perm: every month +17", "temp: every jun-aug on weekends /2",
+                 "perm: every jan-mar on 1-15 *1.1", "temp: every month on mon-fri -3",
+                 "perm: every nov-feb on sat ^2")
+NUMBERS = ("0", "-1", "2.5", "1e10", "1e308", "1e-320", "nan", "inf", "", ".", "9" * 30)
+OPERATORS = "+-*/^%"
+
+
+@st.composite
+def mutated_pattern(draw):
+    """A demo-like pattern with tokens swapped, operators and numbers changed,
+    or the text cut short."""
+    tokens = draw(st.sampled_from(SEED_PATTERNS)).split(" ")
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("swap", "operator", "number", "truncate")))
+        i = draw(st.integers(0, len(tokens) - 1))
+        if edit == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif edit == "operator":
+            tokens[i] = draw(st.sampled_from(OPERATORS)) + tokens[i].lstrip(OPERATORS)
+        elif edit == "number":
+            number = draw(st.sampled_from(NUMBERS))
+            tokens[i] = re.sub(r"[\d.]+(e[-+]?\d+)?", number, tokens[i], count=1)
+        else:
+            text = " ".join(tokens)
+            tokens = text[:draw(st.integers(0, len(text)))].split(" ")
+    return " ".join(tokens)
+
+
+BASELINES = st.one_of(st.sampled_from((0.0, 1.0, 7e22, 1e308, -1.0)),
+                      st.floats(allow_nan=True, allow_infinity=True))
+
+
+def run_quietly(*argv):
+    """Exit code and stderr of one in-process CLI run; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    @given(st.lists(st.tuples(st.integers(0, 19), st.lists(mutated_pattern(), max_size=2),
+                              st.one_of(st.none(), BASELINES)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_demo_model_ends_in_an_exit_code_never_a_traceback(self, edits):
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        requirements = [req for node in doc["nodes"] for req in node.get("requirements", [])]
+        for index, patterns, baseline in edits:
+            req = requirements[index % len(requirements)]
+            req["patterns"] = req.get("patterns", []) + patterns
+            if baseline is not None:
+                req["baseline"] = baseline
+        with tempfile.TemporaryDirectory() as tmp:
+            model = f"{tmp}/model.json"
+            with open(model, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            validated, err = run_quietly("validate", model)
+            assert validated in (0, 1, 2, 3) and "Traceback" not in err
+            code, err = run_quietly("export-csv", "--model", model, "--catalog", DEMO_CATALOG,
+                                    "--start", "2011-01", "--end", "2011-03",
+                                    "--out", f"{tmp}/out")
+            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            if validated == 0:
+                assert code == 0 or re.match(r"error: \S", err), err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -34,6 +35,11 @@ def window(months, start=Month(2011, 1)):
 
 BASIC_CATALOG = catalog_of(
     entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"))
+
+TRANSFER_CATALOG = catalog_of(
+    entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
+    entry("aws", "us-east", pricing.DATA_OUT_GB, "0.01", scope="intra_region"),
+    entry("aws", "us-east", pricing.DATA_IN_GB, "0.01", scope="intra_region"))
 
 
 class TestSimulate:
@@ -149,6 +155,26 @@ class TestSimulate:
         # May: 7.2e26 hours, a cost with more than 28 digits at 6 decimals
         with pytest.raises(EvaluationError, match=r"^vm1/vm_hours in 2011-05: "):
             engine.simulate(grower, catalog, window(5), plan)
+
+    @pytest.mark.parametrize("where, message", [
+        ("node", "vm1/vm_hours in 2011-03: value overflowed applying '*1e+200'"),
+        ("path", "ab/data_link_gb in 2011-03: value overflowed applying '*1e+200'"),
+        ("sum", "vm1/vm_hours in 2011-01: value overflowed summing the month's days"),
+    ])
+    def test_replay_overflow_names_the_line_and_month(self, where, message):
+        # a day-less perm skips the first month: 720e200 in February, inf in March
+        grows = ("perm: every month *1e200",)
+        if where == "node":
+            grower = m.DeploymentModel("g", (vm(patterns=grows),))
+        elif where == "path":
+            path = m.CommunicationPath(
+                "ab", "vm1", "vm1", m.ResourceRequirement(m.DATA_LINK_GB, 720.0, grows))
+            grower = m.DeploymentModel("g", (vm(),), paths=(path,))
+        else:  # every day's value is finite, the month's sum of them is not
+            grower = m.DeploymentModel("g", (vm(hours=1e308, patterns=("temp: every month *31",)),))
+        with pytest.raises(EvaluationError) as exc:
+            engine.simulate(grower, TRANSFER_CATALOG, window(4))
+        assert str(exc.value) == message
 
     def test_missing_rate_names_subject_and_dimension(self):
         report_model = m.DeploymentModel("x", (vm(),))
@@ -270,6 +296,44 @@ class TestSimulate:
             return sum((l.cost for l in rep.lines if l.subject == "ab"), Decimal(0))
 
         assert path_cost("us-east") <= path_cost("eu-west")
+
+
+class TestPatternsParsedOnce:
+    def test_each_distinct_text_is_parsed_once_per_model(self, monkeypatch):
+        parsed_texts = Counter()
+        parse = m.parse_patterns
+
+        def counting(text):
+            parsed_texts[text] += 1
+            return parse(text)
+
+        monkeypatch.setattr(m, "parse_patterns", counting)
+        monkeypatch.setattr(engine, "parse_patterns", counting)
+        weekends = "temp: every month on weekends /2"
+        growth = "perm: every month +10"
+        nodes = (vm("a", patterns=(weekends,)), vm("b", patterns=(growth, weekends)),
+                 vm("c", patterns=(weekends, growth)))
+        path = m.CommunicationPath(
+            "ab", "a", "b", m.ResourceRequirement(m.DATA_LINK_GB, 5.0, (weekends,)))
+        text = m.serialize(m.DeploymentModel("shared", nodes, paths=(path,)))
+        loaded = m.parse_model(text)
+        assert m.validate(loaded) == []
+        first = engine.simulate(loaded, TRANSFER_CATALOG, window(3))
+        second = engine.simulate(loaded, TRANSFER_CATALOG, window(3))
+        assert first == second
+        assert parsed_texts == {weekends: 1, growth: 1}
+
+    def test_replaced_requirement_with_added_pattern_is_simulated(self):
+        base = m.DeploymentModel("one", (vm(patterns=("perm: every month +10",)),))
+        before = engine.simulate(base, BASIC_CATALOG, window(2))
+        node = base.nodes[0]
+        req = node.requirements[0]
+        doubled = replace(base, nodes=(replace(node, requirements=(
+            replace(req, patterns=req.patterns + ("temp: every month *2",)),)),))
+        after = engine.simulate(doubled, BASIC_CATALOG, window(2))
+        assert [line.quantity for line in after.lines] == [
+            2 * line.quantity for line in before.lines]
+        assert engine.simulate(base, BASIC_CATALOG, window(2)) == before
 
 
 class TestRollup:
