@@ -21,7 +21,7 @@ from .engine import (ComparisonTable, CostLine, CostReport, PlanChoice, SummaryR
 from .errors import (AssessmentError, CatalogError, CloudCostError, Diagnostic,
                      EmptyCategoryError, EvaluationError, MissingRateError,
                      ModelError, PatternError, PlanError, WindowError)
-from .model import DeploymentModel, Node, parse_model, serialize, validate
+from .model import DeploymentModel, Node, parse_model, validate
 from .money import format_money, to_money
 from .months import Month, SimulationWindow
 from .pricing import (InstanceSku, PriceCatalog, PurchaseOption, RateEntry, Tier,

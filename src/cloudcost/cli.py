@@ -18,7 +18,7 @@ from pathlib import Path
 from . import assess as assess_mod
 from . import engine, model, pricing, report
 from .errors import (CatalogError, CloudCostError, InputError, MissingRateError,
-                     ModelError, PlanError, WindowError, read_input)
+                     ModelError, PlanError, WindowError, _str_problem, read_input)
 from .money import format_money, format_money_grouped
 from .months import Month, SimulationWindow
 
@@ -132,12 +132,10 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
 def cmd_validate(args: argparse.Namespace) -> int:
     text = read_input(args.model)
     try:
-        parsed = model.parse_model(text)
+        model.parse_model(text)
     except ModelError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    for diag in model.validate(parsed):
-        print(str(diag), file=sys.stderr)
     return 0
 
 
@@ -188,18 +186,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         plan_paths = [None if p in ("", "-") else p for p in raw]
     catalog = pricing.load_catalog_file(_catalog_path(args))
     scenarios = []
-    labels_seen: dict[str, int] = {}
+    labels: set[str] = set()
     for path, plan_path in zip(model_paths, plan_paths):
         parsed = model.load_model(path)
-        label = parsed.name
-        if label in labels_seen:
-            labels_seen[label] += 1
-            label = f"{label} #{labels_seen[parsed.name]}"
-        else:
-            labels_seen[label] = 1
+        label, n = parsed.name, 1
+        while label in labels:  # a later model may itself be named "x #2"
+            n += 1
+            label = f"{parsed.name} #{n}"
+        labels.add(label)
         scenarios.append((label, parsed, _load_plan(plan_path)))
-    result = engine.compare_scenarios(scenarios, catalog, _window(args))
-    _emit_comparison(result.table, catalog.currency, args.out)
+    table = engine.compare_scenarios(scenarios, catalog, _window(args))
+    _emit_comparison(table, catalog.currency, args.out)
     return 0
 
 
@@ -218,13 +215,17 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
         if not isinstance(target, dict) or set(target) != {"provider", "region"}:
             raise CatalogError(
                 f"map entry {label!r}: expected exactly provider and region")
+        for key in ("provider", "region"):
+            problem = _str_problem(target[key])
+            if problem:
+                raise CatalogError(f"map entry {label!r}.{key}: {problem}")
         scenarios.append((label, parsed.replaced(target["provider"], target["region"]),
                           plan))
     if len(scenarios) < 2:
         print("compare-providers needs at least two map entries", file=sys.stderr)
         return 2
-    result = engine.compare_scenarios(scenarios, catalog, _window(args))
-    _emit_comparison(result.table, catalog.currency, args.out)
+    table = engine.compare_scenarios(scenarios, catalog, _window(args))
+    _emit_comparison(table, catalog.currency, args.out)
     return 0
 
 

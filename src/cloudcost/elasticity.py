@@ -116,9 +116,6 @@ class DaySelector:
     a: int | None = None  # day-of-month 1..31 or weekday index 0..6
     b: int | None = None
 
-    def matches_day(self, day: date) -> bool:
-        return self.selects(day.day, day.weekday())
-
     def selects(self, dom: int, weekday: int) -> bool:
         """True for day ``dom`` of a month when that day is weekday ``weekday``
         (0 is Monday); replay calls this with plain ints, never a date."""

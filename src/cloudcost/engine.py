@@ -9,7 +9,7 @@ with the transfer scope resolved from the two placements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -90,7 +90,6 @@ class CostLine:
     dimension: str
     quantity: float
     unit: str
-    basis: str
     cost: Decimal
     group: str | None
     provider: str
@@ -186,32 +185,28 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         for req in node.requirements:
             series = _series(model, req, window, usage_start, node.id, warnings.append)
             if req.kind == m.VM_HOURS and reserved is not None:
-                option, term = reserved
-                basis = f"reserved {term}m @ {option.hourly_rate}/hour"
                 for month, quantity in series:
                     try:
-                        cost = to_money(as_decimal(quantity) * option.hourly_rate)
+                        cost = to_money(as_decimal(quantity) * reserved.hourly_rate)
                     except EvaluationError as exc:
                         raise _line_error(node.id, req.kind, month, exc) from exc
                     lines.append(CostLine(month, node.id, node.id, req.kind, quantity,
-                                          UNIT_FOR_KIND[req.kind], basis, cost,
+                                          UNIT_FOR_KIND[req.kind], cost,
                                           group, provider, region))
                 continue
             sku, scope = _rate_key_for(node, req.kind)
             entry = _lookup(catalog, provider, region, DIMENSION_FOR_KIND[req.kind],
                             sku, scope, node.id, req.kind)
             for month, quantity in series:
-                cost, basis = _price(entry, quantity, node.id, req.kind, month)
+                cost = _price(entry, quantity, node.id, req.kind, month)
                 lines.append(CostLine(month, node.id, node.id, req.kind, quantity,
-                                      UNIT_FOR_KIND[req.kind], basis, cost,
+                                      UNIT_FOR_KIND[req.kind], cost,
                                       group, provider, region, scope))
 
         if reserved is not None:
-            option, term = reserved
-            for month, fee in pricing.reservation_charges(option, window):
+            for month, fee in pricing.reservation_charges(reserved, window):
                 lines.append(CostLine(month, node.id, node.id, RESERVATION_UPFRONT, 1.0,
-                                      "fee", f"upfront fee ({term}m term)", fee,
-                                      group, provider, region))
+                                      "fee", fee, group, provider, region))
 
     node_by_id = {node.id: node for node in model.nodes}
     for path in model.paths:
@@ -228,9 +223,9 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             entry = _lookup(catalog, endpoint.placement.provider, endpoint.placement.region,
                             DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
             for month, quantity in series:
-                cost, basis = _price(entry, quantity, path.id, dimension, month)
+                cost = _price(entry, quantity, path.id, dimension, month)
                 lines.append(CostLine(month, path.id, endpoint.id, dimension, quantity,
-                                      UNIT_FOR_KIND[dimension], basis, cost,
+                                      UNIT_FOR_KIND[dimension], cost,
                                       group_of.get(endpoint.id),
                                       endpoint.placement.provider,
                                       endpoint.placement.region, scope))
@@ -266,7 +261,7 @@ def _lookup(catalog: pricing.PriceCatalog, provider: str, region: str, dimension
 
 
 def _price(entry: pricing.RateEntry, quantity: float, subject: str, kind: str,
-           month: Month) -> tuple[Decimal, str]:
+           month: Month) -> Decimal:
     try:
         return pricing.price_breakdown(entry, quantity)
     except EvaluationError as exc:
@@ -289,7 +284,7 @@ def _check_plan(model: m.DeploymentModel, plan: Mapping[str, PlanChoice]) -> Non
 
 
 def _resolve_reserved(catalog: pricing.PriceCatalog, node: m.Node,
-                      choice: PlanChoice) -> tuple[pricing.PurchaseOption, int]:
+                      choice: PlanChoice) -> pricing.PurchaseOption:
     assert node.placement is not None
     if node.vm_spec is None or node.vm_spec.sku is None:
         raise PlanError(f"node {node.id!r} has no sku; raw-spec machines cannot be reserved")
@@ -304,8 +299,7 @@ def _resolve_reserved(catalog: pricing.PriceCatalog, node: m.Node,
         key = f"{provider}/{region}/sku/{node.vm_spec.sku}/reserved"
         raise MissingRateError(
             f"{node.id}: no unique reserved option ({term}) for {key}", key)
-    assert option.term_months is not None
-    return option, option.term_months
+    return option
 
 
 # --- rollups, summaries, comparisons ----------------------------------------
@@ -415,24 +409,13 @@ def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
     return ComparisonTable(tuple(entries), baseline.label, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class ScenarioComparison:
-    table: ComparisonTable
-    reports: dict[str, CostReport] = field(default_factory=dict)
-
-
 def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[str, PlanChoice] | None]],
                       catalog: pricing.PriceCatalog, window: SimulationWindow,
-                      usage_start: Month | None = None) -> ScenarioComparison:
-    """Simulate each (label, model, plan), summarize and compare; reports are
-    kept for drill-down."""
+                      usage_start: Month | None = None) -> ComparisonTable:
+    """Simulate each (label, model, plan), summarize and compare."""
     labels = [label for label, _, _ in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique")
-    reports = {}
-    rows = []
-    for label, scenario_model, plan in scenarios:
-        report = simulate(scenario_model, catalog, window, plan, usage_start)
-        reports[label] = report
-        rows.append(summarize(report, label))
-    return ScenarioComparison(compare(rows), reports)
+    rows = [summarize(simulate(scenario_model, catalog, window, plan, usage_start), label)
+            for label, scenario_model, plan in scenarios]
+    return compare(rows)

@@ -1,5 +1,5 @@
-"""Exception hierarchy, the shared diagnostic record, the strict-key check,
-and the input-file read."""
+"""Exception hierarchy, the shared diagnostic record, the strict-key and
+string checks, and the input-file read."""
 
 from __future__ import annotations
 
@@ -35,6 +35,13 @@ def _key_problem(value: Any, required: tuple[str, ...] = (),
     if missing:
         return f"missing required key(s): {', '.join(missing)}"
     return None
+
+
+def _str_problem(value: Any) -> str | None:
+    """Why ``value`` is not a string, or None; shared like :func:`_key_problem`."""
+    if isinstance(value, str):
+        return None
+    return f"expected a string, got {type(value).__name__}"
 
 
 def read_input(path: str) -> str:

@@ -15,7 +15,8 @@ from functools import cached_property
 from typing import Any
 
 from .elasticity import PatternSpec, parse_patterns
-from .errors import Diagnostic, ModelError, PatternError, _key_problem, read_input
+from .errors import (Diagnostic, ModelError, PatternError, _key_problem, _str_problem,
+                     read_input)
 
 VIRTUAL_MACHINE = "virtual_machine"
 VIRTUAL_STORAGE = "virtual_storage"
@@ -168,10 +169,10 @@ def _check_obj(value: Any, path: str, required: tuple[str, ...],
 
 
 def _str_at(obj: dict, key: str, path: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        _fail(f"{path}.{key}", f"expected a string, got {type(value).__name__}")
-    return value
+    problem = _str_problem(obj[key])
+    if problem:
+        _fail(f"{path}.{key}", problem)
+    return obj[key]
 
 
 def _num_at(obj: dict, key: str, path: str) -> float:
@@ -407,45 +408,3 @@ def _check_requirement(model: DeploymentModel, req: ResourceRequirement, path: s
         parsed = model.parsed_patterns[text]
         if isinstance(parsed, PatternError):
             err(f"{path}.patterns[{k}]", str(parsed))
-
-
-# --- serialization ----------------------------------------------------------
-
-def to_document(model: DeploymentModel) -> dict:
-    """Model as a JSON-ready dict; parse_model(serialize(m)) == m."""
-    doc: dict[str, Any] = {"name": model.name, "nodes": []}
-    for node in model.nodes:
-        entry: dict[str, Any] = {"id": node.id, "kind": node.kind}
-        if node.placement is not None:
-            entry["placement"] = {"provider": node.placement.provider,
-                                  "region": node.placement.region}
-        if node.vm_spec is not None:
-            spec: dict[str, Any] = {"operating_system": node.vm_spec.operating_system}
-            if node.vm_spec.sku is not None:
-                spec["sku"] = node.vm_spec.sku
-            if node.vm_spec.cpu_ghz is not None:
-                spec["cpu_ghz"] = node.vm_spec.cpu_ghz
-            if node.vm_spec.ram_gb is not None:
-                spec["ram_gb"] = node.vm_spec.ram_gb
-            entry["vm_spec"] = spec
-        if node.storage_spec is not None:
-            entry["storage_spec"] = {"storage_type": node.storage_spec.storage_type}
-        entry["requirements"] = [_requirement_doc(r) for r in node.requirements]
-        doc["nodes"].append(entry)
-    doc["artifacts"] = [{"id": a.id, "kind": a.kind, "label": a.label}
-                        for a in model.artifacts]
-    doc["bindings"] = [{"artifact_id": b.artifact_id, "node_id": b.node_id}
-                       for b in model.bindings]
-    doc["paths"] = [{"id": p.id, "from_node": p.from_node, "to_node": p.to_node,
-                     "volume": _requirement_doc(p.volume)} for p in model.paths]
-    doc["groups"] = [{"id": g.id, "label": g.label, "node_ids": list(g.node_ids)}
-                     for g in model.groups]
-    return doc
-
-
-def _requirement_doc(req: ResourceRequirement) -> dict:
-    return {"kind": req.kind, "baseline": req.baseline, "patterns": list(req.patterns)}
-
-
-def serialize(model: DeploymentModel) -> str:
-    return json.dumps(to_document(model), indent=2) + "\n"

@@ -50,9 +50,6 @@ class Month:
         total = self.index() + count
         return Month(total // 12, total % 12 + 1)
 
-    def next(self) -> Month:
-        return self.add(1)
-
     def diff(self, other: Month) -> int:
         return self.index() - other.index()
 

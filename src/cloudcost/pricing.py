@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any
 
-from .errors import CatalogError, MissingRateError, _key_problem, read_input
+from .errors import CatalogError, MissingRateError, _key_problem, _str_problem, read_input
 from .money import as_decimal, to_money
 from .months import Month, SimulationWindow
 
@@ -76,9 +76,6 @@ class InstanceSku:
     name: str
     purchase_options: tuple[PurchaseOption, ...]
 
-    def on_demand_rate(self) -> Decimal:
-        return min(o.hourly_rate for o in self.purchase_options if o.kind == ON_DEMAND)
-
     def reserved_option(self, term_months: int | None) -> PurchaseOption | None:
         candidates = [o for o in self.purchase_options if o.kind == RESERVED]
         if term_months is not None:
@@ -99,14 +96,6 @@ class PriceCatalog:
         self.warnings = warnings
         self._rates = {entry.key: entry for entry in entries}
         self._skus = {(sku.provider, sku.region, sku.name): sku for sku in skus}
-
-    def lookup(self, provider: str, region: str, dimension: str,
-               sku: str | None = None, scope: str | None = None) -> RateEntry:
-        entry = self._rates.get((provider, region, dimension, sku, scope))
-        if entry is None:
-            raise MissingRateError(f"no rate for {_key_text(provider, region, dimension, sku, scope)}",
-                                   _key_text(provider, region, dimension, sku, scope))
-        return entry
 
     def find_sku(self, provider: str, region: str, name: str) -> InstanceSku | None:
         return self._skus.get((provider, region, name))
@@ -163,9 +152,18 @@ def _strict_keys(obj: Any, path: str, required: tuple[str, ...],
     return obj
 
 
+def _str_at(obj: dict, key: str, path: str) -> str:
+    problem = _str_problem(obj[key])
+    if problem:
+        raise CatalogError(f"{path}.{key}: {problem}")
+    return obj[key]
+
+
 def _parse_entry(value: Any, path: str) -> RateEntry:
     obj = _strict_keys(value, path, ("provider", "region", "dimension", "pricing"),
                        ("sku", "scope"))
+    provider, region = _str_at(obj, "provider", path), _str_at(obj, "region", path)
+    sku = None if obj.get("sku") is None else _str_at(obj, "sku", path)
     dimension = obj["dimension"]
     if dimension not in DIMENSIONS:
         raise CatalogError(f"{path}.dimension: unknown dimension {dimension!r}")
@@ -210,13 +208,14 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
             raise CatalogError(f"{path}.pricing.tiers: the last tier must be unbounded (null)")
         tiers = tuple(parsed)
     return RateEntry(
-        provider=obj["provider"], region=obj["region"], dimension=dimension,
-        sku=obj.get("sku"), scope=scope, flat_price=flat, tiers=tiers,
+        provider=provider, region=region, dimension=dimension,
+        sku=sku, scope=scope, flat_price=flat, tiers=tiers,
     )
 
 
 def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
     obj = _strict_keys(value, path, ("provider", "region", "name", "purchase_options"))
+    provider, region, name = (_str_at(obj, key, path) for key in ("provider", "region", "name"))
     raw_options = obj["purchase_options"]
     if not isinstance(raw_options, list) or not raw_options:
         raise CatalogError(f"{path}.purchase_options: expected a non-empty array")
@@ -245,7 +244,7 @@ def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
             options.append(PurchaseOption(RESERVED, rate, term, fee))
         else:
             raise CatalogError(f"{opath}.kind: unknown purchase option kind {kind!r}")
-    sku = InstanceSku(obj["provider"], obj["region"], obj["name"], tuple(options))
+    sku = InstanceSku(provider, region, name, tuple(options))
     on_demand = [o for o in options if o.kind == ON_DEMAND]
     if not on_demand:
         raise CatalogError(f"{path}: at least one on_demand purchase option is required")
@@ -281,6 +280,8 @@ def load_catalog(text: str) -> PriceCatalog:
                                f"{_key_text(*entry.key)}")
         seen_keys.add(entry.key)
         entries.append(entry)
+    if not isinstance(top.get("skus", []), list):
+        raise CatalogError("$.skus: expected an array")
     skus = []
     seen_skus: set[tuple] = set()
     for i, raw in enumerate(top.get("skus", [])):
@@ -302,11 +303,15 @@ def load_catalog_file(path: str) -> PriceCatalog:
 def lookup_rate(catalog: PriceCatalog, provider: str, region: str, dimension: str,
                 sku: str | None = None, scope: str | None = None) -> RateEntry:
     """The unique entry for the key; MissingRateError names the full key."""
-    return catalog.lookup(provider, region, dimension, sku, scope)
+    entry = catalog._rates.get((provider, region, dimension, sku, scope))
+    if entry is None:
+        key = _key_text(provider, region, dimension, sku, scope)
+        raise MissingRateError(f"no rate for {key}", key)
+    return entry
 
 
-def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> tuple[Decimal, str]:
-    """Cost plus a human-readable unit-cost basis (flat rate or tier split).
+def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> Decimal:
+    """Cost of ``quantity`` at the entry's flat rate or marginal tiers.
 
     Raises :class:`EvaluationError` when the cost does not fit the decimal
     context.
@@ -315,9 +320,8 @@ def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> tuple[
     if q < 0:
         raise ValueError(f"quantity must be >= 0, got {quantity}")
     if entry.flat_price is not None:
-        return to_money(q * entry.flat_price), f"flat @ {entry.flat_price}"
+        return to_money(q * entry.flat_price)
     total = Decimal(0)
-    pieces = []
     lower = Decimal(0)
     for tier in entry.tiers:
         if tier.upper_bound is None:
@@ -328,11 +332,9 @@ def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> tuple[
         if portion <= 0:
             continue
         total += portion * tier.unit_price
-        pieces.append(f"{portion}@{tier.unit_price}")
         if tier.upper_bound is not None and q <= tier.upper_bound:
             break
-    cost = to_money(total)
-    return cost, "tiered " + " + ".join(pieces) if pieces else "tiered (no usage)"
+    return to_money(total)
 
 
 def reservation_charges(option: PurchaseOption,

@@ -10,11 +10,9 @@ from __future__ import annotations
 import csv
 import html
 import io
-import math
 from typing import Sequence
 
 from . import model as m
-from .assess import RadarData
 from .engine import CostReport, SummaryRow, rollup
 from .money import format_money
 
@@ -119,47 +117,6 @@ def _summary_table(summaries: Sequence[SummaryRow], currency: str) -> str:
             f"<th>total</th><th>months</th></tr>{rows}</table>")
 
 
-def _radar_section(radar_data: RadarData) -> str:
-    parts = ["<h2>Benefit / risk importance</h2>"]
-    for kind, rows in (("benefit", radar_data.benefits), ("risk", radar_data.risks)):
-        if not rows:
-            continue
-        size, radius = 260, 95
-        cx = cy = size / 2
-        k = len(rows)
-        points = []
-        spokes = []
-        marks = []
-        for i, row in enumerate(rows):
-            angle = 2 * math.pi * i / k - math.pi / 2
-            px = cx + radius * (row.average / 5.0) * math.cos(angle)
-            py = cy + radius * (row.average / 5.0) * math.sin(angle)
-            points.append(f"{px:.2f},{py:.2f}")
-            ex = cx + radius * math.cos(angle)
-            ey = cy + radius * math.sin(angle)
-            spokes.append(f'<line x1="{cx}" y1="{cy}" x2="{ex:.2f}" y2="{ey:.2f}" '
-                          f'stroke="#ccc"/>')
-            lx = cx + (radius + 14) * math.cos(angle)
-            ly = cy + (radius + 14) * math.sin(angle)
-            spokes.append(f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="10" '
-                          f'text-anchor="middle">{row.category}</text>')
-            marks.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
-                         f'data-kind="{kind}" data-category="{row.category}" '
-                         f'data-average="{row.average:.4f}"/>')
-        polygon = (f'<polygon points="{" ".join(points)}" fill="#36c3" stroke="#36c"/>'
-                   if k >= 2 else "")
-        table_rows = "".join(
-            f"<tr><td>{row.category}</td><td class=\"num\">{row.average:.4f}</td>"
-            f"<td class=\"num\">{row.item_count}</td></tr>" for row in rows)
-        parts.append(
-            f"<h3>{kind}s</h3>"
-            f'<svg width="{size}" height="{size}" viewBox="0 0 {size} {size}">'
-            f'{"".join(spokes)}{polygon}{"".join(marks)}</svg>'
-            f'<table data-radar="{kind}"><tr><th>category</th><th>average</th>'
-            f"<th>rated items</th></tr>{table_rows}</table>")
-    return "".join(parts)
-
-
 def _topology_section(model: m.DeploymentModel) -> str:
     node_rows = "".join(
         f"<tr><td>{html.escape(node.id)}</td><td>{node.kind}</td>"
@@ -183,10 +140,9 @@ def _topology_section(model: m.DeploymentModel) -> str:
 
 
 def to_html(report: CostReport, summaries: Sequence[SummaryRow] | None = None,
-            radar_data: RadarData | None = None,
             model: m.DeploymentModel | None = None) -> str:
     """Single self-contained page: monthly chart, rollup tables, summary,
-    warnings, and (when supplied) the assessment radar and model topology."""
+    warnings, and (when supplied) the model topology."""
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8"/>',
@@ -207,8 +163,6 @@ def to_html(report: CostReport, summaries: Sequence[SummaryRow] | None = None,
         unique = list(dict.fromkeys(report.warnings))
         items = "".join(f'<li class="warn">{html.escape(w)}</li>' for w in unique)
         parts.append(f"<h2>Warnings</h2><ul data-warnings=\"1\">{items}</ul>")
-    if radar_data is not None:
-        parts.append(_radar_section(radar_data))
     if model is not None:
         parts.append(_topology_section(model))
     parts.append("</body></html>")

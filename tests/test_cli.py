@@ -241,6 +241,21 @@ class TestCompareProviders:
         assert [row["label"] for row in payload["rows"]] == ["Nimbus", "Stratus",
                                                              "Cumulus"]
 
+    @pytest.mark.parametrize("target, key", [
+        ({"provider": 5, "region": "us-east"}, "provider"),
+        ({"provider": "nimbus", "region": ["us-east"]}, "region"),
+        ({"provider": None, "region": "us-east"}, "provider"),
+    ])
+    def test_non_string_provider_or_region_is_a_located_error(self, tmp_path, target, key):
+        remap = tmp_path / "map.json"
+        remap.write_text(json.dumps({
+            "Nimbus": {"provider": "nimbus", "region": "us-east"}, "Odd": target}))
+        code, err = run_quietly("compare-providers", "--model", DEMO_MODEL,
+                                "--catalog", DEMO_CATALOG, "--map", str(remap),
+                                "--start", "2011-01", "--end", "2011-03")
+        assert code == 1
+        assert err.startswith(f"error: map entry 'Odd'.{key}: expected a string, got ")
+
 
 class TestCompare:
     def test_same_model_twice_warns_of_tie(self, tmp_path, capsys):
@@ -251,6 +266,24 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "tie" in captured.err
         assert "digital-library" in captured.out
+
+    @pytest.mark.parametrize("names, labels", [
+        (["x", "x"], ["x", "x #2"]),
+        (["x", "x", "x #2"], ["x", "x #2", "x #2 #2"]),
+        (["x #2", "x", "x"], ["x #2", "x", "x #3"]),
+    ])
+    def test_repeated_model_names_get_unique_labels(self, tmp_path, names, labels):
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        paths = []
+        for i, name in enumerate(names):
+            paths.append(tmp_path / f"m{i}.json")
+            paths[-1].write_text(json.dumps({**doc, "name": name}))
+        code, err = run_quietly("compare", "--models", ",".join(map(str, paths)),
+                                "--catalog", DEMO_CATALOG, "--start", "2011-01",
+                                "--end", "2011-02", "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        payload = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        assert [row["label"] for row in payload["rows"]] == labels
 
 
 class TestAssess:
@@ -314,6 +347,24 @@ BASELINES = st.one_of(st.sampled_from((0.0, 1.0, 7e22, 1e308, -1.0)),
                       st.floats(allow_nan=True, allow_infinity=True))
 
 
+def _fields(value, path=()):
+    """The key path of every object member inside a JSON value."""
+    if isinstance(value, dict):
+        for key, member in value.items():
+            yield path + (key,)
+            yield from _fields(member, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, path + (i,))
+
+
+CATALOG_FIELDS = list(_fields(json.loads(cloudcost.data_path("demo_catalog.json").read_text())))
+JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(),
+               float: st.floats(), str: st.text(max_size=8),
+               list: st.lists(st.integers(), max_size=2),
+               dict: st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)}
+
+
 def run_quietly(*argv):
     """Exit code and stderr of one in-process CLI run; any exception escapes."""
     err = io.StringIO()
@@ -350,3 +401,23 @@ class TestFuzz:
             assert code in (0, 1, 2, 3) and "Traceback" not in err
             if validated == 0:
                 assert code == 0 or re.match(r"error: \S", err), err
+
+    @given(st.sampled_from(CATALOG_FIELDS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_catalog_field_of_another_type_ends_in_an_exit_code_never_a_traceback(
+            self, field, data):
+        doc = json.loads(cloudcost.data_path("demo_catalog.json").read_text())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        old = parent[field[-1]]
+        parent[field[-1]] = data.draw(st.one_of(
+            [values for kind, values in JSON_VALUES.items() if type(old) is not kind]))
+        with tempfile.TemporaryDirectory() as tmp:
+            catalog = f"{tmp}/catalog.json"
+            with open(catalog, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            code, err = run_quietly("export-csv", "--model", DEMO_MODEL, "--catalog", catalog,
+                                    "--start", "2011-01", "--end", "2011-03",
+                                    "--out", f"{tmp}/out")
+        assert code in (0, 1, 2, 3) and "Traceback" not in err

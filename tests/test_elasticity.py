@@ -92,8 +92,6 @@ class TestMatches:
         spec = el.parse_pattern("temp: every month on weekends *2")
         assert el.matches(spec, date(2011, 6, 4))  # a Saturday
         assert not el.matches(spec, date(2011, 6, 3))  # a Friday
-        assert spec.days.matches_day(date(2011, 6, 4))
-        assert not spec.days.matches_day(date(2011, 6, 3))
 
     def test_day_of_month_range(self):
         spec = el.parse_pattern("temp: every dec on 25-30 *2")

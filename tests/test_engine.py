@@ -315,11 +315,10 @@ class TestPatternsParsedOnce:
                  vm("c", patterns=(weekends, growth)))
         path = m.CommunicationPath(
             "ab", "a", "b", m.ResourceRequirement(m.DATA_LINK_GB, 5.0, (weekends,)))
-        text = m.serialize(m.DeploymentModel("shared", nodes, paths=(path,)))
-        loaded = m.parse_model(text)
-        assert m.validate(loaded) == []
-        first = engine.simulate(loaded, TRANSFER_CATALOG, window(3))
-        second = engine.simulate(loaded, TRANSFER_CATALOG, window(3))
+        shared = m.DeploymentModel("shared", nodes, paths=(path,))
+        assert m.validate(shared) == []
+        first = engine.simulate(shared, TRANSFER_CATALOG, window(3))
+        second = engine.simulate(shared, TRANSFER_CATALOG, window(3))
         assert first == second
         assert parsed_texts == {weekends: 1, growth: 1}
 
@@ -437,10 +436,11 @@ class TestCompareScenarios:
     def test_same_model_twice_ties(self):
         scenario = m.DeploymentModel("one", (vm(),))
         other = replace(scenario, name="two")
-        result = engine.compare_scenarios(
+        table = engine.compare_scenarios(
             [("one", scenario, None), ("two", other, None)], BASIC_CATALOG, window(3))
-        assert result.table.warnings
-        assert set(result.reports) == {"one", "two"}
+        assert table.warnings
+        assert [entry.row.label for entry in table.entries] == ["one", "two"]
+        assert table.entry("one").row == replace(table.entry("two").row, label="one")
 
     def test_duplicate_labels_rejected(self):
         scenario = m.DeploymentModel("one", (vm(),))
@@ -452,12 +452,11 @@ class TestCompareScenarios:
         always_on = m.DeploymentModel("non-elastic", (vm(),))
         reduced = m.DeploymentModel("elastic", (vm(
             patterns=("temp: every month on weekends /3",)),))
-        result = engine.compare_scenarios(
+        table = engine.compare_scenarios(
             [("non-elastic", always_on, None), ("elastic", reduced, None)],
             BASIC_CATALOG, window(6))
-        assert result.table.baseline_label == "elastic"
-        elastic_total = result.reports["elastic"].grand_total()
-        assert elastic_total <= result.reports["non-elastic"].grand_total()
+        assert table.baseline_label == "elastic"
+        assert table.entry("elastic").row.total <= table.entry("non-elastic").row.total
 
     def test_small_instances_trade_first_month_for_average(self):
         # few large instances, on demand: flat months
@@ -475,13 +474,13 @@ class TestCompareScenarios:
             entry("aws", "us-east", pricing.VM_HOURS, "0.55", sku="standard.large"),
             skus=(sku,))
         plan = {node.id: engine.PlanChoice(pricing.RESERVED, 36) for node in small_nodes}
-        result = engine.compare_scenarios(
+        table = engine.compare_scenarios(
             [("large", large, None), ("small", small, plan)], catalog, window(36))
-        small_row = result.table.entry("small").row
-        large_row = result.table.entry("large").row
+        small_row = table.entry("small").row
+        large_row = table.entry("large").row
         assert small_row.first_month > large_row.first_month
         assert small_row.monthly_avg < large_row.monthly_avg
-        assert result.table.baseline_label == "small"
+        assert table.baseline_label == "small"
 
 
 class TestMonotonicity:

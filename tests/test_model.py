@@ -168,17 +168,6 @@ class TestValidate:
         assert [d.path for d in first] == sorted(d.path for d in first)
 
 
-class TestRoundTrip:
-    def test_serialize_reparses_equal(self, demo_model_text):
-        parsed = m.parse_model(demo_model_text)
-        again = m.parse_model(m.serialize(parsed))
-        assert again == parsed
-
-    def test_minimal_round_trip(self):
-        parsed = minimal_model()
-        assert m.parse_model(m.serialize(parsed)) == parsed
-
-
 def _node_of_kind(node_kind, req_kind):
     placement = None if node_kind == m.REMOTE_NODE else m.Placement("p", "r")
     vm_spec = m.VmSpec("linux", sku="s") if node_kind == m.VIRTUAL_MACHINE else None

@@ -120,6 +120,33 @@ class TestLoadCatalog:
             load(doc)
         assert "scope" in str(exc.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("provider", 5), ("region", ["us-east"]), ("sku", ["standard.small"]),
+        ("sku", {"name": "standard.small"}),
+    ])
+    def test_non_string_entry_field_rejected(self, key, value):
+        doc = catalog_doc()
+        doc["entries"][0][key] = value
+        with pytest.raises(CatalogError) as exc:
+            load(doc)
+        assert str(exc.value).startswith(f"entries[0].{key}: expected a string, got ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("provider", 5), ("region", None), ("name", {"id": "s"}), ("name", ["s"]),
+    ])
+    def test_non_string_sku_field_rejected(self, key, value):
+        sku = {"provider": "aws", "region": "us-east", "name": "standard.small",
+               "purchase_options": [{"kind": "on_demand", "hourly_rate": "0.1"}]}
+        with pytest.raises(CatalogError) as exc:
+            load(catalog_doc(skus=[{**sku, key: value}]))
+        assert str(exc.value).startswith(f"skus[0].{key}: expected a string, got ")
+
+    @pytest.mark.parametrize("skus", [None, 3, "standard.small"])
+    def test_skus_must_be_an_array(self, skus):
+        with pytest.raises(CatalogError) as exc:
+            load(catalog_doc(skus=skus))
+        assert str(exc.value) == "$.skus: expected an array"
+
     def test_scope_forbidden_elsewhere(self):
         doc = catalog_doc()
         doc["entries"][0]["scope"] = "internet"
@@ -195,16 +222,16 @@ def tiered_entry(*tiers):
 
 class TestPriceQuantity:
     def test_flat_hours(self):
-        assert pricing.price_breakdown(flat_entry("0.10"), 720)[0] == Decimal("72.000000")
+        assert pricing.price_breakdown(flat_entry("0.10"), 720) == Decimal("72.000000")
 
     def test_marginal_tiers(self):
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
-        assert pricing.price_breakdown(entry, 150)[0] == Decimal("125.000000")
+        assert pricing.price_breakdown(entry, 150) == Decimal("125.000000")
 
     def test_zero_quantity(self):
-        assert pricing.price_breakdown(flat_entry("0.10"), 0)[0] == Decimal("0.000000")
+        assert pricing.price_breakdown(flat_entry("0.10"), 0) == Decimal("0.000000")
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
-        assert pricing.price_breakdown(entry, 0)[0] == Decimal("0.000000")
+        assert pricing.price_breakdown(entry, 0) == Decimal("0.000000")
 
     def test_negative_quantity_rejected(self):
         with pytest.raises(ValueError):
@@ -219,7 +246,7 @@ class TestPriceQuantity:
 
     def test_quantity_inside_first_tier(self):
         entry = tiered_entry((100, "1.00"), (None, "0.50"))
-        assert pricing.price_breakdown(entry, 40)[0] == Decimal("40.000000")
+        assert pricing.price_breakdown(entry, 40) == Decimal("40.000000")
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -233,7 +260,7 @@ class TestPriceQuantity:
         want = oracle_tiered_price([(b, Decimal(str(p))) for b, p in
                                     list(zip(bounds, prices)) + [(None, prices[-1])]],
                                    quantity)
-        assert pricing.price_breakdown(entry, quantity)[0] == want.quantize(Decimal("0.000001"))
+        assert pricing.price_breakdown(entry, quantity) == want.quantize(Decimal("0.000001"))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -246,23 +273,23 @@ class TestPriceQuantity:
                                  (None, str(Decimal(rng.randint(0, 300)) / 100)))
         a = rng.uniform(0, 1000)
         b = a + rng.uniform(0, 1000)
-        assert pricing.price_breakdown(entry, a)[0] <= pricing.price_breakdown(entry, b)[0]
+        assert pricing.price_breakdown(entry, a) <= pricing.price_breakdown(entry, b)
 
     def test_volume_discount_subadditive(self):
         entry = tiered_entry((100, "1.00"), (500, "0.60"), (None, "0.30"))
         for a, b in [(50, 80), (100, 400), (300, 700), (0, 10)]:
-            whole = pricing.price_breakdown(entry, a + b)[0]
-            split = pricing.price_breakdown(entry, a)[0] + pricing.price_breakdown(entry, b)[0]
+            whole = pricing.price_breakdown(entry, a + b)
+            split = pricing.price_breakdown(entry, a) + pricing.price_breakdown(entry, b)
             assert whole <= split
 
     def test_flat_is_exactly_additive(self):
         entry = flat_entry("0.37")
-        assert (pricing.price_breakdown(entry, 130)[0]
-                == pricing.price_breakdown(entry, 100)[0] + pricing.price_breakdown(entry, 30)[0])
+        assert (pricing.price_breakdown(entry, 130)
+                == pricing.price_breakdown(entry, 100) + pricing.price_breakdown(entry, 30))
 
     def test_sum_is_order_independent(self):
         rng = random.Random(99)
-        costs = [pricing.price_breakdown(flat_entry("0.07"), rng.uniform(0, 500))[0]
+        costs = [pricing.price_breakdown(flat_entry("0.07"), rng.uniform(0, 500))
                  for _ in range(50)]
         total = sum(costs, Decimal(0))
         for _ in range(5):

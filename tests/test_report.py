@@ -66,7 +66,6 @@ class _ChartReader(HTMLParser):
     def __init__(self):
         super().__init__()
         self.points = []
-        self.radar_marks = []
         self.warning_items = 0
         self._in_warning = False
 
@@ -74,8 +73,6 @@ class _ChartReader(HTMLParser):
         attrs = dict(attrs)
         if tag == "circle" and "data-month" in attrs:
             self.points.append((attrs["data-month"], attrs["data-total"]))
-        if tag == "circle" and "data-kind" in attrs:
-            self.radar_marks.append(attrs)
         if tag == "ul" and attrs.get("data-warnings"):
             self._in_warning = True
         if tag == "li" and self._in_warning:
@@ -101,21 +98,6 @@ class TestHtml:
             sums[row[0]] = sums.get(row[0], Decimal(0)) + Decimal(row[-1])
         for month_text, total_text in reader.points:
             assert Decimal(total_text) == sums[month_text]
-
-    def test_radar_section_absent_without_data(self):
-        page = report.to_html(one_line_report())
-        assert "data-radar" not in page
-        assert "data-kind" not in page
-
-    def test_radar_section_present_with_data(self, seed_items_text):
-        from cloudcost import assess
-        items = assess.load_items(seed_items_text)
-        sheet = assess.RatingSheet("t", "technical", {i.id: 4 for i in items})
-        page = report.to_html(one_line_report(), radar_data=assess.radar(sheet, items))
-        reader = _ChartReader()
-        reader.feed(page)
-        assert reader.radar_marks
-        assert all(mark["data-average"] == "4.0000" for mark in reader.radar_marks)
 
     def test_warnings_listed_once_each(self):
         node = vm(patterns=("perm: every month -900",))
