@@ -154,12 +154,15 @@ def parse_ratings(text: str) -> RatingSheet:
             body_lines.append(line)
     if not body_lines:
         raise AssessmentError("rating file has no header row")
-    reader = csv.reader(io.StringIO("\n".join(body_lines)))
-    header = next(reader)
-    if [h.strip().lower() for h in header] != ["item_id", "rating"]:
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO("\n".join(body_lines))))
+    except csv.Error as exc:
+        raise AssessmentError(f"rating row {len(rows) + 1}: {exc}") from exc
+    if [h.strip().lower() for h in rows[0]] != ["item_id", "rating"]:
         raise AssessmentError("rating file header must be 'item_id,rating'")
     ratings: dict[str, int] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 2:

@@ -1,4 +1,4 @@
-"""Elasticity-pattern mini-language: parsing, matching, and evaluation.
+"""Elasticity-pattern mini-language: parsing and monthly replay.
 
 A pattern adjusts a resource's baseline usage on matching days::
 
@@ -82,18 +82,6 @@ class MonthSelector:
     start: int | None = None  # 1..12; None selects every month
     end: int | None = None
 
-    @classmethod
-    def every(cls) -> MonthSelector:
-        return cls(None, None)
-
-    @classmethod
-    def single(cls, month: int) -> MonthSelector:
-        return cls(month, month)
-
-    @classmethod
-    def span(cls, start: int, end: int) -> MonthSelector:
-        return cls(start, end)
-
     def contains(self, month: int) -> bool:
         if self.start is None:
             return True
@@ -109,7 +97,7 @@ class DaySelector:
 
     ``empty`` is mode-dependent: every day of the month for temp patterns,
     only the month's first day (the firing point) for perm patterns; that
-    asymmetry lives in :func:`matches`, whose day part the replay shares.
+    asymmetry lives in :func:`_fires`.
     """
 
     kind: str = EMPTY
@@ -196,16 +184,17 @@ def _parse_months(s: _Scanner) -> MonthSelector:
     word, start = got
     token = word.lower()
     if token == "month":
-        return MonthSelector.every()
+        return MonthSelector()
     if "-" in token:
         lo, hi = token.split("-", 1)
         for part in (lo, hi):
             if part not in MONTH_NAMES:
                 s.fail(f"unknown month {part!r}", start)
-        return MonthSelector.span(MONTH_NAMES.index(lo) + 1, MONTH_NAMES.index(hi) + 1)
+        return MonthSelector(MONTH_NAMES.index(lo) + 1, MONTH_NAMES.index(hi) + 1)
     if token not in MONTH_NAMES:
         s.fail(f"unknown month token {token!r}", start)
-    return MonthSelector.single(MONTH_NAMES.index(token) + 1)
+    month = MONTH_NAMES.index(token) + 1
+    return MonthSelector(month, month)
 
 
 def _parse_days(s: _Scanner) -> DaySelector:
@@ -321,19 +310,11 @@ def parse_patterns(block: str) -> list[PatternSpec]:
     return specs
 
 
-def matches(pattern: PatternSpec, day: date) -> bool:
-    """True when ``day`` is selected by the pattern.
-
-    An absent day clause selects every day of a matching month for temp
-    patterns but only the month's first day (the firing point) for perm
-    patterns.
-    """
-    return pattern.months.contains(day.month) and _fires(pattern, day.day, day.weekday())
-
-
 def _fires(pattern: PatternSpec, dom: int, weekday: int) -> bool:
-    """The day part of :func:`matches`, on ints: day ``dom`` of a month the
-    pattern already selects, falling on ``weekday`` (0 is Monday)."""
+    """True when the pattern applies on day ``dom`` of a month it already
+    selects, falling on ``weekday`` (0 is Monday). An absent day clause
+    selects every day for temp patterns but only day 1 (the firing point)
+    for perm patterns."""
     if pattern.days.kind == EMPTY:
         return dom == 1 or pattern.mode == TEMP
     return pattern.days.selects(dom, weekday)
@@ -384,21 +365,17 @@ def _clamped(pattern: PatternSpec, index: int, year: int, month: int, dom: int,
 
 
 def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
-            warn: WarnFn | None = None,
-            last_dom: int | None = None) -> tuple[list[float], float]:
-    """Replay from sim_start's first day through day ``last_dom`` of ``last``
-    (default: its last day); see the module docstring.
+            warn: WarnFn | None = None) -> list[float]:
+    """Replay from sim_start's first day through the last day of ``last``;
+    see the module docstring.
 
-    Returns each month's billable quantity (the sequential sum of its daily
-    values, divided by its length for stocks) and the value of the final
-    day replayed. This is the single source of evaluation truth: every
-    entry point runs the same float operations in the same order, so
-    results are bit-reproducible. An overflow raises EvaluationError with
-    its ``month`` set.
+    Returns each month's billable quantity: the sequential sum of its daily
+    values, divided by its length for stocks. The float operations run in
+    the same order on every call, so results are bit-reproducible. An
+    overflow raises EvaluationError with its ``month`` set.
     """
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
-    value = level
     quantities: list[float] = []
     first = sim_start.index()
     final = last.index()
@@ -420,9 +397,8 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
             # Without an active day clause, perms fire on day 1 only, so every
             # later day repeats the value of the day before it.
             uniform = all(p.days.kind == EMPTY for _, p in perms + temps)
-            end = days_in_month if index != final or last_dom is None else last_dom
             total = 0.0
-            for dom in range(1, end + 1):
+            for dom in range(1, days_in_month + 1):
                 weekday = (weekday1 + dom - 1) % 7
                 for i, p in perms:
                     if _fires(p, dom, weekday):
@@ -439,7 +415,7 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
                             repeat = False  # each later day warns with its own date
                 total += value
                 if repeat:
-                    for _ in range(dom, end):
+                    for _ in range(dom, days_in_month):
                         total += value
                     break
             if total == math.inf:
@@ -448,26 +424,14 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
     except EvaluationError as exc:
         exc.month = Month(year, month)
         raise
-    return quantities, value
-
-
-def evaluate_day(schedule: UsageSchedule, day: date, sim_start: Month,
-                 warn: WarnFn | None = None) -> float:
-    """The day's effective value: perm level replayed from sim_start, then temps.
-
-    For flows the value is the day's contribution (level / days in month,
-    scaled by temps); for stocks it is the held level itself. The replay
-    stops at ``day``, so no later day warns.
-    """
-    if day < sim_start.first_day():
-        raise ValueError(f"{day} precedes the simulation start {sim_start}")
-    return _replay(schedule, sim_start, Month.of(day), warn, day.day)[1]
+    return quantities
 
 
 def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
                    usage_start: Month | None = None,
                    warn: WarnFn | None = None) -> list[tuple[Month, float]]:
-    """Billable quantities for every month of the window, in one replay pass.
+    """Billable quantities for every month of the window, in one replay pass;
+    the only way into :func:`_replay`.
 
     ``usage_start`` anchors the pattern replay; it defaults to the window
     start and must not lie after it.
@@ -475,5 +439,5 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
     start = usage_start or window.start
     if start > window.start:
         raise ValueError(f"usage start {start} is after the window start {window.start}")
-    quantities, _ = _replay(schedule, start, window.end, warn)
+    quantities = _replay(schedule, start, window.end, warn)
     return list(zip(window.months(), quantities[window.start.diff(start):]))

@@ -18,7 +18,7 @@ from . import model as m
 from . import pricing
 from .elasticity import UsageSchedule, monthly_series
 from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
-from .errors import EvaluationError, MissingRateError, ModelError, PlanError
+from .errors import EvaluationError, MissingRateError, ModelError, PlanError, _key_problem
 from .money import CENT_EXP, MONEY_EXP, as_decimal, to_money
 from .months import Month, SimulationWindow
 
@@ -61,24 +61,33 @@ ON_DEMAND_CHOICE = PlanChoice()
 
 
 def parse_plan(data: Mapping) -> dict[str, PlanChoice]:
-    """Plan document: node id -> "on_demand" | {kind, term_months}."""
+    """Plan document: node id -> "on_demand" | {kind, term_months?}.
+
+    Unknown keys, a term that is not a positive integer and a term on an
+    on_demand choice are PlanErrors.
+    """
     plan: dict[str, PlanChoice] = {}
     for node_id, raw in data.items():
         if raw == pricing.ON_DEMAND:
             plan[node_id] = ON_DEMAND_CHOICE
-        elif isinstance(raw, Mapping):
-            kind = raw.get("kind")
-            if kind == pricing.ON_DEMAND:
-                plan[node_id] = ON_DEMAND_CHOICE
-            elif kind == pricing.RESERVED:
-                term = raw.get("term_months")
-                if term is not None and (isinstance(term, bool) or not isinstance(term, int)):
-                    raise PlanError(f"plan for {node_id!r}: term_months must be an integer")
-                plan[node_id] = PlanChoice(pricing.RESERVED, term)
-            else:
-                raise PlanError(f"plan for {node_id!r}: unknown purchase kind {kind!r}")
-        else:
+            continue
+        if not isinstance(raw, dict):
             raise PlanError(f"plan for {node_id!r}: expected 'on_demand' or an object")
+        problem = _key_problem(raw, ("kind",), ("term_months",))
+        if problem:
+            raise PlanError(f"plan for {node_id!r}: {problem}")
+        kind, term = raw["kind"], raw.get("term_months")
+        if kind == pricing.ON_DEMAND:
+            if "term_months" in raw:
+                raise PlanError(f"plan for {node_id!r}: on_demand choices carry no term")
+            plan[node_id] = ON_DEMAND_CHOICE
+        elif kind == pricing.RESERVED:
+            if term is not None and (isinstance(term, bool) or not isinstance(term, int)
+                                     or term < 1):
+                raise PlanError(f"plan for {node_id!r}: term_months must be a positive integer")
+            plan[node_id] = PlanChoice(pricing.RESERVED, term)
+        else:
+            raise PlanError(f"plan for {node_id!r}: unknown purchase kind {kind!r}")
     return plan
 
 

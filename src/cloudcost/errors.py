@@ -23,8 +23,8 @@ def _key_problem(value: Any, required: tuple[str, ...] = (),
                  optional: tuple[str, ...] = ()) -> str | None:
     """Why ``value`` is not an object with exactly the allowed keys, or None.
 
-    The strict loaders of models, catalogs and assessment items share this
-    check; each raises its own error type with the returned text.
+    The strict loaders of models, catalogs, plans and assessment items share
+    this check; each raises its own error type with the returned text.
     """
     if not isinstance(value, dict):
         return f"expected an object, got {type(value).__name__}"

@@ -30,10 +30,6 @@ class Month:
             raise ValueError(f"expected YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
-    @classmethod
-    def of(cls, day: date) -> Month:
-        return cls(day.year, day.month)
-
     def first_day(self) -> date:
         return date(self.year, self.month, 1)
 

@@ -8,7 +8,6 @@ import json
 import random
 import time
 from dataclasses import replace
-from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -113,11 +112,11 @@ MALFORMED_PATTERNS = [
 
 def test_pattern_grammar_examples_and_rejections():
     assert el.parse_pattern("perm: every month +10") == el.PatternSpec(
-        "perm", el.MonthSelector.every(), el.DaySelector("empty"), "+", 10.0)
+        "perm", el.MonthSelector(), el.DaySelector("empty"), "+", 10.0)
     assert el.parse_pattern("temp: every jun-aug on weekends /2") == el.PatternSpec(
-        "temp", el.MonthSelector.span(6, 8), el.DaySelector("weekends"), "/", 2.0)
+        "temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0)
     assert el.parse_pattern("temp: every dec on 25-30 * 2") == el.PatternSpec(
-        "temp", el.MonthSelector.single(12), el.DaySelector("dom_range", 25, 30),
+        "temp", el.MonthSelector(12, 12), el.DaySelector("dom_range", 25, 30),
         "*", 2.0)
     assert len(MALFORMED_PATTERNS) >= 20
     for text in MALFORMED_PATTERNS:
@@ -133,8 +132,10 @@ def test_pattern_semantics_against_day_loop_oracle():
         "perm: every month +10, temp: every jun-aug on weekends /2, "
         "temp: every dec on 25-30 * 2")))
     start = Month(2011, 1)
-    assert el.evaluate_day(worked, date(2011, 12, 26), start) == 420.0
-    assert el.evaluate_day(worked, date(2011, 6, 4), start) == 75.0
+    for month, want in ((Month(2011, 6), 130.0), (Month(2011, 12), 7770 / 31)):
+        assert month_quantity(worked, month, start) == want
+        assert want == oracle_month_quantity("stock", 100, worked.patterns, (2011, 1),
+                                             (month.year, month.month))
 
     rng = random.Random(20110607)
     for _ in range(1000):

@@ -84,6 +84,11 @@ class TestParseRatings:
         with pytest.raises(AssessmentError):
             assess.parse_ratings("id,score\nB1,5\n")
 
+    def test_cell_beyond_the_csv_field_limit_names_its_row(self):
+        text = "item_id,rating\nB1,5\nB2," + "5" * 131073 + "\n"
+        with pytest.raises(AssessmentError, match=r"^rating row 3: field larger than"):
+            assess.parse_ratings(text)
+
 
 class TestValidateSheet:
     def test_out_of_range_rating(self, seed_items):

@@ -139,6 +139,21 @@ class TestSimulate:
                    "--out", str(out)) == 0
         assert "reservation_upfront" in (out / "report.csv").read_text()
 
+    @pytest.mark.parametrize("choice, reason", [
+        ({"kind": "on_demand", "term_months": 12, "typo": 1}, "unknown key(s): typo"),
+        ({"kind": "reserved", "term_month": 12}, "unknown key(s): term_month"),
+        ({"kind": "on_demand", "term_months": 12}, "on_demand choices carry no term"),
+        ({"term_months": 12}, "missing required key(s): kind"),
+        ({"kind": "reserved", "term_months": 0}, "term_months must be a positive integer"),
+    ])
+    def test_plan_objects_are_strict(self, tmp_path, capsys, choice, reason):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"web-1": choice}))
+        assert run("export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+                   "--plan", str(plan), "--start", "2011-01", "--end", "2011-01",
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: plan for 'web-1': {reason}\n"
+
 
 class TestExportCsv:
     def test_writes_only_csv(self, tmp_path):
@@ -256,6 +271,26 @@ class TestCompareProviders:
         assert code == 1
         assert err.startswith(f"error: map entry 'Odd'.{key}: expected a string, got ")
 
+    def test_single_placement_totals_equal_simulate(self, tmp_path):
+        # the demo itself has eu-west nodes, which every map entry would move
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        for node in doc["nodes"]:
+            if "placement" in node:
+                node["placement"] = {"provider": "nimbus", "region": "us-east"}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({label: {"provider": "nimbus", "region": "us-east"}
+                                       for label in ("A", "B")}))
+        window = ("--start", "2011-01", "--end", "2013-12")
+        assert run("simulate", "--model", str(model), "--catalog", DEMO_CATALOG, *window,
+                   "--out", str(tmp_path / "sim")) == 0
+        assert run("compare-providers", "--model", str(model), "--catalog", DEMO_CATALOG,
+                   "--map", str(mapping), *window, "--out", str(tmp_path / "cmp")) == 0
+        total = json.loads((tmp_path / "sim" / "summary.json").read_text())["total"]
+        rows = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["rows"]
+        assert [row["total"] for row in rows] == [total, total]
+
 
 class TestCompare:
     def test_same_model_twice_warns_of_tie(self, tmp_path, capsys):
@@ -365,6 +400,33 @@ JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(),
                dict: st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)}
 
 
+# Text that survives a UTF-8 write: no lone surrogates.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+ANY_JSON = st.one_of(*JSON_VALUES.values())
+PLAN_CHOICES = st.one_of(
+    st.sampled_from(("on_demand", "reserved")), ANY_JSON,
+    st.dictionaries(st.sampled_from(("kind", "term_months", "term_month", "typo")),
+                    st.one_of(st.sampled_from(("on_demand", "reserved", 12, 36, 7, 0)),
+                              ANY_JSON), max_size=3))
+PLANS = st.one_of(ANY_JSON, st.dictionaries(
+    st.one_of(st.sampled_from(("web-1", "store-1", "users", "ghost")), TEXT),
+    PLAN_CHOICES, max_size=3))
+RATING_CELLS = st.one_of(
+    st.sampled_from(("B1", "R3", "B1 ", "5", "0", "-1", "", '"', "#", "item_id", "rating",
+                     "9" * 131073)), TEXT)
+RATING_SHEETS = st.tuples(
+    st.sampled_from(("item_id,rating", "# view: x", "id,score", "")),
+    st.lists(st.lists(RATING_CELLS, max_size=3).map(",".join), max_size=5),
+).map(lambda sheet: "\n".join((sheet[0], *sheet[1])))
+PLACES = st.one_of(st.sampled_from(("nimbus", "stratus", "cumulus", "us-east", "eu-west")),
+                   ANY_JSON)
+PROVIDER_MAPS = st.one_of(ANY_JSON, st.dictionaries(TEXT, st.one_of(
+    ANY_JSON,
+    st.fixed_dictionaries({"provider": PLACES, "region": PLACES}),
+    st.dictionaries(st.sampled_from(("provider", "region", "sku")), PLACES, max_size=3)),
+    max_size=3))
+
+
 def run_quietly(*argv):
     """Exit code and stderr of one in-process CLI run; any exception escapes."""
     err = io.StringIO()
@@ -420,4 +482,37 @@ class TestFuzz:
             code, err = run_quietly("export-csv", "--model", DEMO_MODEL, "--catalog", catalog,
                                     "--start", "2011-01", "--end", "2011-03",
                                     "--out", f"{tmp}/out")
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+    def _run_with_file(self, text, *argv):
+        """Exit code and stderr of one CLI run, with ``{file}`` in ``argv``
+        replaced by a file holding ``text``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/input"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return run_quietly(*(path if arg == "{file}" else
+                                 arg.replace("{tmp}", tmp) for arg in argv))
+
+    @given(st.one_of(PLANS.map(json.dumps), TEXT))
+    @settings(max_examples=100, deadline=None)
+    def test_plan_document_ends_in_an_exit_code_never_a_traceback(self, text):
+        code, err = self._run_with_file(
+            text, "export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+            "--plan", "{file}", "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}/out")
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+    @given(RATING_SHEETS)
+    @settings(max_examples=100, deadline=None)
+    def test_ratings_csv_ends_in_an_exit_code_never_a_traceback(self, text):
+        code, err = self._run_with_file(text, "assess", "--items", DEMO_ITEMS,
+                                        "--ratings", "{file}")
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+    @given(st.one_of(PROVIDER_MAPS.map(json.dumps), TEXT))
+    @settings(max_examples=100, deadline=None)
+    def test_provider_map_ends_in_an_exit_code_never_a_traceback(self, text):
+        code, err = self._run_with_file(
+            text, "compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+            "--map", "{file}", "--start", "2011-01", "--end", "2011-01")
         assert code in (0, 1, 2, 3) and "Traceback" not in err

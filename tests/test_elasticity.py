@@ -22,26 +22,34 @@ def schedule(kind_class, baseline, block=""):
 WORKED = "perm: every month +10, temp: every jun-aug on weekends /2, temp: every dec on 25-30 * 2"
 
 
+def checked_quantity(sched, month, start=Month(2011, 1)):
+    """One month's quantity, asserted equal to the day-loop oracle's."""
+    got = month_quantity(sched, month, start)
+    assert got == oracle_month_quantity(sched.kind_class, sched.baseline, sched.patterns,
+                                        (start.year, start.month), (month.year, month.month))
+    return got
+
+
 class TestParse:
     def test_perm_every_month(self):
         spec = el.parse_pattern("perm: every month +10")
-        assert spec == el.PatternSpec("perm", el.MonthSelector.every(),
+        assert spec == el.PatternSpec("perm", el.MonthSelector(),
                                       el.DaySelector("empty"), "+", 10.0)
 
     def test_temp_month_range_weekends(self):
         spec = el.parse_pattern("temp: every jun-aug on weekends /2")
-        assert spec == el.PatternSpec("temp", el.MonthSelector.span(6, 8),
+        assert spec == el.PatternSpec("temp", el.MonthSelector(6, 8),
                                       el.DaySelector("weekends"), "/", 2.0)
 
     def test_temp_day_range_spaced_operator(self):
         spec = el.parse_pattern("temp: every dec on 25-30 * 2")
-        assert spec == el.PatternSpec("temp", el.MonthSelector.single(12),
+        assert spec == el.PatternSpec("temp", el.MonthSelector(12, 12),
                                       el.DaySelector("dom_range", 25, 30), "*", 2.0)
 
     def test_case_and_whitespace_tolerated(self):
         spec = el.parse_pattern("  PERM :  Every   MONTH   +10 ")
         assert spec.mode == "perm"
-        assert spec.months == el.MonthSelector.every()
+        assert spec.months == el.MonthSelector()
 
     def test_bare_day_of_month(self):
         spec = el.parse_pattern("perm: every month on 15 +10")
@@ -88,62 +96,67 @@ class TestParse:
 
 
 class TestMatches:
+    # Each pattern is checked through the month it shapes: stock quantities
+    # average the daily values, so every selected day moves the result.
     def test_weekend_saturday(self):
-        spec = el.parse_pattern("temp: every month on weekends *2")
-        assert el.matches(spec, date(2011, 6, 4))  # a Saturday
-        assert not el.matches(spec, date(2011, 6, 3))  # a Friday
+        sched = schedule(el.STOCK, 100, "temp: every month on weekends *2")
+        # June 2011 has 8 weekend days out of 30
+        assert checked_quantity(sched, Month(2011, 6)) == (22 * 100 + 8 * 200) / 30
 
     def test_day_of_month_range(self):
-        spec = el.parse_pattern("temp: every dec on 25-30 *2")
-        assert el.matches(spec, date(2011, 12, 26))
-        assert not el.matches(spec, date(2011, 12, 24))
+        sched = schedule(el.STOCK, 100, "temp: every dec on 25-30 *2")
+        assert checked_quantity(sched, Month(2011, 12)) == (25 * 100 + 6 * 200) / 31
 
     def test_nonexistent_days_never_match(self):
-        spec = el.parse_pattern("temp: every feb on 29-31 *2")
-        for day in range(1, 29):
-            assert not el.matches(spec, date(2011, 2, day))
+        sched = schedule(el.STOCK, 100, "temp: every feb on 29-31 *2")
+        assert checked_quantity(sched, Month(2011, 2)) == 100.0
 
     def test_empty_days_mode_dependent(self):
-        perm = el.parse_pattern("perm: every month +1")
-        temp = el.parse_pattern("temp: every month +1")
-        assert el.matches(perm, date(2011, 3, 1))
-        assert not el.matches(perm, date(2011, 3, 2))
-        assert el.matches(temp, date(2011, 3, 2))
+        # a day-less perm fires once per month (day 1), a day-less temp every day
+        perm = schedule(el.STOCK, 0, "perm: every month +1")
+        temp = schedule(el.STOCK, 0, "temp: every month +1")
+        assert checked_quantity(perm, Month(2011, 3)) == 2.0
+        assert checked_quantity(temp, Month(2011, 3)) == 1.0
 
 
 class TestEvaluate:
     def test_worked_schedule_december_peak(self):
         sched = schedule(el.STOCK, 100, WORKED)
-        assert el.evaluate_day(sched, date(2011, 12, 26), Month(2011, 1)) == 420.0
+        # level 210 all month, doubled on the 25th-30th
+        assert checked_quantity(sched, Month(2011, 12)) == 7770 / 31
 
     def test_worked_schedule_summer_weekend(self):
         sched = schedule(el.STOCK, 100, WORKED)
-        assert el.evaluate_day(sched, date(2011, 6, 4), Month(2011, 1)) == 75.0
+        # level 150, halved on June 2011's 8 weekend days
+        assert checked_quantity(sched, Month(2011, 6)) == 130.0
 
     def test_no_patterns_is_identity(self):
         sched = schedule(el.STOCK, 42.5)
-        assert el.evaluate_day(sched, date(2012, 7, 19), Month(2011, 1)) == 42.5
+        assert checked_quantity(sched, Month(2012, 7)) == 42.5
 
     def test_first_month_keeps_raw_baseline(self):
         sched = schedule(el.STOCK, 100, "perm: every month +10")
-        assert el.evaluate_day(sched, date(2011, 1, 31), Month(2011, 1)) == 100.0
-        assert el.evaluate_day(sched, date(2011, 2, 1), Month(2011, 1)) == 110.0
+        assert checked_quantity(sched, Month(2011, 1)) == 100.0
+        assert checked_quantity(sched, Month(2011, 2)) == 110.0
 
     def test_date_before_start_rejected(self):
         sched = schedule(el.STOCK, 1)
         with pytest.raises(ValueError):
-            el.evaluate_day(sched, date(2010, 12, 31), Month(2011, 1))
+            el.monthly_series(sched, SimulationWindow(Month(2010, 12), Month(2011, 1)),
+                              Month(2011, 1))
 
     def test_clamp_records_warning(self):
         sched = schedule(el.STOCK, 10, "perm: every month -25")
         warnings = []
-        value = el.evaluate_day(sched, date(2011, 2, 5), Month(2011, 1), warnings.append)
-        assert value == 0.0
-        assert any("clamped" in w for w in warnings)
+        series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
+                                   Month(2011, 1), warnings.append)
+        assert series == [(Month(2011, 2), 0.0)]
+        _, clamps = oracle_replay(el.STOCK, 10, sched.patterns, (2011, 1), (2011, 2))
+        assert clamp_events(warnings) == clamps == [(date(2011, 2, 1), 0)]
 
     def test_zero_to_the_zero_is_one(self):
         sched = schedule(el.STOCK, 0, "temp: every month ^0")
-        assert el.evaluate_day(sched, date(2011, 1, 1), Month(2011, 1)) == 1.0
+        assert checked_quantity(sched, Month(2011, 1)) == 1.0
 
     def test_overflow_raises_evaluation_error(self):
         sched = schedule(el.STOCK, 1e300, "perm: every month *1e9")
@@ -247,11 +260,11 @@ class TestOracleEquivalence:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_daily_values_never_negative(self, seed):
+        # clamping keeps every day >= 0, so no month's sum or average is negative
         rng = random.Random(seed)
         sched = random_schedule(rng)
-        start = Month(2011, 1)
-        day = date(2011, 1, 1 + rng.randint(0, 27))
-        assert el.evaluate_day(sched, day, start) >= 0.0
+        window = SimulationWindow(Month(2011, 1), Month(2011, 12))
+        assert all(quantity >= 0.0 for _, quantity in el.monthly_series(sched, window))
 
     def test_determinism(self):
         sched = schedule(el.FLOW, 123.4, WORKED)
@@ -299,15 +312,3 @@ class TestClampWarnings:
                                    None, warnings.append)
         assert series == [(Month(2011, 2), 0.0)]
         assert clamp_events(warnings) == [(date(2011, 2, d), 0) for d in range(1, 29)]
-
-    @pytest.mark.parametrize("block", ["temp: every month -1000",
-                                       "temp: every month on weekdays -1000",
-                                       "perm: every month on 03-31 -60"])
-    def test_evaluate_day_warns_through_the_requested_day_only(self, block):
-        sched = schedule(el.STOCK, 100, block)
-        day = date(2011, 2, 5)
-        warnings = []
-        el.evaluate_day(sched, day, Month(2011, 1), warnings.append)
-        _, clamps = oracle_replay(el.STOCK, 100, sched.patterns, (2011, 1), (2011, 2))
-        assert any(c[0] > day for c in clamps)  # later days would warn
-        assert clamp_events(warnings) == [c for c in clamps if c[0] <= day]

@@ -211,17 +211,21 @@ class TestSimulate:
         assert keys == sorted(keys)
 
     def test_window_additivity_with_shared_anchor(self):
-        node = vm(patterns=("perm: every month +10",))
-        scenario = m.DeploymentModel("x", (node,))
+        # on demand only: a reservation charges its upfront fee in each window's first month
+        rng = random.Random(1106)
+        cases = [(m.DeploymentModel("x", (vm(patterns=("perm: every month +10",)),)),
+                  BASIC_CATALOG, 3)]
+        cases += [(random_model(rng), flat_catalog(rng, PLACEMENTS), rng.randint(1, 5))
+                  for _ in range(25)]
         start = Month(2011, 1)
-        whole = engine.simulate(scenario, BASIC_CATALOG,
-                                SimulationWindow(start, start.add(5)))
-        first = engine.simulate(scenario, BASIC_CATALOG,
-                                SimulationWindow(start, start.add(2)))
-        second = engine.simulate(scenario, BASIC_CATALOG,
-                                 SimulationWindow(start.add(3), start.add(5)),
-                                 usage_start=start)
-        assert whole.lines == first.lines + second.lines
+        for scenario, catalog, split in cases:
+            whole = engine.simulate(scenario, catalog, SimulationWindow(start, start.add(5)))
+            first = engine.simulate(scenario, catalog,
+                                    SimulationWindow(start, start.add(split - 1)))
+            second = engine.simulate(scenario, catalog,
+                                     SimulationWindow(start.add(split), start.add(5)),
+                                     usage_start=start)
+            assert whole.lines == first.lines + second.lines
 
     def test_usage_records(self):
         node = vm(patterns=("perm: every month +10",))
