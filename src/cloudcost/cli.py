@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
 (including unreadable or non-UTF-8 input and unwritable output paths),
 3 missing rate.
 All output files are written atomically (temp + rename).
+Each command imports the modules it runs, so a short one starts fast.
 """
 
 from __future__ import annotations
@@ -12,20 +13,17 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
-from . import assess as assess_mod
-from . import engine, model, pricing, report
 from .errors import (CatalogError, CloudCostError, InputError, MissingRateError,
                      ModelError, PlanError, WindowError, _str_problem, read_input)
-from .money import format_money, format_money_grouped
-from .months import Month, SimulationWindow
 
 CATALOG_ENV = "CLOUDCOST_CATALOG"
 
 
 def write_atomic(path: Path, data: str) -> None:
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -50,6 +48,8 @@ def _catalog_path(args: argparse.Namespace) -> str:
 def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
     if path is None:
         return {}
+    from . import engine
+
     try:
         data = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
@@ -61,6 +61,8 @@ def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
 
 def _month_arg(text: str) -> Month:
     """``--start``/``--end`` type; argparse prints an ArgumentTypeError's text."""
+    from .months import Month
+
     try:
         return Month.parse(text)
     except ValueError as exc:
@@ -68,10 +70,14 @@ def _month_arg(text: str) -> Month:
 
 
 def _window(args: argparse.Namespace) -> SimulationWindow:
+    from .months import SimulationWindow
+
     return SimulationWindow(args.start, args.end)
 
 
 def _summary_payload(row: engine.SummaryRow, currency: str) -> dict:
+    from .money import format_money
+
     return {
         "label": row.label,
         "months": row.months,
@@ -83,6 +89,8 @@ def _summary_payload(row: engine.SummaryRow, currency: str) -> dict:
 
 
 def _comparison_payload(table: engine.ComparisonTable, currency: str) -> dict:
+    from .money import format_money
+
     return {
         "currency": currency,
         "baseline": table.baseline_label,
@@ -102,6 +110,8 @@ def _comparison_payload(table: engine.ComparisonTable, currency: str) -> dict:
 def _emit_comparison(table: engine.ComparisonTable, currency: str,
                      out: str | None) -> None:
     """Print the comparison table; with ``out``, also write comparison.json."""
+    from .money import format_money_grouped
+
     labels = [entry.row.label for entry in table.entries]
     header = [f"Cost ({currency})"]
     first = ["1st month"]
@@ -130,6 +140,8 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import model
+
     text = read_input(args.model)
     try:
         model.parse_model(text)
@@ -141,6 +153,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _run_simulation(args: argparse.Namespace) -> tuple[model.DeploymentModel,
                                                        engine.CostReport]:
+    from . import engine, model, pricing
+
     parsed = model.load_model(args.model)
     catalog = pricing.load_catalog_file(_catalog_path(args))
     for warning in catalog.warnings:
@@ -151,6 +165,8 @@ def _run_simulation(args: argparse.Namespace) -> tuple[model.DeploymentModel,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import engine, report
+
     parsed, cost_report = _run_simulation(args)
     out = Path(args.out)
     summary = engine.summarize(cost_report, parsed.name)
@@ -166,12 +182,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_csv(args: argparse.Namespace) -> int:
+    from . import report
+
     _, cost_report = _run_simulation(args)
     write_atomic(Path(args.out) / "report.csv", report.to_csv(cost_report))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import engine, model, pricing
+
     model_paths = [p for p in args.models.split(",") if p]
     if len(model_paths) < 2:
         print("compare needs at least two models", file=sys.stderr)
@@ -201,6 +221,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_providers(args: argparse.Namespace) -> int:
+    from . import engine, model, pricing
+
     parsed = model.load_model(args.model)
     catalog = pricing.load_catalog_file(_catalog_path(args))
     try:
@@ -230,15 +252,17 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    items = assess_mod.load_items_file(args.items)
-    sheet = assess_mod.parse_ratings_file(args.ratings)
-    diagnostics = assess_mod.validate_sheet(sheet, items)
+    from . import assess
+
+    items = assess.load_items_file(args.items)
+    sheet = assess.parse_ratings_file(args.ratings)
+    diagnostics = assess.validate_sheet(sheet, items)
     for diag in diagnostics:
         print(str(diag), file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         return 1
-    radar_data = assess_mod.radar(sheet, items)
-    important = assess_mod.important_items(sheet, items, args.threshold)
+    radar_data = assess.radar(sheet, items)
+    important = assess.important_items(sheet, items, args.threshold)
     for row in radar_data.rows():
         print(f"{row.kind:8s} {row.category:15s} {row.average:.4f} "
               f"({row.item_count} rated)")
@@ -304,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assess", help="score a Likert rating sheet")
     p.add_argument("--items", required=True)
     p.add_argument("--ratings", required=True)
-    p.add_argument("--threshold", type=int, default=4)
+    p.add_argument("--threshold", type=int, default=4, choices=range(1, 6),
+                   help="shortlist items rated at or above this (default 4)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_assess)
 

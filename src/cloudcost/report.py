@@ -12,8 +12,11 @@ import html
 import io
 from typing import Sequence
 
-from . import model as m
-from .engine import CostReport, SummaryRow, rollup
+from . import engine, model as m
+from .engine import CostReport, SummaryRow
+# bench/tracing.py wraps this name too. Calls go through engine.rollup: a tracer
+# that imports this module after wrapping engine's would wrap this copy twice.
+from .engine import rollup  # noqa: F401
 from .money import format_money
 
 CSV_HEADER = ("month", "group", "node", "provider", "region",
@@ -97,7 +100,7 @@ def _rollup_table(report: CostReport, by: str, title: str) -> str:
     rows = "".join(
         f"<tr><td>{html.escape(key) or '&mdash;'}</td>"
         f'<td class="num">{format_money(total)}</td></tr>'
-        for key, total in rollup(report, by)
+        for key, total in engine.rollup(report, by)
     )
     return (f"<h2>{title}</h2><table data-rollup=\"{by}\">"
             f"<tr><th>{by}</th><th>cost</th></tr>{rows}</table>")

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +351,48 @@ class TestAssess:
         important = json.loads((out / "important.json").read_text())
         assert important["benefit"] == ["B2"]
         assert important["risk"] == ["R26"]
+
+    @pytest.mark.parametrize("threshold", ["0", "6"])
+    def test_threshold_off_the_rating_scale_is_a_usage_error(self, tmp_path, capsys,
+                                                            threshold):
+        with pytest.raises(SystemExit) as exc:
+            run("assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS,
+                "--threshold", threshold, "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --threshold: invalid choice: {threshold} "
+            "(choose from 1, 2, 3, 4, 5)\n")
+        assert not (tmp_path / "out").exists()
+
+
+FOOTPRINT = """\
+import sys
+import cloudcost.cli as cli
+
+def loaded():
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "cloudcost"), file=sys.stderr)
+
+loaded()
+cli.main(["validate", sys.argv[1]])
+loaded()
+cli.main(["assess", "--items", sys.argv[2], "--ratings", sys.argv[3], "--out", sys.argv[4]])
+loaded()
+"""
+
+
+class TestImports:
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        src = Path(cloudcost.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT, DEMO_MODEL, DEMO_ITEMS, DEMO_RATINGS,
+             str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            check=True)
+        base = ["cloudcost", "cloudcost.cli", "cloudcost.errors"]
+        validate = sorted([*base, "cloudcost.elasticity", "cloudcost.model",
+                           "cloudcost.months"])
+        assess = sorted([*validate, "cloudcost.assess"])
+        assert proc.stderr.splitlines() == [repr(base), repr(validate), repr(assess)]
 
 
 SEED_PATTERNS = ("perm: every month +17", "temp: every jun-aug on weekends /2",

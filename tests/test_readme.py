@@ -1,11 +1,14 @@
-"""README's "Library use" block runs as written, and the package binds
-exactly the names it uses."""
+"""README's "Library use" block runs as written, and the package offers
+exactly the names it uses, each bound from its module on first access."""
 
 import contextlib
+import importlib
 import io
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import cloudcost
 
@@ -26,7 +29,15 @@ def test_library_use_block_runs():
 
 
 def test_package_binds_only_the_names_the_block_uses():
+    names = set(re.findall(r"\bcc\.(\w+)", library_use_block()))
+    assert set(cloudcost.__all__) == names
+    assert names <= set(dir(cloudcost))
+    for name in names:
+        value = getattr(cloudcost, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
     bound = {name for name, value in vars(cloudcost).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert bound == set(re.findall(r"\bcc\.(\w+)", library_use_block()))
+    assert bound == names
+    with pytest.raises(AttributeError):
+        getattr(cloudcost, "parse_plan")  # engine's, not the package's
     assert cloudcost.__version__ == "0.1.0"
