@@ -37,12 +37,22 @@ def write_atomic(path: Path, data: str) -> None:
         raise
 
 
-def _catalog_path(args: argparse.Namespace) -> str:
+def _warn(warnings: tuple[str, ...]) -> None:
+    """The one way a command reports warnings: one stderr line each."""
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
+def _load_catalog(args: argparse.Namespace) -> pricing.PriceCatalog:
+    from . import pricing
+
     path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
     if not path:
         raise CatalogError(
             f"no catalog given: pass --catalog or set {CATALOG_ENV}")
-    return path
+    catalog = pricing.load_catalog_file(path)
+    _warn(catalog.warnings)
+    return catalog
 
 
 def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
@@ -130,8 +140,7 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
         cells = [row[0].ljust(widths[0])]
         cells += [cell.rjust(widths[i + 1]) for i, cell in enumerate(row[1:])]
         print("  ".join(cells))
-    for warning in table.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(table.warnings)
     if out:
         write_atomic(Path(out) / "comparison.json",
                      json.dumps(_comparison_payload(table, currency), indent=2) + "\n")
@@ -153,12 +162,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _run_simulation(args: argparse.Namespace) -> tuple[model.DeploymentModel,
                                                        engine.CostReport]:
-    from . import engine, model, pricing
+    from . import engine, model
 
     parsed = model.load_model(args.model)
-    catalog = pricing.load_catalog_file(_catalog_path(args))
-    for warning in catalog.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    catalog = _load_catalog(args)
     plan = _load_plan(getattr(args, "plan", None))
     cost_report = engine.simulate(parsed, catalog, _window(args), plan)
     return parsed, cost_report
@@ -176,8 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_atomic(out / "summary.json",
                  json.dumps(_summary_payload(summary, cost_report.currency),
                             indent=2) + "\n")
-    for warning in cost_report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(cost_report.warnings)
     return 0
 
 
@@ -186,11 +192,12 @@ def cmd_export_csv(args: argparse.Namespace) -> int:
 
     _, cost_report = _run_simulation(args)
     write_atomic(Path(args.out) / "report.csv", report.to_csv(cost_report))
+    _warn(cost_report.warnings)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from . import engine, model, pricing
+    from . import engine, model
 
     model_paths = [p for p in args.models.split(",") if p]
     if len(model_paths) < 2:
@@ -204,7 +211,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         plan_paths = [None if p in ("", "-") else p for p in raw]
-    catalog = pricing.load_catalog_file(_catalog_path(args))
+    catalog = _load_catalog(args)
     scenarios = []
     labels: set[str] = set()
     for path, plan_path in zip(model_paths, plan_paths):
@@ -221,10 +228,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_providers(args: argparse.Namespace) -> int:
-    from . import engine, model, pricing
+    from . import engine, model
 
     parsed = model.load_model(args.model)
-    catalog = pricing.load_catalog_file(_catalog_path(args))
+    catalog = _load_catalog(args)
     try:
         mapping = json.loads(read_input(args.map))
     except json.JSONDecodeError as exc:

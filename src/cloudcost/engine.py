@@ -19,7 +19,7 @@ from . import pricing
 from .elasticity import UsageSchedule, monthly_series
 from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
 from .errors import EvaluationError, MissingRateError, ModelError, PlanError, _key_problem
-from .money import CENT_EXP, MONEY_EXP, as_decimal, to_money
+from .money import CENT_EXP, MONEY_EXP, to_money
 from .months import Month, SimulationWindow
 
 RESERVATION_UPFRONT = "reservation_upfront"
@@ -118,13 +118,16 @@ class CostReport:
     currency: str = "USD"
 
     def __post_init__(self) -> None:
-        seen = set()
-        for line in self.lines:
-            if line.month not in self.window:
-                raise ValueError(f"line month {line.month} outside the window")
-            if line.sort_key in seen:
-                raise ValueError(f"duplicate cost line for {line.sort_key}")
-            seen.add(line.sort_key)
+        """Sort keys strictly increase (sorted and unique) and the first and
+        last months lie in the window, so renderers read lines as built."""
+        keys = [line.sort_key for line in self.lines]
+        for prev, key in zip(keys, keys[1:]):
+            if not prev < key:
+                problem = "duplicate cost line for" if prev == key else "cost line out of order:"
+                raise ValueError(f"{problem} {key}")
+        for month, _, _ in keys[:1] + keys[-1:]:
+            if month not in self.window:
+                raise ValueError(f"line month {month} outside the window")
 
     def grand_total(self) -> Decimal:
         total = Decimal(0)
@@ -182,40 +185,38 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     lines: list[CostLine] = []
     group_of = {node_id: group.id for group in model.groups for node_id in group.node_ids}
 
+    def emit(series: list[tuple[Month, float]], subject: str, endpoint: m.Node, kind: str,
+             entry: pricing.RateEntry, scope: str | None) -> None:
+        group, placement = group_of.get(endpoint.id), endpoint.placement
+        for month, quantity in series:
+            cost = _price(entry, quantity, subject, kind, month)
+            lines.append(CostLine(month, subject, endpoint.id, kind, quantity,
+                                  UNIT_FOR_KIND[kind], cost, group,
+                                  placement.provider, placement.region, scope))
+
     for node in model.nodes:
         if node.kind == m.REMOTE_NODE:
             continue  # outside the cloud: never priced
         assert node.placement is not None
         provider, region = node.placement.provider, node.placement.region
-        group = group_of.get(node.id)
         choice = plan.get(node.id, ON_DEMAND_CHOICE)
         reserved = _resolve_reserved(catalog, node, choice) if choice.kind == pricing.RESERVED else None
 
         for req in node.requirements:
             series = _series(model, req, window, usage_start, node.id, warnings.append)
-            if req.kind == m.VM_HOURS and reserved is not None:
-                for month, quantity in series:
-                    try:
-                        cost = to_money(as_decimal(quantity) * reserved.hourly_rate)
-                    except EvaluationError as exc:
-                        raise _line_error(node.id, req.kind, month, exc) from exc
-                    lines.append(CostLine(month, node.id, node.id, req.kind, quantity,
-                                          UNIT_FOR_KIND[req.kind], cost,
-                                          group, provider, region))
-                continue
             sku, scope = _rate_key_for(node, req.kind)
-            entry = _lookup(catalog, provider, region, DIMENSION_FOR_KIND[req.kind],
-                            sku, scope, node.id, req.kind)
-            for month, quantity in series:
-                cost = _price(entry, quantity, node.id, req.kind, month)
-                lines.append(CostLine(month, node.id, node.id, req.kind, quantity,
-                                      UNIT_FOR_KIND[req.kind], cost,
-                                      group, provider, region, scope))
+            if req.kind == m.VM_HOURS and reserved is not None:
+                entry = pricing.RateEntry(provider, region, pricing.VM_HOURS, sku,
+                                          flat_price=reserved.hourly_rate)
+            else:
+                entry = _lookup(catalog, provider, region, DIMENSION_FOR_KIND[req.kind],
+                                sku, scope, node.id, req.kind)
+            emit(series, node.id, node, req.kind, entry, scope)
 
         if reserved is not None:
             for month, fee in pricing.reservation_charges(reserved, window):
                 lines.append(CostLine(month, node.id, node.id, RESERVATION_UPFRONT, 1.0,
-                                      "fee", fee, group, provider, region))
+                                      "fee", fee, group_of.get(node.id), provider, region))
 
     node_by_id = {node.id: node for node in model.nodes}
     for path in model.paths:
@@ -231,13 +232,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             scope = _transfer_scope(endpoint.placement, other.placement)
             entry = _lookup(catalog, endpoint.placement.provider, endpoint.placement.region,
                             DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
-            for month, quantity in series:
-                cost = _price(entry, quantity, path.id, dimension, month)
-                lines.append(CostLine(month, path.id, endpoint.id, dimension, quantity,
-                                      UNIT_FOR_KIND[dimension], cost,
-                                      group_of.get(endpoint.id),
-                                      endpoint.placement.provider,
-                                      endpoint.placement.region, scope))
+            emit(series, path.id, endpoint, dimension, entry, scope)
 
     lines.sort(key=lambda line: line.sort_key)
     deduped = tuple(dict.fromkeys(warnings))

@@ -13,7 +13,6 @@ from .errors import EvaluationError
 
 MONEY_EXP = Decimal("0.000001")
 CENT_EXP = Decimal("0.01")
-ZERO = Decimal("0.000000")
 
 
 def to_money(value: Decimal | int | float | str) -> Decimal:

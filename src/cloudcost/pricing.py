@@ -91,8 +91,6 @@ class PriceCatalog:
     def __init__(self, currency: str, entries: tuple[RateEntry, ...],
                  skus: tuple[InstanceSku, ...], warnings: tuple[str, ...] = ()):
         self.currency = currency
-        self.entries = entries
-        self.skus = skus
         self.warnings = warnings
         self._rates = {entry.key: entry for entry in entries}
         self._skus = {(sku.provider, sku.region, sku.name): sku for sku in skus}

@@ -41,7 +41,7 @@ def to_csv(report: CostReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
-    for line in sorted(report.lines, key=lambda l: l.sort_key):
+    for line in report.lines:
         writer.writerow((
             str(line.month),
             line.group or "",
@@ -72,7 +72,7 @@ svg { background: #fafafa; border: 1px solid #ddd; }
 def _monthly_chart(report: CostReport) -> str:
     totals = report.monthly_totals()
     width, height, pad = 720, 240, 40
-    top = max((float(t) for _, t in totals), default=0.0) or 1.0
+    top = max(float(t) for _, t in totals) or 1.0
     n = len(totals)
     step = (width - 2 * pad) / max(n - 1, 1)
     points = []
@@ -90,7 +90,7 @@ def _monthly_chart(report: CostReport) -> str:
         f'<text x="{pad}" y="{height - 12}" font-size="11">{totals[0][0]}</text>'
         f'<text x="{width - pad}" y="{height - 12}" font-size="11" '
         f'text-anchor="end">{totals[-1][0]}</text>'
-        f'<text x="{pad}" y="{pad - 8}" font-size="11">max {format_money(max((t for _, t in totals), default=report.grand_total()))}</text>'
+        f'<text x="{pad}" y="{pad - 8}" font-size="11">max {format_money(max(t for _, t in totals))}</text>'
     )
     return (f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
             f'role="img">{polyline}{"".join(circles)}{labels}</svg>')
@@ -142,10 +142,10 @@ def _topology_section(model: m.DeploymentModel) -> str:
     return out
 
 
-def to_html(report: CostReport, summaries: Sequence[SummaryRow] | None = None,
-            model: m.DeploymentModel | None = None) -> str:
-    """Single self-contained page: monthly chart, rollup tables, summary,
-    warnings, and (when supplied) the model topology."""
+def to_html(report: CostReport, summaries: Sequence[SummaryRow],
+            model: m.DeploymentModel) -> str:
+    """Single self-contained page: summary, monthly chart, rollup tables,
+    warnings and the model topology."""
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8"/>',
@@ -156,17 +156,14 @@ def to_html(report: CostReport, summaries: Sequence[SummaryRow] | None = None,
         f"({report.window.count} months) &middot; grand total "
         f"<strong>{format_money(report.grand_total())} {html.escape(report.currency)}</strong></p>",
     ]
-    if summaries:
-        parts.append(_summary_table(summaries, report.currency))
+    parts.append(_summary_table(summaries, report.currency))
     parts.append("<h2>Monthly total</h2>")
     parts.append(_monthly_chart(report))
     parts.append(_rollup_table(report, "group", "Cost by group"))
     parts.append(_rollup_table(report, "dimension", "Cost by resource dimension"))
     if report.warnings:
-        unique = list(dict.fromkeys(report.warnings))
-        items = "".join(f'<li class="warn">{html.escape(w)}</li>' for w in unique)
+        items = "".join(f'<li class="warn">{html.escape(w)}</li>' for w in report.warnings)
         parts.append(f"<h2>Warnings</h2><ul data-warnings=\"1\">{items}</ul>")
-    if model is not None:
-        parts.append(_topology_section(model))
+    parts.append(_topology_section(model))
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"

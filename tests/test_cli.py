@@ -325,6 +325,47 @@ class TestCompare:
         assert [row["label"] for row in payload["rows"]] == labels
 
 
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["simulate", "export-csv", "compare",
+                                         "compare-providers"])
+    def test_catalog_warnings_reach_every_costing_command(self, tmp_path, command):
+        doc = json.loads(cloudcost.data_path("demo_catalog.json").read_text())
+        assert doc["skus"][0]["purchase_options"][:2] == [
+            {"kind": "on_demand", "hourly_rate": "0.085"},
+            {"kind": "reserved", "hourly_rate": "0.055", "term_months": 12,
+             "upfront_fee": "220.00"}]
+        doc["skus"][0]["purchase_options"][1]["hourly_rate"] = "0.095"
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps(doc))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({label: {"provider": label.lower(), "region": "us-east"}
+                                       for label in ("Nimbus", "Stratus")}))
+        inputs = {"compare": ["--models", f"{DEMO_MODEL},{DEMO_MODEL}"],
+                  "compare-providers": ["--model", DEMO_MODEL, "--map", str(mapping)]}
+        code, err = run_quietly(command, *inputs.get(command, ["--model", DEMO_MODEL]),
+                                "--catalog", str(catalog), "--start", "2011-01",
+                                "--end", "2011-02", "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        assert err.startswith("warning: nimbus/us-east/standard.small: reserved hourly rate "
+                              "0.095 exceeds the on-demand rate 0.085\n")
+
+    def test_export_csv_prints_the_warnings_simulate_prints(self, tmp_path):
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        doc["nodes"][0]["requirements"][0]["patterns"] = ["temp: every month on everyday -1000"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        errs = []
+        for command in ("simulate", "export-csv"):
+            code, err = run_quietly(command, "--model", str(model), "--catalog", DEMO_CATALOG,
+                                    "--start", "2011-01", "--end", "2011-02",
+                                    "--out", str(tmp_path / command))
+            assert code == 0, err
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("warning: web-1/vm_hours: ")
+        assert errs[0].count("\n") == 59  # one clamp a day
+
+
 class TestAssess:
     def test_writes_radar_and_important(self, tmp_path):
         out = tmp_path / "out"

@@ -153,8 +153,12 @@ class TestSimulate:
         plan = {"vm1": engine.PlanChoice(choice, 12 if choice == pricing.RESERVED else None)}
         grower = m.DeploymentModel("g", (vm(patterns=("perm: every month *1e6",)),))
         # May: 7.2e26 hours, a cost with more than 28 digits at 6 decimals
-        with pytest.raises(EvaluationError, match=r"^vm1/vm_hours in 2011-05: "):
+        with pytest.raises(EvaluationError) as exc:
             engine.simulate(grower, catalog, window(5), plan)
+        amount = {pricing.ON_DEMAND: "7.1999999999999990E+25",  # 0.10/h
+                  pricing.RESERVED: "2.8799999999999996E+25"}[choice]  # 0.04/h
+        assert str(exc.value) == (f"vm1/vm_hours in 2011-05: amount {amount} exceeds the "
+                                  "28-digit decimal precision at 6 fractional digits")
 
     @pytest.mark.parametrize("where, message", [
         ("node", "vm1/vm_hours in 2011-03: value overflowed applying '*1e+200'"),
@@ -337,6 +341,40 @@ class TestPatternsParsedOnce:
         assert [line.quantity for line in after.lines] == [
             2 * line.quantity for line in before.lines]
         assert engine.simulate(base, BASIC_CATALOG, window(2)) == before
+
+
+def cost_line(month, subject="vm1", dimension=m.VM_HOURS):
+    return engine.CostLine(month, subject, subject, dimension, 1.0, "hours", Decimal(1),
+                           None, "aws", "us-east")
+
+
+class TestCostReport:
+    def test_sorted_unique_lines_in_the_window_are_accepted(self):
+        jan, feb = Month(2011, 1), Month(2011, 2)
+        lines = (cost_line(jan, "a", m.STORAGE_GB), cost_line(jan, "a"), cost_line(jan, "b"),
+                 cost_line(feb, "a"))
+        assert engine.CostReport(window(2), lines).lines == lines
+
+    @pytest.mark.parametrize("keys", [
+        [(Month(2011, 2), "a", m.VM_HOURS), (Month(2011, 1), "a", m.VM_HOURS)],
+        [(Month(2011, 1), "b", m.VM_HOURS), (Month(2011, 1), "a", m.VM_HOURS)],
+        [(Month(2011, 1), "a", m.VM_HOURS), (Month(2011, 1), "a", m.STORAGE_GB)],
+    ], ids=["month", "subject", "dimension"])
+    def test_lines_out_of_order_are_rejected(self, keys):
+        with pytest.raises(ValueError, match="cost line out of order"):
+            engine.CostReport(window(2), tuple(cost_line(*key) for key in keys))
+
+    def test_duplicate_line_is_rejected(self):
+        lines = (cost_line(Month(2011, 1)), cost_line(Month(2011, 1)))
+        with pytest.raises(ValueError, match="duplicate cost line"):
+            engine.CostReport(window(2), lines)
+
+    @pytest.mark.parametrize("outside", [Month(2010, 12), Month(2011, 3)])
+    def test_month_outside_the_window_is_rejected(self, outside):
+        lines = tuple(sorted((cost_line(outside, "a"), cost_line(Month(2011, 1), "b")),
+                             key=lambda line: line.sort_key))
+        with pytest.raises(ValueError, match=f"line month {outside} outside the window"):
+            engine.CostReport(window(2), lines)
 
 
 class TestRollup:

@@ -32,9 +32,9 @@ def load(doc):
 
 class TestLoadCatalog:
     def test_single_flat_entry(self):
-        catalog = load(catalog_doc())
-        assert len(catalog.entries) == 1
-        assert catalog.entries[0].flat_price == Decimal("0.10")
+        entry = pricing.lookup_rate(load(catalog_doc()), "aws", "us-east", "vm_hours",
+                                    "standard.small")
+        assert entry.flat_price == Decimal("0.10")
 
     def test_duplicate_key_rejected(self):
         doc = catalog_doc()
@@ -53,7 +53,8 @@ class TestLoadCatalog:
                 {"upper_bound": None, "unit_price": "0.10"},
             ]},
         })
-        entry = load(doc).entries[1]
+        entry = pricing.lookup_rate(load(doc), "aws", "us-east", "data_out_gb",
+                                    scope="internet")
         assert entry.dimension == "data_out_gb"
         assert entry.scope == "internet"
         assert entry.flat_price is None

@@ -22,6 +22,10 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def page_of(rep, scenario):
+    return report.to_html(rep, [engine.summarize(rep, scenario.name)], scenario)
+
+
 class TestCsv:
     def test_empty_report_is_header_only(self):
         empty = engine.CostReport(window(1), ())
@@ -47,6 +51,7 @@ class TestCsv:
         rows = parse_csv(report.to_csv(rep))[1:]
         keys = [(r[0], r[2], r[5]) for r in rows]
         assert keys == sorted(keys)
+        assert keys == [(str(l.month), l.subject, l.dimension) for l in rep.lines]
 
     def test_byte_determinism(self, demo_model_text, demo_catalog_text):
         parsed = cloudcost.parse_model(demo_model_text)
@@ -86,9 +91,9 @@ class _ChartReader(HTMLParser):
 class TestHtml:
     def test_chart_points_match_csv_monthly_sums(self, demo_model_text,
                                                  demo_catalog_text):
-        rep = engine.simulate(cloudcost.parse_model(demo_model_text),
-                              pricing.load_catalog(demo_catalog_text), window(3))
-        page = report.to_html(rep)
+        demo = cloudcost.parse_model(demo_model_text)
+        rep = engine.simulate(demo, pricing.load_catalog(demo_catalog_text), window(3))
+        page = page_of(rep, demo)
         reader = _ChartReader()
         reader.feed(page)
         assert len(reader.points) == 3
@@ -101,18 +106,19 @@ class TestHtml:
 
     def test_warnings_listed_once_each(self):
         node = vm(patterns=("perm: every month -900",))
-        rep = engine.simulate(m.DeploymentModel("w", (node,)), BASIC_CATALOG, window(3))
+        scenario = m.DeploymentModel("w", (node,))
+        rep = engine.simulate(scenario, BASIC_CATALOG, window(3))
         assert rep.warnings
-        page = report.to_html(rep)
+        page = page_of(rep, scenario)
         reader = _ChartReader()
         reader.feed(page)
         assert reader.warning_items == len(set(rep.warnings))
 
     def test_rollup_tables_have_one_row_per_key(self, demo_model_text,
                                                 demo_catalog_text):
-        rep = engine.simulate(cloudcost.parse_model(demo_model_text),
-                              pricing.load_catalog(demo_catalog_text), window(2))
-        page = report.to_html(rep)
+        demo = cloudcost.parse_model(demo_model_text)
+        rep = engine.simulate(demo, pricing.load_catalog(demo_catalog_text), window(2))
+        page = page_of(rep, demo)
         for by in ("group", "dimension"):
             keys = engine.rollup(rep, by)
             section = page.split(f'data-rollup="{by}"')[1].split("</table>")[0]
@@ -123,10 +129,10 @@ class TestHtml:
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS,
                   str(Decimal(rng.randint(1, 999)) / 100), sku="standard.small"))
-        rep = engine.simulate(m.DeploymentModel("x", (vm(hours=333.25),)),
-                              catalog, window(2))
+        scenario = m.DeploymentModel("x", (vm(hours=333.25),))
+        rep = engine.simulate(scenario, catalog, window(2))
         rows = parse_csv(report.to_csv(rep))[1:]
-        page = report.to_html(rep)
+        page = page_of(rep, scenario)
         reader = _ChartReader()
         reader.feed(page)
         for (month_text, total_text), row in zip(reader.points, rows):
