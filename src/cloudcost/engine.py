@@ -5,6 +5,15 @@ each month of the window, prices the quantities against the catalog, and
 assembles a deterministic cost report. Path volumes are attributed as
 data_out on the sending endpoint and data_in on the receiving endpoint,
 with the transfer scope resolved from the two placements.
+
+A replay depends only on the requirement's kind class, baseline and pattern
+texts once the window and usage start are fixed, not on its subject, placement
+or catalog. So each replay's monthly quantities and raw clamp messages land in
+a memo keyed by that triple, and an equal requirement reuses them, its clamp
+messages re-sent under its own ``subject/kind:`` prefix. The memo is owned by
+one command: :func:`simulate` makes a fresh one per call, and
+:func:`compare_scenarios` shares one across its scenarios, which all use the
+same window. Nothing is kept between commands.
 """
 
 from __future__ import annotations
@@ -142,18 +151,33 @@ class CostReport:
         return [(month, to_money(totals[month])) for month in self.window.months()]
 
 
+# (kind class, baseline, pattern texts) -> (quantity per window month, raw clamp messages)
+Replays = dict[tuple[str, float, tuple[str, ...]], tuple[tuple[float, ...], tuple[str, ...]]]
+
+
 def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: SimulationWindow,
-            usage_start: Month | None, subject: str, warn) -> list[tuple[Month, float]]:
-    """Replay a requirement of a validated model (all its pattern texts parsed)."""
-    specs = []
-    for text in req.patterns:
-        specs.extend(model.parsed_patterns[text])
-    schedule = UsageSchedule(m.KIND_CLASS[req.kind], req.baseline, tuple(specs))
-    sink = None if warn is None else (lambda msg: warn(f"{subject}/{req.kind}: {msg}"))
-    try:
-        return monthly_series(schedule, window, usage_start, sink)
-    except EvaluationError as exc:
-        raise _line_error(subject, req.kind, exc.month, exc) from exc
+            usage_start: Month | None, subject: str, warn, replays: Replays
+            ) -> tuple[float, ...]:
+    """Quantities of a requirement of a validated model (all its pattern texts
+    parsed), replayed unless ``replays`` holds an equal one; either way its
+    clamp messages go to ``warn`` under this subject's prefix."""
+    key = (m.KIND_CLASS[req.kind], req.baseline, req.patterns)
+    replayed = replays.get(key)
+    if replayed is None:
+        specs = []
+        for text in req.patterns:
+            specs.extend(model.parsed_patterns[text])
+        schedule = UsageSchedule(key[0], req.baseline, tuple(specs))
+        clamps: list[str] = []
+        try:
+            series = monthly_series(schedule, window, usage_start, clamps.append)
+        except EvaluationError as exc:
+            raise _line_error(subject, req.kind, exc.month, exc) from exc
+        replayed = replays[key] = (tuple(quantity for _, quantity in series), tuple(clamps))
+    quantities, clamps = replayed
+    for msg in clamps:
+        warn(f"{subject}/{req.kind}: {msg}")
+    return quantities
 
 
 def _transfer_scope(a: m.Placement, b: m.Placement | None) -> str:
@@ -167,12 +191,15 @@ def _transfer_scope(a: m.Placement, b: m.Placement | None) -> str:
 def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
              window: SimulationWindow,
              plan: Mapping[str, PlanChoice] | None = None,
-             usage_start: Month | None = None) -> CostReport:
+             usage_start: Month | None = None, *,
+             replays: Replays | None = None) -> CostReport:
     """Price the model over the window.
 
     ``plan`` selects a purchase option per VM node (default on-demand);
     ``usage_start`` anchors pattern replay before the billing window so a
-    window can be split without resetting permanent patterns.
+    window can be split without resetting permanent patterns. ``replays`` is
+    the replay memo (see the module docstring); only calls with the same
+    window and usage start may share one. A fresh one is used by default.
     """
     diagnostics = m.validate(model)
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -181,14 +208,16 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     plan = dict(plan or {})
     _check_plan(model, plan)
 
+    replays = {} if replays is None else replays
+    months = window.months()
     warnings: list[str] = []
     lines: list[CostLine] = []
     group_of = {node_id: group.id for group in model.groups for node_id in group.node_ids}
 
-    def emit(series: list[tuple[Month, float]], subject: str, endpoint: m.Node, kind: str,
+    def emit(quantities: tuple[float, ...], subject: str, endpoint: m.Node, kind: str,
              entry: pricing.RateEntry, scope: str | None) -> None:
         group, placement = group_of.get(endpoint.id), endpoint.placement
-        for month, quantity in series:
+        for month, quantity in zip(months, quantities):
             cost = _price(entry, quantity, subject, kind, month)
             lines.append(CostLine(month, subject, endpoint.id, kind, quantity,
                                   UNIT_FOR_KIND[kind], cost, group,
@@ -203,7 +232,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         reserved = _resolve_reserved(catalog, node, choice) if choice.kind == pricing.RESERVED else None
 
         for req in node.requirements:
-            series = _series(model, req, window, usage_start, node.id, warnings.append)
+            quantities = _series(model, req, window, usage_start, node.id,
+                                 warnings.append, replays)
             sku, scope = _rate_key_for(node, req.kind)
             if req.kind == m.VM_HOURS and reserved is not None:
                 entry = pricing.RateEntry(provider, region, pricing.VM_HOURS, sku,
@@ -211,7 +241,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             else:
                 entry = _lookup(catalog, provider, region, DIMENSION_FOR_KIND[req.kind],
                                 sku, scope, node.id, req.kind)
-            emit(series, node.id, node, req.kind, entry, scope)
+            emit(quantities, node.id, node, req.kind, entry, scope)
 
         if reserved is not None:
             for month, fee in pricing.reservation_charges(reserved, window):
@@ -224,7 +254,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         to_node = node_by_id[path.to_node]
         if from_node.placement is None and to_node.placement is None:
             continue  # both endpoints outside the cloud: nothing is billed
-        series = _series(model, path.volume, window, usage_start, path.id, warnings.append)
+        quantities = _series(model, path.volume, window, usage_start, path.id,
+                             warnings.append, replays)
         for endpoint, dimension in ((from_node, m.DATA_OUT_GB), (to_node, m.DATA_IN_GB)):
             if endpoint.placement is None:
                 continue  # only the cloud-side endpoint is billed
@@ -232,7 +263,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             scope = _transfer_scope(endpoint.placement, other.placement)
             entry = _lookup(catalog, endpoint.placement.provider, endpoint.placement.region,
                             DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
-            emit(series, path.id, endpoint, dimension, entry, scope)
+            emit(quantities, path.id, endpoint, dimension, entry, scope)
 
     lines.sort(key=lambda line: line.sort_key)
     deduped = tuple(dict.fromkeys(warnings))
@@ -416,10 +447,16 @@ def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
 def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[str, PlanChoice] | None]],
                       catalog: pricing.PriceCatalog, window: SimulationWindow,
                       usage_start: Month | None = None) -> ComparisonTable:
-    """Simulate each (label, model, plan), summarize and compare."""
+    """Simulate each (label, model, plan), summarize and compare.
+
+    The scenarios share one replay memo, so a requirement that several of
+    them carry is replayed once.
+    """
     labels = [label for label, _, _ in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique")
-    rows = [summarize(simulate(scenario_model, catalog, window, plan, usage_start), label)
+    replays: Replays = {}
+    rows = [summarize(simulate(scenario_model, catalog, window, plan, usage_start,
+                               replays=replays), label)
             for label, scenario_model, plan in scenarios]
     return compare(rows)

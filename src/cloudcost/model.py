@@ -129,13 +129,19 @@ class DeploymentModel:
     groups: tuple[Group, ...] = ()
 
     def replaced(self, provider: str, region: str) -> DeploymentModel:
-        """Copy of the model with every placed node moved to provider/region."""
+        """Copy of the model with every placed node moved to provider/region.
+
+        The copy carries the same pattern texts, so it shares this model's
+        parsed pattern table instead of parsing them again.
+        """
         placement = Placement(provider, region)
         nodes = tuple(
             node if node.placement is None else replace(node, placement=placement)
             for node in self.nodes
         )
-        return replace(self, nodes=nodes)
+        moved = replace(self, nodes=nodes)
+        moved.__dict__["parsed_patterns"] = self.parsed_patterns  # the cached_property's slot
+        return moved
 
     @cached_property
     def parsed_patterns(self) -> dict[str, tuple[PatternSpec, ...] | PatternError]:

@@ -1,4 +1,9 @@
-"""Calendar-month arithmetic shared by the usage and billing layers."""
+"""Calendar-month arithmetic shared by the usage and billing layers.
+
+A :class:`Month` is a ``(year, month)`` tuple with calendar methods. Report
+assembly sorts lines by month, checks adjacent sort keys and keys the monthly
+totals by month, so equality, ordering and hashing stay the tuple's own, in C.
+"""
 
 from __future__ import annotations
 
@@ -12,16 +17,26 @@ from .errors import WindowError
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
-@dataclass(frozen=True, order=True)
-class Month:
-    """A calendar month in the proleptic Gregorian calendar."""
+class Month(tuple):
+    """A calendar month in the proleptic Gregorian calendar; read-only."""
 
-    year: int
-    month: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month number out of range: {self.month}")
+    def __new__(cls, year: int, month: int) -> Month:
+        if not 1 <= month <= 12:
+            raise ValueError(f"month number out of range: {month}")
+        return tuple.__new__(cls, (year, month))
+
+    def __getnewargs__(self) -> tuple[int, int]:  # copy and pickle rebuild via __new__
+        return tuple(self)
+
+    @property
+    def year(self) -> int:
+        return self[0]
+
+    @property
+    def month(self) -> int:
+        return self[1]
 
     @classmethod
     def parse(cls, text: str) -> Month:
@@ -51,6 +66,9 @@ class Month:
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
+
+    def __repr__(self) -> str:
+        return f"Month(year={self.year!r}, month={self.month!r})"
 
 
 @dataclass(frozen=True)

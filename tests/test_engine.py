@@ -330,6 +330,26 @@ class TestPatternsParsedOnce:
         assert first == second
         assert parsed_texts == {weekends: 1, growth: 1}
 
+    def test_models_replaced_onto_other_placements_parse_nothing_again(self, monkeypatch):
+        parsed_texts = Counter()
+        parse = m.parse_patterns
+
+        def counting(text):
+            parsed_texts[text] += 1
+            return parse(text)
+
+        monkeypatch.setattr(m, "parse_patterns", counting)
+        bad = "temp: every month on someday /2"
+        source = m.DeploymentModel("x", (vm("a", patterns=("perm: every month +10",)),
+                                         vm("b", patterns=(bad,))))
+        diagnostics = m.validate(source)
+        assert [d.severity for d in diagnostics] == ["error"]
+        for provider in ("aws", "gcp", "azure"):
+            moved = source.replaced(provider, "us-east")
+            assert moved.nodes[0].placement == m.Placement(provider, "us-east")
+            assert m.validate(moved) == diagnostics
+        assert parsed_texts == {"perm: every month +10": 1, bad: 1}
+
     def test_replaced_requirement_with_added_pattern_is_simulated(self):
         base = m.DeploymentModel("one", (vm(patterns=("perm: every month +10",)),))
         before = engine.simulate(base, BASIC_CATALOG, window(2))

@@ -1,0 +1,49 @@
+import copy
+import pickle
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cloudcost.months import Month
+
+MONTHS = st.builds(Month, st.integers(1, 9999), st.integers(1, 12))
+
+
+@given(MONTHS, MONTHS)
+def test_order_equality_and_hash_follow_the_index(a, b):
+    assert (a < b) == (a.index() < b.index())
+    assert (a == b) == (a.index() == b.index())
+    if a == b:
+        assert hash(a) == hash(b)
+    assert sorted([b, a]) == sorted([b, a], key=Month.index)
+
+
+@given(MONTHS, st.integers(-9999, 9999))
+def test_text_and_arithmetic_round_trip(month, k):
+    assert Month.parse(str(month)) == month
+    assert month.add(k).diff(month) == k
+
+
+@given(MONTHS)
+def test_copies_are_equal_months(month):
+    for other in (copy.copy(month), copy.deepcopy(month), pickle.loads(pickle.dumps(month))):
+        assert type(other) is Month and other == month
+
+
+def test_fields_are_read_only():
+    month = Month(2011, 3)
+    with pytest.raises(AttributeError):
+        month.year = 2012
+    with pytest.raises(AttributeError):
+        month.day = 1
+    assert (month.year, month.month) == (2011, 3)
+    assert repr(month) == "Month(year=2011, month=3)"
+    assert Month(year=2011, month=3) == month
+
+
+@pytest.mark.parametrize("number", [0, 13])
+def test_month_number_out_of_range(number):
+    with pytest.raises(ValueError) as exc:
+        Month(2011, number)
+    assert str(exc.value) == f"month number out of range: {number}"

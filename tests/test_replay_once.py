@@ -1,0 +1,129 @@
+"""A command replays each distinct usage schedule once.
+
+Replay depends on a requirement's kind class, baseline and pattern texts,
+not on its subject, placement or catalog. These tests count the calls into
+``engine.monthly_series`` and check that sharing a replay changes neither
+the output bytes nor any subject's clamp warnings.
+"""
+
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+import cloudcost
+from cloudcost import engine, model as m
+from cloudcost.cli import main
+from cloudcost.elasticity import UsageSchedule, monthly_series, parse_patterns
+from cloudcost.months import Month, SimulationWindow
+
+from oracle import oracle_replay
+from test_elasticity import clamp_events
+from test_engine import TRANSFER_CATALOG, vm
+
+DEMO_MODEL = cloudcost.data_path("demo_model.json")
+DEMO_CATALOG = str(cloudcost.data_path("demo_catalog.json"))
+THREE_PROVIDERS = {
+    "Nimbus": {"provider": "nimbus", "region": "us-east"},
+    "Stratus": {"provider": "stratus", "region": "us-east"},
+    "Cumulus": {"provider": "cumulus", "region": "us-east"},
+}
+# comparison.json of the three-provider map over 2011-01..2013-12, as written
+# when every scenario replayed its own schedules
+THREE_PROVIDERS_SHA256 = "89c0e5faac71e5174fa6deaf88bad372391dc7e68174e24cf73cd66007f1116e"
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Counter of monthly_series calls, by schedule."""
+    calls = Counter()
+    original = engine.monthly_series
+
+    def counting(schedule, *args):
+        calls[schedule] += 1
+        return original(schedule, *args)
+
+    monkeypatch.setattr(engine, "monthly_series", counting)
+    return calls
+
+
+def distinct_schedules(doc):
+    """(kind class, baseline, patterns) of every billed requirement of a model document."""
+    placed = {node["id"] for node in doc["nodes"] if "placement" in node}
+    reqs = [req for node in doc["nodes"] if node["id"] in placed
+            for req in node.get("requirements", [])]
+    reqs += [path["volume"] for path in doc.get("paths", [])
+             if {path["from_node"], path["to_node"]} & placed]
+    return {(m.KIND_CLASS[req["kind"]], float(req["baseline"]), tuple(req.get("patterns", ())))
+            for req in reqs}
+
+
+def test_compare_providers_replays_each_distinct_schedule_once(tmp_path, replays):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(THREE_PROVIDERS))
+    out = tmp_path / "out"
+    assert main(["compare-providers", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--map", str(mapping), "--start", "2011-01", "--end", "2013-12",
+                 "--out", str(out)]) == 0
+    assert len(distinct_schedules(json.loads(DEMO_MODEL.read_text()))) == 12
+    assert sum(replays.values()) == len(replays) == 12  # 26 series in each of 3 scenarios
+    digest = hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest()
+    assert digest == THREE_PROVIDERS_SHA256
+
+
+def test_simulate_replays_the_demo_decade_once_per_distinct_schedule(tmp_path, replays):
+    assert main(["simulate", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--start", "2011-01", "--end", "2020-12", "--out", str(tmp_path)]) == 0
+    assert sum(replays.values()) == len(replays) == 12
+
+
+def test_compare_replays_requirements_shared_by_models_once(tmp_path, replays):
+    doc = json.loads(DEMO_MODEL.read_text())
+    elastic = json.loads(DEMO_MODEL.read_text())
+    elastic["name"] = "demo-elastic"
+    for node in elastic["nodes"]:
+        if node["id"].startswith("web-"):
+            node["requirements"][0]["patterns"] = ["temp: every month on weekends /2"]
+    paths = [tmp_path / "demo.json", tmp_path / "elastic.json"]
+    for path, content in zip(paths, (doc, elastic)):
+        path.write_text(json.dumps(content))
+    window = ["--start", "2011-01", "--end", "2012-12"]
+    assert main(["compare", "--models", ",".join(map(str, paths)), "--catalog", DEMO_CATALOG,
+                 *window, "--out", str(tmp_path / "cmp")]) == 0
+    shared = distinct_schedules(doc) | distinct_schedules(elastic)
+    assert len(shared) == 13
+    assert sum(replays.values()) == len(replays) == len(shared)
+
+    rows = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["rows"]
+    for row, path in zip(rows, paths):  # each total is the one simulate prints alone
+        out = tmp_path / path.stem
+        assert main(["simulate", "--model", str(path), "--catalog", DEMO_CATALOG, *window,
+                     "--out", str(out)]) == 0
+        assert row["total"] == json.loads((out / "summary.json").read_text())["total"]
+
+
+CLAMPING = "temp: every month on everyday -1000"
+
+
+def test_every_subject_of_a_shared_replay_keeps_its_clamp_warnings(replays):
+    path = m.CommunicationPath("ab", "a", "b",
+                               m.ResourceRequirement(m.DATA_LINK_GB, 720.0, (CLAMPING,)))
+    model = m.DeploymentModel("clamps", (vm("a", patterns=(CLAMPING,)),
+                                         vm("b", patterns=(CLAMPING,))), paths=(path,))
+    window = SimulationWindow(Month(2011, 1), Month(2011, 2))
+    report = engine.simulate(model, TRANSFER_CATALOG, window)
+    assert sum(replays.values()) == 1
+
+    schedule = UsageSchedule("flow", 720.0, tuple(parse_patterns(CLAMPING)))
+    expected, raw = [], []
+    for subject, kind in (("a", m.VM_HOURS), ("b", m.VM_HOURS), ("ab", m.DATA_LINK_GB)):
+        own = []
+        monthly_series(schedule, window, None, own.append)
+        raw.append(own)
+        expected += [f"{subject}/{kind}: {msg}" for msg in own]
+    assert list(report.warnings) == expected
+    assert len(expected) == 3 * 59
+
+    _, clamps = oracle_replay("flow", 720.0, schedule.patterns, (2011, 1), (2011, 2))
+    assert all(clamp_events(own) == clamps for own in raw)
