@@ -27,15 +27,20 @@ Evaluation semantics:
   warning. ``/0`` and negative exponents are rejected at parse time;
   ``0^0`` evaluates to 1.
 
-Replay walks the calendar month by month. Each month filters the patterns
-by month selector once; days are matched on (day-of-month, weekday) ints,
-and a ``date`` is built only for a clamp warning. In a month with no
-active day clause, every day after the first repeats the first day's
-value, which is reused unless that day's temps clamped (each clamped day
-warns with its own date). A month's quantity adds its daily values one by
-one from 0.0: the order of float operations is part of the output
-contract, so no closed form, ``sum()`` (compensated since Python 3.12) or
-``math.fsum`` stands in for the loop.
+Replay walks the calendar month by month and each month in runs of
+identical days. Each month filters the patterns by month selector once and
+gives every active pattern a firing bitmask, bit ``dom`` set for each day it
+applies on, built with integer arithmetic (weekday selectors rotate a 7-bit
+week by day 1's weekday). A run starts on day 1, on every day a perm fires
+and on every day the set of firing temps changes. Perms fire only on a run's
+first day, so each later day of the run repeats its value: the run's perms
+and then its temps are applied once, and a ``date`` is built only for a
+clamp warning. A temp that clamps on a run's first day warns again, under
+each later day's date and in pattern order, so the warnings are those of a
+day-by-day walk. A month's quantity still adds its daily values one by one
+from 0.0, once per day of each run: the order of float operations is part
+of the output contract, so no ``value * n``, closed form, ``sum()``
+(compensated since Python 3.12) or ``math.fsum`` stands in for the loop.
 """
 
 from __future__ import annotations
@@ -97,32 +102,12 @@ class DaySelector:
 
     ``empty`` is mode-dependent: every day of the month for temp patterns,
     only the month's first day (the firing point) for perm patterns; that
-    asymmetry lives in :func:`_fires`.
+    asymmetry lives in :func:`_firing_days`.
     """
 
     kind: str = EMPTY
     a: int | None = None  # day-of-month 1..31 or weekday index 0..6
     b: int | None = None
-
-    def selects(self, dom: int, weekday: int) -> bool:
-        """True for day ``dom`` of a month when that day is weekday ``weekday``
-        (0 is Monday); replay calls this with plain ints, never a date."""
-        k = self.kind
-        if k == EVERYDAY:
-            return True
-        if k == WEEKDAYS:
-            return weekday < 5
-        if k == WEEKENDS:
-            return weekday >= 5
-        if k == DOM:
-            return dom == self.a
-        if k == DOM_RANGE:
-            return self.a <= dom <= self.b
-        if k == DOW:
-            return weekday == self.a
-        if k == DOW_RANGE:
-            return self.a <= weekday <= self.b
-        raise AssertionError(f"unhandled day selector {k!r}")
 
 
 EMPTY_DAYS = DaySelector(EMPTY)
@@ -310,16 +295,6 @@ def parse_patterns(block: str) -> list[PatternSpec]:
     return specs
 
 
-def _fires(pattern: PatternSpec, dom: int, weekday: int) -> bool:
-    """True when the pattern applies on day ``dom`` of a month it already
-    selects, falling on ``weekday`` (0 is Monday). An absent day clause
-    selects every day for temp patterns but only day 1 (the firing point)
-    for perm patterns."""
-    if pattern.days.kind == EMPTY:
-        return dom == 1 or pattern.mode == TEMP
-    return pattern.days.selects(dom, weekday)
-
-
 @dataclass(frozen=True)
 class UsageSchedule:
     """A resource's baseline plus its ordered elasticity patterns."""
@@ -364,6 +339,42 @@ def _clamped(pattern: PatternSpec, index: int, year: int, month: int, dom: int,
     return 0.0
 
 
+# Repeats a 7-bit week (bit j for the day j days after day 1) over the five
+# weeks that cover any month.
+_FIVE_WEEKS = sum(1 << (7 * week) for week in range(5))
+
+
+def _firing_days(pattern: PatternSpec, weekday1: int, month_days: int) -> int:
+    """Days on which ``pattern`` applies in a month it selects, as a bitmask
+    with bit ``dom`` set per day. The month's day 1 falls on ``weekday1`` (0
+    is Monday) and ``month_days`` has bits 1..n set for its n days. An
+    absent day clause selects every day for temp patterns but only day 1
+    (the firing point) for perm patterns."""
+    days = pattern.days
+    k = days.kind
+    if k == EMPTY:
+        return month_days if pattern.mode == TEMP else 2
+    if k == EVERYDAY:
+        return month_days
+    if k == DOM:
+        return (1 << days.a) & month_days
+    if k == DOM_RANGE:
+        return ((2 << days.b) - (1 << days.a)) & month_days
+    if k == WEEKDAYS:
+        week = 0b0011111
+    elif k == WEEKENDS:
+        week = 0b1100000
+    elif k == DOW:
+        week = 1 << days.a
+    elif k == DOW_RANGE:
+        week = (2 << days.b) - (1 << days.a)
+    else:
+        raise AssertionError(f"unhandled day selector {k!r}")
+    # bit j of the month's first week is weekday (weekday1 + j) % 7
+    week = ((week >> weekday1) | (week << (7 - weekday1))) & 0x7F
+    return ((week * _FIVE_WEEKS) << 1) & month_days
+
+
 def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
             warn: WarnFn | None = None) -> list[float]:
     """Replay from sim_start's first day through the last day of ``last``;
@@ -384,40 +395,50 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
             year, month = divmod(index, 12)
             month += 1
             weekday1, days_in_month = calendar.monthrange(year, month)
-            perms: list[tuple[int, PatternSpec]] = []
-            temps: list[tuple[int, PatternSpec]] = []
+            month_days = (2 << days_in_month) - 2
+            perms: list[tuple[int, PatternSpec, int]] = []
+            temps: list[tuple[int, PatternSpec, int]] = []
+            starts = 2  # the days that start a run; day 1 always does
             for i, p in enumerate(schedule.patterns):
                 if not p.months.contains(month):
                     continue
                 if p.mode == TEMP:
-                    temps.append((i, p))
+                    fires = _firing_days(p, weekday1, month_days)
+                    temps.append((i, p, fires))
+                    starts |= fires ^ (fires << 1)  # the days it starts or stops firing
                 # a day-less perm leaves the first simulated month at the raw baseline
                 elif p.days.kind != EMPTY or index != first:
-                    perms.append((i, p))
-            # Without an active day clause, perms fire on day 1 only, so every
-            # later day repeats the value of the day before it.
-            uniform = all(p.days.kind == EMPTY for _, p in perms + temps)
+                    fires = _firing_days(p, weekday1, month_days)
+                    perms.append((i, p, fires))
+                    starts |= fires
+            starts &= month_days
             total = 0.0
-            for dom in range(1, days_in_month + 1):
-                weekday = (weekday1 + dom - 1) % 7
-                for i, p in perms:
-                    if _fires(p, dom, weekday):
+            while starts:
+                dom = (starts & -starts).bit_length() - 1
+                starts &= starts - 1
+                end = (starts & -starts).bit_length() - 1 if starts else days_in_month + 1
+                for i, p, fires in perms:
+                    if (fires >> dom) & 1:
                         level = _apply_op(level, p.op, p.operand)
                         if level < 0:
                             level = _clamped(p, i, year, month, dom, warn)
                 value = level if stock else level / days_in_month
-                repeat = uniform
-                for i, p in temps:
-                    if _fires(p, dom, weekday):
+                clamps: list[tuple[int, PatternSpec]] = []
+                for i, p, fires in temps:
+                    if (fires >> dom) & 1:
                         value = _apply_op(value, p.op, p.operand)
                         if value < 0:
                             value = _clamped(p, i, year, month, dom, warn)
-                            repeat = False  # each later day warns with its own date
+                            clamps.append((i, p))
                 total += value
-                if repeat:
-                    for _ in range(dom, days_in_month):
+                if clamps:
+                    for day in range(dom + 1, end):
+                        for i, p in clamps:  # each later day warns with its own date
+                            _clamped(p, i, year, month, day, warn)
                         total += value
-                    break
+                else:
+                    for _ in range(dom + 1, end):
+                        total += value
             if total == math.inf:
                 raise EvaluationError("value overflowed summing the month's days")
             quantities.append(total / days_in_month if stock else total)
@@ -429,8 +450,8 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
 
 def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
                    usage_start: Month | None = None,
-                   warn: WarnFn | None = None) -> list[tuple[Month, float]]:
-    """Billable quantities for every month of the window, in one replay pass;
+                   warn: WarnFn | None = None) -> tuple[float, ...]:
+    """Billable quantity of each window month, in order, from one replay pass;
     the only way into :func:`_replay`.
 
     ``usage_start`` anchors the pattern replay; it defaults to the window
@@ -440,4 +461,4 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
     if start > window.start:
         raise ValueError(f"usage start {start} is after the window start {window.start}")
     quantities = _replay(schedule, start, window.end, warn)
-    return list(zip(window.months(), quantities[window.start.diff(start):]))
+    return tuple(quantities[window.start.diff(start):])

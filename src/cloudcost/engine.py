@@ -170,10 +170,10 @@ def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: Simula
         schedule = UsageSchedule(key[0], req.baseline, tuple(specs))
         clamps: list[str] = []
         try:
-            series = monthly_series(schedule, window, usage_start, clamps.append)
+            quantities = monthly_series(schedule, window, usage_start, clamps.append)
         except EvaluationError as exc:
             raise _line_error(subject, req.kind, exc.month, exc) from exc
-        replayed = replays[key] = (tuple(quantity for _, quantity in series), tuple(clamps))
+        replayed = replays[key] = (quantities, tuple(clamps))
     quantities, clamps = replayed
     for msg in clamps:
         warn(f"{subject}/{req.kind}: {msg}")

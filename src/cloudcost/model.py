@@ -159,6 +159,11 @@ class DeploymentModel:
                         parsed[text] = exc
         return parsed
 
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        """This model's validation findings, found once on first use."""
+        return _findings(self)
+
 
 # --- structural parsing (strict: unknown keys are schema errors) ----------
 
@@ -298,7 +303,17 @@ def load_model(path: str) -> DeploymentModel:
 # --- semantic validation ---------------------------------------------------
 
 def validate(model: DeploymentModel) -> list[Diagnostic]:
-    """All invariant violations as diagnostics, sorted by location path."""
+    """All invariant violations as diagnostics, sorted by location path.
+
+    The model is immutable, so they are found once and kept on it; each call
+    returns a new list. A copy made by :meth:`DeploymentModel.replaced` is
+    checked afresh.
+    """
+    return list(model._diagnostics)
+
+
+def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
+    """The validation walk over the whole model behind :func:`validate`."""
     diags: list[Diagnostic] = []
 
     def err(path: str, message: str) -> None:
@@ -402,7 +417,7 @@ def validate(model: DeploymentModel) -> list[Diagnostic]:
                 grouped[node_id] = group.id
 
     diags.sort(key=lambda d: (d.path, d.message))
-    return diags
+    return tuple(diags)
 
 
 def _check_requirement(model: DeploymentModel, req: ResourceRequirement, path: str, err) -> None:

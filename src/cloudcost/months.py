@@ -3,6 +3,9 @@
 A :class:`Month` is a ``(year, month)`` tuple with calendar methods. Report
 assembly sorts lines by month, checks adjacent sort keys and keys the monthly
 totals by month, so equality, ordering and hashing stay the tuple's own, in C.
+By design a ``Month`` therefore equals the plain tuple ``(year, month)``.
+It names its fields as a namedtuple does (``_fields``), so
+``dataclasses.asdict`` and ``astuple`` rebuild it as ``Month(year, month)``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ class Month(tuple):
     """A calendar month in the proleptic Gregorian calendar; read-only."""
 
     __slots__ = ()
+    _fields = ("year", "month")
 
     def __new__(cls, year: int, month: int) -> Month:
         if not 1 <= month <= 12:

@@ -15,7 +15,7 @@ DOWS = elasticity.DOW_NAMES
 def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:
     """One month's billed quantity, replayed from ``start`` through the
     same entry point that ``engine.simulate`` uses."""
-    return elasticity.monthly_series(schedule, SimulationWindow(month, month), start)[0][1]
+    return elasticity.monthly_series(schedule, SimulationWindow(month, month), start)[0]
 
 
 def random_pattern_text(rng: random.Random) -> str:

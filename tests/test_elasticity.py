@@ -150,7 +150,7 @@ class TestEvaluate:
         warnings = []
         series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
                                    Month(2011, 1), warnings.append)
-        assert series == [(Month(2011, 2), 0.0)]
+        assert series == (0.0,)
         _, clamps = oracle_replay(el.STOCK, 10, sched.patterns, (2011, 1), (2011, 2))
         assert clamp_events(warnings) == clamps == [(date(2011, 2, 1), 0)]
 
@@ -225,8 +225,8 @@ class TestMonthlyQuantity:
             start = Month(2011, 1)
             window = SimulationWindow(start, start.add(5))
             series = el.monthly_series(sched, window)
-            assert [m for m, _ in series] == window.months()
-            for month, quantity in series:
+            assert len(series) == window.count
+            for month, quantity in zip(window.months(), series):
                 assert quantity == month_quantity(sched, month, start)
 
 
@@ -264,7 +264,7 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         sched = random_schedule(rng)
         window = SimulationWindow(Month(2011, 1), Month(2011, 12))
-        assert all(quantity >= 0.0 for _, quantity in el.monthly_series(sched, window))
+        assert all(quantity >= 0.0 for quantity in el.monthly_series(sched, window))
 
     def test_determinism(self):
         sched = schedule(el.FLOW, 123.4, WORKED)
@@ -300,7 +300,7 @@ class TestClampWarnings:
             quantity, clamps = oracle_replay(sched.kind_class, sched.baseline,
                                              sched.patterns, (2011, 1),
                                              (month.year, month.month))
-            assert series == [(month, quantity)]
+            assert series == (quantity,)
             assert clamp_events(warnings) == clamps
             clamping += bool(clamps)
         assert clamping >= 30  # the property is not vacuous
@@ -310,5 +310,5 @@ class TestClampWarnings:
         warnings = []
         series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
                                    None, warnings.append)
-        assert series == [(Month(2011, 2), 0.0)]
+        assert series == (0.0,)
         assert clamp_events(warnings) == [(date(2011, 2, d), 0) for d in range(1, 29)]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import cloudcost
 from cloudcost import model as m
+from cloudcost.cli import main
 from cloudcost.errors import ModelError
 
 MINIMAL = """
@@ -173,3 +175,35 @@ def _node_of_kind(node_kind, req_kind):
     vm_spec = m.VmSpec("linux", sku="s") if node_kind == m.VIRTUAL_MACHINE else None
     return m.Node("n", node_kind, placement, vm_spec, None,
                   (m.ResourceRequirement(req_kind, 1.0),))
+
+
+class TestValidateOnce:
+    """A model's diagnostics are found once and handed out as copies."""
+
+    def test_each_call_returns_an_independent_list(self):
+        broken = m.DeploymentModel("x", (m.Node("n", m.VIRTUAL_MACHINE),))
+        first = m.validate(broken)
+        expected = list(first)
+        assert [d.path for d in expected] == ["nodes[0].placement", "nodes[0].vm_spec"]
+        first.append(first[0])
+        first.reverse()
+        second = m.validate(broken)
+        assert second == expected
+        assert second is not first
+
+    def test_parse_then_simulate_walks_the_model_once(self, monkeypatch, tmp_path):
+        walked = []
+        findings = m._findings
+        monkeypatch.setattr(m, "_findings", lambda model: walked.append(model) or findings(model))
+        assert main(["simulate", "--model", str(cloudcost.data_path("demo_model.json")),
+                     "--catalog", str(cloudcost.data_path("demo_catalog.json")),
+                     "--start", "2011-01", "--end", "2011-02", "--out", str(tmp_path)]) == 0
+        assert len(walked) == 1
+
+    def test_replaced_model_is_validated_afresh(self):
+        source = minimal_model()
+        assert m.validate(source) == []
+        moved = source.replaced("aws", "")
+        assert [str(d) for d in m.validate(moved)] == [
+            "error: nodes[0].placement.region: region must be non-empty"]
+        assert m.validate(source) == []

@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 import pickle
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cloudcost.months import Month
+from cloudcost.engine import CostLine, CostReport
+from cloudcost.months import Month, SimulationWindow
 
 MONTHS = st.builds(Month, st.integers(1, 9999), st.integers(1, 12))
 
@@ -47,3 +50,23 @@ def test_month_number_out_of_range(number):
     with pytest.raises(ValueError) as exc:
         Month(2011, number)
     assert str(exc.value) == f"month number out of range: {number}"
+
+
+def test_dataclass_conversions_rebuild_months():
+    window = SimulationWindow(Month(2011, 1), Month(2011, 2))
+    as_dict = dataclasses.asdict(window)
+    assert as_dict == {"start": Month(2011, 1), "end": Month(2011, 2)}
+    assert all(type(month) is Month for month in as_dict.values())
+    as_tuple = dataclasses.astuple(window)
+    assert as_tuple == (Month(2011, 1), Month(2011, 2))
+    assert all(type(month) is Month for month in as_tuple)
+    line = CostLine(Month(2011, 1), "web", "web", "vm_hours", 720.0, "hours",
+                    Decimal("7.20"), None, "p", "r")
+    report = CostReport(window, (line,), (), "USD")
+    assert dataclasses.asdict(report)["lines"][0]["month"] == Month(2011, 1)
+    assert type(dataclasses.astuple(report)[1][0][0]) is Month
+
+
+def test_a_month_equals_its_plain_tuple():
+    assert Month(2011, 3) == (2011, 3)
+    assert hash(Month(2011, 3)) == hash((2011, 3))
