@@ -176,10 +176,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     parsed, cost_report = _run_simulation(args)
     out = Path(args.out)
-    summary = engine.summarize(cost_report, parsed.name)
+    totals = cost_report.monthly_totals()
+    summary = engine.summarize([total for _, total in totals], parsed.name)
     write_atomic(out / "report.csv", report.to_csv(cost_report))
     write_atomic(out / "report.html",
-                 report.to_html(cost_report, [summary], model=parsed))
+                 report.to_html(cost_report, [summary], model=parsed, totals=totals))
     write_atomic(out / "summary.json",
                  json.dumps(_summary_payload(summary, cost_report.currency),
                             indent=2) + "\n")

@@ -14,6 +14,16 @@ messages re-sent under its own ``subject/kind:`` prefix. The memo is owned by
 one command: :func:`simulate` makes a fresh one per call, and
 :func:`compare_scenarios` shares one across its scenarios, which all use the
 same window. Nothing is kept between commands.
+
+Prices repeat the same way: many lines share a rate entry and a quantity. So
+:func:`simulate` prices each distinct (rate entry, quantity) pair once, in a
+memo local to the call, and lines that share one share its ``Decimal``. The
+memo is keyed on the entry itself, not its rate key: a reserved node's flat
+hours entry shares its key with the on-demand one but not its price. A float
+key cannot merge differently priced zeros, because replay sums each month
+from ``+0.0`` and so never yields ``-0.0``. Pricing still runs series by
+series, month by month, so a cost too large to price names the same first
+line and month as it would without the memo.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import model as m
@@ -55,7 +66,18 @@ UNIT_FOR_KIND = {
     m.DATA_LINK_GB: "GB",
 }
 
-ROLLUP_KEYS = ("group", "node", "dimension", "provider", "month")
+# rollup key -> the line's value under it
+_ROLLUP_KEY_OF = {
+    "group": lambda line: line.group or "",
+    "node": attrgetter("node_id"),
+    "dimension": attrgetter("dimension"),
+    "provider": attrgetter("provider"),
+    "month": lambda line: str(line.month),
+}
+ROLLUP_KEYS = tuple(_ROLLUP_KEY_OF)
+
+# A line's place in a report: (month, subject, dimension), read in C.
+_line_order = attrgetter("month", "subject", "dimension")
 
 
 @dataclass(frozen=True)
@@ -114,9 +136,7 @@ class CostLine:
     region: str
     scope: str | None = None
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.month, self.subject, self.dimension)
+    sort_key = property(_line_order, doc="(month, subject, dimension)")
 
 
 @dataclass(frozen=True)
@@ -129,7 +149,7 @@ class CostReport:
     def __post_init__(self) -> None:
         """Sort keys strictly increase (sorted and unique) and the first and
         last months lie in the window, so renderers read lines as built."""
-        keys = [line.sort_key for line in self.lines]
+        keys = list(map(_line_order, self.lines))
         for prev, key in zip(keys, keys[1:]):
             if not prev < key:
                 problem = "duplicate cost line for" if prev == key else "cost line out of order:"
@@ -213,15 +233,20 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     warnings: list[str] = []
     lines: list[CostLine] = []
     group_of = {node_id: group.id for group in model.groups for node_id in group.node_ids}
+    # rate entry -> {quantity -> cost}; see the module docstring
+    prices: dict[pricing.RateEntry, dict[float, Decimal]] = {}
 
     def emit(quantities: tuple[float, ...], subject: str, endpoint: m.Node, kind: str,
              entry: pricing.RateEntry, scope: str | None) -> None:
-        group, placement = group_of.get(endpoint.id), endpoint.placement
+        node_id, group, unit = endpoint.id, group_of.get(endpoint.id), UNIT_FOR_KIND[kind]
+        provider, region = endpoint.placement.provider, endpoint.placement.region
+        costs = prices.setdefault(entry, {})
         for month, quantity in zip(months, quantities):
-            cost = _price(entry, quantity, subject, kind, month)
-            lines.append(CostLine(month, subject, endpoint.id, kind, quantity,
-                                  UNIT_FOR_KIND[kind], cost, group,
-                                  placement.provider, placement.region, scope))
+            cost = costs.get(quantity)
+            if cost is None:
+                cost = costs[quantity] = _price(entry, quantity, subject, kind, month)
+            lines.append(CostLine(month, subject, node_id, kind, quantity, unit, cost,
+                                  group, provider, region, scope))
 
     for node in model.nodes:
         if node.kind == m.REMOTE_NODE:
@@ -265,7 +290,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
                             DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
             emit(quantities, path.id, endpoint, dimension, entry, scope)
 
-    lines.sort(key=lambda line: line.sort_key)
+    lines.sort(key=_line_order)
     deduped = tuple(dict.fromkeys(warnings))
     return CostReport(window, tuple(lines), deduped, catalog.currency)
 
@@ -343,19 +368,10 @@ def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
     """Totals per key; the key-sums always equal the grand total exactly."""
     if by not in ROLLUP_KEYS:
         raise ValueError(f"unknown rollup key {by!r}, expected one of {ROLLUP_KEYS}")
-    totals: dict[str, Decimal] = {}
-    for line in report.lines:
-        if by == "group":
-            key = line.group or ""
-        elif by == "node":
-            key = line.node_id
-        elif by == "dimension":
-            key = line.dimension
-        elif by == "provider":
-            key = line.provider
-        else:
-            key = str(line.month)
-        totals[key] = totals.get(key, Decimal(0)) + line.cost
+    keys = list(map(_ROLLUP_KEY_OF[by], report.lines))
+    totals = dict.fromkeys(keys, Decimal(0))
+    for key, line in zip(keys, report.lines):
+        totals[key] += line.cost
     return [(key, to_money(totals[key])) for key in sorted(totals)]
 
 
@@ -450,13 +466,19 @@ def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[
     """Simulate each (label, model, plan), summarize and compare.
 
     The scenarios share one replay memo, so a requirement that several of
-    them carry is replayed once.
+    them carry is replayed once. Each scenario's warnings follow the
+    table's own, as ``<label>: <warning>``.
     """
     labels = [label for label, _, _ in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique")
     replays: Replays = {}
-    rows = [summarize(simulate(scenario_model, catalog, window, plan, usage_start,
-                               replays=replays), label)
-            for label, scenario_model, plan in scenarios]
-    return compare(rows)
+    rows: list[SummaryRow] = []
+    warnings: list[str] = []
+    for label, scenario_model, plan in scenarios:
+        report = simulate(scenario_model, catalog, window, plan, usage_start, replays=replays)
+        rows.append(summarize(report, label))
+        warnings.extend(f"{label}: {warning}" for warning in report.warnings)
+    table = compare(rows)
+    return ComparisonTable(table.entries, table.baseline_label,
+                           table.warnings + tuple(warnings))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import html
 import io
+from decimal import Decimal
 from typing import Sequence
 
 from . import engine, model as m
@@ -18,6 +19,7 @@ from .engine import CostReport, SummaryRow
 # that imports this module after wrapping engine's would wrap this copy twice.
 from .engine import rollup  # noqa: F401
 from .money import format_money
+from .months import Month
 
 CSV_HEADER = ("month", "group", "node", "provider", "region",
               "dimension", "quantity", "unit", "cost")
@@ -37,22 +39,28 @@ def _format_quantity(quantity: float) -> str:
 def to_csv(report: CostReport) -> str:
     """Full costing detail, one row per cost line in (month, subject,
     dimension) order. The `node` column carries the line's subject, so
-    transfer lines appear under their path id."""
+    transfer lines appear under their path id.
+
+    Each window month, distinct quantity and distinct cost is formatted once.
+    Zero costs skip the memo: ``-0.000000`` equals ``0`` but renders as ``-0.00``.
+    """
+    month_text = {month: str(month) for month in report.window.months()}
+    quantity_text: dict[float, str] = {}
+    money_text: dict[Decimal, str] = {}
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
     for line in report.lines:
-        writer.writerow((
-            str(line.month),
-            line.group or "",
-            line.subject,
-            line.provider,
-            line.region,
-            line.dimension,
-            _format_quantity(line.quantity),
-            line.unit,
-            format_money(line.cost),
-        ))
+        quantity, cost = line.quantity, line.cost
+        quantity_str = quantity_text.get(quantity)
+        if quantity_str is None:
+            quantity_str = quantity_text[quantity] = _format_quantity(quantity)
+        cost_str = money_text.get(cost) if cost else None
+        if cost_str is None:
+            cost_str = money_text[cost] = format_money(cost)
+        writer.writerow((month_text[line.month], line.group or "", line.subject,
+                         line.provider, line.region, line.dimension, quantity_str,
+                         line.unit, cost_str))
     return buffer.getvalue()
 
 
@@ -69,8 +77,7 @@ svg { background: #fafafa; border: 1px solid #ddd; }
 """
 
 
-def _monthly_chart(report: CostReport) -> str:
-    totals = report.monthly_totals()
+def _monthly_chart(totals: Sequence[tuple[Month, Decimal]]) -> str:
     width, height, pad = 720, 240, 40
     top = max(float(t) for _, t in totals) or 1.0
     n = len(totals)
@@ -143,9 +150,10 @@ def _topology_section(model: m.DeploymentModel) -> str:
 
 
 def to_html(report: CostReport, summaries: Sequence[SummaryRow],
-            model: m.DeploymentModel) -> str:
+            model: m.DeploymentModel, totals: Sequence[tuple[Month, Decimal]]) -> str:
     """Single self-contained page: summary, monthly chart, rollup tables,
-    warnings and the model topology."""
+    warnings and the model topology. ``totals`` is ``report.monthly_totals()``,
+    which the caller has already computed for the summaries."""
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8"/>',
@@ -158,7 +166,7 @@ def to_html(report: CostReport, summaries: Sequence[SummaryRow],
     ]
     parts.append(_summary_table(summaries, report.currency))
     parts.append("<h2>Monthly total</h2>")
-    parts.append(_monthly_chart(report))
+    parts.append(_monthly_chart(totals))
     parts.append(_rollup_table(report, "group", "Cost by group"))
     parts.append(_rollup_table(report, "dimension", "Cost by resource dimension"))
     if report.warnings:

@@ -365,6 +365,25 @@ class TestWarnings:
         assert errs[0].startswith("warning: web-1/vm_hours: ")
         assert errs[0].count("\n") == 59  # one clamp a day
 
+    def test_compare_prints_each_scenarios_warnings_under_its_label(self, tmp_path):
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        doc["name"] = "clamped"
+        doc["nodes"][0]["requirements"][0]["patterns"] = ["temp: every month on everyday -1000"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        window = ("--catalog", DEMO_CATALOG, "--start", "2011-01", "--end", "2011-02")
+        code, simulated = run_quietly("simulate", "--model", str(model), *window,
+                                      "--out", str(tmp_path / "sim"))
+        assert code == 0 and simulated.count("\n") == 59
+        code, compared = run_quietly("compare", "--models", f"{DEMO_MODEL},{model}", *window,
+                                     "--out", str(tmp_path / "cmp"))
+        assert code == 0
+        labelled = [f"warning: clamped: {line.removeprefix('warning: ')}"
+                    for line in simulated.splitlines()]
+        assert compared.splitlines() == labelled
+        written = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["warnings"]
+        assert ["warning: " + warning for warning in written] == labelled
+
 
 class TestAssess:
     def test_writes_radar_and_important(self, tmp_path):

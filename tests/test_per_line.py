@@ -1,0 +1,150 @@
+"""Per-line work: each distinct price is computed once per simulation, each
+distinct text once per report, and no per-line Python key comes back."""
+
+import csv
+import io
+from collections import Counter
+from decimal import Decimal
+
+import pytest
+
+import cloudcost
+from cloudcost import engine, model as m, pricing, report
+from cloudcost.months import Month, SimulationWindow
+from cloudcost.money import format_money
+
+from test_engine import catalog_of, entry, vm, window
+
+DECADE = SimulationWindow(Month(2011, 1), Month(2020, 12))
+PROVIDERS = ("nimbus", "stratus", "cumulus")  # providers-3's map, all in us-east
+
+
+@pytest.fixture(scope="module")
+def demo():
+    return (cloudcost.parse_model(cloudcost.data_path("demo_model.json").read_text()),
+            pricing.load_catalog(cloudcost.data_path("demo_catalog.json").read_text()))
+
+
+def rate_entry(catalog, scenario, line):
+    """The catalog entry that prices an on-demand line, found without the engine."""
+    node = next(node for node in scenario.nodes if node.id == line.node_id)
+    sku = None
+    if line.subject == node.id and line.dimension == m.VM_HOURS and node.vm_spec:
+        sku = node.vm_spec.sku
+    elif line.subject == node.id and node.storage_spec and line.dimension in (
+            m.STORAGE_GB, m.IO_IN_REQUESTS, m.IO_OUT_REQUESTS, m.IO_GB):
+        sku = node.storage_spec.storage_type
+    return pricing.lookup_rate(catalog, line.provider, line.region,
+                               engine.DIMENSION_FOR_KIND[line.dimension], sku, line.scope)
+
+
+class TestPriceMemo:
+    def test_every_line_costs_a_fresh_price(self, demo):
+        model, catalog = demo
+        scenarios = [(model, DECADE)]
+        scenarios += [(model.replaced(provider, "us-east"),
+                       SimulationWindow(Month(2011, 1), Month(2013, 12)))
+                      for provider in PROVIDERS]
+        for scenario, span in scenarios:
+            for line in engine.simulate(scenario, catalog, span).lines:
+                fresh = pricing.price_breakdown(rate_entry(catalog, scenario, line),
+                                                line.quantity)
+                assert line.cost == fresh and str(line.cost) == str(fresh), line
+
+    def test_each_distinct_entry_and_quantity_is_priced_once(self, demo, monkeypatch):
+        model, catalog = demo
+        priced = Counter()
+        price = pricing.price_breakdown
+
+        def counting(rate, quantity):
+            priced[rate, quantity] += 1
+            return price(rate, quantity)
+
+        monkeypatch.setattr(pricing, "price_breakdown", counting)
+        lines = engine.simulate(model, catalog, DECADE).lines
+        pairs = {(rate_entry(catalog, model, line), line.quantity) for line in lines}
+        assert set(priced) == pairs
+        assert set(priced.values()) == {1}
+        assert len(pairs) < len(lines) / 5  # demo-120: 419 pairs for 3,720 lines
+
+    def test_reserved_and_on_demand_nodes_on_one_sku_price_apart(self):
+        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
+            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
+            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.04"), 12, Decimal(0)),
+        ))
+        catalog = catalog_of(
+            entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
+            skus=(sku,))
+        rates = {"on-demand": pricing.lookup_rate(catalog, "aws", "us-east",
+                                                  pricing.VM_HOURS, "standard.small"),
+                 "reserved": entry("aws", "us-east", pricing.VM_HOURS, "0.04",
+                                   sku="standard.small")}
+        assert rates["on-demand"].key == rates["reserved"].key
+        plan = {"reserved": engine.PlanChoice(pricing.RESERVED, 12)}
+        for nodes in ((vm("on-demand"), vm("reserved")), (vm("reserved"), vm("on-demand"))):
+            rep = engine.simulate(m.DeploymentModel("mixed", nodes), catalog, window(3), plan)
+            assert [line.quantity for line in rep.lines[::2]] == [
+                line.quantity for line in rep.lines[1::2]]
+            for line in rep.lines:
+                assert line.cost == pricing.price_breakdown(rates[line.subject], line.quantity)
+            assert rep.lines[0].cost > rep.lines[1].cost > 0
+
+
+def per_line_csv(rep):
+    """``report.to_csv`` as a plain loop, each field formatted on its own line."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(report.CSV_HEADER)
+    for line in rep.lines:
+        writer.writerow((str(line.month), line.group or "", line.subject, line.provider,
+                         line.region, line.dimension, report._format_quantity(line.quantity),
+                         line.unit, format_money(line.cost)))
+    return buffer.getvalue()
+
+
+def line(month, subject, quantity, cost):
+    return engine.CostLine(month, subject, subject, m.VM_HOURS, quantity, "hours",
+                           Decimal(cost), None, "aws", "us-east")
+
+
+class TestTextMemos:
+    def test_csv_equals_a_per_line_rendering(self):
+        jan, feb = Month(2011, 1), Month(2011, 2)
+        rep = engine.CostReport(window(2), (
+            line(jan, "a", 0.0, "0.000000"),
+            line(jan, "b", 0.0, "-0.000000"),
+            line(jan, "c", 720.0000000000003, "-0.000000"),
+            line(jan, "d", 720.0, "0.000000"),
+            line(feb, "a", 1.5, "72.000000"),
+            line(feb, "b", 1.5, "72.000000"),
+            line(feb, "c", -0.0, "72.004999"),
+            line(feb, "d", 2.5e-7, "-0.004999"),
+        ))
+        text = report.to_csv(rep)
+        assert text == per_line_csv(rep)
+        costs = [row[-1] for row in csv.reader(io.StringIO(text))][1:]
+        assert costs == ["0.00", "-0.00", "-0.00", "0.00", "72.00", "72.00", "72.00",
+                         "-0.00"]
+
+
+class TestNoPerLineKeys:
+    def test_simulate_and_csv_read_no_per_line_python_keys(self, demo, monkeypatch):
+        model, catalog = demo
+        sort_keys = []
+        month_strs = Counter()
+        month_str = Month.__str__
+
+        def counting_str(month):
+            month_strs[month] += 1
+            return month_str(month)
+
+        monkeypatch.setattr(engine.CostLine, "sort_key",
+                            property(lambda line: sort_keys.append(line)))
+        span = SimulationWindow(Month(2011, 1), Month(2011, 12))
+        rep = engine.simulate(model, catalog, span)
+        assert sort_keys == []
+        monkeypatch.setattr(Month, "__str__", counting_str)
+        text = report.to_csv(rep)
+        assert len(rep.lines) == 372 and text.count("\n") == 373
+        assert set(month_strs) <= set(span.months())
+        assert max(month_strs.values()) == 1

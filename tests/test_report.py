@@ -23,7 +23,8 @@ def parse_csv(text):
 
 
 def page_of(rep, scenario):
-    return report.to_html(rep, [engine.summarize(rep, scenario.name)], scenario)
+    return report.to_html(rep, [engine.summarize(rep, scenario.name)], scenario,
+                          rep.monthly_totals())
 
 
 class TestCsv:
