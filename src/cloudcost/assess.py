@@ -11,8 +11,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (AssessmentError, Diagnostic, EmptyCategoryError, _key_problem,
                      read_input)
@@ -32,8 +31,7 @@ LIKERT_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class AssessmentItem:
+class AssessmentItem(NamedTuple):
     id: str
     kind: str
     category: str
@@ -44,26 +42,31 @@ class AssessmentItem:
     applies_to_private_cloud: bool = False
 
 
-@dataclass(frozen=True)
-class RatingSheet:
+class _RatingSheetFields(NamedTuple):
     respondent: str = ""
     role_view: str = ""
     ratings: Mapping[str, int] = None  # item id -> 1..5
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratings", dict(self.ratings or {}))
+
+class RatingSheet(_RatingSheetFields):
+    """One respondent's ratings, copied into a dict of its own."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace copies too
+
+    def __new__(cls, respondent: str = "", role_view: str = "",
+                ratings: Mapping[str, int] | None = None) -> RatingSheet:
+        return super().__new__(cls, respondent, role_view, dict(ratings or {}))
 
 
-@dataclass(frozen=True)
-class CategoryAverage:
+class CategoryAverage(NamedTuple):
     kind: str
     category: str
     average: float
     item_count: int
 
 
-@dataclass(frozen=True)
-class RadarData:
+class RadarData(NamedTuple):
     benefits: tuple[CategoryAverage, ...]
     risks: tuple[CategoryAverage, ...]
 
@@ -71,11 +74,7 @@ class RadarData:
         return list(self.benefits) + list(self.risks)
 
     def to_payload(self) -> list[dict]:
-        return [
-            {"kind": row.kind, "category": row.category,
-             "average": row.average, "item_count": row.item_count}
-            for row in self.rows()
-        ]
+        return [row._asdict() for row in self.rows()]
 
 
 def natural_id_key(item_id: str) -> tuple:

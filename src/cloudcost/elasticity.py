@@ -45,7 +45,6 @@ of the output contract, so no ``value * n``, closed form, ``sum()``
 
 from __future__ import annotations
 
-import calendar
 import math
 import re
 from dataclasses import dataclass, field
@@ -53,7 +52,7 @@ from datetime import date
 from typing import Callable
 
 from .errors import EvaluationError, PatternError
-from .months import Month, SimulationWindow
+from .months import Month, SimulationWindow, month_calendar
 
 TEMP = "temp"
 PERM = "perm"
@@ -217,12 +216,8 @@ def _parse_days(s: _Scanner) -> DaySelector:
         if a > b:
             s.fail(f"day-of-week range may not wrap: {lo}-{hi}", start)
         return DaySelector(DOW_RANGE, a, b)
-    if token == EVERYDAY:
-        return DaySelector(EVERYDAY)
-    if token == WEEKDAYS:
-        return DaySelector(WEEKDAYS)
-    if token == WEEKENDS:
-        return DaySelector(WEEKENDS)
+    if token in (EVERYDAY, WEEKDAYS, WEEKENDS):
+        return DaySelector(token)
     if token in DOW_NAMES:
         return DaySelector(DOW, DOW_NAMES.index(token))
     s.fail(f"unknown day token {token!r}", start)
@@ -388,13 +383,8 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
     quantities: list[float] = []
-    first = sim_start.index()
-    final = last.index()
     try:
-        for index in range(first, final + 1):
-            year, month = divmod(index, 12)
-            month += 1
-            weekday1, days_in_month = calendar.monthrange(year, month)
+        for year, month, weekday1, days_in_month in month_calendar(sim_start, last):
             month_days = (2 << days_in_month) - 2
             perms: list[tuple[int, PatternSpec, int]] = []
             temps: list[tuple[int, PatternSpec, int]] = []
@@ -406,8 +396,8 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
                     fires = _firing_days(p, weekday1, month_days)
                     temps.append((i, p, fires))
                     starts |= fires ^ (fires << 1)  # the days it starts or stops firing
-                # a day-less perm leaves the first simulated month at the raw baseline
-                elif p.days.kind != EMPTY or index != first:
+                # a day-less perm leaves the first month (no quantity yet) at the raw baseline
+                elif p.days.kind != EMPTY or quantities:
                     fires = _firing_days(p, weekday1, month_days)
                     perms.append((i, p, fires))
                     starts |= fires

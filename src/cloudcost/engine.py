@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
-from fractions import Fraction
+from itertools import groupby
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import model as m
 from . import pricing
@@ -78,10 +78,10 @@ ROLLUP_KEYS = tuple(_ROLLUP_KEY_OF)
 
 # A line's place in a report: (month, subject, dimension), read in C.
 _line_order = attrgetter("month", "subject", "dimension")
+_line_month = attrgetter("month")
 
 
-@dataclass(frozen=True)
-class PlanChoice:
+class PlanChoice(NamedTuple):
     """Purchase choice for one node: on_demand (default) or reserved."""
 
     kind: str = pricing.ON_DEMAND
@@ -165,10 +165,15 @@ class CostReport:
         return to_money(total)
 
     def monthly_totals(self) -> list[tuple[Month, Decimal]]:
-        totals = {month: Decimal(0) for month in self.window.months()}
-        for line in self.lines:
-            totals[line.month] += line.cost
-        return [(month, to_money(totals[month])) for month in self.window.months()]
+        """Each window month's total, summed over its run of the sorted lines."""
+        totals = {}
+        for month, group in groupby(self.lines, _line_month):
+            total = Decimal(0)
+            for line in group:
+                total += line.cost
+            totals[month] = total
+        return [(month, to_money(totals.get(month, Decimal(0))))
+                for month in self.window.months()]
 
 
 # (kind class, baseline, pattern texts) -> (quantity per window month, raw clamp messages)
@@ -396,6 +401,8 @@ class SummaryRow:
 
 def summarize(source: CostReport | Sequence, label: str) -> SummaryRow:
     """Summary of a report or of a plain monthly-totals series."""
+    from fractions import Fraction
+
     if isinstance(source, CostReport):
         series = [total for _, total in source.monthly_totals()]
     else:
@@ -415,16 +422,14 @@ def summarize(source: CostReport | Sequence, label: str) -> SummaryRow:
     return SummaryRow(label, first, avg, total, n)
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
+class ComparisonEntry(NamedTuple):
     row: SummaryRow
     is_baseline: bool
     difference: str | None  # "+Nx" vs the baseline; None on the baseline row
     delta: Decimal  # total - baseline total
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     entries: tuple[ComparisonEntry, ...]
     baseline_label: str
     warnings: tuple[str, ...] = ()
@@ -438,6 +443,8 @@ class ComparisonTable:
 
 def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
     """Pick the cheapest total as baseline and express the rest as +Nx."""
+    from fractions import Fraction
+
     if len(rows) < 2:
         raise ValueError("comparison needs at least two rows")
     min_total = min(row.total for row in rows)

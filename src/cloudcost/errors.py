@@ -3,12 +3,10 @@ string checks, and the input-file read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A single validation finding: never thrown, always collected."""
 
     severity: str  # "error" or "warning"

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from .elasticity import PatternSpec, parse_patterns
 from .errors import (Diagnostic, ModelError, PatternError, _key_problem, _str_problem,
@@ -55,22 +55,19 @@ LEGAL_REQUIREMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     provider: str
     region: str
 
 
-@dataclass(frozen=True)
-class VmSpec:
+class VmSpec(NamedTuple):
     operating_system: str
     sku: str | None = None
     cpu_ghz: float | None = None
     ram_gb: float | None = None
 
 
-@dataclass(frozen=True)
-class StorageSpec:
+class StorageSpec(NamedTuple):
     storage_type: str
 
 
@@ -91,29 +88,25 @@ class Node:
     requirements: tuple[ResourceRequirement, ...] = ()
 
 
-@dataclass(frozen=True)
-class ArtifactItem:
+class ArtifactItem(NamedTuple):
     id: str
     kind: str
     label: str = ""
 
 
-@dataclass(frozen=True)
-class DeploymentBinding:
+class DeploymentBinding(NamedTuple):
     artifact_id: str
     node_id: str
 
 
-@dataclass(frozen=True)
-class CommunicationPath:
+class CommunicationPath(NamedTuple):
     id: str
     from_node: str
     to_node: str
     volume: ResourceRequirement
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     id: str
     label: str = ""
     node_ids: tuple[str, ...] = ()

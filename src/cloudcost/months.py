@@ -4,43 +4,43 @@ A :class:`Month` is a ``(year, month)`` tuple with calendar methods. Report
 assembly sorts lines by month, checks adjacent sort keys and keys the monthly
 totals by month, so equality, ordering and hashing stay the tuple's own, in C.
 By design a ``Month`` therefore equals the plain tuple ``(year, month)``.
-It names its fields as a namedtuple does (``_fields``), so
-``dataclasses.asdict`` and ``astuple`` rebuild it as ``Month(year, month)``.
+It is a named tuple, so ``dataclasses.asdict`` and ``astuple`` rebuild it as
+``Month(year, month)``.
+
+Month lengths and the weekday of each month's first day come from integer
+arithmetic (:func:`month_calendar`), not from the ``calendar`` module.
 """
 
 from __future__ import annotations
 
-import calendar
 import re
 from dataclasses import dataclass
 from datetime import date
+from typing import Iterator, NamedTuple
 
 from .errors import WindowError
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # in a common year
+# Sakamoto's month offsets: day 1's weekday is (y + y//4 - y//100 + y//400 + offset) % 7
+_OFFSETS = (0, 3, 2, 5, 0, 3, 5, 1, 4, 6, 2, 4)
 
 
-class Month(tuple):
+class _MonthFields(NamedTuple):
+    year: int
+    month: int
+
+
+class Month(_MonthFields):
     """A calendar month in the proleptic Gregorian calendar; read-only."""
 
     __slots__ = ()
-    _fields = ("year", "month")
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks the range too
 
     def __new__(cls, year: int, month: int) -> Month:
         if not 1 <= month <= 12:
             raise ValueError(f"month number out of range: {month}")
         return tuple.__new__(cls, (year, month))
-
-    def __getnewargs__(self) -> tuple[int, int]:  # copy and pickle rebuild via __new__
-        return tuple(self)
-
-    @property
-    def year(self) -> int:
-        return self[0]
-
-    @property
-    def month(self) -> int:
-        return self[1]
 
     @classmethod
     def parse(cls, text: str) -> Month:
@@ -56,7 +56,7 @@ class Month(tuple):
         return date(self.year, self.month, self.days())
 
     def days(self) -> int:
-        return calendar.monthrange(self.year, self.month)[1]
+        return next(month_calendar(self, self))[3]
 
     def index(self) -> int:
         return self.year * 12 + self.month - 1
@@ -71,8 +71,20 @@ class Month(tuple):
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
 
-    def __repr__(self) -> str:
-        return f"Month(year={self.year!r}, month={self.month!r})"
+
+def month_calendar(first: Month, last: Month) -> Iterator[tuple[int, int, int, int]]:
+    """``(year, month, weekday of day 1, days in month)`` for each month from
+    ``first`` through ``last``, 0 being Monday. Day 1's weekday is computed
+    for ``first`` and then carried forward by each month's length."""
+    y = first[0] - (first[1] < 3)
+    weekday = (y + y // 4 - y // 100 + y // 400 + _OFFSETS[first[1] - 1]) % 7
+    for index in range(first.index(), last.index() + 1):
+        year, month = divmod(index, 12)
+        month += 1
+        leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        length = _LENGTHS[month - 1] + leap
+        yield year, month, weekday, length
+        weekday = (weekday + length) % 7
 
 
 @dataclass(frozen=True)

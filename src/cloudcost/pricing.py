@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import CatalogError, MissingRateError, _key_problem, _str_problem, read_input
 from .money import as_decimal, to_money
@@ -61,16 +61,14 @@ class RateEntry:
         return (self.provider, self.region, self.dimension, self.sku, self.scope)
 
 
-@dataclass(frozen=True)
-class PurchaseOption:
+class PurchaseOption(NamedTuple):
     kind: str  # on_demand or reserved
     hourly_rate: Decimal
     term_months: int | None = None
     upfront_fee: Decimal | None = None
 
 
-@dataclass(frozen=True)
-class InstanceSku:
+class InstanceSku(NamedTuple):
     provider: str
     region: str
     name: str

@@ -454,6 +454,32 @@ class TestImports:
         assess = sorted([*validate, "cloudcost.assess"])
         assert proc.stderr.splitlines() == [repr(base), repr(validate), repr(assess)]
 
+    # Standard-library modules a fresh process must not load, pinned by absence
+    # so the pins hold whatever else each Python version's stdlib imports.
+    @pytest.mark.parametrize("argv, absent", [
+        ([], ("dataclasses", "inspect")),
+        (["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--out", "{tmp}"],
+         ("dataclasses", "inspect")),
+        (["validate", DEMO_MODEL], ("calendar", "fractions")),
+        (["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+          "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}"],
+         ("calendar", "fractions")),
+    ], ids=["import", "assess", "validate", "export-csv"])
+    def test_a_fresh_command_never_loads_these_stdlib_modules(self, tmp_path, argv, absent):
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "import cloudcost.cli\n"
+                  "code = cloudcost.cli.main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+                  "print(sorted(set(sys.argv[1].split()) & (set(sys.modules) - before)))\n"
+                  "sys.exit(code)\n")
+        src = Path(cloudcost.__file__).resolve().parents[1]
+        argv = [arg.replace("{tmp}", str(tmp_path / "out")) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", script, " ".join(absent), *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 SEED_PATTERNS = ("perm: every month +17", "temp: every jun-aug on weekends /2",
                  "perm: every jan-mar on 1-15 *1.1", "temp: every month on mon-fri -3",

@@ -8,6 +8,7 @@ import pytest
 
 from cloudcost import engine, model as m, pricing
 from cloudcost.errors import EvaluationError, MissingRateError, PlanError, WindowError
+from cloudcost.money import to_money
 from cloudcost.months import Month, SimulationWindow
 
 from builders import PLACEMENTS, flat_catalog, random_model
@@ -395,6 +396,27 @@ class TestCostReport:
                              key=lambda line: line.sort_key))
         with pytest.raises(ValueError, match=f"line month {outside} outside the window"):
             engine.CostReport(window(2), lines)
+
+    def test_monthly_totals_equal_per_line_sums_keyed_by_month(self, demo_model_text,
+                                                              demo_catalog_text):
+        decade = engine.simulate(m.parse_model(demo_model_text),
+                                 pricing.load_catalog(demo_catalog_text),
+                                 SimulationWindow(Month(2011, 1), Month(2020, 12)))
+        # Feb and Apr have no lines; March's sum rounds differently in any other order
+        mar = Month(2011, 3)
+        gap = engine.CostReport(window(4), (
+            cost_line(Month(2011, 1)),
+            replace(cost_line(mar, "a"), cost=Decimal("1e21")),
+            replace(cost_line(mar, "b"), cost=Decimal("0.0000006")),
+            replace(cost_line(mar, "c"), cost=Decimal("0.0000006"))))
+        for report in (decade, gap):
+            totals = {month: Decimal(0) for month in report.window.months()}
+            for line in report.lines:
+                totals[line.month] += line.cost
+            expected = [(month, str(to_money(total))) for month, total in totals.items()]
+            assert [(month, str(total)) for month, total in report.monthly_totals()] == expected
+        assert [str(total) for _, total in gap.monthly_totals()] == [
+            "1.000000", "0.000000", "1000000000000000000000.000002", "0.000000"]
 
 
 class TestRollup:

@@ -1,3 +1,4 @@
+import calendar
 import copy
 import dataclasses
 import pickle
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudcost.engine import CostLine, CostReport
-from cloudcost.months import Month, SimulationWindow
+from cloudcost.months import Month, SimulationWindow, month_calendar
 
 MONTHS = st.builds(Month, st.integers(1, 9999), st.integers(1, 12))
 
@@ -50,6 +51,8 @@ def test_month_number_out_of_range(number):
     with pytest.raises(ValueError) as exc:
         Month(2011, number)
     assert str(exc.value) == f"month number out of range: {number}"
+    with pytest.raises(ValueError):
+        Month(2011, 1)._replace(month=number)
 
 
 def test_dataclass_conversions_rebuild_months():
@@ -70,3 +73,15 @@ def test_dataclass_conversions_rebuild_months():
 def test_a_month_equals_its_plain_tuple():
     assert Month(2011, 3) == (2011, 3)
     assert hash(Month(2011, 3)) == hash((2011, 3))
+
+
+def test_month_calendar_agrees_with_the_calendar_module():
+    # one walk over years 1-9999 carries the weekday forward; each month is
+    # also started on its own, which computes its first weekday directly
+    walked = list(month_calendar(Month(1, 1), Month(9999, 12)))
+    assert len(walked) == 9999 * 12
+    for year, month, weekday1, days in walked:
+        assert (weekday1, days) == calendar.monthrange(year, month), (year, month)
+        assert next(month_calendar(Month(year, month), Month(year, month))) == (
+            year, month, weekday1, days)
+        assert Month(year, month).days() == days
