@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .errors import (AssessmentError, Diagnostic, EmptyCategoryError, _key_problem,
-                     read_input)
+from . import schema
+from .errors import AssessmentError, Diagnostic, EmptyCategoryError
 
 BENEFIT = "benefit"
 RISK = "risk"
@@ -84,14 +83,13 @@ def natural_id_key(item_id: str) -> tuple:
     return (item_id, 0)
 
 
-def load_items(text: str) -> list[AssessmentItem]:
-    """Parse the item catalog; raises AssessmentError on any defect."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AssessmentError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if _key_problem(data, ("items",)) or not isinstance(data["items"], list):
+def load_items(text: str, source: str | None = None) -> list[AssessmentItem]:
+    """Parse the item catalog (from file ``source``); raises AssessmentError."""
+    return schema.read(text, _build_items, AssessmentError, source)
+
+
+def _build_items(data: Any) -> list[AssessmentItem]:
+    if not isinstance(data, dict) or len(data) != 1 or not isinstance(data.get("items"), list):
         raise AssessmentError("item file must be an object with a single 'items' array")
     items: list[AssessmentItem] = []
     seen: set[str] = set()
@@ -99,38 +97,31 @@ def load_items(text: str) -> list[AssessmentItem]:
     optional = ("mitigation", "indicators", "references", "applies_to_private_cloud")
     for i, raw in enumerate(data["items"]):
         path = f"items[{i}]"
-        problem = _key_problem(raw, required, optional)
-        if problem:
-            raise AssessmentError(f"{path}: {problem}")
+        schema.fields(raw, path, required, optional)
         for key in required:
             if not isinstance(raw[key], str) or not raw[key]:
                 raise AssessmentError(f"{path}.{key}: required non-empty string")
-        if raw["kind"] not in KINDS:
-            raise AssessmentError(f"{path}.kind: unknown kind {raw['kind']!r}")
-        if raw["category"] not in CATEGORIES:
-            raise AssessmentError(f"{path}.category: unknown category {raw['category']!r}")
+        kind = schema.choice(raw["kind"], f"{path}.kind", KINDS, "kind")
+        category = schema.choice(raw["category"], f"{path}.category", CATEGORIES, "category")
         if raw["id"] in seen:
             raise AssessmentError(f"{path}.id: duplicate item id {raw['id']!r}")
         seen.add(raw["id"])
         mitigation = raw.get("mitigation")
         indicators = raw.get("indicators")
-        if raw["kind"] == BENEFIT and (mitigation is not None or indicators is not None):
+        if kind == BENEFIT and (mitigation is not None or indicators is not None):
             raise AssessmentError(
                 f"{path}: benefits never carry mitigation or indicator text")
-        references = raw.get("references", [])
-        if not isinstance(references, list) or not all(isinstance(r, str) for r in references):
-            raise AssessmentError(f"{path}.references: expected an array of strings")
+        references = schema.strings(raw, "references", path)
         star = raw.get("applies_to_private_cloud", False)
         if not isinstance(star, bool):
             raise AssessmentError(f"{path}.applies_to_private_cloud: expected a boolean")
-        items.append(AssessmentItem(raw["id"], raw["kind"], raw["category"],
-                                    raw["statement"], mitigation, indicators,
-                                    tuple(references), star))
+        items.append(AssessmentItem(raw["id"], kind, category, raw["statement"],
+                                    mitigation, indicators, references, star))
     return items
 
 
 def load_items_file(path: str) -> list[AssessmentItem]:
-    return load_items(read_input(path))
+    return load_items(schema.read_input(path), path)
 
 
 def parse_ratings(text: str) -> RatingSheet:
@@ -179,7 +170,7 @@ def parse_ratings(text: str) -> RatingSheet:
 
 
 def parse_ratings_file(path: str) -> RatingSheet:
-    return parse_ratings(read_input(path))
+    return parse_ratings(schema.read_input(path))
 
 
 def validate_sheet(sheet: RatingSheet, items: Sequence[AssessmentItem]) -> list[Diagnostic]:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import (CatalogError, CloudCostError, InputError, MissingRateError,
-                     ModelError, PlanError, WindowError, _str_problem, read_input)
+                     ModelError, PlanError, WindowError)
 
 CATALOG_ENV = "CLOUDCOST_CATALOG"
 
@@ -58,15 +58,10 @@ def _load_catalog(args: argparse.Namespace) -> pricing.PriceCatalog:
 def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
     if path is None:
         return {}
-    from . import engine
+    from . import engine, schema
 
-    try:
-        data = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"plan file {path}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise PlanError(f"plan file {path}: expected an object of node choices")
-    return engine.parse_plan(data)
+    return schema.read(schema.read_input(path), lambda data: engine.parse_plan(data, path),
+                       PlanError, path)
 
 
 def _month_arg(text: str) -> Month:
@@ -151,9 +146,8 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
 def cmd_validate(args: argparse.Namespace) -> int:
     from . import model
 
-    text = read_input(args.model)
     try:
-        model.parse_model(text)
+        model.load_model(args.model)
     except ModelError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -166,7 +160,7 @@ def _run_simulation(args: argparse.Namespace) -> tuple[model.DeploymentModel,
 
     parsed = model.load_model(args.model)
     catalog = _load_catalog(args)
-    plan = _load_plan(getattr(args, "plan", None))
+    plan = _load_plan(args.plan)
     cost_report = engine.simulate(parsed, catalog, _window(args), plan)
     return parsed, cost_report
 
@@ -229,28 +223,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_providers(args: argparse.Namespace) -> int:
-    from . import engine, model
+    from . import engine, model, schema
 
     parsed = model.load_model(args.model)
     catalog = _load_catalog(args)
-    try:
-        mapping = json.loads(read_input(args.map))
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"map file {args.map}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(mapping, dict) or not mapping:
-        raise CatalogError(f"map file {args.map}: expected label -> {{provider, region}}")
-    plan = _load_plan(getattr(args, "plan", None))
-    scenarios = []
-    for label, target in mapping.items():
-        if not isinstance(target, dict) or set(target) != {"provider", "region"}:
-            raise CatalogError(
-                f"map entry {label!r}: expected exactly provider and region")
-        for key in ("provider", "region"):
-            problem = _str_problem(target[key])
-            if problem:
-                raise CatalogError(f"map entry {label!r}.{key}: {problem}")
-        scenarios.append((label, parsed.replaced(target["provider"], target["region"]),
-                          plan))
+
+    def placed(mapping: object) -> list[tuple[str, model.DeploymentModel]]:
+        """The model moved to each map entry's provider and region."""
+        if not isinstance(mapping, dict) or not mapping:
+            raise CatalogError(f"map file {args.map}: expected label -> {{provider, region}}")
+        models = []
+        for label, target in mapping.items():
+            where = f"map entry {label!r}"
+            schema.fields(target, where, ("provider", "region"))
+            models.append((label, parsed.replaced(schema.string(target, "provider", where),
+                                                  schema.string(target, "region", where))))
+        return models
+
+    models = schema.read(schema.read_input(args.map), placed, CatalogError, args.map)
+    plan = _load_plan(args.plan)
+    scenarios = [(label, moved, plan) for label, moved in models]
     if len(scenarios) < 2:
         print("compare-providers needs at least two map entries", file=sys.stderr)
         return 2
@@ -297,30 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.set_defaults(func=cmd_validate)
 
-    def sim_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", required=True)
+    def catalog_and_window_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--catalog", help=f"price catalog (default ${CATALOG_ENV})")
         p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
         p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
 
+    def sim_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", required=True)
+        catalog_and_window_args(p)
+        p.add_argument("--plan", help="purchase plan JSON (node id -> choice)")
+
     p = sub.add_parser("simulate", help="simulate costs and write reports")
     sim_args(p)
-    p.add_argument("--plan", help="purchase plan JSON (node id -> choice)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("export-csv", help="simulate and write only report.csv")
     sim_args(p)
-    p.add_argument("--plan")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_csv)
 
     p = sub.add_parser("compare", help="compare scenario models side by side")
     p.add_argument("--models", required=True, help="comma-separated model files")
     p.add_argument("--plans", help="comma-separated plan files ('-' for on-demand)")
-    p.add_argument("--catalog")
-    p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
-    p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
+    catalog_and_window_args(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -329,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_args(p)
     p.add_argument("--map", required=True,
                    help="JSON file: label -> {provider, region}")
-    p.add_argument("--plan")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare_providers)
 

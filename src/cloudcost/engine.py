@@ -35,10 +35,10 @@ from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from . import model as m
-from . import pricing
+from . import pricing, schema
 from .elasticity import UsageSchedule, monthly_series
 from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
-from .errors import EvaluationError, MissingRateError, ModelError, PlanError, _key_problem
+from .errors import EvaluationError, MissingRateError, ModelError, PlanError
 from .money import CENT_EXP, MONEY_EXP, to_money
 from .months import Month, SimulationWindow
 
@@ -91,34 +91,34 @@ class PlanChoice(NamedTuple):
 ON_DEMAND_CHOICE = PlanChoice()
 
 
-def parse_plan(data: Mapping) -> dict[str, PlanChoice]:
-    """Plan document: node id -> "on_demand" | {kind, term_months?}.
+def parse_plan(data: object, path: str) -> dict[str, PlanChoice]:
+    """Plan document of file ``path``: node id -> "on_demand" | {kind, term_months?}.
 
-    Unknown keys, a term that is not a positive integer and a term on an
-    on_demand choice are PlanErrors.
+    A document that is not an object, unknown keys, a term that is not a
+    positive integer and a term on an on_demand choice are PlanErrors.
     """
+    if not isinstance(data, dict):
+        raise PlanError(f"plan file {path}: expected an object of node choices")
     plan: dict[str, PlanChoice] = {}
     for node_id, raw in data.items():
         if raw == pricing.ON_DEMAND:
             plan[node_id] = ON_DEMAND_CHOICE
             continue
+        where = f"plan for {node_id!r}"
         if not isinstance(raw, dict):
-            raise PlanError(f"plan for {node_id!r}: expected 'on_demand' or an object")
-        problem = _key_problem(raw, ("kind",), ("term_months",))
-        if problem:
-            raise PlanError(f"plan for {node_id!r}: {problem}")
-        kind, term = raw["kind"], raw.get("term_months")
-        if kind == pricing.ON_DEMAND:
+            raise PlanError(f"{where}: expected 'on_demand' or an object")
+        schema.fields(raw, where, ("kind",), ("term_months",))
+        term = raw.get("term_months")
+        if schema.choice(raw["kind"], where, (pricing.ON_DEMAND, pricing.RESERVED),
+                         "purchase kind") == pricing.ON_DEMAND:
             if "term_months" in raw:
-                raise PlanError(f"plan for {node_id!r}: on_demand choices carry no term")
+                raise PlanError(f"{where}: on_demand choices carry no term")
             plan[node_id] = ON_DEMAND_CHOICE
-        elif kind == pricing.RESERVED:
+        else:
             if term is not None and (isinstance(term, bool) or not isinstance(term, int)
                                      or term < 1):
-                raise PlanError(f"plan for {node_id!r}: term_months must be a positive integer")
+                raise PlanError(f"{where}: term_months must be a positive integer")
             plan[node_id] = PlanChoice(pricing.RESERVED, term)
-        else:
-            raise PlanError(f"plan for {node_id!r}: unknown purchase kind {kind!r}")
     return plan
 
 
@@ -135,8 +135,6 @@ class CostLine:
     provider: str
     region: str
     scope: str | None = None
-
-    sort_key = property(_line_order, doc="(month, subject, dimension)")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Exception hierarchy, the shared diagnostic record, the strict-key and
-string checks, and the input-file read."""
+"""Exception hierarchy and the shared diagnostic record."""
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 
 class Diagnostic(NamedTuple):
@@ -17,46 +16,13 @@ class Diagnostic(NamedTuple):
         return f"{self.severity}: {self.path}: {self.message}"
 
 
-def _key_problem(value: Any, required: tuple[str, ...] = (),
-                 optional: tuple[str, ...] = ()) -> str | None:
-    """Why ``value`` is not an object with exactly the allowed keys, or None.
-
-    The strict loaders of models, catalogs, plans and assessment items share
-    this check; each raises its own error type with the returned text.
-    """
-    if not isinstance(value, dict):
-        return f"expected an object, got {type(value).__name__}"
-    unknown = sorted(set(value) - set(required) - set(optional))
-    if unknown:
-        return f"unknown key(s): {', '.join(unknown)}"
-    missing = sorted(set(required) - set(value))
-    if missing:
-        return f"missing required key(s): {', '.join(missing)}"
-    return None
-
-
-def _str_problem(value: Any) -> str | None:
-    """Why ``value`` is not a string, or None; shared like :func:`_key_problem`."""
-    if isinstance(value, str):
-        return None
-    return f"expected a string, got {type(value).__name__}"
-
-
-def read_input(path: str) -> str:
-    """The text of a UTF-8 input file (model, catalog, plan, map, items, ratings).
-
-    Bytes that are not UTF-8 raise :class:`InputError` naming the path;
-    ``OSError`` passes through.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
 class CloudCostError(Exception):
     """Base class for all toolkit errors."""
+
+    @classmethod
+    def at(cls, path: str, message: str) -> CloudCostError:
+        """The error for a defect at ``path`` of an input document."""
+        return cls(f"{path}: {message}")
 
 
 class ModelError(CloudCostError):
@@ -65,6 +31,11 @@ class ModelError(CloudCostError):
     def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):
         super().__init__(message)
         self.diagnostics = list(diagnostics or [])
+
+    @classmethod
+    def at(cls, path: str, message: str) -> ModelError:
+        """A schema violation: one error diagnostic at ``path``."""
+        return cls("schema violation", [Diagnostic("error", path, message)])
 
     def __str__(self) -> str:
         base = super().__str__()

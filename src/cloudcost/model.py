@@ -8,15 +8,14 @@ used for cost breakdowns.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, NamedTuple
 
+from . import schema
 from .elasticity import PatternSpec, parse_patterns
-from .errors import (Diagnostic, ModelError, PatternError, _key_problem, _str_problem,
-                     read_input)
+from .errors import Diagnostic, ModelError, PatternError
 
 VIRTUAL_MACHINE = "virtual_machine"
 VIRTUAL_STORAGE = "virtual_storage"
@@ -160,129 +159,83 @@ class DeploymentModel:
 
 # --- structural parsing (strict: unknown keys are schema errors) ----------
 
-def _fail(path: str, message: str) -> None:
-    raise ModelError("schema violation", [Diagnostic("error", path, message)])
-
-
-def _check_obj(value: Any, path: str, required: tuple[str, ...],
-               optional: tuple[str, ...]) -> dict:
-    problem = _key_problem(value, required, optional)
-    if problem:
-        _fail(path, problem)
-    return value
-
-
-def _str_at(obj: dict, key: str, path: str) -> str:
-    problem = _str_problem(obj[key])
-    if problem:
-        _fail(f"{path}.{key}", problem)
-    return obj[key]
-
-
-def _num_at(obj: dict, key: str, path: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _list_at(data: dict, key: str, path: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        _fail(f"{path}.{key}" if path else key, "expected an array")
-    return value
-
-
 def _parse_requirement(value: Any, path: str) -> ResourceRequirement:
-    obj = _check_obj(value, path, ("kind", "baseline"), ("patterns",))
-    kind = _str_at(obj, "kind", path)
-    if kind not in REQUIREMENT_KINDS:
-        _fail(f"{path}.kind", f"unknown requirement kind {kind!r}")
-    baseline = _num_at(obj, "baseline", path)
-    patterns = obj.get("patterns", [])
-    if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-        _fail(f"{path}.patterns", "expected an array of pattern strings")
-    return ResourceRequirement(kind, baseline, tuple(patterns))
+    obj = schema.fields(value, path, ("kind", "baseline"), ("patterns",))
+    kind = schema.choice(schema.string(obj, "kind", path), f"{path}.kind",
+                         REQUIREMENT_KINDS, "requirement kind")
+    return ResourceRequirement(kind, schema.number(obj, "baseline", path),
+                               schema.strings(obj, "patterns", path, "pattern strings"))
 
 
 def _parse_node(value: Any, path: str) -> Node:
-    obj = _check_obj(value, path, ("id", "kind"),
-                     ("placement", "vm_spec", "storage_spec", "requirements"))
-    node_id = _str_at(obj, "id", path)
-    kind = _str_at(obj, "kind", path)
-    if kind not in NODE_KINDS:
-        _fail(f"{path}.kind", f"unknown node kind {kind!r}")
+    obj = schema.fields(value, path, ("id", "kind"),
+                        ("placement", "vm_spec", "storage_spec", "requirements"))
+    node_id = schema.string(obj, "id", path)
+    kind = schema.choice(schema.string(obj, "kind", path), f"{path}.kind",
+                         NODE_KINDS, "node kind")
     placement = None
     if obj.get("placement") is not None:
-        p = _check_obj(obj["placement"], f"{path}.placement", ("provider", "region"), ())
-        placement = Placement(_str_at(p, "provider", f"{path}.placement"),
-                              _str_at(p, "region", f"{path}.placement"))
+        p = schema.fields(obj["placement"], f"{path}.placement", ("provider", "region"))
+        placement = Placement(schema.string(p, "provider", f"{path}.placement"),
+                              schema.string(p, "region", f"{path}.placement"))
     vm_spec = None
     if obj.get("vm_spec") is not None:
-        v = _check_obj(obj["vm_spec"], f"{path}.vm_spec", ("operating_system",),
-                       ("sku", "cpu_ghz", "ram_gb"))
-        sku = _str_at(v, "sku", f"{path}.vm_spec") if "sku" in v else None
-        cpu = _num_at(v, "cpu_ghz", f"{path}.vm_spec") if "cpu_ghz" in v else None
-        ram = _num_at(v, "ram_gb", f"{path}.vm_spec") if "ram_gb" in v else None
-        vm_spec = VmSpec(_str_at(v, "operating_system", f"{path}.vm_spec"), sku, cpu, ram)
+        v = schema.fields(obj["vm_spec"], f"{path}.vm_spec", ("operating_system",),
+                          ("sku", "cpu_ghz", "ram_gb"))
+        sku = schema.string(v, "sku", f"{path}.vm_spec") if "sku" in v else None
+        cpu = schema.number(v, "cpu_ghz", f"{path}.vm_spec") if "cpu_ghz" in v else None
+        ram = schema.number(v, "ram_gb", f"{path}.vm_spec") if "ram_gb" in v else None
+        vm_spec = VmSpec(schema.string(v, "operating_system", f"{path}.vm_spec"), sku, cpu, ram)
     storage_spec = None
     if obj.get("storage_spec") is not None:
-        st = _check_obj(obj["storage_spec"], f"{path}.storage_spec", ("storage_type",), ())
-        storage_spec = StorageSpec(_str_at(st, "storage_type", f"{path}.storage_spec"))
+        st = schema.fields(obj["storage_spec"], f"{path}.storage_spec", ("storage_type",))
+        storage_spec = StorageSpec(schema.string(st, "storage_type", f"{path}.storage_spec"))
     requirements = tuple(
         _parse_requirement(req, f"{path}.requirements[{i}]")
-        for i, req in enumerate(_list_at(obj, "requirements", path))
+        for i, req in enumerate(schema.array(obj, "requirements", path))
     )
     return Node(node_id, kind, placement, vm_spec, storage_spec, requirements)
 
 
 def _build_model(data: Any) -> DeploymentModel:
-    top = _check_obj(data, "$", ("name", "nodes"),
-                     ("artifacts", "bindings", "paths", "groups"))
-    name = _str_at(top, "name", "$")
+    top = schema.fields(data, "$", ("name", "nodes"),
+                        ("artifacts", "bindings", "paths", "groups"))
+    name = schema.string(top, "name", "$")
     nodes = tuple(_parse_node(n, f"nodes[{i}]")
-                  for i, n in enumerate(_list_at(top, "nodes", "")))
+                  for i, n in enumerate(schema.array(top, "nodes", "")))
     artifacts = []
-    for i, a in enumerate(_list_at(top, "artifacts", "")):
-        obj = _check_obj(a, f"artifacts[{i}]", ("id", "kind"), ("label",))
-        kind = _str_at(obj, "kind", f"artifacts[{i}]")
-        if kind not in ARTIFACT_KINDS:
-            _fail(f"artifacts[{i}].kind", f"unknown artifact kind {kind!r}")
-        label = _str_at(obj, "label", f"artifacts[{i}]") if "label" in obj else ""
-        artifacts.append(ArtifactItem(_str_at(obj, "id", f"artifacts[{i}]"), kind, label))
+    for i, a in enumerate(schema.array(top, "artifacts", "")):
+        obj = schema.fields(a, f"artifacts[{i}]", ("id", "kind"), ("label",))
+        kind = schema.choice(schema.string(obj, "kind", f"artifacts[{i}]"), f"artifacts[{i}].kind",
+                             ARTIFACT_KINDS, "artifact kind")
+        label = schema.string(obj, "label", f"artifacts[{i}]") if "label" in obj else ""
+        artifacts.append(ArtifactItem(schema.string(obj, "id", f"artifacts[{i}]"), kind, label))
     bindings = []
-    for i, b in enumerate(_list_at(top, "bindings", "")):
-        obj = _check_obj(b, f"bindings[{i}]", ("artifact_id", "node_id"), ())
-        bindings.append(DeploymentBinding(_str_at(obj, "artifact_id", f"bindings[{i}]"),
-                                          _str_at(obj, "node_id", f"bindings[{i}]")))
+    for i, b in enumerate(schema.array(top, "bindings", "")):
+        obj = schema.fields(b, f"bindings[{i}]", ("artifact_id", "node_id"))
+        bindings.append(DeploymentBinding(schema.string(obj, "artifact_id", f"bindings[{i}]"),
+                                          schema.string(obj, "node_id", f"bindings[{i}]")))
     paths = []
-    for i, p in enumerate(_list_at(top, "paths", "")):
-        obj = _check_obj(p, f"paths[{i}]", ("id", "from_node", "to_node", "volume"), ())
+    for i, p in enumerate(schema.array(top, "paths", "")):
+        obj = schema.fields(p, f"paths[{i}]", ("id", "from_node", "to_node", "volume"))
         volume = _parse_requirement(obj["volume"], f"paths[{i}].volume")
-        paths.append(CommunicationPath(_str_at(obj, "id", f"paths[{i}]"),
-                                       _str_at(obj, "from_node", f"paths[{i}]"),
-                                       _str_at(obj, "to_node", f"paths[{i}]"),
+        paths.append(CommunicationPath(schema.string(obj, "id", f"paths[{i}]"),
+                                       schema.string(obj, "from_node", f"paths[{i}]"),
+                                       schema.string(obj, "to_node", f"paths[{i}]"),
                                        volume))
     groups = []
-    for i, g in enumerate(_list_at(top, "groups", "")):
-        obj = _check_obj(g, f"groups[{i}]", ("id",), ("label", "node_ids"))
-        node_ids = obj.get("node_ids", [])
-        if not isinstance(node_ids, list) or not all(isinstance(n, str) for n in node_ids):
-            _fail(f"groups[{i}].node_ids", "expected an array of node ids")
-        label = _str_at(obj, "label", f"groups[{i}]") if "label" in obj else ""
-        groups.append(Group(_str_at(obj, "id", f"groups[{i}]"), label, tuple(node_ids)))
+    for i, g in enumerate(schema.array(top, "groups", "")):
+        obj = schema.fields(g, f"groups[{i}]", ("id",), ("label", "node_ids"))
+        node_ids = schema.strings(obj, "node_ids", f"groups[{i}]", "node ids")
+        label = schema.string(obj, "label", f"groups[{i}]") if "label" in obj else ""
+        groups.append(Group(schema.string(obj, "id", f"groups[{i}]"), label, node_ids))
     return DeploymentModel(name, nodes, tuple(artifacts), tuple(bindings),
                            tuple(paths), tuple(groups))
 
 
-def parse_model(text: str) -> DeploymentModel:
-    """Parse and validate a model document; raises ModelError on any defect."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    model = _build_model(data)
+def parse_model(text: str, source: str | None = None) -> DeploymentModel:
+    """Parse and validate a model document (from file ``source``); raises ModelError."""
+    model = schema.read(text, _build_model, ModelError, source)
     diagnostics = validate(model)
     if any(d.severity == "error" for d in diagnostics):
         raise ModelError("model validation failed", diagnostics)
@@ -290,7 +243,7 @@ def parse_model(text: str) -> DeploymentModel:
 
 
 def load_model(path: str) -> DeploymentModel:
-    return parse_model(read_input(path))
+    return parse_model(schema.read_input(path), path)
 
 
 # --- semantic validation ---------------------------------------------------

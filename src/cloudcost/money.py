@@ -21,13 +21,7 @@ def to_money(value: Decimal | int | float | str) -> Decimal:
     An amount whose digits do not fit the decimal context's precision
     raises :class:`EvaluationError` instead of a bare decimal signal.
     """
-    if isinstance(value, Decimal):
-        d = value
-    elif isinstance(value, float):
-        # str() gives the shortest round-trip form, avoiding binary artifacts
-        d = Decimal(str(value))
-    else:
-        d = Decimal(value)
+    d = as_decimal(value)
     try:
         return d.quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
     except InvalidOperation as exc:
@@ -40,6 +34,7 @@ def as_decimal(value: Decimal | int | float | str) -> Decimal:
     if isinstance(value, Decimal):
         return value
     if isinstance(value, float):
+        # str() gives the shortest round-trip form, avoiding binary artifacts
         return Decimal(str(value))
     return Decimal(value)
 

@@ -8,12 +8,12 @@ decision-support tool must never silently price a resource at zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any, NamedTuple
 
-from .errors import CatalogError, MissingRateError, _key_problem, _str_problem, read_input
+from . import schema
+from .errors import CatalogError, MissingRateError
 from .money import as_decimal, to_money
 from .months import Month, SimulationWindow
 
@@ -140,29 +140,12 @@ def _bound_at(value: Any, path: str) -> Decimal | None:
     raise CatalogError(f"{path}: tier bounds must be integers, strings or null")
 
 
-def _strict_keys(obj: Any, path: str, required: tuple[str, ...],
-                 optional: tuple[str, ...] = ()) -> dict:
-    problem = _key_problem(obj, required, optional)
-    if problem:
-        raise CatalogError(f"{path}: {problem}")
-    return obj
-
-
-def _str_at(obj: dict, key: str, path: str) -> str:
-    problem = _str_problem(obj[key])
-    if problem:
-        raise CatalogError(f"{path}.{key}: {problem}")
-    return obj[key]
-
-
 def _parse_entry(value: Any, path: str) -> RateEntry:
-    obj = _strict_keys(value, path, ("provider", "region", "dimension", "pricing"),
-                       ("sku", "scope"))
-    provider, region = _str_at(obj, "provider", path), _str_at(obj, "region", path)
-    sku = None if obj.get("sku") is None else _str_at(obj, "sku", path)
-    dimension = obj["dimension"]
-    if dimension not in DIMENSIONS:
-        raise CatalogError(f"{path}.dimension: unknown dimension {dimension!r}")
+    obj = schema.fields(value, path, ("provider", "region", "dimension", "pricing"),
+                        ("sku", "scope"))
+    provider, region = schema.string(obj, "provider", path), schema.string(obj, "region", path)
+    sku = None if obj.get("sku") is None else schema.string(obj, "sku", path)
+    dimension = schema.choice(obj["dimension"], f"{path}.dimension", DIMENSIONS, "dimension")
     scope = obj.get("scope")
     if dimension in TRANSFER_DIMENSIONS:
         if scope not in SCOPES:
@@ -170,7 +153,7 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
                                f"(internet, intra_region or inter_region), got {scope!r}")
     elif scope is not None:
         raise CatalogError(f"{path}.scope: scope is only valid on transfer dimensions")
-    pricing = _strict_keys(obj["pricing"], f"{path}.pricing", (), ("flat", "tiers"))
+    pricing = schema.fields(obj["pricing"], f"{path}.pricing", (), ("flat", "tiers"))
     flat = None
     tiers: tuple[Tier, ...] = ()
     if ("flat" in pricing) == ("tiers" in pricing):
@@ -185,8 +168,8 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
             raise CatalogError(f"{path}.pricing.tiers: expected a non-empty array")
         parsed = []
         for i, raw in enumerate(raw_tiers):
-            tobj = _strict_keys(raw, f"{path}.pricing.tiers[{i}]",
-                                ("upper_bound", "unit_price"))
+            tobj = schema.fields(raw, f"{path}.pricing.tiers[{i}]",
+                                 ("upper_bound", "unit_price"))
             bound = _bound_at(tobj["upper_bound"], f"{path}.pricing.tiers[{i}].upper_bound")
             price = _price_at(tobj, "unit_price", f"{path}.pricing.tiers[{i}]")
             if price < 0:
@@ -210,25 +193,25 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
 
 
 def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
-    obj = _strict_keys(value, path, ("provider", "region", "name", "purchase_options"))
-    provider, region, name = (_str_at(obj, key, path) for key in ("provider", "region", "name"))
+    obj = schema.fields(value, path, ("provider", "region", "name", "purchase_options"))
+    provider, region, name = (schema.string(obj, k, path) for k in ("provider", "region", "name"))
     raw_options = obj["purchase_options"]
     if not isinstance(raw_options, list) or not raw_options:
         raise CatalogError(f"{path}.purchase_options: expected a non-empty array")
     options = []
     for i, raw in enumerate(raw_options):
         opath = f"{path}.purchase_options[{i}]"
-        oobj = _strict_keys(raw, opath, ("kind", "hourly_rate"),
-                            ("term_months", "upfront_fee"))
-        kind = oobj["kind"]
+        oobj = schema.fields(raw, opath, ("kind", "hourly_rate"),
+                             ("term_months", "upfront_fee"))
         rate = _price_at(oobj, "hourly_rate", opath)
         if rate < 0:
             raise CatalogError(f"{opath}.hourly_rate: negative price")
-        if kind == ON_DEMAND:
+        if schema.choice(oobj["kind"], f"{opath}.kind", (ON_DEMAND, RESERVED),
+                         "purchase option kind") == ON_DEMAND:
             if "term_months" in oobj or "upfront_fee" in oobj:
                 raise CatalogError(f"{opath}: on_demand options carry no term or upfront fee")
             options.append(PurchaseOption(ON_DEMAND, rate))
-        elif kind == RESERVED:
+        else:
             term = oobj.get("term_months")
             if not isinstance(term, int) or isinstance(term, bool) or term < 1:
                 raise CatalogError(f"{opath}.term_months: reserved options need a positive term")
@@ -238,8 +221,6 @@ def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
             if fee < 0:
                 raise CatalogError(f"{opath}.upfront_fee: negative fee")
             options.append(PurchaseOption(RESERVED, rate, term, fee))
-        else:
-            raise CatalogError(f"{opath}.kind: unknown purchase option kind {kind!r}")
     sku = InstanceSku(provider, region, name, tuple(options))
     on_demand = [o for o in options if o.kind == ON_DEMAND]
     if not on_demand:
@@ -253,34 +234,29 @@ def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
     return sku
 
 
-def load_catalog(text: str) -> PriceCatalog:
-    """Parse and validate a catalog document; raises CatalogError on any defect."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    top = _strict_keys(data, "$", ("currency", "entries"), ("skus",))
+def load_catalog(text: str, source: str | None = None) -> PriceCatalog:
+    """Parse and validate a catalog (from file ``source``); raises CatalogError."""
+    return schema.read(text, _build_catalog, CatalogError, source)
+
+
+def _build_catalog(data: Any) -> PriceCatalog:
+    top = schema.fields(data, "$", ("currency", "entries"), ("skus",))
     currency = top["currency"]
     if not isinstance(currency, str) or not currency:
         raise CatalogError("$.currency: expected a non-empty string")
-    if not isinstance(top["entries"], list):
-        raise CatalogError("$.entries: expected an array")
     warnings: list[str] = []
     entries = []
     seen_keys: set[tuple] = set()
-    for i, raw in enumerate(top["entries"]):
+    for i, raw in enumerate(schema.array(top, "entries", "$")):
         entry = _parse_entry(raw, f"entries[{i}]")
         if entry.key in seen_keys:
             raise CatalogError(f"entries[{i}]: duplicate rate key "
                                f"{_key_text(*entry.key)}")
         seen_keys.add(entry.key)
         entries.append(entry)
-    if not isinstance(top.get("skus", []), list):
-        raise CatalogError("$.skus: expected an array")
     skus = []
     seen_skus: set[tuple] = set()
-    for i, raw in enumerate(top.get("skus", [])):
+    for i, raw in enumerate(schema.array(top, "skus", "$")):
         sku = _parse_sku(raw, f"skus[{i}]", warnings)
         key = (sku.provider, sku.region, sku.name)
         if key in seen_skus:
@@ -291,7 +267,7 @@ def load_catalog(text: str) -> PriceCatalog:
 
 
 def load_catalog_file(path: str) -> PriceCatalog:
-    return load_catalog(read_input(path))
+    return load_catalog(schema.read_input(path), path)
 
 
 # --- pricing ------------------------------------------------------------------

@@ -1,0 +1,109 @@
+"""Strict reading of the JSON input documents: model, catalog, purchase plan,
+provider map and assessment items.
+
+A loader passes :func:`read` the text and a ``build`` that makes its records
+from the decoded JSON with the located checks below. A failed check raises a
+private defect, which :func:`read` turns into the loader's own error class
+through that class's ``at``; so checks run only inside such a ``build``.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Callable
+
+from .errors import CloudCostError, InputError
+
+
+class _Defect(Exception):
+    """A value that fails a check; ``args`` are its path and the reason."""
+
+
+def read_input(path: str) -> str:
+    """The text of a UTF-8 input file (model, catalog, plan, map, items, ratings).
+
+    Bytes that are not UTF-8 raise :class:`InputError` naming the path;
+    ``OSError`` passes through.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
+         source: str | None = None) -> Any:
+    """``build`` of the JSON document ``text``; every defect raises ``error``.
+
+    A syntax error names its line and column, after ``source`` (the file the
+    text was read from) when there is one.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = "" if source is None else f"{source}: "
+        raise error(f"{where}syntax error at line {exc.lineno}, column {exc.colno}: "
+                    f"{exc.msg}") from exc
+    try:
+        return build(data)
+    except _Defect as defect:
+        raise error.at(*defect.args) from None
+
+
+def _member(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def fields(value: Any, path: str, required: tuple[str, ...] = (),
+           optional: tuple[str, ...] = ()) -> dict:
+    """``value``: an object with every required key and no key not allowed."""
+    if not isinstance(value, dict):
+        raise _Defect(path, f"expected an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if unknown:
+        raise _Defect(path, f"unknown key(s): {', '.join(unknown)}")
+    missing = sorted(set(required) - set(value))
+    if missing:
+        raise _Defect(path, f"missing required key(s): {', '.join(missing)}")
+    return value
+
+
+def choice(value: Any, path: str, choices: tuple[str, ...], noun: str) -> str:
+    """``value``, one of ``choices``; anything else is an unknown ``noun``."""
+    if value not in choices:
+        raise _Defect(path, f"unknown {noun} {value!r}")
+    return value
+
+
+def string(obj: dict, key: str, path: str) -> str:
+    """Member ``key`` of the object at ``path``, a string."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise _Defect(_member(path, key), f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def number(obj: dict, key: str, path: str) -> float:
+    """Member ``key`` of the object at ``path``, a number, as a float."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Defect(_member(path, key), f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def array(obj: dict, key: str, path: str) -> list:
+    """Member ``key`` of the object at ``path``, an array; empty when absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise _Defect(_member(path, key), "expected an array")
+    return value
+
+
+def strings(obj: dict, key: str, path: str, noun: str = "strings") -> tuple[str, ...]:
+    """Member ``key`` of the object at ``path``, an array of ``noun``
+    (strings); empty when absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise _Defect(_member(path, key), f"expected an array of {noun}")
+    return tuple(value)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -159,6 +160,19 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: plan for 'web-1': {reason}\n"
 
 
+class TestHelp:
+    @pytest.mark.parametrize("command, argument", [
+        ("simulate", "--plan PLAN +purchase plan JSON"),
+        ("export-csv", "--plan PLAN +purchase plan JSON"),
+        ("compare-providers", "--plan PLAN +purchase plan JSON"),
+        ("compare", "--catalog CATALOG +price catalog"),
+    ])
+    def test_shared_arguments_carry_their_help(self, capsys, command, argument):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        assert re.search(argument.replace(" +", r"\s+"), capsys.readouterr().out)
+
+
 class TestExportCsv:
     def test_writes_only_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -199,6 +213,28 @@ class TestUnusablePaths:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not UTF-8") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{bad}"],
+        ["export-csv", "--model", "{bad}", "--catalog", DEMO_CATALOG],
+        ["export-csv", "--model", DEMO_MODEL, "--catalog", "{bad}"],
+        ["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG, "--plan", "{bad}"],
+        ["compare", "--models", DEMO_MODEL + ",{bad}", "--catalog", DEMO_CATALOG],
+        ["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+         "--map", "{bad}"],
+        ["assess", "--items", "{bad}", "--ratings", DEMO_RATINGS],
+    ], ids=["validate", "model", "catalog", "plan", "compare", "map", "items"])
+    def test_json_syntax_error_names_its_file(self, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{ not json")
+        argv = [arg.replace("{bad}", str(bad)) for arg in argv]
+        if argv[0] not in ("validate", "assess"):
+            argv += ["--start", "2011-01", "--end", "2011-01", "--out", str(tmp_path / "o")]
+        code, err = run_quietly(*argv)
+        prefix = "" if argv[0] == "validate" else "error: "
+        assert code == 1
+        assert err == (f"{prefix}{bad}: syntax error at line 1, column 3: "
+                       "Expecting property name enclosed in double quotes\n")
 
 
 class TestHugeQuantities:
@@ -450,7 +486,7 @@ class TestImports:
             check=True)
         base = ["cloudcost", "cloudcost.cli", "cloudcost.errors"]
         validate = sorted([*base, "cloudcost.elasticity", "cloudcost.model",
-                           "cloudcost.months"])
+                           "cloudcost.months", "cloudcost.schema"])
         assess = sorted([*validate, "cloudcost.assess"])
         assert proc.stderr.splitlines() == [repr(base), repr(validate), repr(assess)]
 
@@ -559,6 +595,47 @@ PROVIDER_MAPS = st.one_of(ANY_JSON, st.dictionaries(TEXT, st.one_of(
     max_size=3))
 
 
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def edited(draw, doc):
+    """A copy of JSON ``doc`` after 1-3 edits, each of one field: delete it, give
+    it a value of another type, duplicate the array element that holds it (a
+    field outside arrays is copied under a new key), or copy another field's
+    value into it."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        fields = list(_fields(doc))
+        if not fields:
+            break
+        path = draw(st.sampled_from(fields))
+        parent, key = _value_at(doc, path[:-1]), path[-1]
+        edit = draw(st.sampled_from(("delete", "retype", "duplicate", "cross-copy")))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "retype":
+            parent[key] = draw(st.one_of([values for kind, values in JSON_VALUES.items()
+                                          if type(parent[key]) is not kind]))
+        elif edit == "cross-copy":
+            parent[key] = copy.deepcopy(_value_at(doc, draw(st.sampled_from(fields))))
+        else:
+            indices = [i for i, step in enumerate(path) if isinstance(step, int)]
+            if indices:
+                array, index = _value_at(doc, path[:indices[-1]]), path[indices[-1]]
+                array.insert(index, copy.deepcopy(array[index]))
+            else:
+                parent[f"{key}2"] = copy.deepcopy(parent[key])
+    return doc
+
+
+DEMO_MODEL_DOC = json.loads(cloudcost.data_path("demo_model.json").read_text())
+DEMO_ITEMS_DOC = json.loads(cloudcost.data_path("assessment_items.json").read_text())
+
+
 def run_quietly(*argv):
     """Exit code and stderr of one in-process CLI run; any exception escapes."""
     err = io.StringIO()
@@ -595,6 +672,36 @@ class TestFuzz:
             assert code in (0, 1, 2, 3) and "Traceback" not in err
             if validated == 0:
                 assert code == 0 or re.match(r"error: \S", err), err
+
+    @given(edited(DEMO_MODEL_DOC))
+    @settings(max_examples=100, deadline=None)
+    def test_structurally_edited_model_ends_in_an_exit_code_never_a_traceback(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            model, plan, remap = f"{tmp}/model.json", f"{tmp}/plan.json", f"{tmp}/map.json"
+            for path, content in ((model, doc),
+                                  (plan, {"web-1": {"kind": "reserved", "term_months": 12}}),
+                                  (remap, {label: {"provider": label.lower(), "region": "us-east"}
+                                           for label in ("Nimbus", "Stratus")})):
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(content, handle)
+            validated, err = run_quietly("validate", model)
+            assert validated in (0, 1, 2, 3) and "Traceback" not in err
+            window = ("--catalog", DEMO_CATALOG, "--start", "2011-01", "--end", "2011-02")
+            for argv in (("export-csv", "--model", model, *window, "--out", f"{tmp}/csv"),
+                         ("compare-providers", "--model", model, "--map", remap, *window),
+                         ("simulate", "--model", model, "--plan", plan, *window,
+                          "--out", f"{tmp}/sim")):
+                code, err = run_quietly(*argv)
+                assert code in (0, 1, 2, 3) and "Traceback" not in err
+                if validated == 0:
+                    assert code == 0 or re.search(r"^error: \S", err, re.M), err
+
+    @given(edited(DEMO_ITEMS_DOC))
+    @settings(max_examples=100, deadline=None)
+    def test_structurally_edited_items_end_in_an_exit_code_never_a_traceback(self, doc):
+        code, err = self._run_with_file(json.dumps(doc), "assess", "--items", "{file}",
+                                        "--ratings", DEMO_RATINGS)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
 
     @given(st.sampled_from(CATALOG_FIELDS), st.data())
     @settings(max_examples=150, deadline=None)

@@ -212,7 +212,7 @@ class TestSimulate:
         scenario = random_model(rng)
         catalog = flat_catalog(rng, PLACEMENTS)
         report = engine.simulate(scenario, catalog, window(3))
-        keys = [l.sort_key for l in report.lines]
+        keys = [(l.month, l.subject, l.dimension) for l in report.lines]
         assert keys == sorted(keys)
 
     def test_window_additivity_with_shared_anchor(self):
@@ -393,7 +393,7 @@ class TestCostReport:
     @pytest.mark.parametrize("outside", [Month(2010, 12), Month(2011, 3)])
     def test_month_outside_the_window_is_rejected(self, outside):
         lines = tuple(sorted((cost_line(outside, "a"), cost_line(Month(2011, 1), "b")),
-                             key=lambda line: line.sort_key))
+                             key=lambda line: (line.month, line.subject)))
         with pytest.raises(ValueError, match=f"line month {outside} outside the window"):
             engine.CostReport(window(2), lines)
 

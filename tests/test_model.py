@@ -3,9 +3,9 @@ import json
 import pytest
 
 import cloudcost
-from cloudcost import model as m
+from cloudcost import assess, model as m, pricing
 from cloudcost.cli import main
-from cloudcost.errors import ModelError
+from cloudcost.errors import AssessmentError, CatalogError, ModelError
 
 MINIMAL = """
 {
@@ -35,6 +35,15 @@ class TestParse:
         with pytest.raises(ModelError) as exc:
             m.parse_model("{ not json")
         assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize("read, error", [(m.parse_model, ModelError),
+                                             (pricing.load_catalog, CatalogError),
+                                             (assess.load_items, AssessmentError)])
+    def test_syntax_error_in_text_names_line_and_column(self, read, error):
+        with pytest.raises(error) as exc:
+            read("{ not json")
+        assert str(exc.value) == ("syntax error at line 1, column 3: "
+                                  "Expecting property name enclosed in double quotes")
 
     def test_unknown_top_level_key(self):
         doc = json.loads(MINIMAL)

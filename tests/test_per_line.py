@@ -130,7 +130,6 @@ class TestTextMemos:
 class TestNoPerLineKeys:
     def test_simulate_and_csv_read_no_per_line_python_keys(self, demo, monkeypatch):
         model, catalog = demo
-        sort_keys = []
         month_strs = Counter()
         month_str = Month.__str__
 
@@ -138,11 +137,8 @@ class TestNoPerLineKeys:
             month_strs[month] += 1
             return month_str(month)
 
-        monkeypatch.setattr(engine.CostLine, "sort_key",
-                            property(lambda line: sort_keys.append(line)))
         span = SimulationWindow(Month(2011, 1), Month(2011, 12))
         rep = engine.simulate(model, catalog, span)
-        assert sort_keys == []
         monkeypatch.setattr(Month, "__str__", counting_str)
         text = report.to_csv(rep)
         assert len(rep.lines) == 372 and text.count("\n") == 373
