@@ -230,8 +230,9 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
 
     def placed(mapping: object) -> list[tuple[str, model.DeploymentModel]]:
         """The model moved to each map entry's provider and region."""
-        if not isinstance(mapping, dict) or not mapping:
-            raise CatalogError(f"map file {args.map}: expected label -> {{provider, region}}")
+        if not isinstance(mapping, dict) or len(mapping) < 2:
+            raise CatalogError(f"map file {args.map}: expected at least two entries "
+                               f"label -> {{provider, region}}")
         models = []
         for label, target in mapping.items():
             where = f"map entry {label!r}"
@@ -243,9 +244,6 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
     models = schema.read(schema.read_input(args.map), placed, CatalogError, args.map)
     plan = _load_plan(args.plan)
     scenarios = [(label, moved, plan) for label, moved in models]
-    if len(scenarios) < 2:
-        print("compare-providers needs at least two map entries", file=sys.stderr)
-        return 2
     table = engine.compare_scenarios(scenarios, catalog, _window(args))
     _emit_comparison(table, catalog.currency, args.out)
     return 0

@@ -31,16 +31,17 @@ Replay walks the calendar month by month and each month in runs of
 identical days. Each month filters the patterns by month selector once and
 gives every active pattern a firing bitmask, bit ``dom`` set for each day it
 applies on, built with integer arithmetic (weekday selectors rotate a 7-bit
-week by day 1's weekday). A run starts on day 1, on every day a perm fires
-and on every day the set of firing temps changes. Perms fire only on a run's
-first day, so each later day of the run repeats its value: the run's perms
-and then its temps are applied once, and a ``date`` is built only for a
-clamp warning. A temp that clamps on a run's first day warns again, under
-each later day's date and in pattern order, so the warnings are those of a
-day-by-day walk. A month's quantity still adds its daily values one by one
-from 0.0, once per day of each run: the order of float operations is part
-of the output contract, so no ``value * n``, closed form, ``sum()``
-(compensated since Python 3.12) or ``math.fsum`` stands in for the loop.
+week by day 1's weekday). A run starts on day 1, on every day a perm fires,
+on every day the set of firing temps changes and on the day after a temp
+clamps. Perms fire only on a run's first day, so the run's perms and then
+its temps are applied once, and each later day of the run repeats its value.
+A clamping day ends its run, so each day that clamps is replayed on its own
+and warns under its own date, in pattern order, as a day-by-day walk would;
+a ``date`` is built only for such a warning. A month's quantity still adds
+its daily values one by one from 0.0, once per day of each run: the order
+of float operations is part of the output contract, so no ``value * n``,
+closed form, ``sum()`` (compensated since Python 3.12) or ``math.fsum``
+stands in for the loop.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .errors import EvaluationError, PatternError
 from .months import Month, SimulationWindow, month_calendar
@@ -127,26 +128,27 @@ class PatternSpec:
 class _Scanner:
     """Cursor over a pattern string that raises positioned errors."""
 
+    _alpha_re = re.compile(r"[A-Za-z]+")
     _word_re = re.compile(r"[A-Za-z]+(?:-[A-Za-z]+)?")
     _dom_re = re.compile(r"\d{1,2}(?:-\d{1,2})?")
     _number_re = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+    _colon_re = re.compile(":")
+    _every_re = re.compile(r"(?i:every)(?![A-Za-z])")
+    _on_re = re.compile(r"(?i:on)(?![A-Za-z])")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def fail(self, message: str, pos: int | None = None) -> None:
+    def fail(self, message: str, pos: int | None = None) -> NoReturn:
         raise PatternError(message, self.text, self.pos if pos is None else pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
     def peek(self) -> str | None:
-        return None if self.eof() else self.text[self.pos]
+        return self.text[self.pos] if self.pos < len(self.text) else None
 
     def take(self, regex: re.Pattern[str]) -> tuple[str, int] | None:
         m = regex.match(self.text, self.pos)
@@ -156,16 +158,21 @@ class _Scanner:
         self.pos = m.end()
         return m.group(0), start
 
+    def expect(self, regex: re.Pattern[str], message: str) -> tuple[str, int]:
+        """The token ``regex`` matches at the cursor and its start; without
+        a match, fails at the cursor with ``message``."""
+        got = self.take(regex)
+        if got is None:
+            self.fail(message)
+        return got
+
     def rest_token(self) -> str:
         m = re.match(r"\S+", self.text[self.pos:])
         return m.group(0) if m else ""
 
 
 def _parse_months(s: _Scanner) -> MonthSelector:
-    got = s.take(s._word_re)
-    if got is None:
-        s.fail("expected 'month' or a month name after 'every'")
-    word, start = got
+    word, start = s.expect(s._word_re, "expected 'month' or a month name after 'every'")
     token = word.lower()
     if token == "month":
         return MonthSelector()
@@ -182,12 +189,8 @@ def _parse_months(s: _Scanner) -> MonthSelector:
 
 
 def _parse_days(s: _Scanner) -> DaySelector:
-    if s.eof():
-        s.fail("expected a day selector after 'on'")
-    ch = s.peek()
-    if ch is not None and ch.isdigit():
-        got = s.take(s._dom_re)
-        assert got is not None
+    got = s.take(s._dom_re)
+    if got is not None:
         token, start = got
         if "-" in token:
             lo_text, hi_text = token.split("-", 1)
@@ -202,10 +205,7 @@ def _parse_days(s: _Scanner) -> DaySelector:
         if lo == hi and "-" not in token:
             return DaySelector(DOM, lo)
         return DaySelector(DOM_RANGE, lo, hi)
-    got = s.take(s._word_re)
-    if got is None:
-        s.fail("expected a day selector after 'on'")
-    word, start = got
+    word, start = s.expect(s._word_re, "expected a day selector after 'on'")
     token = word.lower()
     if "-" in token:
         lo, hi = token.split("-", 1)
@@ -218,59 +218,45 @@ def _parse_days(s: _Scanner) -> DaySelector:
         return DaySelector(DOW_RANGE, a, b)
     if token in (EVERYDAY, WEEKDAYS, WEEKENDS):
         return DaySelector(token)
-    if token in DOW_NAMES:
-        return DaySelector(DOW, DOW_NAMES.index(token))
-    s.fail(f"unknown day token {token!r}", start)
-    raise AssertionError("unreachable")
+    if token not in DOW_NAMES:
+        s.fail(f"unknown day token {token!r}", start)
+    return DaySelector(DOW, DOW_NAMES.index(token))
 
 
 def parse_pattern(text: str) -> PatternSpec:
     """Parse one pattern string, raising :class:`PatternError` on any defect."""
     s = _Scanner(text)
     s.skip_ws()
-    got = s.take(re.compile(r"[A-Za-z]+"))
-    if got is None:
-        s.fail("expected pattern mode 'temp' or 'perm'")
-    word, start = got
+    word, start = s.expect(s._alpha_re, "expected pattern mode 'temp' or 'perm'")
     mode = word.lower()
     if mode not in MODES:
         s.fail(f"unknown mode {word!r}, expected 'temp' or 'perm'", start)
     s.skip_ws()
-    if s.peek() != ":":
-        s.fail("expected ':' after the mode keyword")
-    s.pos += 1
+    s.expect(s._colon_re, "expected ':' after the mode keyword")
     s.skip_ws()
-    got = s.take(re.compile(r"[A-Za-z]+"))
-    if got is None or got[0].lower() != "every":
-        s.fail("expected 'every'", s.pos if got is None else got[1])
+    s.expect(s._every_re, "expected 'every'")
     s.skip_ws()
     months = _parse_months(s)
     s.skip_ws()
     days = EMPTY_DAYS
-    mark = s.pos
-    got = s.take(re.compile(r"[A-Za-z]+"))
-    if got is not None and got[0].lower() == "on":
+    if s.take(s._on_re) is not None:
         s.skip_ws()
         days = _parse_days(s)
         s.skip_ws()
-    else:
-        s.pos = mark  # whatever follows must be the variation operator
-    if s.eof():
-        s.fail("missing variation operator")
     op = s.peek()
+    if op is None:
+        s.fail("missing variation operator")
     if op not in OPERATORS:
         s.fail(f"unknown variation operator {op!r}")
     s.pos += 1
     s.skip_ws()
-    if s.eof():
+    if s.peek() is None:
         s.fail("missing operand")
-    num_pos = s.pos
-    got = s.take(s._number_re)
-    if got is None:
-        s.fail(f"expected a numeric operand, got {s.rest_token()!r}")
-    operand = float(got[0])
+    number, num_pos = s.expect(s._number_re,
+                               f"expected a numeric operand, got {s.rest_token()!r}")
+    operand = float(number)
     s.skip_ws()
-    if not s.eof():
+    if s.peek() is not None:
         s.fail(f"unexpected trailing input {s.rest_token()!r}")
     if not math.isfinite(operand):
         s.fail("operand must be finite", num_pos)
@@ -370,21 +356,25 @@ def _firing_days(pattern: PatternSpec, weekday1: int, month_days: int) -> int:
     return ((week * _FIVE_WEEKS) << 1) & month_days
 
 
-def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
-            warn: WarnFn | None = None) -> list[float]:
-    """Replay from sim_start's first day through the last day of ``last``;
-    see the module docstring.
+def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
+                   usage_start: Month | None = None,
+                   warn: WarnFn | None = None) -> tuple[float, ...]:
+    """Billable quantity of each window month, in order, from one replay from
+    ``usage_start`` (by default the window start, never after it) through the
+    window's last day; see the module docstring.
 
-    Returns each month's billable quantity: the sequential sum of its daily
-    values, divided by its length for stocks. The float operations run in
-    the same order on every call, so results are bit-reproducible. An
-    overflow raises EvaluationError with its ``month`` set.
+    A month's quantity is the sequential sum of its daily values, divided by
+    its length for stocks, so results are bit-reproducible. An overflow
+    raises EvaluationError with its ``month`` set.
     """
+    start = usage_start or window.start
+    if start > window.start:
+        raise ValueError(f"usage start {start} is after the window start {window.start}")
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
     quantities: list[float] = []
     try:
-        for year, month, weekday1, days_in_month in month_calendar(sim_start, last):
+        for year, month, weekday1, days_in_month in month_calendar(start, window.end):
             month_days = (2 << days_in_month) - 2
             perms: list[tuple[int, PatternSpec, int]] = []
             temps: list[tuple[int, PatternSpec, int]] = []
@@ -406,49 +396,25 @@ def _replay(schedule: UsageSchedule, sim_start: Month, last: Month,
             while starts:
                 dom = (starts & -starts).bit_length() - 1
                 starts &= starts - 1
-                end = (starts & -starts).bit_length() - 1 if starts else days_in_month + 1
                 for i, p, fires in perms:
                     if (fires >> dom) & 1:
                         level = _apply_op(level, p.op, p.operand)
                         if level < 0:
                             level = _clamped(p, i, year, month, dom, warn)
                 value = level if stock else level / days_in_month
-                clamps: list[tuple[int, PatternSpec]] = []
                 for i, p, fires in temps:
                     if (fires >> dom) & 1:
                         value = _apply_op(value, p.op, p.operand)
                         if value < 0:
                             value = _clamped(p, i, year, month, dom, warn)
-                            clamps.append((i, p))
-                total += value
-                if clamps:
-                    for day in range(dom + 1, end):
-                        for i, p in clamps:  # each later day warns with its own date
-                            _clamped(p, i, year, month, day, warn)
-                        total += value
-                else:
-                    for _ in range(dom + 1, end):
-                        total += value
+                            starts |= (2 << dom) & month_days  # the next day warns on its own
+                end = (starts & -starts).bit_length() - 1 if starts else days_in_month + 1
+                for _ in range(dom, end):
+                    total += value
             if total == math.inf:
                 raise EvaluationError("value overflowed summing the month's days")
             quantities.append(total / days_in_month if stock else total)
     except EvaluationError as exc:
         exc.month = Month(year, month)
         raise
-    return quantities
-
-
-def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
-                   usage_start: Month | None = None,
-                   warn: WarnFn | None = None) -> tuple[float, ...]:
-    """Billable quantity of each window month, in order, from one replay pass;
-    the only way into :func:`_replay`.
-
-    ``usage_start`` anchors the pattern replay; it defaults to the window
-    start and must not lie after it.
-    """
-    start = usage_start or window.start
-    if start > window.start:
-        raise ValueError(f"usage start {start} is after the window start {window.start}")
-    quantities = _replay(schedule, start, window.end, warn)
     return tuple(quantities[window.start.diff(start):])

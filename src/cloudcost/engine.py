@@ -294,8 +294,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             emit(quantities, path.id, endpoint, dimension, entry, scope)
 
     lines.sort(key=_line_order)
-    deduped = tuple(dict.fromkeys(warnings))
-    return CostReport(window, tuple(lines), deduped, catalog.currency)
+    return CostReport(window, tuple(lines), tuple(warnings), catalog.currency)
 
 
 def _rate_key_for(node: m.Node, kind: str) -> tuple[str | None, str | None]:

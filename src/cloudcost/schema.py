@@ -10,6 +10,7 @@ through that class's ``at``; so checks run only inside such a ``build``.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Callable
 
 from .errors import CloudCostError, InputError
@@ -41,14 +42,45 @@ def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         where = "" if source is None else f"{source}: "
-        raise error(f"{where}syntax error at line {exc.lineno}, column {exc.colno}: "
-                    f"{exc.msg}") from exc
+        if isinstance(exc, json.JSONDecodeError):
+            raise error(f"{where}syntax error at line {exc.lineno}, column {exc.colno}: "
+                        f"{exc.msg}") from exc
+        # the only other ValueError: Python's limit on integer literal length
+        raise error(f"{where}number out of range: an integer literal of more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
     try:
+        if not text.isascii() or "\\u" in text:  # only such text can hold a lone surrogate
+            _reject_lone_surrogates(data)
         return build(data)
     except _Defect as defect:
         raise error.at(*defect.args) from None
+
+
+def _reject_lone_surrogates(data: Any) -> None:
+    """Fails at the first string or key of ``data``, in document order, with
+    a surrogate: JSON's paired ``\\uXXXX`` escapes decode to one character,
+    so any surrogate left is lone, and no UTF-8 output can encode it."""
+    stack = [("", data)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, str):
+            _check_encodable(value, path, "string")
+        elif isinstance(value, dict):
+            for key in value:
+                _check_encodable(key, path, f"key {key!r}")
+            stack.extend((_member(path, key), item) for key, item in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{i}]", value[i]) for i in reversed(range(len(value))))
+
+
+def _check_encodable(text: str, path: str, what: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _Defect(path or "$", f"{what} holds a lone surrogate, "
+                                   "which no UTF-8 output can encode") from None
 
 
 def _member(path: str, key: str) -> str:
@@ -89,7 +121,10 @@ def number(obj: dict, key: str, path: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _Defect(_member(path, key), f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise _Defect(_member(path, key), "number out of range") from None
 
 
 def array(obj: dict, key: str, path: str) -> list:

@@ -311,6 +311,27 @@ class TestCompareProviders:
         assert code == 1
         assert err.startswith(f"error: map entry 'Odd'.{key}: expected a string, got ")
 
+    @pytest.mark.parametrize("labels", [(), ("Nimbus",)], ids=["empty", "one_label"])
+    def test_fewer_than_two_labels_is_a_map_error(self, tmp_path, labels):
+        remap = tmp_path / "map.json"
+        remap.write_text(json.dumps({label: {"provider": "nimbus", "region": "us-east"}
+                                     for label in labels}))
+        code, err = run_quietly("compare-providers", "--model", DEMO_MODEL,
+                                "--catalog", DEMO_CATALOG, "--map", str(remap),
+                                "--start", "2011-01", "--end", "2011-03")
+        assert (code, err) == (1, f"error: map file {remap}: expected at least two "
+                                  "entries label -> {provider, region}\n")
+
+    def test_lone_surrogate_label_is_a_located_error(self, tmp_path):
+        remap = tmp_path / "map.json"
+        remap.write_text(json.dumps({"Nimbus\ud800": {"provider": "nimbus", "region": "us-east"},
+                                     "Stratus": {"provider": "stratus", "region": "us-east"}}))
+        code, err = run_quietly("compare-providers", "--model", DEMO_MODEL,
+                                "--catalog", DEMO_CATALOG, "--map", str(remap),
+                                "--start", "2011-01", "--end", "2011-03")
+        assert (code, err) == (1, "error: $: key 'Nimbus\\ud800' holds a lone surrogate, "
+                                  "which no UTF-8 output can encode\n")
+
     def test_single_placement_totals_equal_simulate(self, tmp_path):
         # the demo itself has eu-west nodes, which every map entry would move
         doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
@@ -568,6 +589,9 @@ JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(),
                dict: st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)}
 
 
+# Valid JSON that no float or UTF-8 output can hold: an integer beyond float
+# range and a string with a lone surrogate, whatever the field's type.
+UNREPRESENTABLE = st.sampled_from((10 ** 400, "\ud800x"))
 # Text that survives a UTF-8 write: no lone surrogates.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 ANY_JSON = st.one_of(*JSON_VALUES.values())
@@ -618,8 +642,8 @@ def edited(draw, doc):
         if edit == "delete":
             del parent[key]
         elif edit == "retype":
-            parent[key] = draw(st.one_of([values for kind, values in JSON_VALUES.items()
-                                          if type(parent[key]) is not kind]))
+            parent[key] = draw(st.one_of(UNREPRESENTABLE, *[
+                values for kind, values in JSON_VALUES.items() if type(parent[key]) is not kind]))
         elif edit == "cross-copy":
             parent[key] = copy.deepcopy(_value_at(doc, draw(st.sampled_from(fields))))
         else:
@@ -712,8 +736,8 @@ class TestFuzz:
         for key in field[:-1]:
             parent = parent[key]
         old = parent[field[-1]]
-        parent[field[-1]] = data.draw(st.one_of(
-            [values for kind, values in JSON_VALUES.items() if type(old) is not kind]))
+        parent[field[-1]] = data.draw(st.one_of(UNREPRESENTABLE, *[
+            values for kind, values in JSON_VALUES.items() if type(old) is not kind]))
         with tempfile.TemporaryDirectory() as tmp:
             catalog = f"{tmp}/catalog.json"
             with open(catalog, "w", encoding="utf-8") as handle:
@@ -722,6 +746,16 @@ class TestFuzz:
                                     "--start", "2011-01", "--end", "2011-03",
                                     "--out", f"{tmp}/out")
         assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [10 ** 400, "\ud800x"],
+                             ids=["integer_beyond_float_range", "lone_surrogate"])
+    def test_unrepresentable_value_in_any_model_field_fails_validation(self, value):
+        # every field, so a rare type of field cannot hide from a few examples
+        for path in _fields(DEMO_MODEL_DOC):
+            doc = copy.deepcopy(DEMO_MODEL_DOC)
+            _value_at(doc, path[:-1])[path[-1]] = value
+            code, err = self._run_with_file(json.dumps(doc), "validate", "{file}")
+            assert code == 1 and "Traceback" not in err, path
 
     def _run_with_file(self, text, *argv):
         """Exit code and stderr of one CLI run, with ``{file}`` in ``argv``

@@ -94,6 +94,43 @@ class TestParse:
         assert exc.value.position is not None
         assert "column" in str(exc.value)
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "expected pattern mode 'temp' or 'perm'", 0),
+        ("   ", "expected pattern mode 'temp' or 'perm'", 3),
+        ("42: every month +1", "expected pattern mode 'temp' or 'perm'", 0),
+        ("Hourly: every month +1", "unknown mode 'Hourly', expected 'temp' or 'perm'", 0),
+        ("temp every month +1", "expected ':' after the mode keyword", 5),
+        ("temp:", "expected 'every'", 5),
+        ("temp: 5", "expected 'every'", 6),
+        ("temp: each month +1", "expected 'every'", 6),
+        ("temp: every", "expected 'month' or a month name after 'every'", 11),
+        ("temp: every 12 +1", "expected 'month' or a month name after 'every'", 12),
+        ("temp: every jun-xyz +1", "unknown month 'xyz'", 12),
+        ("temp: every Foo +1", "unknown month token 'foo'", 12),
+        ("temp: every month on", "expected a day selector after 'on'", 20),
+        ("temp: every month on +1", "expected a day selector after 'on'", 21),
+        # superscript two is a digit but no decimal one, so no day of month
+        ("temp: every month on \u00b2 +1", "expected a day selector after 'on'", 21),
+        ("temp: every month on 00 +1", "day of month out of range: 00", 21),
+        ("temp: every month on 05-03 +1", "decreasing day range 05-03", 21),
+        ("temp: every month on Sat-Mon +1", "day-of-week range may not wrap: sat-mon", 21),
+        ("temp: every month on mon-funday +1", "unknown day token 'funday'", 21),
+        ("temp: every month on Someday +1", "unknown day token 'someday'", 21),
+        ("temp: every month", "missing variation operator", 17),
+        ("temp: every month on fri", "missing variation operator", 24),
+        ("temp: every month %2", "unknown variation operator '%'", 18),
+        ("temp: every month +", "missing operand", 19),
+        ("temp: every month + x", "expected a numeric operand, got 'x'", 20),
+        ("temp: every month +1 extra", "unexpected trailing input 'extra'", 21),
+        ("temp: every month +1e999", "operand must be finite", 19),
+        ("temp: every month /0.0", "division by zero", 19),
+        ("perm: every month ^-2", "exponent must not be negative", 19),
+    ])
+    def test_each_defect_has_its_message_and_position(self, text, message, position):
+        with pytest.raises(PatternError) as exc:
+            el.parse_pattern(text)
+        assert (exc.value.args[0], exc.value.position) == (message, position)
+
 
 class TestMatches:
     # Each pattern is checked through the month it shapes: stock quantities

@@ -207,6 +207,29 @@ class TestSimulate:
         assert first.lines == second.lines
         assert first.warnings == second.warnings
 
+    def test_warnings_are_the_raw_clamp_sequence(self, monkeypatch):
+        # each clamp message names its subject, date and pattern, so simulate
+        # keeps every one, in the order the replays sent them
+        raw = []
+        series = engine._series
+
+        def spy(model, req, window, usage_start, subject, warn, replays):
+            def both(message):
+                raw.append(message)
+                warn(message)
+            return series(model, req, window, usage_start, subject, both, replays)
+
+        monkeypatch.setattr(engine, "_series", spy)
+        rng = random.Random(1407)
+        clamping = 0
+        for _ in range(80):
+            raw.clear()
+            report = engine.simulate(random_model(rng), flat_catalog(rng, PLACEMENTS),
+                                     window(6))
+            assert report.warnings == tuple(raw)
+            clamping += bool(raw)
+        assert clamping >= 10
+
     def test_line_order_is_sorted(self):
         rng = random.Random(11)
         scenario = random_model(rng)

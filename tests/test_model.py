@@ -101,6 +101,62 @@ class TestParse:
         assert m.validate(parsed) == []
 
 
+def _demo_text(name=None, baseline=None):
+    """The demo model's text with its name or its first baseline replaced;
+    ``baseline`` is the raw JSON number literal."""
+    doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+    if name is not None:
+        doc["name"] = name
+    if baseline is not None:
+        doc["nodes"][0]["requirements"][0]["baseline"] = "BASELINE"
+    return json.dumps(doc).replace('"BASELINE"', str(baseline))
+
+
+class TestUnrepresentableInput:
+    """JSON that decodes, but holds a number no float can or a string no
+    UTF-8 output can: the loader's own error, never a traceback."""
+
+    CASES = {
+        "integer beyond float range": (
+            _demo_text(baseline=10 ** 400),
+            "nodes[0].requirements[0].baseline: number out of range"),
+        "5000-digit integer literal": (
+            _demo_text(baseline="1" * 5000),
+            "number out of range: an integer literal of more than 4300 digits"),
+        "lone surrogate": (
+            _demo_text(name="\ud800x"),
+            "name: string holds a lone surrogate, which no UTF-8 output can encode"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_parse_model_raises_a_located_model_error(self, case):
+        text, located = self.CASES[case]
+        with pytest.raises(ModelError) as exc:
+            m.parse_model(text)
+        assert located in str(exc.value)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_validate_and_simulate_exit_1(self, case, tmp_path, capsys):
+        text, located = self.CASES[case]
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert located in err
+        if case.endswith("literal"):
+            assert err.startswith(f"{path}: ")
+        assert main(["simulate", "--model", str(path),
+                     "--catalog", str(cloudcost.data_path("demo_catalog.json")),
+                     "--start", "2011-01", "--end", "2011-01",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert located in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["Biblioth\u00e8que", "library \U0001F4DA"])
+    def test_paired_surrogate_escapes_and_plain_unicode_are_kept(self, name):
+        # json.dumps escapes both as \uXXXX; the astral one as a surrogate pair
+        assert m.parse_model(_demo_text(name=name)).name == name
+
+
 class TestValidate:
     def test_valid_model_has_no_diagnostics(self):
         assert m.validate(minimal_model()) == []
