@@ -159,7 +159,7 @@ def parse_ratings(text: str) -> RatingSheet:
             raise AssessmentError(f"rating row {row_number}: expected two cells")
         item_id = row[0].strip()
         try:
-            rating = int(row[1].strip())
+            rating = int(row[1].strip().encode("ascii"))  # a str's int() takes any Unicode digit
         except ValueError as exc:
             raise AssessmentError(
                 f"rating row {row_number}: rating must be an integer, got {row[1]!r}") from exc

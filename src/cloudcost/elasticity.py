@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 from .errors import EvaluationError, PatternError
 from .months import Month, SimulationWindow, month_calendar
@@ -80,8 +79,7 @@ DOW_RANGE = "dow_range"
 WarnFn = Callable[[str], None]
 
 
-@dataclass(frozen=True)
-class MonthSelector:
+class MonthSelector(NamedTuple):
     """Selects calendar months; ranges may wrap the year end (nov-feb)."""
 
     start: int | None = None  # 1..12; None selects every month
@@ -96,8 +94,7 @@ class MonthSelector:
         return month >= self.start or month <= self.end  # wrapped range
 
 
-@dataclass(frozen=True)
-class DaySelector:
+class DaySelector(NamedTuple):
     """Selects days within a matching month.
 
     ``empty`` is mode-dependent: every day of the month for temp patterns,
@@ -113,8 +110,7 @@ class DaySelector:
 EMPTY_DAYS = DaySelector(EMPTY)
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(NamedTuple):
     """Parsed elasticity pattern."""
 
     mode: str
@@ -122,7 +118,7 @@ class PatternSpec:
     days: DaySelector
     op: str
     operand: float
-    source: str = field(default="", compare=False, repr=False)
+    source: str = ""
 
 
 class _Scanner:
@@ -130,8 +126,8 @@ class _Scanner:
 
     _alpha_re = re.compile(r"[A-Za-z]+")
     _word_re = re.compile(r"[A-Za-z]+(?:-[A-Za-z]+)?")
-    _dom_re = re.compile(r"\d{1,2}(?:-\d{1,2})?")
-    _number_re = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+    _dom_re = re.compile(r"[0-9]{1,2}(?:-[0-9]{1,2})?")
+    _number_re = re.compile(r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
     _colon_re = re.compile(":")
     _every_re = re.compile(r"(?i:every)(?![A-Za-z])")
     _on_re = re.compile(r"(?i:on)(?![A-Za-z])")
@@ -276,19 +272,25 @@ def parse_patterns(block: str) -> list[PatternSpec]:
     return specs
 
 
-@dataclass(frozen=True)
-class UsageSchedule:
-    """A resource's baseline plus its ordered elasticity patterns."""
-
+class _ScheduleFields(NamedTuple):
     kind_class: str  # STOCK or FLOW
     baseline: float
     patterns: tuple[PatternSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind_class not in (STOCK, FLOW):
-            raise ValueError(f"unknown kind class {self.kind_class!r}")
-        if not math.isfinite(self.baseline) or self.baseline < 0:
-            raise ValueError(f"baseline must be finite and >= 0, got {self.baseline}")
+
+class UsageSchedule(_ScheduleFields):
+    """A resource's baseline plus its ordered elasticity patterns."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, kind_class: str, baseline: float,
+                patterns: tuple[PatternSpec, ...] = ()) -> UsageSchedule:
+        if kind_class not in (STOCK, FLOW):
+            raise ValueError(f"unknown kind class {kind_class!r}")
+        if not math.isfinite(baseline) or baseline < 0:
+            raise ValueError(f"baseline must be finite and >= 0, got {baseline}")
+        return tuple.__new__(cls, (kind_class, baseline, patterns))
 
 
 def _apply_op(value: float, op: str, operand: float) -> float:

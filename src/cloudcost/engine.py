@@ -28,7 +28,6 @@ line and month as it would without the memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from itertools import groupby
 from operator import attrgetter
@@ -63,7 +62,6 @@ UNIT_FOR_KIND = {
     m.IO_GB: "GB",
     m.DATA_IN_GB: "GB",
     m.DATA_OUT_GB: "GB",
-    m.DATA_LINK_GB: "GB",
 }
 
 # rollup key -> the line's value under it
@@ -122,8 +120,7 @@ def parse_plan(data: object, path: str) -> dict[str, PlanChoice]:
     return plan
 
 
-@dataclass(frozen=True)
-class CostLine:
+class CostLine(NamedTuple):
     month: Month
     subject: str  # node id, or path id for transfer attribution lines
     node_id: str  # the endpoint whose placement priced the line
@@ -137,24 +134,30 @@ class CostLine:
     scope: str | None = None
 
 
-@dataclass(frozen=True)
-class CostReport:
+class _ReportFields(NamedTuple):
     window: SimulationWindow
     lines: tuple[CostLine, ...]
     warnings: tuple[str, ...] = ()
     currency: str = "USD"
 
-    def __post_init__(self) -> None:
+
+class CostReport(_ReportFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, window: SimulationWindow, lines: tuple[CostLine, ...],
+                warnings: tuple[str, ...] = (), currency: str = "USD") -> CostReport:
         """Sort keys strictly increase (sorted and unique) and the first and
         last months lie in the window, so renderers read lines as built."""
-        keys = list(map(_line_order, self.lines))
+        keys = list(map(_line_order, lines))
         for prev, key in zip(keys, keys[1:]):
             if not prev < key:
                 problem = "duplicate cost line for" if prev == key else "cost line out of order:"
                 raise ValueError(f"{problem} {key}")
         for month, _, _ in keys[:1] + keys[-1:]:
-            if month not in self.window:
+            if month not in window:
                 raise ValueError(f"line month {month} outside the window")
+        return tuple.__new__(cls, (window, lines, warnings, currency))
 
     def grand_total(self) -> Decimal:
         total = Decimal(0)
@@ -377,8 +380,7 @@ def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
     return [(key, to_money(totals[key])) for key in sorted(totals)]
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """First month / monthly average / total, as printed in comparison tables.
 
     The monthly average excludes the first month — avg = (total - first)/(n-1)

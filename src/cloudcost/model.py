@@ -9,7 +9,6 @@ used for cost breakdowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, NamedTuple
 
@@ -70,15 +69,13 @@ class StorageSpec(NamedTuple):
     storage_type: str
 
 
-@dataclass(frozen=True)
-class ResourceRequirement:
+class ResourceRequirement(NamedTuple):
     kind: str
     baseline: float
     patterns: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str
     placement: Placement | None = None
@@ -111,14 +108,20 @@ class Group(NamedTuple):
     node_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DeploymentModel:
+class _ModelFields(NamedTuple):
     name: str
     nodes: tuple[Node, ...] = ()
     artifacts: tuple[ArtifactItem, ...] = ()
     bindings: tuple[DeploymentBinding, ...] = ()
     paths: tuple[CommunicationPath, ...] = ()
     groups: tuple[Group, ...] = ()
+
+
+class DeploymentModel(_ModelFields):  # no __slots__: its cached properties need a __dict__
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a DeploymentModel is read-only")
+
+    __delattr__ = __setattr__
 
     def replaced(self, provider: str, region: str) -> DeploymentModel:
         """Copy of the model with every placed node moved to provider/region.
@@ -128,10 +131,10 @@ class DeploymentModel:
         """
         placement = Placement(provider, region)
         nodes = tuple(
-            node if node.placement is None else replace(node, placement=placement)
+            node if node.placement is None else node._replace(placement=placement)
             for node in self.nodes
         )
-        moved = replace(self, nodes=nodes)
+        moved = self._replace(nodes=nodes)
         moved.__dict__["parsed_patterns"] = self.parsed_patterns  # the cached_property's slot
         return moved
 

@@ -4,8 +4,8 @@ A :class:`Month` is a ``(year, month)`` tuple with calendar methods. Report
 assembly sorts lines by month, checks adjacent sort keys and keys the monthly
 totals by month, so equality, ordering and hashing stay the tuple's own, in C.
 By design a ``Month`` therefore equals the plain tuple ``(year, month)``.
-It is a named tuple, so ``dataclasses.asdict`` and ``astuple`` rebuild it as
-``Month(year, month)``.
+It is a named tuple, so ``_asdict`` and ``_replace`` of a record holding one
+keep it a ``Month``.
 
 Month lengths and the weekday of each month's first day come from integer
 arithmetic (:func:`month_calendar`), not from the ``calendar`` module.
@@ -14,13 +14,12 @@ arithmetic (:func:`month_calendar`), not from the ``calendar`` module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date
 from typing import Iterator, NamedTuple
 
 from .errors import WindowError
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")
 _LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # in a common year
 # Sakamoto's month offsets: day 1's weekday is (y + y//4 - y//100 + y//400 + offset) % 7
 _OFFSETS = (0, 3, 2, 5, 0, 3, 5, 1, 4, 6, 2, 4)
@@ -87,16 +86,21 @@ def month_calendar(first: Month, last: Month) -> Iterator[tuple[int, int, int, i
         weekday = (weekday + length) % 7
 
 
-@dataclass(frozen=True)
-class SimulationWindow:
-    """An inclusive month range; zero-length and reversed ranges are rejected."""
-
+class _WindowFields(NamedTuple):
     start: Month
     end: Month
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise WindowError(f"window start {self.start} is after its end {self.end}")
+
+class SimulationWindow(_WindowFields):
+    """An inclusive month range; zero-length and reversed ranges are rejected."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks the order too
+
+    def __new__(cls, start: Month, end: Month) -> SimulationWindow:
+        if start > end:
+            raise WindowError(f"window start {start} is after its end {end}")
+        return tuple.__new__(cls, (start, end))
 
     @property
     def count(self) -> int:

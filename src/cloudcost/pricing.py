@@ -8,7 +8,6 @@ decision-support tool must never silently price a resource at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any, NamedTuple
 
@@ -38,16 +37,14 @@ ON_DEMAND = "on_demand"
 RESERVED = "reserved"
 
 
-@dataclass(frozen=True)
-class Tier:
+class Tier(NamedTuple):
     """One pricing tier; upper_bound None means unbounded (the last tier)."""
 
     upper_bound: Decimal | None
     unit_price: Decimal
 
 
-@dataclass(frozen=True)
-class RateEntry:
+class RateEntry(NamedTuple):
     provider: str
     region: str
     dimension: str

@@ -37,13 +37,16 @@ def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
          source: str | None = None) -> Any:
     """``build`` of the JSON document ``text``; every defect raises ``error``.
 
-    A syntax error names its line and column, after ``source`` (the file the
-    text was read from) when there is one.
+    A syntax error names its line and column, and nesting too deep to decode
+    is an error too; both follow ``source`` (the file the text was read from)
+    when there is one.
     """
+    where = "" if source is None else f"{source}: "
     try:
         data = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise error(f"{where}nesting too deep") from None
     except ValueError as exc:
-        where = "" if source is None else f"{source}: "
         if isinstance(exc, json.JSONDecodeError):
             raise error(f"{where}syntax error at line {exc.lineno}, column {exc.colno}: "
                         f"{exc.msg}") from exc

@@ -7,7 +7,6 @@ runtime budget are explicit. Each test carries its budget as an assertion.
 import json
 import random
 import time
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -112,12 +111,14 @@ MALFORMED_PATTERNS = [
 
 def test_pattern_grammar_examples_and_rejections():
     assert el.parse_pattern("perm: every month +10") == el.PatternSpec(
-        "perm", el.MonthSelector(), el.DaySelector("empty"), "+", 10.0)
+        "perm", el.MonthSelector(), el.DaySelector("empty"), "+", 10.0,
+        "perm: every month +10")
     assert el.parse_pattern("temp: every jun-aug on weekends /2") == el.PatternSpec(
-        "temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0)
+        "temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0,
+        "temp: every jun-aug on weekends /2")
     assert el.parse_pattern("temp: every dec on 25-30 * 2") == el.PatternSpec(
         "temp", el.MonthSelector(12, 12), el.DaySelector("dom_range", 25, 30),
-        "*", 2.0)
+        "*", 2.0, "temp: every dec on 25-30 * 2")
     assert len(MALFORMED_PATTERNS) >= 20
     for text in MALFORMED_PATTERNS:
         with pytest.raises(PatternError) as exc:
@@ -190,11 +191,11 @@ def _elastic_variant(scenario: m.DeploymentModel) -> m.DeploymentModel:
     nodes = []
     for node in scenario.nodes:
         reqs = tuple(
-            replace(req, patterns=req.patterns + ("temp: every month on weekends /2",))
+            req._replace(patterns=req.patterns + ("temp: every month on weekends /2",))
             if req.kind == m.VM_HOURS else req
             for req in node.requirements)
-        nodes.append(replace(node, requirements=reqs))
-    return replace(scenario, name="elastic", nodes=tuple(nodes))
+        nodes.append(node._replace(requirements=reqs))
+    return scenario._replace(name="elastic", nodes=tuple(nodes))
 
 
 def test_usage_monotonicity_under_flat_catalogs():
@@ -212,9 +213,9 @@ def test_usage_monotonicity_under_flat_catalogs():
             continue
         i, j = rng.choice(targets)
         reqs = list(nodes[i].requirements)
-        reqs[j] = replace(reqs[j], baseline=reqs[j].baseline + rng.uniform(1, 500))
-        nodes[i] = replace(nodes[i], requirements=tuple(reqs))
-        raised = replace(scenario, nodes=tuple(nodes))
+        reqs[j] = reqs[j]._replace(baseline=reqs[j].baseline + rng.uniform(1, 500))
+        nodes[i] = nodes[i]._replace(requirements=tuple(reqs))
+        raised = scenario._replace(nodes=tuple(nodes))
         assert engine.simulate(raised, catalog, window).grand_total() >= base_total
 
     demo = cloudcost.parse_model(cloudcost.data_path("demo_model.json").read_text())

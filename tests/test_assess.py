@@ -80,6 +80,12 @@ class TestParseRatings:
         with pytest.raises(AssessmentError):
             assess.parse_ratings("item_id,rating\nB1,often\n")
 
+    @pytest.mark.parametrize("cell", ["٥", "５"])
+    def test_non_ascii_digit_rating_rejected(self, cell):
+        with pytest.raises(AssessmentError) as exc:
+            assess.parse_ratings(f"item_id,rating\nB1,{cell}\n")
+        assert str(exc.value) == f"rating row 2: rating must be an integer, got {cell!r}"
+
     def test_bad_header_rejected(self):
         with pytest.raises(AssessmentError):
             assess.parse_ratings("id,score\nB1,5\n")

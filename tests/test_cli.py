@@ -116,6 +116,7 @@ class TestSimulate:
         ("2011-13", "month number out of range: 13"),
         ("2011-00", "month number out of range: 0"),
         ("2011-1", "expected YYYY-MM, got '2011-1'"),
+        ("٢٠١١-٠١", "expected YYYY-MM, got '٢٠١١-٠١'"),  # Arabic-Indic digits
     ])
     def test_bad_month_prints_the_reason(self, tmp_path, capsys, flag, text, reason):
         months = {"--start": "2011-01", "--end": "2011-02", flag: text}
@@ -182,6 +183,19 @@ class TestExportCsv:
         assert not (out / "report.html").exists()
 
 
+# Every JSON input of the commands, "{bad}" standing for its file.
+JSON_INPUTS = [
+    ["validate", "{bad}"],
+    ["export-csv", "--model", "{bad}", "--catalog", DEMO_CATALOG],
+    ["export-csv", "--model", DEMO_MODEL, "--catalog", "{bad}"],
+    ["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG, "--plan", "{bad}"],
+    ["compare", "--models", DEMO_MODEL + ",{bad}", "--catalog", DEMO_CATALOG],
+    ["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG, "--map", "{bad}"],
+    ["assess", "--items", "{bad}", "--ratings", DEMO_RATINGS],
+]
+JSON_INPUT_IDS = ["validate", "model", "catalog", "plan", "compare", "map", "items"]
+
+
 class TestUnusablePaths:
     @pytest.mark.parametrize("bad", ["model", "out"])
     def test_os_error_exits_2_without_traceback(self, tmp_path, capsys, bad):
@@ -214,16 +228,7 @@ class TestUnusablePaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not UTF-8") and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["validate", "{bad}"],
-        ["export-csv", "--model", "{bad}", "--catalog", DEMO_CATALOG],
-        ["export-csv", "--model", DEMO_MODEL, "--catalog", "{bad}"],
-        ["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG, "--plan", "{bad}"],
-        ["compare", "--models", DEMO_MODEL + ",{bad}", "--catalog", DEMO_CATALOG],
-        ["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
-         "--map", "{bad}"],
-        ["assess", "--items", "{bad}", "--ratings", DEMO_RATINGS],
-    ], ids=["validate", "model", "catalog", "plan", "compare", "map", "items"])
+    @pytest.mark.parametrize("argv", JSON_INPUTS, ids=JSON_INPUT_IDS)
     def test_json_syntax_error_names_its_file(self, tmp_path, argv):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -235,6 +240,17 @@ class TestUnusablePaths:
         assert code == 1
         assert err == (f"{prefix}{bad}: syntax error at line 1, column 3: "
                        "Expecting property name enclosed in double quotes\n")
+
+    @pytest.mark.parametrize("argv", JSON_INPUTS, ids=JSON_INPUT_IDS)
+    def test_json_nested_too_deep_names_its_file(self, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = [arg.replace("{bad}", str(deep)) for arg in argv]
+        if argv[0] not in ("validate", "assess"):
+            argv += ["--start", "2011-01", "--end", "2011-01", "--out", str(tmp_path / "o")]
+        code, err = run_quietly(*argv)
+        prefix = "" if argv[0] == "validate" else "error: "
+        assert (code, err) == (1, f"{prefix}{deep}: nesting too deep\n")
 
 
 class TestHugeQuantities:
@@ -517,11 +533,21 @@ class TestImports:
         ([], ("dataclasses", "inspect")),
         (["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--out", "{tmp}"],
          ("dataclasses", "inspect")),
-        (["validate", DEMO_MODEL], ("calendar", "fractions")),
+        (["validate", DEMO_MODEL], ("calendar", "fractions", "dataclasses", "inspect")),
         (["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}"],
-         ("calendar", "fractions")),
-    ], ids=["import", "assess", "validate", "export-csv"])
+         ("calendar", "fractions", "dataclasses", "inspect")),
+        (["simulate", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+          "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
+         ("dataclasses", "inspect")),
+        (["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--catalog", DEMO_CATALOG,
+          "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
+         ("dataclasses", "inspect")),
+        (["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+          "--map", "{map}", "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
+         ("dataclasses", "inspect")),
+    ], ids=["import", "assess", "validate", "export-csv", "simulate", "compare",
+            "compare-providers"])
     def test_a_fresh_command_never_loads_these_stdlib_modules(self, tmp_path, argv, absent):
         script = ("import sys\n"
                   "before = set(sys.modules)\n"
@@ -530,7 +556,11 @@ class TestImports:
                   "print(sorted(set(sys.argv[1].split()) & (set(sys.modules) - before)))\n"
                   "sys.exit(code)\n")
         src = Path(cloudcost.__file__).resolve().parents[1]
-        argv = [arg.replace("{tmp}", str(tmp_path / "out")) for arg in argv]
+        remap = tmp_path / "map.json"
+        remap.write_text(json.dumps({"A": {"provider": "nimbus", "region": "us-east"},
+                                     "B": {"provider": "stratus", "region": "us-east"}}))
+        argv = [arg.replace("{tmp}", str(tmp_path / "out")).replace("{map}", str(remap))
+                for arg in argv]
         proc = subprocess.run([sys.executable, "-c", script, " ".join(absent), *argv],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True)

@@ -34,17 +34,20 @@ class TestParse:
     def test_perm_every_month(self):
         spec = el.parse_pattern("perm: every month +10")
         assert spec == el.PatternSpec("perm", el.MonthSelector(),
-                                      el.DaySelector("empty"), "+", 10.0)
+                                      el.DaySelector("empty"), "+", 10.0,
+                                      "perm: every month +10")
 
     def test_temp_month_range_weekends(self):
         spec = el.parse_pattern("temp: every jun-aug on weekends /2")
         assert spec == el.PatternSpec("temp", el.MonthSelector(6, 8),
-                                      el.DaySelector("weekends"), "/", 2.0)
+                                      el.DaySelector("weekends"), "/", 2.0,
+                                      "temp: every jun-aug on weekends /2")
 
     def test_temp_day_range_spaced_operator(self):
         spec = el.parse_pattern("temp: every dec on 25-30 * 2")
         assert spec == el.PatternSpec("temp", el.MonthSelector(12, 12),
-                                      el.DaySelector("dom_range", 25, 30), "*", 2.0)
+                                      el.DaySelector("dom_range", 25, 30), "*", 2.0,
+                                      "temp: every dec on 25-30 * 2")
 
     def test_case_and_whitespace_tolerated(self):
         spec = el.parse_pattern("  PERM :  Every   MONTH   +10 ")
@@ -125,6 +128,11 @@ class TestParse:
         ("temp: every month +1e999", "operand must be finite", 19),
         ("temp: every month /0.0", "division by zero", 19),
         ("perm: every month ^-2", "exponent must not be negative", 19),
+        # numbers are ASCII digits only; int() and float() take any Unicode digit
+        ("temp: every month on ٣ +١٠", "expected a day selector after 'on'", 21),
+        ("temp: every month on ３ +1", "expected a day selector after 'on'", 21),
+        ("temp: every month +١٠", "expected a numeric operand, got '١٠'", 19),
+        ("temp: every month +1.٥", "unexpected trailing input '٥'", 21),
     ])
     def test_each_defect_has_its_message_and_position(self, text, message, position):
         with pytest.raises(PatternError) as exc:
@@ -175,6 +183,19 @@ class TestEvaluate:
         sched = schedule(el.STOCK, 100, "perm: every month +10")
         assert checked_quantity(sched, Month(2011, 1)) == 100.0
         assert checked_quantity(sched, Month(2011, 2)) == 110.0
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind_class": "level"}, "unknown kind class 'level'"),
+        ({"baseline": -1.0}, "baseline must be finite and >= 0, got -1.0"),
+        ({"baseline": float("nan")}, "baseline must be finite and >= 0, got nan"),
+    ], ids=["kind_class", "negative", "nan"])
+    def test_schedule_check_runs_on_construction_and_replace(self, fields, message):
+        good = {"kind_class": el.FLOW, "baseline": 1.0, "patterns": ()}
+        with pytest.raises(ValueError) as built:
+            el.UsageSchedule(**{**good, **fields})
+        with pytest.raises(ValueError) as replaced:
+            el.UsageSchedule(**good)._replace(**fields)
+        assert str(built.value) == str(replaced.value) == message
 
     def test_date_before_start_rejected(self):
         sched = schedule(el.STOCK, 1)

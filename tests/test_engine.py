@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -379,8 +378,8 @@ class TestPatternsParsedOnce:
         before = engine.simulate(base, BASIC_CATALOG, window(2))
         node = base.nodes[0]
         req = node.requirements[0]
-        doubled = replace(base, nodes=(replace(node, requirements=(
-            replace(req, patterns=req.patterns + ("temp: every month *2",)),)),))
+        doubled = base._replace(nodes=(node._replace(requirements=(
+            req._replace(patterns=req.patterns + ("temp: every month *2",)),)),))
         after = engine.simulate(doubled, BASIC_CATALOG, window(2))
         assert [line.quantity for line in after.lines] == [
             2 * line.quantity for line in before.lines]
@@ -420,6 +419,17 @@ class TestCostReport:
         with pytest.raises(ValueError, match=f"line month {outside} outside the window"):
             engine.CostReport(window(2), lines)
 
+    def test_replace_runs_the_same_checks(self):
+        jan, feb = Month(2011, 1), Month(2011, 2)
+        report = engine.CostReport(window(2), (cost_line(jan, "a"), cost_line(feb, "a")))
+        with pytest.raises(ValueError, match=r"^cost line out of order: "):
+            report._replace(lines=report.lines[::-1])
+        with pytest.raises(ValueError, match=r"^duplicate cost line for "):
+            report._replace(lines=report.lines[:1] * 2)
+        with pytest.raises(ValueError, match=r"^line month 2011-02 outside the window$"):
+            report._replace(window=window(1))
+        assert report._replace(warnings=("w",)).warnings == ("w",)
+
     def test_monthly_totals_equal_per_line_sums_keyed_by_month(self, demo_model_text,
                                                               demo_catalog_text):
         decade = engine.simulate(m.parse_model(demo_model_text),
@@ -429,9 +439,9 @@ class TestCostReport:
         mar = Month(2011, 3)
         gap = engine.CostReport(window(4), (
             cost_line(Month(2011, 1)),
-            replace(cost_line(mar, "a"), cost=Decimal("1e21")),
-            replace(cost_line(mar, "b"), cost=Decimal("0.0000006")),
-            replace(cost_line(mar, "c"), cost=Decimal("0.0000006"))))
+            cost_line(mar, "a")._replace(cost=Decimal("1e21")),
+            cost_line(mar, "b")._replace(cost=Decimal("0.0000006")),
+            cost_line(mar, "c")._replace(cost=Decimal("0.0000006"))))
         for report in (decade, gap):
             totals = {month: Decimal(0) for month in report.window.months()}
             for line in report.lines:
@@ -542,12 +552,12 @@ class TestCompare:
 class TestCompareScenarios:
     def test_same_model_twice_ties(self):
         scenario = m.DeploymentModel("one", (vm(),))
-        other = replace(scenario, name="two")
+        other = scenario._replace(name="two")
         table = engine.compare_scenarios(
             [("one", scenario, None), ("two", other, None)], BASIC_CATALOG, window(3))
         assert table.warnings
         assert [entry.row.label for entry in table.entries] == ["one", "two"]
-        assert table.entry("one").row == replace(table.entry("two").row, label="one")
+        assert table.entry("one").row == table.entry("two").row._replace(label="one")
 
     def test_duplicate_labels_rejected(self):
         scenario = m.DeploymentModel("one", (vm(),))
@@ -612,6 +622,6 @@ def _bump_some_baseline(scenario, rng):
         return None
     i, j = rng.choice(candidates)
     reqs = list(nodes[i].requirements)
-    reqs[j] = replace(reqs[j], baseline=reqs[j].baseline + rng.uniform(1, 100))
-    nodes[i] = replace(nodes[i], requirements=tuple(reqs))
-    return replace(scenario, nodes=tuple(nodes))
+    reqs[j] = reqs[j]._replace(baseline=reqs[j].baseline + rng.uniform(1, 100))
+    nodes[i] = nodes[i]._replace(requirements=tuple(reqs))
+    return scenario._replace(nodes=tuple(nodes))

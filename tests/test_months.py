@@ -1,6 +1,5 @@
 import calendar
 import copy
-import dataclasses
 import pickle
 from decimal import Decimal
 
@@ -9,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudcost.engine import CostLine, CostReport
+from cloudcost.errors import WindowError
 from cloudcost.months import Month, SimulationWindow, month_calendar
 
 MONTHS = st.builds(Month, st.integers(1, 9999), st.integers(1, 12))
@@ -55,19 +55,38 @@ def test_month_number_out_of_range(number):
         Month(2011, 1)._replace(month=number)
 
 
+@pytest.mark.parametrize("text", ["٢٠١١-٠١", "２０１１-０１"])
+def test_only_ascii_digits_parse(text):
+    with pytest.raises(ValueError) as exc:
+        Month.parse(text)
+    assert str(exc.value) == f"expected YYYY-MM, got {text!r}"
+
+
+@pytest.mark.parametrize("start, end", [(Month(2011, 2), Month(2011, 1)),
+                                        (Month(2012, 1), Month(2011, 12))])
+def test_reversed_window_is_rejected_also_by_replace(start, end):
+    message = f"window start {start} is after its end {end}"
+    with pytest.raises(WindowError, match=f"^{message}$"):
+        SimulationWindow(start, end)
+    with pytest.raises(WindowError, match=f"^{message}$"):
+        SimulationWindow(end, end)._replace(start=start)
+    with pytest.raises(WindowError, match=f"^{message}$"):
+        SimulationWindow(start, start)._replace(end=end)
+
+
 def test_dataclass_conversions_rebuild_months():
     window = SimulationWindow(Month(2011, 1), Month(2011, 2))
-    as_dict = dataclasses.asdict(window)
+    as_dict = window._asdict()
     assert as_dict == {"start": Month(2011, 1), "end": Month(2011, 2)}
     assert all(type(month) is Month for month in as_dict.values())
-    as_tuple = dataclasses.astuple(window)
+    as_tuple = tuple(window)
     assert as_tuple == (Month(2011, 1), Month(2011, 2))
     assert all(type(month) is Month for month in as_tuple)
     line = CostLine(Month(2011, 1), "web", "web", "vm_hours", 720.0, "hours",
                     Decimal("7.20"), None, "p", "r")
     report = CostReport(window, (line,), (), "USD")
-    assert dataclasses.asdict(report)["lines"][0]["month"] == Month(2011, 1)
-    assert type(dataclasses.astuple(report)[1][0][0]) is Month
+    assert report._asdict()["lines"][0]._asdict()["month"] == Month(2011, 1)
+    assert type(tuple(report)[1][0][0]) is Month
 
 
 def test_a_month_equals_its_plain_tuple():

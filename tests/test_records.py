@@ -1,5 +1,6 @@
-"""The plain result records are NamedTuples; they keep the behaviour they had
-as frozen dataclasses, and no JSON payload carries one."""
+"""Every record of the program is a NamedTuple: equal and hashed by its fields
+within its type, read-only, copied and pickled whole, and the tuple of its
+fields. No JSON payload carries one."""
 
 import copy
 import json
@@ -10,13 +11,23 @@ from fractions import Fraction
 import pytest
 
 import cloudcost
-from cloudcost import assess, engine, errors, model as m, pricing
+from cloudcost import assess, elasticity as el, engine, errors, model as m, pricing
 from cloudcost.cli import main
+from cloudcost.months import Month, SimulationWindow
 
 ROW = engine.SummaryRow("demo", Decimal("1.00"), Fraction(3, 2), Decimal("2.50"), 2)
 AVERAGE = assess.CategoryAverage("benefit", "technical", 4.5, 2)
 OPTION = pricing.PurchaseOption("reserved", Decimal("0.04"), 12, Decimal("100"))
 ENTRY = engine.ComparisonEntry(ROW, True, None, Decimal("0.000000"))
+SPEC = el.PatternSpec("temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0,
+                      "temp: every jun-aug on weekends /2")
+TIER = pricing.Tier(Decimal("10"), Decimal("0.12"))
+REQUIREMENT = m.ResourceRequirement("vm_hours", 720.0, ("perm: every month +10",))
+NODE = m.Node("web-1", "virtual_machine", m.Placement("nimbus", "us-east"),
+              m.VmSpec("linux", "small"), None, (REQUIREMENT,))
+WINDOW = SimulationWindow(Month(2011, 1), Month(2011, 3))
+LINE = engine.CostLine(Month(2011, 1), "web-1", "web-1", "vm_hours", 720.0, "hours",
+                       Decimal("86.40"), "g", "nimbus", "us-east")
 
 # (type, every field in declaration order -> a value)
 RECORDS = [
@@ -46,8 +57,39 @@ RECORDS = [
     (assess.CategoryAverage, {"kind": "benefit", "category": "technical", "average": 4.5,
                               "item_count": 2}),
     (assess.RadarData, {"benefits": (AVERAGE,), "risks": ()}),
+    (el.MonthSelector, {"start": 11, "end": 2}),
+    (el.DaySelector, {"kind": "dom_range", "a": 1, "b": 15}),
+    (el.PatternSpec, {"mode": "temp", "months": el.MonthSelector(6, 8),
+                      "days": el.DaySelector("weekends"), "op": "/", "operand": 2.0,
+                      "source": "temp: every jun-aug on weekends /2"}),
+    (el.UsageSchedule, {"kind_class": "flow", "baseline": 720.0, "patterns": (SPEC,)}),
+    (SimulationWindow, {"start": Month(2011, 1), "end": Month(2011, 3)}),
+    (pricing.Tier, {"upper_bound": Decimal("10"), "unit_price": Decimal("0.12")}),
+    (pricing.RateEntry, {"provider": "nimbus", "region": "us-east", "dimension": "data_out_gb",
+                         "sku": None, "scope": "internet", "flat_price": None,
+                         "tiers": (TIER, pricing.Tier(None, Decimal("0.08")))}),
+    (m.ResourceRequirement, {"kind": "vm_hours", "baseline": 720.0,
+                             "patterns": ("perm: every month +10",)}),
+    (m.Node, {"id": "web-1", "kind": "virtual_machine",
+              "placement": m.Placement("nimbus", "us-east"),
+              "vm_spec": m.VmSpec("linux", "small"), "storage_spec": None,
+              "requirements": (REQUIREMENT,)}),
+    (m.DeploymentModel, {"name": "demo", "nodes": (NODE,), "artifacts": (), "bindings": (),
+                         "paths": (), "groups": (m.Group("g", "front", ("web-1",)),)}),
+    (engine.CostLine, {"month": Month(2011, 1), "subject": "web-1", "node_id": "web-1",
+                       "dimension": "vm_hours", "quantity": 720.0, "unit": "hours",
+                       "cost": Decimal("86.40"), "group": "g", "provider": "nimbus",
+                       "region": "us-east", "scope": None}),
+    (engine.CostReport, {"window": WINDOW, "lines": (LINE,), "warnings": ("w",),
+                         "currency": "USD"}),
+    (engine.SummaryRow, {"label": "demo", "first_month": Decimal("1.00"),
+                         "monthly_avg": Fraction(3, 2), "total": Decimal("2.50"),
+                         "months": 2}),
 ]
 IDS = [kind.__name__ for kind, _ in RECORDS]
+# A first field other than "other" where the construction check needs one
+OTHER_FIRST = {el.UsageSchedule: "stock", SimulationWindow: Month(2011, 2),
+               engine.CostReport: SimulationWindow(Month(2011, 1), Month(2011, 2))}
 
 
 @pytest.mark.parametrize("kind, fields", RECORDS, ids=IDS)
@@ -61,7 +103,7 @@ def test_equality_and_hash_within_the_type(kind, fields):
     one, two = kind(**fields), kind(*fields.values())
     assert one == two and not one != two
     name = next(iter(fields))
-    assert one != kind(**{**fields, name: "other"})
+    assert one != kind(**{**fields, name: OTHER_FIRST.get(kind, "other")})
     if kind is assess.RatingSheet:  # its ratings dict is unhashable, as before
         with pytest.raises(TypeError):
             hash(one)
@@ -93,6 +135,28 @@ def test_a_record_is_the_tuple_of_its_fields(kind, fields):
     record = kind(**fields)
     assert tuple(record) == tuple(fields.values()) == record
     assert len(record) == len(fields)
+
+
+def test_a_model_refuses_every_attribute_write():
+    demo = m.load_model(str(cloudcost.data_path("demo_model.json")))
+    for name in ("name", "extra", "parsed_patterns", "_diagnostics"):
+        with pytest.raises(AttributeError, match="a DeploymentModel is read-only"):
+            setattr(demo, name, None)
+        with pytest.raises(AttributeError, match="a DeploymentModel is read-only"):
+            delattr(demo, name)
+    assert demo.name == "digital-library" and m.validate(demo) == []
+
+
+def test_a_copied_model_equals_it_and_keeps_its_findings(monkeypatch):
+    walked = []
+    findings = m._findings
+    monkeypatch.setattr(m, "_findings", lambda model: walked.append(model) or findings(model))
+    demo = m.load_model(str(cloudcost.data_path("demo_model.json")))
+    for other in (copy.copy(demo), copy.deepcopy(demo), pickle.loads(pickle.dumps(demo))):
+        assert type(other) is m.DeploymentModel and other == demo
+        assert m.validate(other) == m.validate(demo) == []
+        assert other.parsed_patterns == demo.parsed_patterns
+    assert walked == [demo]
 
 
 def test_rating_sheet_keeps_its_own_dict():
