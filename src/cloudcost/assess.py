@@ -77,7 +77,7 @@ class RadarData(NamedTuple):
 
 
 def natural_id_key(item_id: str) -> tuple:
-    m = re.fullmatch(r"([A-Za-z]+)(\d+)", item_id)
+    m = re.fullmatch(r"([A-Za-z]+)([0-9]+)", item_id)
     if m:
         return (m.group(1).upper(), int(m.group(2)))
     return (item_id, 0)

@@ -74,6 +74,18 @@ def _month_arg(text: str) -> Month:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _rating_arg(text: str) -> int:
+    """``--threshold`` type, so the message reads the same on every Python
+    version (3.13's ``choices`` check quotes the rejected value)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= 5:
+        raise argparse.ArgumentTypeError(f"invalid choice: {value} (choose from 1, 2, 3, 4, 5)")
+    return value
+
+
 def _window(args: argparse.Namespace) -> SimulationWindow:
     from .months import SimulationWindow
 
@@ -325,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assess", help="score a Likert rating sheet")
     p.add_argument("--items", required=True)
     p.add_argument("--ratings", required=True)
-    p.add_argument("--threshold", type=int, default=4, choices=range(1, 6),
+    p.add_argument("--threshold", type=_rating_arg, default=4, metavar="{1,2,3,4,5}",
                    help="shortlist items rated at or above this (default 4)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_assess)

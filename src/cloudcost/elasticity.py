@@ -36,19 +36,17 @@ on every day the set of firing temps changes and on the day after a temp
 clamps. Perms fire only on a run's first day, so the run's perms and then
 its temps are applied once, and each later day of the run repeats its value.
 A clamping day ends its run, so each day that clamps is replayed on its own
-and warns under its own date, in pattern order, as a day-by-day walk would;
-a ``date`` is built only for such a warning. A month's quantity still adds
-its daily values one by one from 0.0, once per day of each run: the order
-of float operations is part of the output contract, so no ``value * n``,
-closed form, ``sum()`` (compensated since Python 3.12) or ``math.fsum``
-stands in for the loop.
+and warns under its own date, in pattern order, as a day-by-day walk would.
+A month's quantity still adds its daily values one by one from 0.0, once
+per day of each run: the order of float operations is part of the output
+contract, so no ``value * n``, closed form, ``sum()`` (compensated since
+Python 3.12) or ``math.fsum`` stands in for the loop.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from datetime import date
 from typing import Callable, NamedTuple, NoReturn
 
 from .errors import EvaluationError, PatternError
@@ -317,8 +315,8 @@ def _clamped(pattern: PatternSpec, index: int, year: int, month: int, dom: int,
     """The 0.0 that replaces a negative result, after warning with its date."""
     if warn is not None:
         label = pattern.source or f"{pattern.op}{pattern.operand:g}"
-        day = date(year, month, dom)
-        warn(f"clamped negative value to 0 on {day.isoformat()} (pattern {index + 1}: {label})")
+        warn(f"clamped negative value to 0 on {year:04d}-{month:02d}-{dom:02d} "
+             f"(pattern {index + 1}: {label})")
     return 0.0
 
 
@@ -359,24 +357,19 @@ def _firing_days(pattern: PatternSpec, weekday1: int, month_days: int) -> int:
 
 
 def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
-                   usage_start: Month | None = None,
                    warn: WarnFn | None = None) -> tuple[float, ...]:
     """Billable quantity of each window month, in order, from one replay from
-    ``usage_start`` (by default the window start, never after it) through the
-    window's last day; see the module docstring.
+    the window's first day through its last; see the module docstring.
 
     A month's quantity is the sequential sum of its daily values, divided by
-    its length for stocks, so results are bit-reproducible. An overflow
-    raises EvaluationError with its ``month`` set.
+    its length for stocks, so results are bit-reproducible. Each clamp goes
+    to ``warn``. An overflow raises EvaluationError with its ``month`` set.
     """
-    start = usage_start or window.start
-    if start > window.start:
-        raise ValueError(f"usage start {start} is after the window start {window.start}")
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
     quantities: list[float] = []
     try:
-        for year, month, weekday1, days_in_month in month_calendar(start, window.end):
+        for year, month, weekday1, days_in_month in month_calendar(window.start, window.end):
             month_days = (2 << days_in_month) - 2
             perms: list[tuple[int, PatternSpec, int]] = []
             temps: list[tuple[int, PatternSpec, int]] = []
@@ -419,4 +412,4 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
     except EvaluationError as exc:
         exc.month = Month(year, month)
         raise
-    return tuple(quantities[window.start.diff(start):])
+    return tuple(quantities)

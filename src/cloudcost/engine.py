@@ -7,11 +7,11 @@ data_out on the sending endpoint and data_in on the receiving endpoint,
 with the transfer scope resolved from the two placements.
 
 A replay depends only on the requirement's kind class, baseline and pattern
-texts once the window and usage start are fixed, not on its subject, placement
-or catalog. So each replay's monthly quantities and raw clamp messages land in
-a memo keyed by that triple, and an equal requirement reuses them, its clamp
-messages re-sent under its own ``subject/kind:`` prefix. The memo is owned by
-one command: :func:`simulate` makes a fresh one per call, and
+texts once the window is fixed, not on its subject, placement or catalog. So
+each replay's monthly quantities and raw clamp messages land in a memo keyed
+by that triple, and an equal requirement reuses them, its clamp messages
+re-sent under its own ``subject/kind:`` prefix. The memo is owned by one
+command: :func:`simulate` makes a fresh one per call, and
 :func:`compare_scenarios` shares one across its scenarios, which all use the
 same window. Nothing is kept between commands.
 
@@ -182,8 +182,7 @@ Replays = dict[tuple[str, float, tuple[str, ...]], tuple[tuple[float, ...], tupl
 
 
 def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: SimulationWindow,
-            usage_start: Month | None, subject: str, warn, replays: Replays
-            ) -> tuple[float, ...]:
+            subject: str, warn, replays: Replays) -> tuple[float, ...]:
     """Quantities of a requirement of a validated model (all its pattern texts
     parsed), replayed unless ``replays`` holds an equal one; either way its
     clamp messages go to ``warn`` under this subject's prefix."""
@@ -196,7 +195,7 @@ def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: Simula
         schedule = UsageSchedule(key[0], req.baseline, tuple(specs))
         clamps: list[str] = []
         try:
-            quantities = monthly_series(schedule, window, usage_start, clamps.append)
+            quantities = monthly_series(schedule, window, warn=clamps.append)
         except EvaluationError as exc:
             raise _line_error(subject, req.kind, exc.month, exc) from exc
         replayed = replays[key] = (quantities, tuple(clamps))
@@ -216,16 +215,13 @@ def _transfer_scope(a: m.Placement, b: m.Placement | None) -> str:
 
 def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
              window: SimulationWindow,
-             plan: Mapping[str, PlanChoice] | None = None,
-             usage_start: Month | None = None, *,
+             plan: Mapping[str, PlanChoice] | None = None, *,
              replays: Replays | None = None) -> CostReport:
-    """Price the model over the window.
+    """Price the model over the window; usage replay starts at its first day.
 
-    ``plan`` selects a purchase option per VM node (default on-demand);
-    ``usage_start`` anchors pattern replay before the billing window so a
-    window can be split without resetting permanent patterns. ``replays`` is
-    the replay memo (see the module docstring); only calls with the same
-    window and usage start may share one. A fresh one is used by default.
+    ``plan`` selects a purchase option per VM node (default on-demand).
+    ``replays`` is the replay memo (see the module docstring); only calls
+    with the same window may share one. A fresh one is used by default.
     """
     diagnostics = m.validate(model)
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -263,8 +259,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         reserved = _resolve_reserved(catalog, node, choice) if choice.kind == pricing.RESERVED else None
 
         for req in node.requirements:
-            quantities = _series(model, req, window, usage_start, node.id,
-                                 warnings.append, replays)
+            quantities = _series(model, req, window, node.id, warnings.append, replays)
             sku, scope = _rate_key_for(node, req.kind)
             if req.kind == m.VM_HOURS and reserved is not None:
                 entry = pricing.RateEntry(provider, region, pricing.VM_HOURS, sku,
@@ -285,8 +280,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         to_node = node_by_id[path.to_node]
         if from_node.placement is None and to_node.placement is None:
             continue  # both endpoints outside the cloud: nothing is billed
-        quantities = _series(model, path.volume, window, usage_start, path.id,
-                             warnings.append, replays)
+        quantities = _series(model, path.volume, window, path.id, warnings.append, replays)
         for endpoint, dimension in ((from_node, m.DATA_OUT_GB), (to_node, m.DATA_IN_GB)):
             if endpoint.placement is None:
                 continue  # only the cloud-side endpoint is billed
@@ -467,8 +461,8 @@ def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
 
 
 def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[str, PlanChoice] | None]],
-                      catalog: pricing.PriceCatalog, window: SimulationWindow,
-                      usage_start: Month | None = None) -> ComparisonTable:
+                      catalog: pricing.PriceCatalog, window: SimulationWindow
+                      ) -> ComparisonTable:
     """Simulate each (label, model, plan), summarize and compare.
 
     The scenarios share one replay memo, so a requirement that several of
@@ -482,7 +476,7 @@ def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[
     rows: list[SummaryRow] = []
     warnings: list[str] = []
     for label, scenario_model, plan in scenarios:
-        report = simulate(scenario_model, catalog, window, plan, usage_start, replays=replays)
+        report = simulate(scenario_model, catalog, window, plan, replays=replays)
         rows.append(summarize(report, label))
         warnings.extend(f"{label}: {warning}" for warning in report.warnings)
     table = compare(rows)

@@ -14,7 +14,6 @@ arithmetic (:func:`month_calendar`), not from the ``calendar`` module.
 from __future__ import annotations
 
 import re
-from datetime import date
 from typing import Iterator, NamedTuple
 
 from .errors import WindowError
@@ -48,10 +47,16 @@ class Month(_MonthFields):
             raise ValueError(f"expected YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
-    def first_day(self) -> date:
+    def first_day(self):
+        """Day 1 as a ``date``, imported here: only bench/tracing.py calls it."""
+        from datetime import date
+
         return date(self.year, self.month, 1)
 
-    def last_day(self) -> date:
+    def last_day(self):
+        """The last day as a ``date``, imported here: only bench/tracing.py calls it."""
+        from datetime import date
+
         return date(self.year, self.month, self.days())
 
     def days(self) -> int:

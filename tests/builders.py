@@ -13,9 +13,9 @@ DOWS = elasticity.DOW_NAMES
 
 
 def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:
-    """One month's billed quantity, replayed from ``start`` through the
-    same entry point that ``engine.simulate`` uses."""
-    return elasticity.monthly_series(schedule, SimulationWindow(month, month), start)[0]
+    """One month's billed quantity: the last month of a replay over
+    ``start..month`` through the same entry point that ``engine.simulate`` uses."""
+    return elasticity.monthly_series(schedule, SimulationWindow(start, month))[-1]
 
 
 def random_pattern_text(rng: random.Random) -> str:

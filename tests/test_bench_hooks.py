@@ -26,7 +26,9 @@ def test_every_wrapped_layer_call_resolves_to_a_callable():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-FRESH_TRACE = """\
+# A traced one-month (2011-01) demo `simulate` in a fresh process; the
+# caller appends what the script prints.
+FRESH_RUN = """\
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
@@ -36,20 +38,40 @@ tracer = tracing.Tracer()
 cloudcost.cli.main(["simulate", "--model", sys.argv[2], "--catalog", sys.argv[3],
                     "--start", "2011-01", "--end", "2011-01", "--out", sys.argv[4]])
 tracer.close()
+"""
+
+FRESH_TRACE = FRESH_RUN + """\
 spans = tracer.spans
 print(sum(parent >= 0 and spans[parent][0] == name for name, _, _, parent in spans))
 """
+
+FRESH_COUNTS = FRESH_RUN + """\
+print(tracer.counts["elasticity.days_walked"], tracer.counts["elasticity.series"])
+"""
+
+
+def fresh_traced_run(script, out):
+    package = Path(cloudcost.__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(TRACING),
+         str(package / "data" / "demo_model.json"),
+         str(package / "data" / "demo_catalog.json"), str(out)],
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+        capture_output=True, text=True, check=True)
+    return proc.stdout
 
 
 def test_a_fresh_process_records_each_layer_call_once(tmp_path):
     # Commands import their modules lazily, so the tracer may import one
     # module after wrapping another; a by-name copy of a wrapped callable
     # would then be wrapped twice and record each call as two nested spans.
-    package = Path(cloudcost.__file__).resolve().parent
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_TRACE, str(TRACING),
-         str(package / "data" / "demo_model.json"),
-         str(package / "data" / "demo_catalog.json"), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(package.parent)},
-        capture_output=True, text=True, check=True)
-    assert proc.stdout == "0\n"
+    assert fresh_traced_run(FRESH_TRACE, tmp_path) == "0\n"
+
+
+def test_the_tracer_counts_each_replay_over_the_window_alone(tmp_path):
+    # The tracer reads a third positional argument of monthly_series as a
+    # usage start, so the engine must pass its clamp sink by keyword: each
+    # replay of the one-month window then walks January's 31 days.
+    days, series = map(int, fresh_traced_run(FRESH_COUNTS, tmp_path).split())
+    assert series > 0
+    assert days == 31 * series

@@ -497,6 +497,33 @@ class TestAssess:
             "(choose from 1, 2, 3, 4, 5)\n")
         assert not (tmp_path / "out").exists()
 
+    def test_ids_with_non_ascii_digits_sort_the_same_in_any_input_order(self, tmp_path,
+                                                                       capsys):
+        # B٣ (an Arabic-Indic three) is not B3, so input order must not decide
+        # which sorts first
+        def assessed(ids, ratings, name):
+            items = tmp_path / f"{name}.json"
+            items.write_text(json.dumps({"items": [
+                {"id": item_id, "kind": "benefit", "category": "technical",
+                 "statement": f"statement {item_id}"} for item_id in ids]}))
+            sheet = tmp_path / f"{name}.csv"
+            sheet.write_text("item_id,rating\n" + "".join(f"{i},{r}\n" for i, r in ratings),
+                             encoding="utf-8")
+            out = tmp_path / name
+            code = run("assess", "--items", str(items), "--ratings", str(sheet),
+                       "--out", str(out))
+            written = out / "important.json"
+            return code, capsys.readouterr().err, written.exists() and written.read_text()
+
+        ids = ["B3", "B\u0663", "U1", "U\u0661"]
+        rated = [("B3", 5), ("B\u0663", 5)]
+        unknown = rated + [("X2", 5), ("X\u0662", 5)]
+        for n, ratings in enumerate((rated, unknown)):
+            forward = assessed(ids, ratings, f"forward{n}")
+            backward = assessed(ids[::-1], ratings[::-1], f"backward{n}")
+            assert forward == backward
+        assert json.loads(assessed(ids, rated, "plain")[2])["benefit"] == ["B3", "B\u0663"]
+
 
 FOOTPRINT = """\
 import sys
@@ -533,19 +560,20 @@ class TestImports:
         ([], ("dataclasses", "inspect")),
         (["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--out", "{tmp}"],
          ("dataclasses", "inspect")),
-        (["validate", DEMO_MODEL], ("calendar", "fractions", "dataclasses", "inspect")),
+        (["validate", DEMO_MODEL],
+         ("calendar", "fractions", "dataclasses", "inspect", "datetime")),
         (["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}"],
-         ("calendar", "fractions", "dataclasses", "inspect")),
+         ("calendar", "fractions", "dataclasses", "inspect", "datetime")),
         (["simulate", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("dataclasses", "inspect")),
+         ("dataclasses", "inspect", "datetime")),
         (["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("dataclasses", "inspect")),
+         ("dataclasses", "inspect", "datetime")),
         (["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--map", "{map}", "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("dataclasses", "inspect")),
+         ("dataclasses", "inspect", "datetime")),
     ], ids=["import", "assess", "validate", "export-csv", "simulate", "compare",
             "compare-providers"])
     def test_a_fresh_command_never_loads_these_stdlib_modules(self, tmp_path, argv, absent):

@@ -197,18 +197,12 @@ class TestEvaluate:
             el.UsageSchedule(**good)._replace(**fields)
         assert str(built.value) == str(replaced.value) == message
 
-    def test_date_before_start_rejected(self):
-        sched = schedule(el.STOCK, 1)
-        with pytest.raises(ValueError):
-            el.monthly_series(sched, SimulationWindow(Month(2010, 12), Month(2011, 1)),
-                              Month(2011, 1))
-
     def test_clamp_records_warning(self):
         sched = schedule(el.STOCK, 10, "perm: every month -25")
         warnings = []
-        series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
-                                   Month(2011, 1), warnings.append)
-        assert series == (0.0,)
+        series = el.monthly_series(sched, SimulationWindow(Month(2011, 1), Month(2011, 2)),
+                                   warnings.append)
+        assert series == (10.0, 0.0)
         _, clamps = oracle_replay(el.STOCK, 10, sched.patterns, (2011, 1), (2011, 2))
         assert clamp_events(warnings) == clamps == [(date(2011, 2, 1), 0)]
 
@@ -353,12 +347,12 @@ class TestClampWarnings:
             sched = random_schedule(rng)
             month = start.add(rng.randint(0, 23))
             warnings = []
-            series = el.monthly_series(sched, SimulationWindow(month, month), start,
+            series = el.monthly_series(sched, SimulationWindow(start, month),
                                        warnings.append)
             quantity, clamps = oracle_replay(sched.kind_class, sched.baseline,
                                              sched.patterns, (2011, 1),
                                              (month.year, month.month))
-            assert series == (quantity,)
+            assert series[-1] == quantity
             assert clamp_events(warnings) == clamps
             clamping += bool(clamps)
         assert clamping >= 30  # the property is not vacuous
@@ -367,6 +361,6 @@ class TestClampWarnings:
         sched = schedule(el.FLOW, 100, "temp: every month -1000")
         warnings = []
         series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
-                                   None, warnings.append)
+                                   warnings.append)
         assert series == (0.0,)
         assert clamp_events(warnings) == [(date(2011, 2, d), 0) for d in range(1, 29)]

@@ -40,9 +40,9 @@ def replays(monkeypatch):
     calls = Counter()
     original = engine.monthly_series
 
-    def counting(schedule, *args):
+    def counting(schedule, *args, **kwargs):
         calls[schedule] += 1
-        return original(schedule, *args)
+        return original(schedule, *args, **kwargs)
 
     monkeypatch.setattr(engine, "monthly_series", counting)
     return calls
@@ -119,7 +119,7 @@ def test_every_subject_of_a_shared_replay_keeps_its_clamp_warnings(replays):
     expected, raw = [], []
     for subject, kind in (("a", m.VM_HOURS), ("b", m.VM_HOURS), ("ab", m.DATA_LINK_GB)):
         own = []
-        monthly_series(schedule, window, None, own.append)
+        monthly_series(schedule, window, own.append)
         raw.append(own)
         expected += [f"{subject}/{kind}: {msg}" for msg in own]
     assert list(report.warnings) == expected
