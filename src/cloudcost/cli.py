@@ -99,7 +99,7 @@ def _summary_payload(row: engine.SummaryRow, currency: str) -> dict:
         "label": row.label,
         "months": row.months,
         "first_month": format_money(row.first_month),
-        "monthly_avg": format_money(row.monthly_avg_money()),
+        "monthly_avg": format_money(row.monthly_avg),
         "total": format_money(row.total),
         "currency": currency,
     }
@@ -138,7 +138,7 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
     for entry in table.entries:
         header.append(entry.row.label)
         first.append(format_money_grouped(entry.row.first_month))
-        avg.append(format_money_grouped(entry.row.monthly_avg_money()))
+        avg.append(format_money_grouped(entry.row.monthly_avg))
         total.append(format_money_grouped(entry.row.total))
         diff.append(entry.difference or "")
     widths = [max(len(row[i]) for row in (header, first, avg, total, diff))
@@ -186,7 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary = engine.summarize([total for _, total in totals], parsed.name)
     write_atomic(out / "report.csv", report.to_csv(cost_report))
     write_atomic(out / "report.html",
-                 report.to_html(cost_report, [summary], model=parsed, totals=totals))
+                 report.to_html(cost_report, summary, model=parsed, totals=totals))
     write_atomic(out / "summary.json",
                  json.dumps(_summary_payload(summary, cost_report.currency),
                             indent=2) + "\n")

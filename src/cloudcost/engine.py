@@ -28,7 +28,7 @@ line and month as it would without the memo.
 
 from __future__ import annotations
 
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal
 from itertools import groupby
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -38,7 +38,7 @@ from . import pricing, schema
 from .elasticity import UsageSchedule, monthly_series
 from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
 from .errors import EvaluationError, MissingRateError, ModelError, PlanError
-from .money import CENT_EXP, MONEY_EXP, to_money
+from .money import MONEY_EXP, round_half_even, to_money
 from .months import Month, SimulationWindow
 
 RESERVATION_UPFRONT = "reservation_upfront"
@@ -378,28 +378,21 @@ class SummaryRow(NamedTuple):
     """First month / monthly average / total, as printed in comparison tables.
 
     The monthly average excludes the first month — avg = (total - first)/(n-1)
-    — and is kept as an exact fraction so the identity holds without rounding.
+    — and is that exact ratio rounded once, half-even, to cents; with one
+    month it is the total in cents. Every output prints it as it is.
     """
 
     label: str
     first_month: Decimal
-    monthly_avg: Fraction
+    monthly_avg: Decimal
     total: Decimal
     months: int
 
-    def monthly_avg_money(self) -> Decimal:
-        value = Decimal(self.monthly_avg.numerator) / Decimal(self.monthly_avg.denominator)
-        return value.quantize(CENT_EXP, rounding=ROUND_HALF_EVEN)
 
-
-def summarize(source: CostReport | Sequence, label: str) -> SummaryRow:
-    """Summary of a report or of a plain monthly-totals series."""
-    from fractions import Fraction
-
-    if isinstance(source, CostReport):
-        series = [total for _, total in source.monthly_totals()]
-    else:
-        series = [to_money(value) for value in source]
+def summarize(totals: Sequence, label: str) -> SummaryRow:
+    """Summary of a series of monthly totals, such as the amounts of
+    ``report.monthly_totals()``."""
+    series = [to_money(value) for value in totals]
     if not series:
         raise ValueError("cannot summarize an empty series")
     first = series[0]
@@ -408,11 +401,9 @@ def summarize(source: CostReport | Sequence, label: str) -> SummaryRow:
         total += value
     total = to_money(total)
     n = len(series)
-    if n == 1:
-        avg = Fraction(total)
-    else:
-        avg = Fraction(total - first) / (n - 1)
-    return SummaryRow(label, first, avg, total, n)
+    num, den = (total if n == 1 else total - first).as_integer_ratio()
+    cents = round_half_even(100 * num, den * max(n - 1, 1))
+    return SummaryRow(label, first, Decimal(cents).scaleb(-2), total, n)
 
 
 class ComparisonEntry(NamedTuple):
@@ -427,17 +418,9 @@ class ComparisonTable(NamedTuple):
     baseline_label: str
     warnings: tuple[str, ...] = ()
 
-    def entry(self, label: str) -> ComparisonEntry:
-        for entry in self.entries:
-            if entry.row.label == label:
-                return entry
-        raise KeyError(label)
-
 
 def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
     """Pick the cheapest total as baseline and express the rest as +Nx."""
-    from fractions import Fraction
-
     if len(rows) < 2:
         raise ValueError("comparison needs at least two rows")
     min_total = min(row.total for row in rows)
@@ -449,12 +432,13 @@ def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
         warnings.append(f"total tie between {baseline.label} and {others}; "
                         f"baseline chosen by label order")
     entries = []
-    base_total = Fraction(baseline.total)
+    base_num, base_den = baseline.total.as_integer_ratio()
     for row in rows:
         if row is baseline:
             entries.append(ComparisonEntry(row, True, None, Decimal(0).quantize(MONEY_EXP)))
             continue
-        multiple = round(Fraction(row.total) / base_total) if base_total else 0
+        num, den = row.total.as_integer_ratio()
+        multiple = round_half_even(num * base_den, den * base_num) if base_num else 0
         entries.append(ComparisonEntry(row, False, f"+{multiple}x",
                                        to_money(row.total - baseline.total)))
     return ComparisonTable(tuple(entries), baseline.label, tuple(warnings))
@@ -477,7 +461,7 @@ def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[
     warnings: list[str] = []
     for label, scenario_model, plan in scenarios:
         report = simulate(scenario_model, catalog, window, plan, replays=replays)
-        rows.append(summarize(report, label))
+        rows.append(summarize([total for _, total in report.monthly_totals()], label))
         warnings.extend(f"{label}: {warning}" for warning in report.warnings)
     table = compare(rows)
     return ComparisonTable(table.entries, table.baseline_label,

@@ -39,6 +39,17 @@ def as_decimal(value: Decimal | int | float | str) -> Decimal:
     return Decimal(value)
 
 
+def round_half_even(num: int, den: int) -> int:
+    """The exact ratio ``num / den`` rounded to the nearest integer, ties to
+    the even one, for any integers with ``den`` non-zero."""
+    if den < 0:
+        num, den = -num, -den
+    quotient, remainder = divmod(num, den)
+    if 2 * remainder > den or (2 * remainder == den and quotient % 2):
+        quotient += 1
+    return quotient
+
+
 def format_money(value: Decimal) -> str:
     """Render with exactly 2 decimals, rounding half-even."""
     return str(value.quantize(CENT_EXP, rounding=ROUND_HALF_EVEN))

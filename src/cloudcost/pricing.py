@@ -106,17 +106,22 @@ def _key_text(provider: str, region: str, dimension: str,
 
 # --- loading -----------------------------------------------------------------
 
+def _finite_decimal(value: str, path: str, what: str) -> Decimal:
+    """The finite decimal that ``value`` spells; ``what`` names it in errors."""
+    try:
+        number = Decimal(value)
+    except InvalidOperation as exc:
+        raise CatalogError(f"{path}: invalid decimal {value!r}") from exc
+    if not number.is_finite():
+        raise CatalogError(f"{path}: {what} must be finite")
+    return number
+
+
 def _price_at(obj: dict, key: str, path: str) -> Decimal:
     value = obj[key]
     if not isinstance(value, str):
         raise CatalogError(f"{path}.{key}: prices must be decimal strings, got {value!r}")
-    try:
-        price = Decimal(value)
-    except InvalidOperation as exc:
-        raise CatalogError(f"{path}.{key}: invalid decimal {value!r}") from exc
-    if not price.is_finite():
-        raise CatalogError(f"{path}.{key}: price must be finite")
-    return price
+    return _finite_decimal(value, f"{path}.{key}", "price")
 
 
 def _bound_at(value: Any, path: str) -> Decimal | None:
@@ -127,13 +132,7 @@ def _bound_at(value: Any, path: str) -> Decimal | None:
     if isinstance(value, int):
         return Decimal(value)
     if isinstance(value, str):
-        try:
-            bound = Decimal(value)
-        except InvalidOperation as exc:
-            raise CatalogError(f"{path}: invalid decimal {value!r}") from exc
-        if not bound.is_finite():
-            raise CatalogError(f"{path}: tier bound must be finite")
-        return bound
+        return _finite_decimal(value, path, "tier bound")
     raise CatalogError(f"{path}: tier bounds must be integers, strings or null")
 
 

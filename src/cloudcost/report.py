@@ -113,18 +113,15 @@ def _rollup_table(report: CostReport, by: str, title: str) -> str:
             f"<tr><th>{by}</th><th>cost</th></tr>{rows}</table>")
 
 
-def _summary_table(summaries: Sequence[SummaryRow], currency: str) -> str:
-    rows = "".join(
-        f"<tr><td>{html.escape(row.label)}</td>"
-        f'<td class="num">{format_money(row.first_month)}</td>'
-        f'<td class="num">{format_money(row.monthly_avg_money())}</td>'
-        f'<td class="num">{format_money(row.total)}</td>'
-        f'<td class="num">{row.months}</td></tr>'
-        for row in summaries
-    )
+def _summary_table(row: SummaryRow, currency: str) -> str:
     return (f"<h2>Summary ({html.escape(currency)})</h2><table data-summary=\"1\">"
             "<tr><th>scenario</th><th>1st month</th><th>monthly avg.</th>"
-            f"<th>total</th><th>months</th></tr>{rows}</table>")
+            "<th>total</th><th>months</th></tr>"
+            f"<tr><td>{html.escape(row.label)}</td>"
+            f'<td class="num">{format_money(row.first_month)}</td>'
+            f'<td class="num">{format_money(row.monthly_avg)}</td>'
+            f'<td class="num">{format_money(row.total)}</td>'
+            f'<td class="num">{row.months}</td></tr></table>')
 
 
 def _topology_section(model: m.DeploymentModel) -> str:
@@ -149,11 +146,11 @@ def _topology_section(model: m.DeploymentModel) -> str:
     return out
 
 
-def to_html(report: CostReport, summaries: Sequence[SummaryRow],
+def to_html(report: CostReport, summary: SummaryRow,
             model: m.DeploymentModel, totals: Sequence[tuple[Month, Decimal]]) -> str:
     """Single self-contained page: summary, monthly chart, rollup tables,
     warnings and the model topology. ``totals`` is ``report.monthly_totals()``,
-    which the caller has already computed for the summaries."""
+    which the caller has already computed for the summary."""
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8"/>',
@@ -164,7 +161,7 @@ def to_html(report: CostReport, summaries: Sequence[SummaryRow],
         f"({report.window.count} months) &middot; grand total "
         f"<strong>{format_money(report.grand_total())} {html.escape(report.currency)}</strong></p>",
     ]
-    parts.append(_summary_table(summaries, report.currency))
+    parts.append(_summary_table(summary, report.currency))
     parts.append("<h2>Monthly total</h2>")
     parts.append(_monthly_chart(totals))
     parts.append(_rollup_table(report, "group", "Cost by group"))

@@ -18,6 +18,12 @@ def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Mont
     return elasticity.monthly_series(schedule, SimulationWindow(start, month))[-1]
 
 
+def table_entry(table, label: str):
+    """The comparison table's entry for the row labelled ``label``."""
+    (found,) = [entry for entry in table.entries if entry.row.label == label]
+    return found
+
+
 def random_pattern_text(rng: random.Random) -> str:
     mode = rng.choice(["temp", "perm"])
     pick = rng.random()

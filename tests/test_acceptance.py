@@ -20,7 +20,7 @@ from cloudcost.errors import PatternError
 from cloudcost.months import Month, SimulationWindow
 
 from builders import (PLACEMENTS, flat_catalog, month_quantity, random_model,
-                      random_schedule)
+                      random_schedule, table_entry)
 from oracle import oracle_month_quantity, oracle_tiered_price
 
 GOLDEN = Path(__file__).parent / "golden" / "demo_report.csv"
@@ -45,14 +45,14 @@ def test_summary_identity_on_reference_series():
     ]
     for label, first, total, want_avg in expected:
         row = engine.summarize(series_with(first, total), label)
-        assert abs(row.monthly_avg_money() - want_avg) <= 1, label
+        assert abs(row.monthly_avg - want_avg) <= 1, label
         assert row.first_month == Decimal(first)
         assert row.total == Decimal(total)
-        # defining identity, exact
-        assert row.monthly_avg * 35 + Fraction(row.first_month) == Fraction(row.total)
+        # defining identity, rounded once, half-even, to cents
+        assert row.monthly_avg == round(Fraction(row.total - row.first_month) / 35 * 100) / 100
     aws = engine.summarize(series_with("18980", "85950"), "AWS US-East")
-    assert aws.monthly_avg_money() == Decimal("1913.43")
-    assert abs(aws.monthly_avg_money() - Decimal("1916")) <= 5
+    assert aws.monthly_avg == Decimal("1913.43")
+    assert abs(aws.monthly_avg - Decimal("1916")) <= 5
     assert time.monotonic() - began < 1.0
 
 
@@ -63,8 +63,8 @@ def test_difference_multiples_select_cheapest_baseline():
             engine.summarize(series_with("6550", "242170"), "Rackspace")]
     table = engine.compare(rows)
     assert table.baseline_label == "AWS US-East"
-    assert table.entry("FlexiScale").difference == "+2x"
-    assert table.entry("Rackspace").difference == "+3x"
+    assert table_entry(table, "FlexiScale").difference == "+2x"
+    assert table_entry(table, "Rackspace").difference == "+3x"
     assert time.monotonic() - began < 1.0
 
 
@@ -75,7 +75,7 @@ def test_elastic_saving_delta():
             engine.summarize(series_with("75260", "221385"), "Elastic small")]
     table = engine.compare(rows)
     assert table.baseline_label == "Elastic"
-    delta = table.entry("Non-elastic").delta
+    delta = table_entry(table, "Non-elastic").delta
     assert delta == Decimal("68945.000000")
     assert abs(delta - Decimal("70000")) <= Decimal("1500")
     assert time.monotonic() - began < 1.0

@@ -10,7 +10,7 @@ from cloudcost.errors import EvaluationError, MissingRateError, PlanError, Windo
 from cloudcost.money import to_money
 from cloudcost.months import Month, SimulationWindow
 
-from builders import PLACEMENTS, flat_catalog, random_model
+from builders import PLACEMENTS, flat_catalog, random_model, table_entry
 
 
 def vm(node_id="vm1", provider="aws", region="us-east", sku="standard.small",
@@ -488,9 +488,9 @@ class TestSummarize:
     def test_report_summary_identity(self):
         report = engine.simulate(m.DeploymentModel("one", (vm(),)), BASIC_CATALOG,
                                  window(3))
-        row = engine.summarize(report, "one")
-        assert row.monthly_avg * (row.months - 1) + Fraction(row.first_month) \
-            == Fraction(row.total)
+        row = engine.summarize([total for _, total in report.monthly_totals()], "one")
+        exact = Fraction(row.total - row.first_month) / (row.months - 1)
+        assert row.monthly_avg == round(exact * 100) / 100
 
     def test_single_month_series(self):
         row = engine.summarize([Decimal(100)], "x")
@@ -506,6 +506,13 @@ class TestSummarize:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             engine.summarize([], "x")
+
+    def test_average_is_rounded_to_cents_once(self):
+        # the exact average ends in .014999666..., so cents are .01; rounding
+        # first to the 28 digits of the decimal context gives .015000, then .02
+        big = Decimal("1e21")
+        row = engine.summarize([0, big, big, big + Decimal("0.044999")], "x")
+        assert row.monthly_avg == Decimal("1000000000000000000000.01")
 
 
 def row(label, first, total, months=36):
@@ -523,9 +530,9 @@ class TestCompare:
                 row("Rackspace", "6550", "242170")]
         table = engine.compare(rows)
         assert table.baseline_label == "AWS US-East"
-        assert table.entry("FlexiScale").difference == "+2x"
-        assert table.entry("Rackspace").difference == "+3x"
-        assert table.entry("AWS US-East").difference is None
+        assert table_entry(table, "FlexiScale").difference == "+2x"
+        assert table_entry(table, "Rackspace").difference == "+3x"
+        assert table_entry(table, "AWS US-East").difference is None
 
     def test_elastic_saving_delta(self):
         rows = [row("Non-elastic", "67350", "286415"),
@@ -533,7 +540,7 @@ class TestCompare:
                 row("Elastic small", "75260", "221385")]
         table = engine.compare(rows)
         assert table.baseline_label == "Elastic"
-        delta = table.entry("Non-elastic").delta
+        delta = table_entry(table, "Non-elastic").delta
         assert delta == Decimal("68945.000000")
         assert abs(delta - Decimal(70000)) <= 1500
 
@@ -542,7 +549,7 @@ class TestCompare:
         table = engine.compare(rows)
         assert table.baseline_label == "alpha"
         assert table.warnings and "tie" in table.warnings[0]
-        assert table.entry("zeta").difference == "+1x"
+        assert table_entry(table, "zeta").difference == "+1x"
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -557,7 +564,7 @@ class TestCompareScenarios:
             [("one", scenario, None), ("two", other, None)], BASIC_CATALOG, window(3))
         assert table.warnings
         assert [entry.row.label for entry in table.entries] == ["one", "two"]
-        assert table.entry("one").row == table.entry("two").row._replace(label="one")
+        assert table_entry(table, "one").row == table_entry(table, "two").row._replace(label="one")
 
     def test_duplicate_labels_rejected(self):
         scenario = m.DeploymentModel("one", (vm(),))
@@ -573,7 +580,8 @@ class TestCompareScenarios:
             [("non-elastic", always_on, None), ("elastic", reduced, None)],
             BASIC_CATALOG, window(6))
         assert table.baseline_label == "elastic"
-        assert table.entry("elastic").row.total <= table.entry("non-elastic").row.total
+        assert (table_entry(table, "elastic").row.total
+                <= table_entry(table, "non-elastic").row.total)
 
     def test_small_instances_trade_first_month_for_average(self):
         # few large instances, on demand: flat months
@@ -593,8 +601,8 @@ class TestCompareScenarios:
         plan = {node.id: engine.PlanChoice(pricing.RESERVED, 36) for node in small_nodes}
         table = engine.compare_scenarios(
             [("large", large, None), ("small", small, plan)], catalog, window(36))
-        small_row = table.entry("small").row
-        large_row = table.entry("large").row
+        small_row = table_entry(table, "small").row
+        large_row = table_entry(table, "large").row
         assert small_row.first_month > large_row.first_month
         assert small_row.monthly_avg < large_row.monthly_avg
         assert table.baseline_label == "small"

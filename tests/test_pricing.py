@@ -92,6 +92,23 @@ class TestLoadCatalog:
             load(doc)
         assert "tiers[0].upper_bound: tier bound must be finite" in str(exc.value)
 
+    @pytest.mark.parametrize("priced, message", [
+        ({"flat": "abc"}, "entries[0].pricing.flat: invalid decimal 'abc'"),
+        ({"flat": "Infinity"}, "entries[0].pricing.flat: price must be finite"),
+        ({"tiers": [{"upper_bound": "1e", "unit_price": "1.0"},
+                    {"upper_bound": None, "unit_price": "0.5"}]},
+         "entries[0].pricing.tiers[0].upper_bound: invalid decimal '1e'"),
+        ({"tiers": [{"upper_bound": "10", "unit_price": "1.0"},
+                    {"upper_bound": None, "unit_price": "-sNaN"}]},
+         "entries[0].pricing.tiers[1].unit_price: price must be finite"),
+    ], ids=["price-invalid", "price-infinite", "bound-invalid", "tier-price-nan"])
+    def test_decimal_text_errors_name_the_field(self, priced, message):
+        doc = catalog_doc()
+        doc["entries"][0]["pricing"] = priced
+        with pytest.raises(CatalogError) as exc:
+            load(doc)
+        assert str(exc.value) == message
+
     def test_negative_price_rejected(self):
         doc = catalog_doc()
         doc["entries"][0]["pricing"] = {"flat": "-0.10"}

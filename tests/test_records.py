@@ -6,7 +6,6 @@ import copy
 import json
 import pickle
 from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,7 @@ from cloudcost import assess, elasticity as el, engine, errors, model as m, pric
 from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
-ROW = engine.SummaryRow("demo", Decimal("1.00"), Fraction(3, 2), Decimal("2.50"), 2)
+ROW = engine.SummaryRow("demo", Decimal("1.00"), Decimal("1.50"), Decimal("2.50"), 2)
 AVERAGE = assess.CategoryAverage("benefit", "technical", 4.5, 2)
 OPTION = pricing.PurchaseOption("reserved", Decimal("0.04"), 12, Decimal("100"))
 ENTRY = engine.ComparisonEntry(ROW, True, None, Decimal("0.000000"))
@@ -83,7 +82,7 @@ RECORDS = [
     (engine.CostReport, {"window": WINDOW, "lines": (LINE,), "warnings": ("w",),
                          "currency": "USD"}),
     (engine.SummaryRow, {"label": "demo", "first_month": Decimal("1.00"),
-                         "monthly_avg": Fraction(3, 2), "total": Decimal("2.50"),
+                         "monthly_avg": Decimal("1.50"), "total": Decimal("2.50"),
                          "months": 2}),
 ]
 IDS = [kind.__name__ for kind, _ in RECORDS]

@@ -23,8 +23,9 @@ def parse_csv(text):
 
 
 def page_of(rep, scenario):
-    return report.to_html(rep, [engine.summarize(rep, scenario.name)], scenario,
-                          rep.monthly_totals())
+    totals = rep.monthly_totals()
+    return report.to_html(rep, engine.summarize([t for _, t in totals], scenario.name),
+                          scenario, totals)
 
 
 class TestCsv:
