@@ -13,21 +13,13 @@ import re
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import schema
-from .errors import AssessmentError, Diagnostic, EmptyCategoryError
+from .errors import AssessmentError, Diagnostic
 
 BENEFIT = "benefit"
 RISK = "risk"
 KINDS = (BENEFIT, RISK)
 
 CATEGORIES = ("organizational", "legal", "security", "technical", "financial")
-
-LIKERT_LABELS = {
-    1: "unimportant",
-    2: "little important",
-    3: "moderately important",
-    4: "important",
-    5: "very important",
-}
 
 
 class AssessmentItem(NamedTuple):
@@ -63,17 +55,6 @@ class CategoryAverage(NamedTuple):
     category: str
     average: float
     item_count: int
-
-
-class RadarData(NamedTuple):
-    benefits: tuple[CategoryAverage, ...]
-    risks: tuple[CategoryAverage, ...]
-
-    def rows(self) -> list[CategoryAverage]:
-        return list(self.benefits) + list(self.risks)
-
-    def to_payload(self) -> list[dict]:
-        return [row._asdict() for row in self.rows()]
 
 
 def natural_id_key(item_id: str) -> tuple:
@@ -182,7 +163,7 @@ def validate_sheet(sheet: RatingSheet, items: Sequence[AssessmentItem]) -> list[
         if item_id not in known:
             diags.append(Diagnostic("error", f"ratings[{item_id}]",
                                     f"unknown item id {item_id!r}"))
-        if rating not in LIKERT_LABELS:
+        if not 1 <= rating <= 5:
             diags.append(Diagnostic("error", f"ratings[{item_id}]",
                                     f"rating must be 1..5, got {rating}"))
     unrated = sorted((item.id for item in items if item.id not in sheet.ratings),
@@ -193,27 +174,17 @@ def validate_sheet(sheet: RatingSheet, items: Sequence[AssessmentItem]) -> list[
     return diags
 
 
-def category_average(sheet: RatingSheet, items: Sequence[AssessmentItem],
-                     kind: str, category: str) -> CategoryAverage:
-    """Mean rating over the rated items of one kind/category."""
-    rated = [sheet.ratings[item.id] for item in items
-             if item.kind == kind and item.category == category
-             and item.id in sheet.ratings]
-    if not rated:
-        raise EmptyCategoryError(f"no rated {kind} items in category {category!r}")
-    return CategoryAverage(kind, category, sum(rated) / len(rated), len(rated))
-
-
-def radar(sheet: RatingSheet, items: Sequence[AssessmentItem]) -> RadarData:
-    """Category averages for both kinds in canonical category order."""
-    by_kind: dict[str, list[CategoryAverage]] = {BENEFIT: [], RISK: []}
-    for kind in KINDS:
-        for category in CATEGORIES:
-            try:
-                by_kind[kind].append(category_average(sheet, items, kind, category))
-            except EmptyCategoryError:
-                continue
-    return RadarData(tuple(by_kind[BENEFIT]), tuple(by_kind[RISK]))
+def radar(sheet: RatingSheet, items: Sequence[AssessmentItem]) -> tuple[CategoryAverage, ...]:
+    """Each kind/category's mean rating over its rated items, in one pass:
+    benefits then risks, each in canonical category order, leaving out a
+    category with no rated item."""
+    rated: dict[tuple[str, str], list[int]] = {}
+    for item in items:
+        if item.id in sheet.ratings:
+            rated.setdefault((item.kind, item.category), []).append(sheet.ratings[item.id])
+    return tuple(CategoryAverage(kind, category, sum(values) / len(values), len(values))
+                 for kind in KINDS for category in CATEGORIES
+                 if (values := rated.get((kind, category))))
 
 
 def important_items(sheet: RatingSheet, items: Sequence[AssessmentItem],

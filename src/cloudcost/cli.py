@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
-(including unreadable or non-UTF-8 input and unwritable output paths),
-3 missing rate.
+(including a missing catalog, unreadable or non-UTF-8 input and unwritable
+output paths), 3 missing rate.
 All output files are written atomically (temp + rename).
 Each command imports the modules it runs, so a short one starts fast.
 """
@@ -15,8 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (CatalogError, CloudCostError, InputError, MissingRateError,
-                     ModelError, PlanError, WindowError)
+from .errors import CatalogError, CloudCostError, MissingRateError, ModelError, UsageError
 
 CATALOG_ENV = "CLOUDCOST_CATALOG"
 
@@ -48,8 +47,7 @@ def _load_catalog(args: argparse.Namespace) -> pricing.PriceCatalog:
 
     path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
     if not path:
-        raise CatalogError(
-            f"no catalog given: pass --catalog or set {CATALOG_ENV}")
+        raise UsageError(f"no catalog given: pass --catalog or set {CATALOG_ENV}")
     catalog = pricing.load_catalog_file(path)
     _warn(catalog.warnings)
     return catalog
@@ -60,8 +58,7 @@ def _load_plan(path: str | None) -> dict[str, engine.PlanChoice]:
         return {}
     from . import engine, schema
 
-    return schema.read(schema.read_input(path), lambda data: engine.parse_plan(data, path),
-                       PlanError, path)
+    return engine.load_plan(schema.read_input(path), path)
 
 
 def _month_arg(text: str) -> Month:
@@ -208,15 +205,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     model_paths = [p for p in args.models.split(",") if p]
     if len(model_paths) < 2:
-        print("compare needs at least two models", file=sys.stderr)
-        return 2
+        raise UsageError("compare needs at least two models")
     plan_paths: list[str | None] = [None] * len(model_paths)
     if args.plans:
         raw = args.plans.split(",")
         if len(raw) != len(model_paths):
-            print("--plans must list one entry per model ('-' for on-demand)",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("--plans must list one entry per model ('-' for on-demand)")
         plan_paths = [None if p in ("", "-") else p for p in raw]
     catalog = _load_catalog(args)
     scenarios = []
@@ -271,9 +265,9 @@ def cmd_assess(args: argparse.Namespace) -> int:
         print(str(diag), file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         return 1
-    radar_data = assess.radar(sheet, items)
+    rows = assess.radar(sheet, items)
     important = assess.important_items(sheet, items, args.threshold)
-    for row in radar_data.rows():
+    for row in rows:
         print(f"{row.kind:8s} {row.category:15s} {row.average:.4f} "
               f"({row.item_count} rated)")
     print(f"important (rating >= {args.threshold}): "
@@ -281,7 +275,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         write_atomic(out / "radar.json",
-                     json.dumps(radar_data.to_payload(), indent=2) + "\n")
+                     json.dumps([row._asdict() for row in rows], indent=2) + "\n")
         write_atomic(out / "important.json",
                      json.dumps({"threshold": args.threshold, **important},
                                 indent=2) + "\n")
@@ -353,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (WindowError, InputError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CloudCostError as exc:

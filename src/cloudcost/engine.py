@@ -89,14 +89,17 @@ class PlanChoice(NamedTuple):
 ON_DEMAND_CHOICE = PlanChoice()
 
 
-def parse_plan(data: object, path: str) -> dict[str, PlanChoice]:
-    """Plan document of file ``path``: node id -> "on_demand" | {kind, term_months?}.
+def load_plan(text: str, source: str) -> dict[str, PlanChoice]:
+    """Parse a purchase plan (from file ``source``): node id -> "on_demand" |
+    {kind, term_months?}. A document that is not an object, unknown keys, a
+    term that is not a positive integer and a term on an on_demand choice
+    raise PlanError."""
+    return schema.read(text, lambda data: _build_plan(data, source), PlanError, source)
 
-    A document that is not an object, unknown keys, a term that is not a
-    positive integer and a term on an on_demand choice are PlanErrors.
-    """
+
+def _build_plan(data: object, source: str) -> dict[str, PlanChoice]:
     if not isinstance(data, dict):
-        raise PlanError(f"plan file {path}: expected an object of node choices")
+        raise PlanError(f"plan file {source}: expected an object of node choices")
     plan: dict[str, PlanChoice] = {}
     for node_id, raw in data.items():
         if raw == pricing.ON_DEMAND:
@@ -270,7 +273,11 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             emit(quantities, node.id, node, req.kind, entry, scope)
 
         if reserved is not None:
-            for month, fee in pricing.reservation_charges(reserved, window):
+            try:
+                charges = pricing.reservation_charges(reserved, window)
+            except EvaluationError as exc:  # a fee too large fails at its first charge
+                raise _line_error(node.id, RESERVATION_UPFRONT, window.start, exc) from exc
+            for month, fee in charges:
                 lines.append(CostLine(month, node.id, node.id, RESERVATION_UPFRONT, 1.0,
                                       "fee", fee, group_of.get(node.id), provider, region))
 

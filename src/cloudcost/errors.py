@@ -68,7 +68,11 @@ class EvaluationError(CloudCostError):
     month = None
 
 
-class InputError(CloudCostError):
+class UsageError(CloudCostError):
+    """The command line asks for what no run can do; the CLI exits 2."""
+
+
+class InputError(UsageError):
     """An input file's bytes are not UTF-8 text."""
 
 
@@ -88,13 +92,9 @@ class PlanError(CloudCostError):
     """Purchase plan refers to nodes or options that cannot be resolved."""
 
 
-class WindowError(CloudCostError):
+class WindowError(UsageError):
     """Simulation window is empty or reversed."""
 
 
 class AssessmentError(CloudCostError):
     """Assessment items or rating sheets are malformed."""
-
-
-class EmptyCategoryError(AssessmentError):
-    """No rated items exist for the requested kind/category pair."""

@@ -25,8 +25,13 @@ def to_money(value: Decimal | int | float | str) -> Decimal:
     try:
         return d.quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
     except InvalidOperation as exc:
-        raise EvaluationError(f"amount {d} exceeds the {getcontext().prec}-digit decimal "
-                              f"precision at 6 fractional digits") from exc
+        raise too_large(d) from exc
+
+
+def too_large(amount: object) -> EvaluationError:
+    """The error for an ``amount`` that exact decimal money cannot hold."""
+    return EvaluationError(f"amount {amount} exceeds the {getcontext().prec}-digit decimal "
+                           f"precision at 6 fractional digits")
 
 
 def as_decimal(value: Decimal | int | float | str) -> Decimal:

@@ -8,12 +8,12 @@ decision-support tool must never silently price a resource at zero.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow, getcontext
 from typing import Any, NamedTuple
 
 from . import schema
 from .errors import CatalogError, MissingRateError
-from .money import as_decimal, to_money
+from .money import as_decimal, to_money, too_large
 from .months import Month, SimulationWindow
 
 VM_HOURS = "vm_hours"
@@ -282,26 +282,29 @@ def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> Decima
     """Cost of ``quantity`` at the entry's flat rate or marginal tiers.
 
     Raises :class:`EvaluationError` when the cost does not fit the decimal
-    context.
+    context, also when its arithmetic overflows the context's exponent range.
     """
     q = as_decimal(quantity)
     if q < 0:
         raise ValueError(f"quantity must be >= 0, got {quantity}")
-    if entry.flat_price is not None:
-        return to_money(q * entry.flat_price)
-    total = Decimal(0)
-    lower = Decimal(0)
-    for tier in entry.tiers:
-        if tier.upper_bound is None:
-            portion = q - lower
-        else:
-            portion = min(q, tier.upper_bound) - lower
-            lower = tier.upper_bound
-        if portion <= 0:
-            continue
-        total += portion * tier.unit_price
-        if tier.upper_bound is not None and q <= tier.upper_bound:
-            break
+    try:
+        if entry.flat_price is not None:
+            return to_money(q * entry.flat_price)
+        total = Decimal(0)
+        lower = Decimal(0)
+        for tier in entry.tiers:
+            if tier.upper_bound is None:
+                portion = q - lower
+            else:
+                portion = min(q, tier.upper_bound) - lower
+                lower = tier.upper_bound
+            if portion <= 0:
+                continue
+            total += portion * tier.unit_price
+            if tier.upper_bound is not None and q <= tier.upper_bound:
+                break
+    except Overflow as exc:
+        raise too_large(f"above 1E+{getcontext().Emax}") from exc
     return to_money(total)
 
 
@@ -313,9 +316,10 @@ def reservation_charges(option: PurchaseOption,
     assert option.term_months is not None and option.upfront_fee is not None
     if option.upfront_fee == 0:
         return []
+    fee = to_money(option.upfront_fee)
     charges = []
     month = window.start
     while month <= window.end:
-        charges.append((month, to_money(option.upfront_fee)))
+        charges.append((month, fee))
         month = month.add(option.term_months)
     return charges

@@ -8,7 +8,6 @@ inline SVG; the page makes no network fetches.
 from __future__ import annotations
 
 import csv
-import html
 import io
 from decimal import Decimal
 from typing import Sequence
@@ -23,6 +22,15 @@ from .months import Month
 
 CSV_HEADER = ("month", "group", "node", "provider", "region",
               "dimension", "quantity", "unit", "cost")
+
+# html.escape's five replacements, without importing html
+_HTML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                               "'": "&#x27;"})
+
+
+def _escape(text: str) -> str:
+    """``text`` safe in HTML content and quoted attributes, as ``html.escape``."""
+    return text.translate(_HTML_ESCAPES)
 
 
 def _format_quantity(quantity: float) -> str:
@@ -105,7 +113,7 @@ def _monthly_chart(totals: Sequence[tuple[Month, Decimal]]) -> str:
 
 def _rollup_table(report: CostReport, by: str, title: str) -> str:
     rows = "".join(
-        f"<tr><td>{html.escape(key) or '&mdash;'}</td>"
+        f"<tr><td>{_escape(key) or '&mdash;'}</td>"
         f'<td class="num">{format_money(total)}</td></tr>'
         for key, total in engine.rollup(report, by)
     )
@@ -114,10 +122,10 @@ def _rollup_table(report: CostReport, by: str, title: str) -> str:
 
 
 def _summary_table(row: SummaryRow, currency: str) -> str:
-    return (f"<h2>Summary ({html.escape(currency)})</h2><table data-summary=\"1\">"
+    return (f"<h2>Summary ({_escape(currency)})</h2><table data-summary=\"1\">"
             "<tr><th>scenario</th><th>1st month</th><th>monthly avg.</th>"
             "<th>total</th><th>months</th></tr>"
-            f"<tr><td>{html.escape(row.label)}</td>"
+            f"<tr><td>{_escape(row.label)}</td>"
             f'<td class="num">{format_money(row.first_month)}</td>'
             f'<td class="num">{format_money(row.monthly_avg)}</td>'
             f'<td class="num">{format_money(row.total)}</td>'
@@ -126,18 +134,18 @@ def _summary_table(row: SummaryRow, currency: str) -> str:
 
 def _topology_section(model: m.DeploymentModel) -> str:
     node_rows = "".join(
-        f"<tr><td>{html.escape(node.id)}</td><td>{node.kind}</td>"
-        f"<td>{html.escape(node.placement.provider + '/' + node.placement.region) if node.placement else '&mdash;'}</td>"
-        f"<td>{html.escape(', '.join(r.kind for r in node.requirements)) or '&mdash;'}</td></tr>"
+        f"<tr><td>{_escape(node.id)}</td><td>{node.kind}</td>"
+        f"<td>{_escape(node.placement.provider + '/' + node.placement.region) if node.placement else '&mdash;'}</td>"
+        f"<td>{_escape(', '.join(r.kind for r in node.requirements)) or '&mdash;'}</td></tr>"
         for node in model.nodes
     )
     path_rows = "".join(
-        f"<tr><td>{html.escape(path.id)}</td>"
-        f"<td>{html.escape(path.from_node)} &rarr; {html.escape(path.to_node)}</td>"
+        f"<tr><td>{_escape(path.id)}</td>"
+        f"<td>{_escape(path.from_node)} &rarr; {_escape(path.to_node)}</td>"
         f"<td class=\"num\">{_format_quantity(path.volume.baseline)} GB/month</td></tr>"
         for path in model.paths
     )
-    out = (f"<h2>Model topology: {html.escape(model.name)}</h2>"
+    out = (f"<h2>Model topology: {_escape(model.name)}</h2>"
            f"<table data-topology=\"nodes\"><tr><th>node</th><th>kind</th>"
            f"<th>placement</th><th>resources</th></tr>{node_rows}</table>")
     if path_rows:
@@ -159,7 +167,7 @@ def to_html(report: CostReport, summary: SummaryRow,
         "<h1>Cloud cost report</h1>",
         f"<p>Window {report.window.start} to {report.window.end} "
         f"({report.window.count} months) &middot; grand total "
-        f"<strong>{format_money(report.grand_total())} {html.escape(report.currency)}</strong></p>",
+        f"<strong>{format_money(report.grand_total())} {_escape(report.currency)}</strong></p>",
     ]
     parts.append(_summary_table(summary, report.currency))
     parts.append("<h2>Monthly total</h2>")
@@ -167,7 +175,7 @@ def to_html(report: CostReport, summary: SummaryRow,
     parts.append(_rollup_table(report, "group", "Cost by group"))
     parts.append(_rollup_table(report, "dimension", "Cost by resource dimension"))
     if report.warnings:
-        items = "".join(f'<li class="warn">{html.escape(w)}</li>' for w in report.warnings)
+        items = "".join(f'<li class="warn">{_escape(w)}</li>' for w in report.warnings)
         parts.append(f"<h2>Warnings</h2><ul data-warnings=\"1\">{items}</ul>")
     parts.append(_topology_section(model))
     parts.append("</body></html>")

@@ -130,3 +130,18 @@ def oracle_tiered_price(tiers: list[tuple[int | None, Decimal]], quantity: int) 
                 total += price
                 break
     return total
+
+
+def oracle_radar(ratings: dict[str, int], items) -> tuple[tuple[str, str, float, int], ...]:
+    """Each (kind, category, mean rating, rated count) by a full scan of the
+    items per pair: benefits then risks, categories in the documented order,
+    and a pair with no rated item left out."""
+    rows = []
+    for kind in ("benefit", "risk"):
+        for category in ("organizational", "legal", "security", "technical", "financial"):
+            values = [ratings[item.id] for item in items
+                      if item.kind == kind and item.category == category
+                      and item.id in ratings]
+            if values:
+                rows.append((kind, category, sum(values) / len(values), len(values)))
+    return tuple(rows)

@@ -279,7 +279,8 @@ def test_assessment_seed_and_category_averages():
     three = [assess.AssessmentItem(f"B{i}", "benefit", "technical", "s")
              for i in (1, 2, 3)]
     sheet = assess.RatingSheet("t", "v", {"B1": 5, "B2": 4, "B3": 2})
-    avg = assess.category_average(sheet, three, "benefit", "technical")
+    (avg,) = assess.radar(sheet, three)
+    assert (avg.kind, avg.category, avg.item_count) == ("benefit", "technical", 3)
     assert abs(avg.average - 11 / 3) <= 1e-9
     assert f"{avg.average:.4f}" == "3.6667"
 
@@ -289,7 +290,7 @@ def test_assessment_seed_and_category_averages():
         if not rated:
             continue
         sheet = assess.RatingSheet("t", "v", rated)
-        radar_rows = assess.radar(sheet, items).rows()
+        radar_rows = assess.radar(sheet, items)
         for row in radar_rows:
             # independent mean oracle
             values = [rated[i.id] for i in items
@@ -302,7 +303,7 @@ def test_assessment_seed_and_category_averages():
         rng.shuffle(shuffled)
         again = assess.radar(assess.RatingSheet("t", "v",
                                                 {k: rated[k] for k in shuffled}), items)
-        assert again.rows() == radar_rows
+        assert again == radar_rows
     assert time.monotonic() - began < 5.0
 
 

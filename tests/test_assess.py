@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cloudcost import assess
-from cloudcost.errors import AssessmentError, EmptyCategoryError
+from cloudcost.errors import AssessmentError
+from oracle import oracle_radar
 
 SEED_BENEFITS = ["B1", "B2", "B3", "B4", "B7", "B9", "B11", "B14", "B16", "B18"]
 SEED_RISKS = ["R1", "R3", "R5", "R7", "R11", "R39", "R12", "R13", "R15", "R16",
@@ -117,64 +118,68 @@ class TestValidateSheet:
         assert assess.validate_sheet(sheet_of(ratings), seed_items) == []
 
 
+def of_kind(rows, kind):
+    return [row.category for row in rows if row.kind == kind]
+
+
 class TestCategoryAverage:
     def test_constant_ratings(self):
         items = items_of(("R1", "risk", "legal"), ("R2", "risk", "legal"),
                          ("R3", "risk", "legal"))
-        avg = assess.category_average(sheet_of({"R1": 3, "R2": 3, "R3": 3}),
-                                      items, "risk", "legal")
-        assert avg.average == 3.0
-        assert avg.item_count == 3
+        rows = assess.radar(sheet_of({"R1": 3, "R2": 3, "R3": 3}), items)
+        assert rows == (assess.CategoryAverage("risk", "legal", 3.0, 3),)
 
     def test_hand_computed_mean(self):
         items = items_of(("B1", "benefit", "technical"), ("B2", "benefit", "technical"),
                          ("B3", "benefit", "technical"))
-        avg = assess.category_average(sheet_of({"B1": 5, "B2": 4, "B3": 2}),
-                                      items, "benefit", "technical")
+        (avg,) = assess.radar(sheet_of({"B1": 5, "B2": 4, "B3": 2}), items)
+        assert (avg.kind, avg.category, avg.item_count) == ("benefit", "technical", 3)
         assert avg.average == pytest.approx(11 / 3, abs=1e-9)
 
-    def test_empty_category_raises(self):
+    def test_empty_sheet_gives_no_rows(self):
         items = items_of(("B1", "benefit", "technical"))
-        with pytest.raises(EmptyCategoryError):
-            assess.category_average(sheet_of({}), items, "benefit", "technical")
+        assert assess.radar(sheet_of({}), items) == ()
 
     def test_unrated_items_excluded(self):
         items = items_of(("B1", "benefit", "technical"), ("B2", "benefit", "technical"))
-        avg = assess.category_average(sheet_of({"B1": 5}), items, "benefit", "technical")
-        assert avg.average == 5.0
-        assert avg.item_count == 1
+        rows = assess.radar(sheet_of({"B1": 5}), items)
+        assert rows == (assess.CategoryAverage("benefit", "technical", 5.0, 1),)
 
 
 class TestRadar:
     def test_all_fives(self, seed_items):
         ratings = {i.id: 5 for i in seed_items}
-        data = assess.radar(sheet_of(ratings), seed_items)
-        assert data.rows()
-        assert all(row.average == 5.0 for row in data.rows())
+        rows = assess.radar(sheet_of(ratings), seed_items)
+        assert rows
+        assert all(row.average == 5.0 for row in rows)
 
-    def test_matches_category_average(self, seed_items):
+    def test_matches_the_brute_force_oracle(self, seed_items):
         rng = random.Random(3)
-        ratings = {i.id: rng.randint(1, 5) for i in seed_items}
-        sheet = sheet_of(ratings)
-        data = assess.radar(sheet, seed_items)
-        for entry in data.rows():
-            again = assess.category_average(sheet, seed_items, entry.kind, entry.category)
-            assert entry == again
-            assert 1.0 <= entry.average <= 5.0
+        row_counts = set()
+        for _ in range(300):
+            share = rng.random()
+            ratings = {i.id: rng.randint(1, 5) for i in seed_items if rng.random() < share}
+            rows = assess.radar(sheet_of(ratings), seed_items)
+            assert rows == oracle_radar(ratings, seed_items)
+            assert type(rows) is tuple
+            assert all(type(row) is assess.CategoryAverage for row in rows)
+            assert all(1.0 <= row.average <= 5.0 for row in rows)
+            row_counts.add(len(rows))
+        assert {0, 8} < row_counts  # empty, full and partly omitted radars all occur
 
     def test_single_category_sheet(self, seed_items):
         ratings = {i.id: 4 for i in seed_items
                    if i.kind == assess.BENEFIT and i.category == "technical"}
-        data = assess.radar(sheet_of(ratings), seed_items)
-        assert [c.category for c in data.benefits] == ["technical"]
-        assert data.risks == ()
+        rows = assess.radar(sheet_of(ratings), seed_items)
+        assert of_kind(rows, assess.BENEFIT) == ["technical"]
+        assert of_kind(rows, assess.RISK) == []
 
     def test_category_order_is_canonical(self, seed_items):
         ratings = {i.id: 2 for i in seed_items}
-        data = assess.radar(sheet_of(ratings), seed_items)
-        assert [c.category for c in data.benefits] == ["organizational", "technical",
-                                                       "financial"]
-        assert [c.category for c in data.risks] == list(assess.CATEGORIES)
+        rows = assess.radar(sheet_of(ratings), seed_items)
+        assert [row.kind for row in rows] == [assess.BENEFIT] * 3 + [assess.RISK] * 5
+        assert of_kind(rows, assess.BENEFIT) == ["organizational", "technical", "financial"]
+        assert of_kind(rows, assess.RISK) == list(assess.CATEGORIES)
 
 
 class TestImportantItems:
@@ -210,9 +215,13 @@ class TestProperties:
         for _ in range(50):
             ratings = {i.id: rng.randint(1, 4) for i in seed_items}
             victim = rng.choice(seed_items)
-            before = assess.category_average(sheet_of(ratings), seed_items,
-                                             victim.kind, victim.category)
+
+            def victim_row():
+                (row,) = [row for row in assess.radar(sheet_of(ratings), seed_items)
+                          if (row.kind, row.category) == (victim.kind, victim.category)]
+                return row
+
+            before = victim_row()
             ratings[victim.id] += 1
-            after = assess.category_average(sheet_of(ratings), seed_items,
-                                            victim.kind, victim.category)
+            after = victim_row()
             assert after.average >= before.average

@@ -190,6 +190,22 @@ class TestUsageErrors:
         assert err.startswith(f"usage: {line.split(':')[0]} ")
         assert err.endswith(f"\n{line}\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["compare", "--models", DEMO_MODEL, "--catalog", DEMO_CATALOG],
+         "compare needs at least two models"),
+        (["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--plans", "-",
+          "--catalog", DEMO_CATALOG], "--plans must list one entry per model ('-' for on-demand)"),
+        (["export-csv", "--model", DEMO_MODEL, "--out", "{out}"],
+         "no catalog given: pass --catalog or set CLOUDCOST_CATALOG"),
+    ], ids=["one-model", "plans-count", "no-catalog"])
+    def test_unusable_request_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                          argv, line):
+        monkeypatch.delenv("CLOUDCOST_CATALOG", raising=False)
+        argv = [arg.replace("{out}", str(tmp_path / "o")) for arg in argv]
+        assert run(*argv, "--start", "2011-01", "--end", "2011-01") == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestExportCsv:
     def test_writes_only_csv(self, tmp_path):
@@ -290,6 +306,41 @@ class TestHugeQuantities:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and "exceeds the 28-digit decimal precision" in err
+
+    @pytest.mark.parametrize("field, line", [
+        ("flat", "web-1/vm_hours in 2011-01: amount above 1E+999999"),
+        ("unit_price", "web-1/vm_hours in 2011-01: amount above 1E+999999"),
+        ("hourly_rate", "web-1/vm_hours in 2011-01: amount above 1E+999999"),
+        ("upfront_fee", "web-1/reservation_upfront in 2011-01: amount 1E+999999999"),
+    ])
+    def test_catalog_number_beyond_the_decimal_range_names_the_line(self, tmp_path, capsys,
+                                                                     field, line):
+        catalog = json.loads(cloudcost.data_path("demo_catalog.json").read_text())
+        small, sku = catalog["entries"][0], catalog["skus"][0]
+        assert (small["dimension"], small["sku"], sku["name"]) == (
+            "vm_hours", "standard.small", "standard.small")
+        huge = "1e999999999"  # finite, so the loader takes it
+        argv = []
+        if field == "flat":
+            small["pricing"] = {"flat": huge}
+        elif field == "unit_price":
+            small["pricing"] = {"tiers": [{"upper_bound": 1, "unit_price": "0.085"},
+                                          {"upper_bound": None, "unit_price": huge}]}
+        else:
+            reserved = sku["purchase_options"][2]
+            assert (reserved["kind"], reserved["term_months"]) == ("reserved", 36)
+            reserved[field] = huge
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps({"web-1": {"kind": "reserved", "term_months": 36}}))
+            argv = ["--plan", str(plan)]
+        grown = tmp_path / "catalog.json"
+        grown.write_text(json.dumps(catalog))
+        code = run("export-csv", "--model", DEMO_MODEL, "--catalog", str(grown), *argv,
+                   "--start", "2011-01", "--end", "2011-02", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()  # a reserved rate this high also warns
+        assert [text for text in err if not text.startswith("warning: ")] == [
+            f"error: {line} exceeds the 28-digit decimal precision at 6 fractional digits"]
 
     def test_replay_overflow_names_the_line_and_month(self, tmp_path, capsys):
         doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
@@ -574,23 +625,23 @@ class TestImports:
     # Standard-library modules a fresh process must not load, pinned by absence
     # so the pins hold whatever else each Python version's stdlib imports.
     @pytest.mark.parametrize("argv, absent", [
-        ([], ("fractions", "dataclasses", "inspect")),
+        ([], ("fractions", "dataclasses", "inspect", "html")),
         (["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect")),
+         ("fractions", "dataclasses", "inspect", "html")),
         (["validate", DEMO_MODEL],
-         ("calendar", "fractions", "dataclasses", "inspect", "datetime")),
+         ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html")),
         (["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}"],
-         ("calendar", "fractions", "dataclasses", "inspect", "datetime")),
+         ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html")),
         (["simulate", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "datetime")),
+         ("fractions", "dataclasses", "inspect", "datetime", "html")),
         (["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--catalog", DEMO_CATALOG,
           "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "datetime")),
+         ("fractions", "dataclasses", "inspect", "datetime", "html")),
         (["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
           "--map", "{map}", "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "datetime")),
+         ("fractions", "dataclasses", "inspect", "datetime", "html")),
     ], ids=["import", "assess", "validate", "export-csv", "simulate", "compare",
             "compare-providers"])
     def test_a_fresh_command_never_loads_these_stdlib_modules(self, tmp_path, argv, absent):

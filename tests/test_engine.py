@@ -200,6 +200,16 @@ class TestSimulate:
             engine.simulate(m.DeploymentModel("x", (vm(),)), BASIC_CATALOG, window(1),
                             {"ghost": engine.PlanChoice(pricing.RESERVED, 12)})
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "plan file plan.json: expected an object of node choices"),
+        ('{"vm1": {"kind": "reserved", "typo": 1}}', "plan for 'vm1': unknown key(s): typo"),
+        ('{"vm1": {"kind": "bogus"}}', "plan for 'vm1': unknown purchase kind 'bogus'"),
+    ], ids=["non-object", "unknown-key", "unknown-kind"])
+    def test_load_plan_raises_plan_error(self, text, message):
+        with pytest.raises(PlanError) as exc:
+            engine.load_plan(text, "plan.json")
+        assert str(exc.value) == message
+
     def test_reversed_window_is_hard_error(self):
         with pytest.raises(WindowError):
             SimulationWindow(Month(2011, 5), Month(2011, 4))

@@ -39,5 +39,5 @@ def test_package_binds_only_the_names_the_block_uses():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert bound == names
     with pytest.raises(AttributeError):
-        getattr(cloudcost, "parse_plan")  # engine's, not the package's
+        getattr(cloudcost, "load_plan")  # engine's, not the package's
     assert cloudcost.__version__ == "0.1.0"

@@ -15,7 +15,6 @@ from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
 ROW = engine.SummaryRow("demo", Decimal("1.00"), Decimal("1.50"), Decimal("2.50"), 2)
-AVERAGE = assess.CategoryAverage("benefit", "technical", 4.5, 2)
 OPTION = pricing.PurchaseOption("reserved", Decimal("0.04"), 12, Decimal("100"))
 ENTRY = engine.ComparisonEntry(ROW, True, None, Decimal("0.000000"))
 SPEC = el.PatternSpec("temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0,
@@ -55,7 +54,6 @@ RECORDS = [
                           "ratings": {"B1": 5, "R2": 3}}),
     (assess.CategoryAverage, {"kind": "benefit", "category": "technical", "average": 4.5,
                               "item_count": 2}),
-    (assess.RadarData, {"benefits": (AVERAGE,), "risks": ()}),
     (el.MonthSelector, {"start": 11, "end": 2}),
     (el.DaySelector, {"kind": "dom_range", "a": 1, "b": 15}),
     (el.PatternSpec, {"mode": "temp", "months": el.MonthSelector(6, 8),

@@ -126,6 +126,16 @@ class TestHtml:
             section = page.split(f'data-rollup="{by}"')[1].split("</table>")[0]
             assert section.count("<tr>") == len(keys) + 1  # plus header
 
+    def test_escape_equals_html_escape(self):
+        import html
+
+        rng = random.Random(41)
+        alphabet = "&<>\"'; #x27ampquotlt\u00e9\u20ac\U0001f600\n"
+        for _ in range(20_000):
+            text = "".join(rng.choice(alphabet) if rng.random() < 0.9
+                           else chr(rng.randrange(0x110000)) for _ in range(rng.randrange(12)))
+            assert report._escape(text) == html.escape(text)
+
     def test_numbers_identical_across_formats(self):
         rng = random.Random(17)
         catalog = catalog_of(
