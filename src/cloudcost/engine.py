@@ -24,12 +24,21 @@ key cannot merge differently priced zeros, because replay sums each month
 from ``+0.0`` and so never yields ``-0.0``. Pricing still runs series by
 series, month by month, so a cost too large to price names the same first
 line and month as it would without the memo.
+
+Lines are assembled in report order without sorting them. Each series (the
+lines of one requirement or path endpoint, or a reserved node's fees) is one
+list aligned to the window months; a fee series holds ``None`` in months
+without a fee, and always has its first month, because fees start at the
+window start. The series are sorted by (subject, dimension), which is unique
+per series in a validated model, and then interleaved month by month, which
+gives the report's (month, subject, dimension) order while pricing stays
+series-major.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -236,7 +245,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     replays = {} if replays is None else replays
     months = window.months()
     warnings: list[str] = []
-    lines: list[CostLine] = []
+    # one list per series, aligned to the window months; see the module docstring
+    series: list[list[CostLine | None]] = []
     group_of = {node_id: group.id for group in model.groups for node_id in group.node_ids}
     # rate entry -> {quantity -> cost}; see the module docstring
     prices: dict[pricing.RateEntry, dict[float, Decimal]] = {}
@@ -246,12 +256,14 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         node_id, group, unit = endpoint.id, group_of.get(endpoint.id), UNIT_FOR_KIND[kind]
         provider, region = endpoint.placement.provider, endpoint.placement.region
         costs = prices.setdefault(entry, {})
+        lines = []
         for month, quantity in zip(months, quantities):
             cost = costs.get(quantity)
             if cost is None:
                 cost = costs[quantity] = _price(entry, quantity, subject, kind, month)
             lines.append(CostLine(month, subject, node_id, kind, quantity, unit, cost,
                                   group, provider, region, scope))
+        series.append(lines)
 
     for node in model.nodes:
         if node.kind == m.REMOTE_NODE:
@@ -277,9 +289,13 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
                 charges = pricing.reservation_charges(reserved, window)
             except EvaluationError as exc:  # a fee too large fails at its first charge
                 raise _line_error(node.id, RESERVATION_UPFRONT, window.start, exc) from exc
-            for month, fee in charges:
-                lines.append(CostLine(month, node.id, node.id, RESERVATION_UPFRONT, 1.0,
-                                      "fee", fee, group_of.get(node.id), provider, region))
+            if charges:  # the first falls in window.start, so fees[0] is a line
+                fees: list[CostLine | None] = [None] * len(months)
+                for month, fee in charges:
+                    fees[month.diff(window.start)] = CostLine(
+                        month, node.id, node.id, RESERVATION_UPFRONT, 1.0, "fee", fee,
+                        group_of.get(node.id), provider, region)
+                series.append(fees)
 
     node_by_id = {node.id: node for node in model.nodes}
     for path in model.paths:
@@ -297,8 +313,10 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
                             DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
             emit(quantities, path.id, endpoint, dimension, entry, scope)
 
-    lines.sort(key=_line_order)
-    return CostReport(window, tuple(lines), tuple(warnings), catalog.currency)
+    series.sort(key=lambda lines: (lines[0].subject, lines[0].dimension))
+    # month by month, each series' line; filter drops the months without a fee
+    lines = tuple(filter(None, chain.from_iterable(zip(*series))))
+    return CostReport(window, lines, tuple(warnings), catalog.currency)
 
 
 def _rate_key_for(node: m.Node, kind: str) -> tuple[str | None, str | None]:

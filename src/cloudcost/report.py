@@ -23,14 +23,11 @@ from .months import Month
 CSV_HEADER = ("month", "group", "node", "provider", "region",
               "dimension", "quantity", "unit", "cost")
 
-# html.escape's five replacements, without importing html
-_HTML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
-                               "'": "&#x27;"})
-
-
 def _escape(text: str) -> str:
-    """``text`` safe in HTML content and quoted attributes, as ``html.escape``."""
-    return text.translate(_HTML_ESCAPES)
+    """``text`` safe in HTML content and quoted attributes: ``html.escape``'s
+    own five replacements, ``&`` first, without importing ``html``."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
 def _format_quantity(quantity: float) -> str:
@@ -51,6 +48,12 @@ def to_csv(report: CostReport) -> str:
 
     Each window month, distinct quantity and distinct cost is formatted once.
     Zero costs skip the memo: ``-0.000000`` equals ``0`` but renders as ``-0.00``.
+
+    A plain row is joined here: one whose nine fields hold no comma and none
+    of ``"``, ``\\r``, ``\\n`` and NUL, the only characters that make
+    ``csv.writer`` quote a field (or, on Python 3.10, raise for NUL). Any
+    other row goes through ``csv.writer``, so every row reads as it would
+    from the writer.
     """
     month_text = {month: str(month) for month in report.window.months()}
     quantity_text: dict[float, str] = {}
@@ -58,17 +61,22 @@ def to_csv(report: CostReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
-    for line in report.lines:
-        quantity, cost = line.quantity, line.cost
+    write = buffer.write
+    for month, subject, _, dimension, quantity, unit, cost, group, provider, region, _ \
+            in report.lines:
         quantity_str = quantity_text.get(quantity)
         if quantity_str is None:
             quantity_str = quantity_text[quantity] = _format_quantity(quantity)
         cost_str = money_text.get(cost) if cost else None
         if cost_str is None:
             cost_str = money_text[cost] = format_money(cost)
-        writer.writerow((month_text[line.month], line.group or "", line.subject,
-                         line.provider, line.region, line.dimension, quantity_str,
-                         line.unit, cost_str))
+        fields = (month_text[month], group or "", subject, provider, region, dimension,
+                  quantity_str, unit, cost_str)
+        row = ",".join(fields)
+        if row.count(",") != 8 or '"' in row or "\r" in row or "\n" in row or "\0" in row:
+            writer.writerow(fields)
+        else:
+            write(row + "\r\n")
     return buffer.getvalue()
 
 

@@ -54,31 +54,35 @@ def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
         raise error(f"{where}number out of range: an integer literal of more than "
                     f"{sys.get_int_max_str_digits()} digits") from None
     try:
-        if not text.isascii() or "\\u" in text:  # only such text can hold a lone surrogate
-            _reject_lone_surrogates(data)
+        if not text.isascii() or "\\u" in text:  # only such text can hold a lone surrogate or a NUL
+            _reject_surrogates_and_nuls(data)
         return build(data)
     except _Defect as defect:
         raise error.at(*defect.args) from None
 
 
-def _reject_lone_surrogates(data: Any) -> None:
+def _reject_surrogates_and_nuls(data: Any) -> None:
     """Fails at the first string or key of ``data``, in document order, with
-    a surrogate: JSON's paired ``\\uXXXX`` escapes decode to one character,
-    so any surrogate left is lone, and no UTF-8 output can encode it."""
+    a surrogate or a NUL. JSON's paired ``\\uXXXX`` escapes decode to one
+    character, so any surrogate left is lone, and no UTF-8 output can encode
+    it. A NUL, which JSON carries only as ``\\u0000``, is no name or text any
+    output should hold: ``csv`` writes it raw or, on Python 3.10, refuses it."""
     stack = [("", data)]
     while stack:
         path, value = stack.pop()
         if isinstance(value, str):
-            _check_encodable(value, path, "string")
+            _check_string(value, path, "string")
         elif isinstance(value, dict):
             for key in value:
-                _check_encodable(key, path, f"key {key!r}")
+                _check_string(key, path, f"key {key!r}")
             stack.extend((_member(path, key), item) for key, item in reversed(value.items()))
         elif isinstance(value, list):
             stack.extend((f"{path}[{i}]", value[i]) for i in reversed(range(len(value))))
 
 
-def _check_encodable(text: str, path: str, what: str) -> None:
+def _check_string(text: str, path: str, what: str) -> None:
+    if "\0" in text:
+        raise _Defect(path or "$", f"{what} holds a NUL character")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:

@@ -74,8 +74,9 @@ def random_schedule(rng: random.Random) -> elasticity.UsageSchedule:
 
 
 def flat_catalog(rng: random.Random, placements: list[tuple[str, str]],
-                 currency: str = "USD") -> pricing.PriceCatalog:
-    """Flat nonnegative rates covering every key a generated model can need."""
+                 currency: str = "USD", terms: tuple[int, ...] = (12,)) -> pricing.PriceCatalog:
+    """Flat nonnegative rates covering every key a generated model can need;
+    sku ``std`` is reservable on each of ``terms``, in months."""
     entries = []
     skus = []
     for provider, region in placements:
@@ -97,8 +98,8 @@ def flat_catalog(rng: random.Random, placements: list[tuple[str, str]],
                                                  flat_price=rate()))
         skus.append(pricing.InstanceSku(provider, region, "std", (
             pricing.PurchaseOption(pricing.ON_DEMAND, rate()),
-            pricing.PurchaseOption(pricing.RESERVED, rate() / 2, 12,
-                                   Decimal(rng.randint(0, 200))),
+            *(pricing.PurchaseOption(pricing.RESERVED, rate() / 2, term,
+                                     Decimal(rng.randint(0, 200))) for term in terms),
         )))
     return pricing.PriceCatalog(currency, tuple(entries), tuple(skus))
 

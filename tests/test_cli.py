@@ -716,8 +716,9 @@ JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(),
 
 
 # Valid JSON that no float or UTF-8 output can hold: an integer beyond float
-# range and a string with a lone surrogate, whatever the field's type.
-UNREPRESENTABLE = st.sampled_from((10 ** 400, "\ud800x"))
+# range and a string with a lone surrogate, whatever the field's type; and a
+# string with a NUL, which no input may hold either.
+UNREPRESENTABLE = st.sampled_from((10 ** 400, "\ud800x", "x\x00"))
 # Text that survives a UTF-8 write: no lone surrogates.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 ANY_JSON = st.one_of(*JSON_VALUES.values())
@@ -873,8 +874,8 @@ class TestFuzz:
                                     "--out", f"{tmp}/out")
         assert code in (0, 1, 2, 3) and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", [10 ** 400, "\ud800x"],
-                             ids=["integer_beyond_float_range", "lone_surrogate"])
+    @pytest.mark.parametrize("value", [10 ** 400, "\ud800x", "x\x00"],
+                             ids=["integer_beyond_float_range", "lone_surrogate", "nul"])
     def test_unrepresentable_value_in_any_model_field_fails_validation(self, value):
         # every field, so a rare type of field cannot hide from a few examples
         for path in _fields(DEMO_MODEL_DOC):

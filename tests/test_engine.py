@@ -204,7 +204,8 @@ class TestSimulate:
         ("[]", "plan file plan.json: expected an object of node choices"),
         ('{"vm1": {"kind": "reserved", "typo": 1}}', "plan for 'vm1': unknown key(s): typo"),
         ('{"vm1": {"kind": "bogus"}}', "plan for 'vm1': unknown purchase kind 'bogus'"),
-    ], ids=["non-object", "unknown-key", "unknown-kind"])
+        ('{"vm1\\u0000": "on_demand"}', "$: key 'vm1\\x00' holds a NUL character"),
+    ], ids=["non-object", "unknown-key", "unknown-kind", "nul-in-key"])
     def test_load_plan_raises_plan_error(self, text, message):
         with pytest.raises(PlanError) as exc:
             engine.load_plan(text, "plan.json")
@@ -247,12 +248,63 @@ class TestSimulate:
         assert clamping >= 10
 
     def test_line_order_is_sorted(self):
+        # seeded random models over 1-25 months, some machines reserved on terms
+        # shorter than the window, so that their fee lines are sparse
         rng = random.Random(11)
-        scenario = random_model(rng)
-        catalog = flat_catalog(rng, PLACEMENTS)
-        report = engine.simulate(scenario, catalog, window(3))
-        keys = [(l.month, l.subject, l.dimension) for l in report.lines]
-        assert keys == sorted(keys)
+        terms = (1, 2, 5, 12)
+        seen = Counter()
+        for _ in range(200):
+            scenario = random_model(rng, max_nodes=6)
+            catalog = flat_catalog(rng, PLACEMENTS, terms=terms)
+            span = window(rng.randint(1, 25))
+            plan = {node.id: engine.PlanChoice(pricing.RESERVED, rng.choice(terms))
+                    for node in scenario.nodes
+                    if node.vm_spec is not None and node.vm_spec.sku and rng.random() < 0.6}
+            try:
+                report = engine.simulate(scenario, catalog, span, plan)
+            except EvaluationError:  # a random pattern can grow past any price
+                continue
+            seen["priced"] += 1
+            keys = [(l.month, l.subject, l.dimension) for l in report.lines]
+            assert all(prev < key for prev, key in zip(keys, keys[1:]))
+
+            months_of = {}
+            for month, subject, dimension in keys:
+                months_of.setdefault((subject, dimension), []).append(month)
+            expected = {}
+            placed = {node.id: node for node in scenario.nodes if node.placement}
+            for node in placed.values():
+                for req in node.requirements:
+                    expected[node.id, req.kind] = span.months()
+                if node.id in plan:
+                    option = catalog.find_sku(*node.placement, "std").reserved_option(
+                        plan[node.id].term_months)
+                    fees = [month for month, _ in pricing.reservation_charges(option, span)]
+                    if fees:
+                        expected[node.id, engine.RESERVATION_UPFRONT] = fees
+                        seen["sparse fees"] += len(fees) < span.count
+            for path in scenario.paths:
+                ends = ((path.from_node, m.DATA_OUT_GB), (path.to_node, m.DATA_IN_GB))
+                for node_id, dimension in ends:
+                    if node_id in placed:
+                        expected[path.id, dimension] = span.months()
+                seen["placed path"] += path.from_node in placed and path.to_node in placed
+            assert months_of == expected
+        assert seen["priced"] > 150 and seen["sparse fees"] and seen["placed path"]
+
+    def test_first_overflow_in_emission_order_is_the_error(self):
+        # z1 comes first in the model and last in the report. It overflows in
+        # May, a1 already in April; pricing runs series by series, so z1 is named.
+        z1 = vm("z1", patterns=("perm: every month *1e6",))
+        a1 = vm("a1", patterns=("perm: every month *1e9",))
+        with pytest.raises(EvaluationError) as exc:
+            engine.simulate(m.DeploymentModel("g", (z1, a1)), BASIC_CATALOG, window(6))
+        assert str(exc.value) == (
+            "z1/vm_hours in 2011-05: amount 7.1999999999999990E+25 exceeds the "
+            "28-digit decimal precision at 6 fractional digits")
+        with pytest.raises(EvaluationError) as exc:
+            engine.simulate(m.DeploymentModel("g", (a1, z1)), BASIC_CATALOG, window(6))
+        assert str(exc.value).startswith("a1/vm_hours in 2011-04: ")
 
     def test_window_additivity_with_shared_anchor(self):
         rng = random.Random(1106)

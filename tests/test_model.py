@@ -113,8 +113,8 @@ def _demo_text(name=None, baseline=None):
 
 
 class TestUnrepresentableInput:
-    """JSON that decodes, but holds a number no float can or a string no
-    UTF-8 output can: the loader's own error, never a traceback."""
+    """JSON that decodes, but holds a number no float can, a string no
+    UTF-8 output can or a NUL: the loader's own error, never a traceback."""
 
     CASES = {
         "integer beyond float range": (
@@ -126,6 +126,9 @@ class TestUnrepresentableInput:
         "lone surrogate": (
             _demo_text(name="\ud800x"),
             "name: string holds a lone surrogate, which no UTF-8 output can encode"),
+        "NUL character": (
+            _demo_text(name="demo\u0000"),
+            "name: string holds a NUL character"),
     }
 
     @pytest.mark.parametrize("case", CASES)

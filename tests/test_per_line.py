@@ -3,6 +3,7 @@ distinct text once per report, and no per-line Python key comes back."""
 
 import csv
 import io
+import random
 from collections import Counter
 from decimal import Decimal
 
@@ -125,6 +126,42 @@ class TestTextMemos:
         costs = [row[-1] for row in csv.reader(io.StringIO(text))][1:]
         assert costs == ["0.00", "-0.00", "-0.00", "0.00", "72.00", "72.00", "72.00",
                          "-0.00"]
+
+
+    def test_csv_equals_the_writer_for_any_field_text(self):
+        # fields hold every character that makes csv.writer quote a field (or,
+        # on 3.10, refuse a NUL), so both ways of writing a row are exercised
+        rng = random.Random(19)
+        alphabet = ',"\r\n\0 \té' + "ab" * 4
+
+        def text(size=3):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, size)))
+
+        seen = Counter()
+        for _ in range(3000):
+            span = window(rng.randint(1, 3))
+            lines = []
+            for month in span.months():
+                keys = sorted({(text(), text()) for _ in range(rng.randint(0, 4))})
+                for subject, dimension in keys:
+                    cost = rng.choice(("0", "-0", f"{rng.randint(-10**8, 10**8)}e-6"))
+                    quantity = rng.choice((0.0, -0.0, 720 + 3e-13, 2.5e-7,
+                                           rng.randint(0, 10**4) + rng.random()))
+                    lines.append(engine.CostLine(
+                        month, subject, text(), dimension, quantity, text(),
+                        Decimal(cost).quantize(Decimal("0.000001")),
+                        rng.choice((None, "", text())), text(), text()))
+            rep = engine.CostReport(span, tuple(lines))
+            try:
+                expected = per_line_csv(rep)
+            except csv.Error:  # Python 3.10 refuses an unquoted NUL
+                seen["refused"] += 1
+                with pytest.raises(csv.Error):
+                    report.to_csv(rep)
+                continue
+            assert report.to_csv(rep) == expected
+            seen["quoted" if '"' in expected else "plain"] += 1
+        assert seen["quoted"] > 100 and seen["plain"] > 100
 
 
 class TestNoPerLineKeys:
