@@ -106,7 +106,13 @@ def load_items_file(path: str) -> list[AssessmentItem]:
 
 
 def parse_ratings(text: str) -> RatingSheet:
-    """Ratings CSV: '# respondent:'/'# view:' metadata rows, then item_id,rating."""
+    """Ratings CSV: '# respondent:'/'# view:' metadata rows, then item_id,rating.
+
+    A NUL anywhere is an error at its line: the csv module rejects it on some
+    Python versions and reads it into a cell on others."""
+    if "\0" in text:
+        number = next(n for n, line in enumerate(text.splitlines(), 1) if "\0" in line)
+        raise AssessmentError(f"rating file line {number}: holds a NUL character")
     respondent = ""
     view = ""
     body_lines = []

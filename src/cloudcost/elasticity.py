@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, NamedTuple, NoReturn
+from typing import NamedTuple, NoReturn
 
 from .errors import EvaluationError, PatternError
 from .months import Month, SimulationWindow, month_calendar
@@ -73,9 +73,6 @@ DOM = "dom"
 DOM_RANGE = "dom_range"
 DOW = "dow"
 DOW_RANGE = "dow_range"
-
-WarnFn = Callable[[str], None]
-
 
 class MonthSelector(NamedTuple):
     """Selects calendar months; ranges may wrap the year end (nov-feb)."""
@@ -310,14 +307,11 @@ def _apply_op(value: float, op: str, operand: float) -> float:
     return result
 
 
-def _clamped(pattern: PatternSpec, index: int, year: int, month: int, dom: int,
-             warn: WarnFn | None) -> float:
-    """The 0.0 that replaces a negative result, after warning with its date."""
-    if warn is not None:
-        label = pattern.source or f"{pattern.op}{pattern.operand:g}"
-        warn(f"clamped negative value to 0 on {year:04d}-{month:02d}-{dom:02d} "
-             f"(pattern {index + 1}: {label})")
-    return 0.0
+def _clamp_message(pattern: PatternSpec, index: int, year: int, month: int, dom: int) -> str:
+    """The warning for a negative result clamped to 0, with its date."""
+    label = pattern.source or f"{pattern.op}{pattern.operand:g}"
+    return (f"clamped negative value to 0 on {year:04d}-{month:02d}-{dom:02d} "
+            f"(pattern {index + 1}: {label})")
 
 
 # Repeats a 7-bit week (bit j for the day j days after day 1) over the five
@@ -356,18 +350,20 @@ def _firing_days(pattern: PatternSpec, weekday1: int, month_days: int) -> int:
     return ((week * _FIVE_WEEKS) << 1) & month_days
 
 
-def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
-                   warn: WarnFn | None = None) -> tuple[float, ...]:
+def monthly_series(schedule: UsageSchedule, window: SimulationWindow
+                   ) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """Billable quantity of each window month, in order, from one replay from
-    the window's first day through its last; see the module docstring.
+    the window's first day through its last, and a message per clamp, in the
+    order they happened; see the module docstring.
 
     A month's quantity is the sequential sum of its daily values, divided by
-    its length for stocks, so results are bit-reproducible. Each clamp goes
-    to ``warn``. An overflow raises EvaluationError with its ``month`` set.
+    its length for stocks, so results are bit-reproducible. An overflow
+    raises EvaluationError with its ``month`` set.
     """
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
     quantities: list[float] = []
+    clamps: list[str] = []
     try:
         for year, month, weekday1, days_in_month in month_calendar(window.start, window.end):
             month_days = (2 << days_in_month) - 2
@@ -395,13 +391,15 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
                     if (fires >> dom) & 1:
                         level = _apply_op(level, p.op, p.operand)
                         if level < 0:
-                            level = _clamped(p, i, year, month, dom, warn)
+                            level = 0.0
+                            clamps.append(_clamp_message(p, i, year, month, dom))
                 value = level if stock else level / days_in_month
                 for i, p, fires in temps:
                     if (fires >> dom) & 1:
                         value = _apply_op(value, p.op, p.operand)
                         if value < 0:
-                            value = _clamped(p, i, year, month, dom, warn)
+                            value = 0.0
+                            clamps.append(_clamp_message(p, i, year, month, dom))
                             starts |= (2 << dom) & month_days  # the next day warns on its own
                 end = (starts & -starts).bit_length() - 1 if starts else days_in_month + 1
                 for _ in range(dom, end):
@@ -412,4 +410,4 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow,
     except EvaluationError as exc:
         exc.month = Month(year, month)
         raise
-    return tuple(quantities)
+    return tuple(quantities), tuple(clamps)

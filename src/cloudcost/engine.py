@@ -8,12 +8,12 @@ with the transfer scope resolved from the two placements.
 
 A replay depends only on the requirement's kind class, baseline and pattern
 texts once the window is fixed, not on its subject, placement or catalog. So
-each replay's monthly quantities and raw clamp messages land in a memo keyed
-by that triple, and an equal requirement reuses them, its clamp messages
-re-sent under its own ``subject/kind:`` prefix. The memo is owned by one
-command: :func:`simulate` makes a fresh one per call, and
-:func:`compare_scenarios` shares one across its scenarios, which all use the
-same window. Nothing is kept between commands.
+the pair a replay returns, monthly quantities and raw clamp messages, lands
+in a memo keyed by that triple, and an equal requirement reuses it; each
+requirement reports the messages under its own ``subject/kind:`` prefix.
+The memo is owned by one command: :func:`simulate` makes a fresh one per
+call, and :func:`compare_scenarios` shares one across its scenarios, which
+all use the same window. Nothing is kept between commands.
 
 Prices repeat the same way: many lines share a rate entry and a quantity. So
 :func:`simulate` prices each distinct (rate entry, quantity) pair once, in a
@@ -46,31 +46,21 @@ from . import model as m
 from . import pricing, schema
 from .elasticity import UsageSchedule, monthly_series
 from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
-from .errors import EvaluationError, MissingRateError, ModelError, PlanError
+from .errors import CloudCostError, EvaluationError, MissingRateError, ModelError, PlanError
 from .money import MONEY_EXP, round_half_even, to_money
 from .months import Month, SimulationWindow
 
 RESERVATION_UPFRONT = "reservation_upfront"
 
-# Requirement kind -> catalog dimension. Stocks bill in GB-months.
-DIMENSION_FOR_KIND = {
-    m.VM_HOURS: pricing.VM_HOURS,
-    m.STORAGE_GB: pricing.STORAGE_GB_MONTH,
-    m.IO_IN_REQUESTS: pricing.IO_IN_REQUESTS,
-    m.IO_OUT_REQUESTS: pricing.IO_OUT_REQUESTS,
-    m.IO_GB: pricing.IO_GB,
-    m.DATA_IN_GB: pricing.DATA_IN_GB,
-    m.DATA_OUT_GB: pricing.DATA_OUT_GB,
-}
-
-UNIT_FOR_KIND = {
-    m.VM_HOURS: "hours",
-    m.STORAGE_GB: "GB-month",
-    m.IO_IN_REQUESTS: "requests",
-    m.IO_OUT_REQUESTS: "requests",
-    m.IO_GB: "GB",
-    m.DATA_IN_GB: "GB",
-    m.DATA_OUT_GB: "GB",
+# Requirement kind -> (catalog dimension, line unit). Stocks bill in GB-months.
+BILLING_FOR_KIND = {
+    m.VM_HOURS: (pricing.VM_HOURS, "hours"),
+    m.STORAGE_GB: (pricing.STORAGE_GB_MONTH, "GB-month"),
+    m.IO_IN_REQUESTS: (pricing.IO_IN_REQUESTS, "requests"),
+    m.IO_OUT_REQUESTS: (pricing.IO_OUT_REQUESTS, "requests"),
+    m.IO_GB: (pricing.IO_GB, "GB"),
+    m.DATA_IN_GB: (pricing.DATA_IN_GB, "GB"),
+    m.DATA_OUT_GB: (pricing.DATA_OUT_GB, "GB"),
 }
 
 # rollup key -> the line's value under it
@@ -194,27 +184,21 @@ Replays = dict[tuple[str, float, tuple[str, ...]], tuple[tuple[float, ...], tupl
 
 
 def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: SimulationWindow,
-            subject: str, warn, replays: Replays) -> tuple[float, ...]:
-    """Quantities of a requirement of a validated model (all its pattern texts
-    parsed), replayed unless ``replays`` holds an equal one; either way its
-    clamp messages go to ``warn`` under this subject's prefix."""
+            subject: str, replays: Replays) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """Quantities and raw clamp messages of a validated model's requirement,
+    replayed unless ``replays`` holds an equal one."""
     key = (m.KIND_CLASS[req.kind], req.baseline, req.patterns)
     replayed = replays.get(key)
     if replayed is None:
         specs = []
         for text in req.patterns:
             specs.extend(model.parsed_patterns[text])
-        schedule = UsageSchedule(key[0], req.baseline, tuple(specs))
-        clamps: list[str] = []
         try:
-            quantities = monthly_series(schedule, window, warn=clamps.append)
+            replayed = replays[key] = monthly_series(
+                UsageSchedule(key[0], req.baseline, tuple(specs)), window)
         except EvaluationError as exc:
             raise _line_error(subject, req.kind, exc.month, exc) from exc
-        replayed = replays[key] = (quantities, tuple(clamps))
-    quantities, clamps = replayed
-    for msg in clamps:
-        warn(f"{subject}/{req.kind}: {msg}")
-    return quantities
+    return replayed
 
 
 def _transfer_scope(a: m.Placement, b: m.Placement | None) -> str:
@@ -240,7 +224,12 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     if errors:
         raise ModelError("cannot simulate an invalid model", errors)
     plan = dict(plan or {})
-    _check_plan(model, plan)
+    node_by_id = {node.id: node for node in model.nodes}
+    for node_id, choice in plan.items():
+        if node_id not in node_by_id:
+            raise PlanError(f"plan references unknown node {node_id!r}")
+        if choice.kind == pricing.RESERVED and node_by_id[node_id].kind != m.VIRTUAL_MACHINE:
+            raise PlanError(f"plan reserves {node_id!r}, which is not a virtual machine")
 
     replays = {} if replays is None else replays
     months = window.months()
@@ -252,17 +241,29 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     prices: dict[pricing.RateEntry, dict[float, Decimal]] = {}
 
     def emit(quantities: tuple[float, ...], subject: str, endpoint: m.Node, kind: str,
-             entry: pricing.RateEntry, scope: str | None) -> None:
-        node_id, group, unit = endpoint.id, group_of.get(endpoint.id), UNIT_FOR_KIND[kind]
+             sku: str | None, scope: str | None, hourly: Decimal | None = None) -> None:
+        """Price one series at its rate key's entry, or at a reserved node's
+        ``hourly`` rate; a missing rate or an unpriceable cost names the line."""
+        node_id, group = endpoint.id, group_of.get(endpoint.id)
         provider, region = endpoint.placement.provider, endpoint.placement.region
-        costs = prices.setdefault(entry, {})
-        lines = []
-        for month, quantity in zip(months, quantities):
-            cost = costs.get(quantity)
-            if cost is None:
-                cost = costs[quantity] = _price(entry, quantity, subject, kind, month)
-            lines.append(CostLine(month, subject, node_id, kind, quantity, unit, cost,
-                                  group, provider, region, scope))
+        dimension, unit = BILLING_FOR_KIND[kind]
+        try:
+            if hourly is None:
+                entry = pricing.lookup_rate(catalog, provider, region, dimension, sku, scope)
+            else:
+                entry = pricing.RateEntry(provider, region, dimension, sku, scope, hourly)
+            costs = prices.setdefault(entry, {})
+            lines = []
+            for month, quantity in zip(months, quantities):
+                cost = costs.get(quantity)
+                if cost is None:
+                    cost = costs[quantity] = pricing.price_breakdown(entry, quantity)
+                lines.append(CostLine(month, subject, node_id, kind, quantity, unit, cost,
+                                      group, provider, region, scope))
+        except MissingRateError as exc:
+            raise MissingRateError(f"{subject}/{kind}: {exc}", exc.key) from exc
+        except EvaluationError as exc:
+            raise _line_error(subject, kind, month, exc) from exc
         series.append(lines)
 
     for node in model.nodes:
@@ -272,17 +273,14 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         provider, region = node.placement.provider, node.placement.region
         choice = plan.get(node.id, ON_DEMAND_CHOICE)
         reserved = _resolve_reserved(catalog, node, choice) if choice.kind == pricing.RESERVED else None
+        hourly = None if reserved is None else reserved.hourly_rate
 
         for req in node.requirements:
-            quantities = _series(model, req, window, node.id, warnings.append, replays)
+            quantities, clamps = _series(model, req, window, node.id, replays)
+            warnings.extend(f"{node.id}/{req.kind}: {msg}" for msg in clamps)
             sku, scope = _rate_key_for(node, req.kind)
-            if req.kind == m.VM_HOURS and reserved is not None:
-                entry = pricing.RateEntry(provider, region, pricing.VM_HOURS, sku,
-                                          flat_price=reserved.hourly_rate)
-            else:
-                entry = _lookup(catalog, provider, region, DIMENSION_FOR_KIND[req.kind],
-                                sku, scope, node.id, req.kind)
-            emit(quantities, node.id, node, req.kind, entry, scope)
+            emit(quantities, node.id, node, req.kind, sku, scope,
+                 hourly if req.kind == m.VM_HOURS else None)
 
         if reserved is not None:
             try:
@@ -297,21 +295,19 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
                         group_of.get(node.id), provider, region)
                 series.append(fees)
 
-    node_by_id = {node.id: node for node in model.nodes}
     for path in model.paths:
         from_node = node_by_id[path.from_node]
         to_node = node_by_id[path.to_node]
         if from_node.placement is None and to_node.placement is None:
             continue  # both endpoints outside the cloud: nothing is billed
-        quantities = _series(model, path.volume, window, path.id, warnings.append, replays)
-        for endpoint, dimension in ((from_node, m.DATA_OUT_GB), (to_node, m.DATA_IN_GB)):
+        quantities, clamps = _series(model, path.volume, window, path.id, replays)
+        warnings.extend(f"{path.id}/{path.volume.kind}: {msg}" for msg in clamps)
+        for endpoint, kind in ((from_node, m.DATA_OUT_GB), (to_node, m.DATA_IN_GB)):
             if endpoint.placement is None:
                 continue  # only the cloud-side endpoint is billed
             other = to_node if endpoint is from_node else from_node
-            scope = _transfer_scope(endpoint.placement, other.placement)
-            entry = _lookup(catalog, endpoint.placement.provider, endpoint.placement.region,
-                            DIMENSION_FOR_KIND[dimension], None, scope, path.id, dimension)
-            emit(quantities, path.id, endpoint, dimension, entry, scope)
+            emit(quantities, path.id, endpoint, kind, None,
+                 _transfer_scope(endpoint.placement, other.placement))
 
     series.sort(key=lambda lines: (lines[0].subject, lines[0].dimension))
     # month by month, each series' line; filter drops the months without a fee
@@ -336,35 +332,9 @@ def _rate_key_for(node: m.Node, kind: str) -> tuple[str | None, str | None]:
     return sku, scope
 
 
-def _lookup(catalog: pricing.PriceCatalog, provider: str, region: str, dimension: str,
-            sku: str | None, scope: str | None, subject: str, kind: str) -> pricing.RateEntry:
-    try:
-        return pricing.lookup_rate(catalog, provider, region, dimension, sku, scope)
-    except MissingRateError as exc:
-        raise MissingRateError(f"{subject}/{kind}: {exc}", exc.key) from exc
-
-
-def _price(entry: pricing.RateEntry, quantity: float, subject: str, kind: str,
-           month: Month) -> Decimal:
-    try:
-        return pricing.price_breakdown(entry, quantity)
-    except EvaluationError as exc:
-        raise _line_error(subject, kind, month, exc) from exc
-
-
 def _line_error(subject: str, kind: str, month: Month,
                 exc: EvaluationError) -> EvaluationError:
     return EvaluationError(f"{subject}/{kind} in {month}: {exc}")
-
-
-def _check_plan(model: m.DeploymentModel, plan: Mapping[str, PlanChoice]) -> None:
-    node_by_id = {node.id: node for node in model.nodes}
-    for node_id, choice in plan.items():
-        node = node_by_id.get(node_id)
-        if node is None:
-            raise PlanError(f"plan references unknown node {node_id!r}")
-        if choice.kind == pricing.RESERVED and node.kind != m.VIRTUAL_MACHINE:
-            raise PlanError(f"plan reserves {node_id!r}, which is not a virtual machine")
 
 
 def _resolve_reserved(catalog: pricing.PriceCatalog, node: m.Node,
@@ -476,7 +446,8 @@ def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[
 
     The scenarios share one replay memo, so a requirement that several of
     them carry is replayed once. Each scenario's warnings follow the
-    table's own, as ``<label>: <warning>``.
+    table's own, as ``<label>: <warning>``; an error from a scenario's
+    simulation reads the same way and keeps its class and attributes.
     """
     labels = [label for label, _, _ in scenarios]
     if len(set(labels)) != len(labels):
@@ -485,7 +456,11 @@ def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[
     rows: list[SummaryRow] = []
     warnings: list[str] = []
     for label, scenario_model, plan in scenarios:
-        report = simulate(scenario_model, catalog, window, plan, replays=replays)
+        try:
+            report = simulate(scenario_model, catalog, window, plan, replays=replays)
+        except CloudCostError as exc:
+            exc.args = (f"{label}: {exc.args[0]}",)
+            raise
         rows.append(summarize([total for _, total in report.monthly_totals()], label))
         warnings.extend(f"{label}: {warning}" for warning in report.warnings)
     table = compare(rows)

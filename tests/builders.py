@@ -15,7 +15,7 @@ DOWS = elasticity.DOW_NAMES
 def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:
     """One month's billed quantity: the last month of a replay over
     ``start..month`` through the same entry point that ``engine.simulate`` uses."""
-    return elasticity.monthly_series(schedule, SimulationWindow(start, month))[-1]
+    return elasticity.monthly_series(schedule, SimulationWindow(start, month))[0][-1]
 
 
 def table_entry(table, label: str):

@@ -69,9 +69,9 @@ def test_a_fresh_process_records_each_layer_call_once(tmp_path):
 
 
 def test_the_tracer_counts_each_replay_over_the_window_alone(tmp_path):
-    # The tracer reads a third positional argument of monthly_series as a
-    # usage start, so the engine must pass its clamp sink by keyword: each
-    # replay of the one-month window then walks January's 31 days.
+    # The tracer would read a third positional argument of monthly_series as
+    # a usage start; the replay takes only a schedule and a window, so each
+    # replay of the one-month window walks January's 31 days.
     days, series = map(int, fresh_traced_run(FRESH_COUNTS, tmp_path).split())
     assert series > 0
     assert days == 31 * series

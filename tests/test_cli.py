@@ -465,6 +465,27 @@ class TestCompare:
         payload = json.loads((tmp_path / "out" / "comparison.json").read_text())
         assert [row["label"] for row in payload["rows"]] == labels
 
+    @pytest.mark.parametrize("command", ["compare", "compare-providers"])
+    def test_a_scenario_error_names_its_scenario(self, tmp_path, command):
+        # the second scenario's nodes sit in a region the catalog does not price
+        if command == "compare":
+            doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+            for node in doc["nodes"]:
+                if "placement" in node:
+                    node["placement"]["region"] = "mars-1"
+            moved = tmp_path / "mars.json"
+            moved.write_text(json.dumps({**doc, "name": "Mars"}))
+            inputs = ["--models", f"{DEMO_MODEL},{moved}"]
+        else:
+            remap = tmp_path / "map.json"
+            remap.write_text(json.dumps({"Nimbus": {"provider": "nimbus", "region": "us-east"},
+                                         "Mars": {"provider": "nimbus", "region": "mars-1"}}))
+            inputs = ["--model", DEMO_MODEL, "--map", str(remap)]
+        code, err = run_quietly(command, *inputs, "--catalog", DEMO_CATALOG,
+                                "--start", "2011-01", "--end", "2011-02")
+        assert (code, err) == (3, "error: Mars: web-1/vm_hours: no rate for "
+                                  "nimbus/mars-1/vm_hours/standard.small\n")
+
 
 class TestWarnings:
     @pytest.mark.parametrize("command", ["simulate", "export-csv", "compare",
@@ -544,6 +565,19 @@ class TestAssess:
         ratings.write_text("item_id,rating\nB1,9\n")
         assert run("assess", "--items", DEMO_ITEMS, "--ratings", str(ratings)) == 1
         assert "1..5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("# respondent: alice\nitem_id,rating\nB1,5\nB2\0,3\n", 4),
+        ("item_id,rating\nB1,3\0\n", 2),
+        ("item_id\0,rating\nB1,3\n", 1),
+        ("# respondent: alice\n# view: corp\0\nitem_id,rating\nB1,3\n", 2),
+    ], ids=["item-id", "rating", "header", "comment"])
+    def test_nul_in_the_ratings_is_one_located_error(self, tmp_path, capsys, text, line):
+        ratings = tmp_path / "r.csv"
+        ratings.write_text(text)
+        assert run("assess", "--items", DEMO_ITEMS, "--ratings", str(ratings)) == 1
+        assert capsys.readouterr() == ("", f"error: rating file line {line}: "
+                                           "holds a NUL character\n")
 
     def test_threshold_flag(self, tmp_path, capsys):
         out = tmp_path / "out"

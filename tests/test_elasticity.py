@@ -199,9 +199,8 @@ class TestEvaluate:
 
     def test_clamp_records_warning(self):
         sched = schedule(el.STOCK, 10, "perm: every month -25")
-        warnings = []
-        series = el.monthly_series(sched, SimulationWindow(Month(2011, 1), Month(2011, 2)),
-                                   warnings.append)
+        series, warnings = el.monthly_series(
+            sched, SimulationWindow(Month(2011, 1), Month(2011, 2)))
         assert series == (10.0, 0.0)
         _, clamps = oracle_replay(el.STOCK, 10, sched.patterns, (2011, 1), (2011, 2))
         assert clamp_events(warnings) == clamps == [(date(2011, 2, 1), 0)]
@@ -276,7 +275,7 @@ class TestMonthlyQuantity:
             sched = random_schedule(rng)
             start = Month(2011, 1)
             window = SimulationWindow(start, start.add(5))
-            series = el.monthly_series(sched, window)
+            series, _ = el.monthly_series(sched, window)
             assert len(series) == window.count
             for month, quantity in zip(window.months(), series):
                 assert quantity == month_quantity(sched, month, start)
@@ -316,7 +315,7 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         sched = random_schedule(rng)
         window = SimulationWindow(Month(2011, 1), Month(2011, 12))
-        assert all(quantity >= 0.0 for quantity in el.monthly_series(sched, window))
+        assert all(quantity >= 0.0 for quantity in el.monthly_series(sched, window)[0])
 
     def test_determinism(self):
         sched = schedule(el.FLOW, 123.4, WORKED)
@@ -346,9 +345,7 @@ class TestClampWarnings:
         for _ in range(300):
             sched = random_schedule(rng)
             month = start.add(rng.randint(0, 23))
-            warnings = []
-            series = el.monthly_series(sched, SimulationWindow(start, month),
-                                       warnings.append)
+            series, warnings = el.monthly_series(sched, SimulationWindow(start, month))
             quantity, clamps = oracle_replay(sched.kind_class, sched.baseline,
                                              sched.patterns, (2011, 1),
                                              (month.year, month.month))
@@ -359,8 +356,7 @@ class TestClampWarnings:
 
     def test_uniform_month_warns_once_per_day(self):
         sched = schedule(el.FLOW, 100, "temp: every month -1000")
-        warnings = []
-        series = el.monthly_series(sched, SimulationWindow(Month(2011, 2), Month(2011, 2)),
-                                   warnings.append)
+        series, warnings = el.monthly_series(
+            sched, SimulationWindow(Month(2011, 2), Month(2011, 2)))
         assert series == (0.0,)
         assert clamp_events(warnings) == [(date(2011, 2, d), 0) for d in range(1, 29)]

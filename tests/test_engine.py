@@ -195,6 +195,42 @@ class TestSimulate:
         assert "vm1" in message and "vm_hours" in message
         assert "aws/us-east/vm_hours/standard.small" in message
 
+    @pytest.mark.parametrize("where, key", [
+        ("vm", "aws/us-east/vm_hours/standard.small"),
+        ("storage", "aws/us-east/storage_gb_month/ssd"),
+        ("node-transfer", "aws/us-east/data_out_gb/internet"),
+        ("path-intra", "aws/us-east/data_out_gb/intra_region"),
+        ("path-inter", "aws/eu-west/data_in_gb/inter_region"),
+    ])
+    def test_missing_rate_message_and_key(self, where, key):
+        # the catalog prices everything but one line's rate
+        disk = m.Node("disk", m.VIRTUAL_STORAGE, m.Placement("aws", "us-east"),
+                      storage_spec=m.StorageSpec("ssd"),
+                      requirements=(m.ResourceRequirement(m.STORAGE_GB, 100.0),))
+        sender = vm("a")
+        if where == "node-transfer":
+            sender = sender._replace(requirements=sender.requirements + (
+                m.ResourceRequirement(m.DATA_OUT_GB, 5.0),))
+        receiver = vm("b", region="eu-west" if where == "path-inter" else "us-east")
+        path = m.CommunicationPath("ab", "a", "b", m.ResourceRequirement(m.DATA_LINK_GB, 5.0))
+        scenario = m.DeploymentModel("x", (sender, receiver, disk), paths=(path,))
+        rates = [entry("aws", region, pricing.VM_HOURS, "0.10", sku="standard.small")
+                 for region in ("us-east", "eu-west")]
+        rates.append(entry("aws", "us-east", pricing.STORAGE_GB_MONTH, "0.10", sku="ssd"))
+        rates += [entry("aws", region, dimension, "0.01", scope=scope)
+                  for region in ("us-east", "eu-west")
+                  for dimension in (pricing.DATA_OUT_GB, pricing.DATA_IN_GB)
+                  for scope in pricing.SCOPES]
+        rates = [rate for rate in rates if "/".join(filter(None, rate.key)) != key]
+        with pytest.raises(MissingRateError) as exc:
+            engine.simulate(scenario, catalog_of(*rates), window(1))
+        subject, kind = {"vm": ("a", m.VM_HOURS), "storage": ("disk", m.STORAGE_GB),
+                         "node-transfer": ("a", m.DATA_OUT_GB),
+                         "path-intra": ("ab", m.DATA_OUT_GB),
+                         "path-inter": ("ab", m.DATA_IN_GB)}[where]
+        assert str(exc.value) == f"{subject}/{kind}: no rate for {key}"
+        assert exc.value.key == key
+
     def test_plan_validation(self):
         with pytest.raises(PlanError):
             engine.simulate(m.DeploymentModel("x", (vm(),)), BASIC_CATALOG, window(1),
@@ -226,15 +262,14 @@ class TestSimulate:
 
     def test_warnings_are_the_raw_clamp_sequence(self, monkeypatch):
         # each clamp message names its subject, date and pattern, so simulate
-        # keeps every one, in the order the replays sent them
+        # keeps every one, in the order the replays returned them
         raw = []
         series = engine._series
 
-        def spy(model, req, window, subject, warn, replays):
-            def both(message):
-                raw.append(message)
-                warn(message)
-            return series(model, req, window, subject, both, replays)
+        def spy(model, req, window, subject, replays):
+            replayed = series(model, req, window, subject, replays)
+            raw.extend(f"{subject}/{req.kind}: {message}" for message in replayed[1])
+            return replayed
 
         monkeypatch.setattr(engine, "_series", spy)
         rng = random.Random(1407)
@@ -633,6 +668,16 @@ class TestCompareScenarios:
         with pytest.raises(ValueError):
             engine.compare_scenarios([("one", scenario, None), ("one", scenario, None)],
                                      BASIC_CATALOG, window(1))
+
+    def test_a_scenario_error_keeps_its_class_and_key_under_its_label(self):
+        placed = m.DeploymentModel("one", (vm(),))
+        moved = m.DeploymentModel("two", (vm(region="mars-1"),))
+        with pytest.raises(MissingRateError) as exc:
+            engine.compare_scenarios([("one", placed, None), ("two", moved, None)],
+                                     BASIC_CATALOG, window(1))
+        key = "aws/mars-1/vm_hours/standard.small"
+        assert str(exc.value) == f"two: vm1/vm_hours: no rate for {key}"
+        assert exc.value.key == key
 
     def test_elastic_never_costs_more(self):
         always_on = m.DeploymentModel("non-elastic", (vm(),))

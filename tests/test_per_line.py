@@ -36,7 +36,7 @@ def rate_entry(catalog, scenario, line):
             m.STORAGE_GB, m.IO_IN_REQUESTS, m.IO_OUT_REQUESTS, m.IO_GB):
         sku = node.storage_spec.storage_type
     return pricing.lookup_rate(catalog, line.provider, line.region,
-                               engine.DIMENSION_FOR_KIND[line.dimension], sku, line.scope)
+                               engine.BILLING_FOR_KIND[line.dimension][0], sku, line.scope)
 
 
 class TestPriceMemo:

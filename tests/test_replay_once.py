@@ -118,8 +118,7 @@ def test_every_subject_of_a_shared_replay_keeps_its_clamp_warnings(replays):
     schedule = UsageSchedule("flow", 720.0, tuple(parse_patterns(CLAMPING)))
     expected, raw = [], []
     for subject, kind in (("a", m.VM_HOURS), ("b", m.VM_HOURS), ("ab", m.DATA_LINK_GB)):
-        own = []
-        monthly_series(schedule, window, own.append)
+        _, own = monthly_series(schedule, window)
         raw.append(own)
         expected += [f"{subject}/{kind}: {msg}" for msg in own]
     assert list(report.warnings) == expected

@@ -55,8 +55,7 @@ def test_every_day_clause_on_every_month_shape_matches_oracle(mode, op, first):
         start = month if first else month.add(-1)
         for clause in DAY_CLAUSES:
             sched = schedule(el.FLOW, 100, f"{mode}: every month{clause} {op}")
-            warnings = []
-            got = el.monthly_series(sched, SimulationWindow(start, month), warnings.append)
+            got, warnings = el.monthly_series(sched, SimulationWindow(start, month))
             quantity, clamps = oracle_replay(el.FLOW, 100, sched.patterns,
                                              tuple(start), tuple(month))
             assert got[-1] == quantity, (month, clause)
@@ -70,8 +69,7 @@ CLAMP_ORDER = ("temp: every month on weekdays -50, perm: every month on fri -100
 @pytest.mark.parametrize("month", [Month(2011, 2), Month(2011, 12)], ids=str)
 def test_clamps_on_repeated_run_days_are_day_major_then_declared(month):
     sched = schedule(el.FLOW, 100, CLAMP_ORDER)
-    warnings = []
-    got = el.monthly_series(sched, SimulationWindow(month, month), warnings.append)
+    got, warnings = el.monthly_series(sched, SimulationWindow(month, month))
     quantity, clamps = oracle_replay(el.FLOW, 100, sched.patterns, tuple(month), tuple(month))
     assert got == (quantity,)
     assert clamp_events(warnings) == clamps
