@@ -25,22 +25,24 @@ from ``+0.0`` and so never yields ``-0.0``. Pricing still runs series by
 series, month by month, so a cost too large to price names the same first
 line and month as it would without the memo.
 
-Lines are assembled in report order without sorting them. Each series (the
-lines of one requirement or path endpoint, or a reserved node's fees) is one
-list aligned to the window months; a fee series holds ``None`` in months
-without a fee, and always has its first month, because fees start at the
-window start. The series are sorted by (subject, dimension), which is unique
-per series in a validated model, and then interleaved month by month, which
-gives the report's (month, subject, dimension) order while pricing stays
-series-major.
+A report is made of series, not lines. Each series (one requirement or path
+endpoint, or a reserved node's fees) is a :class:`CostSeries`: the fields
+that are constant over it once, then its quantities and costs aligned to the
+window months; a fee series holds ``None`` in months without a fee, and always
+has its first month, because fees start at the window start. The series are
+sorted by (subject, dimension), which is unique per series in a validated
+model. Walking them month by month gives the report's (month, subject,
+dimension) line order, so totals, rollups and the CSV read the cost columns
+month-major and add every ``Decimal`` in line order, while each key or
+constant text is computed once per series. ``report.lines`` builds the lines
+on demand.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import chain, groupby
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import model as m
 from . import pricing, schema
@@ -63,19 +65,14 @@ BILLING_FOR_KIND = {
     m.DATA_OUT_GB: (pricing.DATA_OUT_GB, "GB"),
 }
 
-# rollup key -> the line's value under it
-_ROLLUP_KEY_OF = {
-    "group": lambda line: line.group or "",
+ROLLUP_KEYS = ("group", "node", "dimension", "provider", "month")
+# rollup key -> the series' value under it; "month" keys each month instead
+_SERIES_KEY_OF = {
+    "group": lambda series: series.group or "",
     "node": attrgetter("node_id"),
     "dimension": attrgetter("dimension"),
     "provider": attrgetter("provider"),
-    "month": lambda line: str(line.month),
 }
-ROLLUP_KEYS = tuple(_ROLLUP_KEY_OF)
-
-# A line's place in a report: (month, subject, dimension), read in C.
-_line_order = attrgetter("month", "subject", "dimension")
-_line_month = attrgetter("month")
 
 
 class PlanChoice(NamedTuple):
@@ -136,9 +133,37 @@ class CostLine(NamedTuple):
     scope: str | None = None
 
 
+def _check_increasing(keys: list[tuple], what: str) -> None:
+    """Raise ValueError unless ``keys`` strictly increase: sorted and unique."""
+    for prev, key in zip(keys, keys[1:]):
+        if not prev < key:
+            problem = f"duplicate {what} for" if prev == key else f"{what} out of order:"
+            raise ValueError(f"{problem} {key}")
+
+
+class CostSeries(NamedTuple):
+    """The cost lines of one requirement or path endpoint, or a reserved
+    node's fees: the fields a line repeats, then its quantities and costs,
+    one per window month. A month without a line holds ``None`` in both."""
+
+    subject: str
+    node_id: str
+    dimension: str
+    unit: str
+    group: str | None
+    provider: str
+    region: str
+    scope: str | None
+    quantities: tuple[float | None, ...]
+    costs: tuple[Decimal | None, ...]
+
+
+_series_key = attrgetter("subject", "dimension")  # a series' place in a report
+
+
 class _ReportFields(NamedTuple):
     window: SimulationWindow
-    lines: tuple[CostLine, ...]
+    series: tuple[CostSeries, ...]
     warnings: tuple[str, ...] = ()
     currency: str = "USD"
 
@@ -147,36 +172,87 @@ class CostReport(_ReportFields):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, window: SimulationWindow, lines: tuple[CostLine, ...],
+    def __new__(cls, window: SimulationWindow, series: tuple[CostSeries, ...],
                 warnings: tuple[str, ...] = (), currency: str = "USD") -> CostReport:
-        """Sort keys strictly increase (sorted and unique) and the first and
-        last months lie in the window, so renderers read lines as built."""
-        keys = list(map(_line_order, lines))
-        for prev, key in zip(keys, keys[1:]):
-            if not prev < key:
-                problem = "duplicate cost line for" if prev == key else "cost line out of order:"
-                raise ValueError(f"{problem} {key}")
+        """Series keys (subject, dimension) strictly increase, and each series
+        is as long as the window and has its first month, so the series read
+        month by month give the lines sorted, unique and inside the window."""
+        _check_increasing(list(map(_series_key, series)), "cost series")
+        count = window.count
+        for item in series:
+            if not len(item.quantities) == len(item.costs) == count:
+                raise ValueError(f"cost series {item.subject}/{item.dimension}: "
+                                 f"{len(item.costs)} costs and {len(item.quantities)} "
+                                 f"quantities for a {count}-month window")
+            if item.costs[0] is None:
+                raise ValueError(f"cost series {item.subject}/{item.dimension} has no line "
+                                 f"in the window's first month {window.start}")
+        return tuple.__new__(cls, (window, series, warnings, currency))
+
+    @classmethod
+    def from_lines(cls, window: SimulationWindow, lines: Sequence[CostLine],
+                   warnings: tuple[str, ...] = (), currency: str = "USD") -> CostReport:
+        """The report of ``lines``, checked as lines: their (month, subject,
+        dimension) keys strictly increase (sorted and unique) and the first and
+        last months lie in the window.
+
+        Lines that share every field but month, quantity and cost make one
+        series. Such a series may start after the window or share its
+        (subject, dimension) with another, which the series check refuses;
+        so ``_replace``, copy and pickle refuse a report that holds one.
+        """
+        keys = list(map(attrgetter("month", "subject", "dimension"), lines))
+        _check_increasing(keys, "cost line")
         for month, _, _ in keys[:1] + keys[-1:]:
             if month not in window:
                 raise ValueError(f"line month {month} outside the window")
-        return tuple.__new__(cls, (window, lines, warnings, currency))
+        count = window.count
+        columns: dict[tuple, tuple[list, list]] = {}
+        for month, subject, node_id, dimension, quantity, unit, cost, group, provider, \
+                region, scope in lines:
+            quantities, costs = columns.setdefault(
+                (subject, node_id, dimension, unit, group, provider, region, scope),
+                ([None] * count, [None] * count))
+            index = month.diff(window.start)
+            quantities[index], costs[index] = quantity, cost
+        series = sorted((CostSeries(*head, tuple(quantities), tuple(costs))
+                         for head, (quantities, costs) in columns.items()),
+                        key=_series_key)
+        return tuple.__new__(cls, (window, tuple(series), warnings, currency))
+
+    @property
+    def lines(self) -> tuple[CostLine, ...]:
+        """The cost lines in (month, subject, dimension) order, built on demand."""
+        return tuple(CostLine(month, item.subject, item.node_id, item.dimension,
+                              item.quantities[index], item.unit, item.costs[index],
+                              item.group, item.provider, item.region, item.scope)
+                     for index, month in enumerate(self.window.months())
+                     for item in self.series if item.costs[index] is not None)
+
+    def _month_costs(self) -> Iterable[tuple[Decimal | None, ...]]:
+        """Each window month's costs, one per series in series order."""
+        if not self.series:
+            return [()] * self.window.count
+        return zip(*(item.costs for item in self.series))
 
     def grand_total(self) -> Decimal:
         total = Decimal(0)
-        for line in self.lines:
-            total += line.cost
+        for costs in self._month_costs():
+            for cost in costs:
+                if cost is not None:
+                    total += cost
         return to_money(total)
 
     def monthly_totals(self) -> list[tuple[Month, Decimal]]:
-        """Each window month's total, summed over its run of the sorted lines."""
-        totals = {}
-        for month, group in groupby(self.lines, _line_month):
+        """Each window month's total, summed over its lines in order."""
+        totals = []
+        for month, costs in zip(self.window.months(), self._month_costs()):
             total = Decimal(0)
-            for line in group:
-                total += line.cost
-            totals[month] = total
-        return [(month, to_money(totals.get(month, Decimal(0))))
-                for month in self.window.months()]
+            for cost in costs:
+                if cost is not None:
+                    total += cost
+            totals.append((month, to_money(total)))
+        return totals
 
 
 # (kind class, baseline, pattern texts) -> (quantity per window month, raw clamp messages)
@@ -234,8 +310,7 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     replays = {} if replays is None else replays
     months = window.months()
     warnings: list[str] = []
-    # one list per series, aligned to the window months; see the module docstring
-    series: list[list[CostLine | None]] = []
+    series: list[CostSeries] = []  # see the module docstring
     group_of = {node_id: group.id for group in model.groups for node_id in group.node_ids}
     # rate entry -> {quantity -> cost}; see the module docstring
     prices: dict[pricing.RateEntry, dict[float, Decimal]] = {}
@@ -247,24 +322,24 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         node_id, group = endpoint.id, group_of.get(endpoint.id)
         provider, region = endpoint.placement.provider, endpoint.placement.region
         dimension, unit = BILLING_FOR_KIND[kind]
+        costs: list[Decimal] = []
         try:
             if hourly is None:
                 entry = pricing.lookup_rate(catalog, provider, region, dimension, sku, scope)
             else:
                 entry = pricing.RateEntry(provider, region, dimension, sku, scope, hourly)
-            costs = prices.setdefault(entry, {})
-            lines = []
-            for month, quantity in zip(months, quantities):
-                cost = costs.get(quantity)
+            memo = prices.setdefault(entry, {})
+            for quantity in quantities:
+                cost = memo.get(quantity)
                 if cost is None:
-                    cost = costs[quantity] = pricing.price_breakdown(entry, quantity)
-                lines.append(CostLine(month, subject, node_id, kind, quantity, unit, cost,
-                                      group, provider, region, scope))
+                    cost = memo[quantity] = pricing.price_breakdown(entry, quantity)
+                costs.append(cost)
         except MissingRateError as exc:
             raise MissingRateError(f"{subject}/{kind}: {exc}", exc.key) from exc
         except EvaluationError as exc:
-            raise _line_error(subject, kind, month, exc) from exc
-        series.append(lines)
+            raise _line_error(subject, kind, months[len(costs)], exc) from exc
+        series.append(CostSeries(subject, node_id, kind, unit, group, provider, region, scope,
+                                 quantities, tuple(costs)))
 
     for node in model.nodes:
         if node.kind == m.REMOTE_NODE:
@@ -288,12 +363,13 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             except EvaluationError as exc:  # a fee too large fails at its first charge
                 raise _line_error(node.id, RESERVATION_UPFRONT, window.start, exc) from exc
             if charges:  # the first falls in window.start, so fees[0] is a line
-                fees: list[CostLine | None] = [None] * len(months)
+                fees: list[Decimal | None] = [None] * len(months)
                 for month, fee in charges:
-                    fees[month.diff(window.start)] = CostLine(
-                        month, node.id, node.id, RESERVATION_UPFRONT, 1.0, "fee", fee,
-                        group_of.get(node.id), provider, region)
-                series.append(fees)
+                    fees[month.diff(window.start)] = fee
+                series.append(CostSeries(
+                    node.id, node.id, RESERVATION_UPFRONT, "fee", group_of.get(node.id),
+                    provider, region, None,
+                    tuple(None if fee is None else 1.0 for fee in fees), tuple(fees)))
 
     for path in model.paths:
         from_node = node_by_id[path.from_node]
@@ -309,10 +385,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
             emit(quantities, path.id, endpoint, kind, None,
                  _transfer_scope(endpoint.placement, other.placement))
 
-    series.sort(key=lambda lines: (lines[0].subject, lines[0].dimension))
-    # month by month, each series' line; filter drops the months without a fee
-    lines = tuple(filter(None, chain.from_iterable(zip(*series))))
-    return CostReport(window, lines, tuple(warnings), catalog.currency)
+    series.sort(key=_series_key)
+    return CostReport(window, tuple(series), tuple(warnings), catalog.currency)
 
 
 def _rate_key_for(node: m.Node, kind: str) -> tuple[str | None, str | None]:
@@ -359,13 +433,20 @@ def _resolve_reserved(catalog: pricing.PriceCatalog, node: m.Node,
 # --- rollups, summaries, comparisons ----------------------------------------
 
 def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
-    """Totals per key; the key-sums always equal the grand total exactly."""
+    """Totals per key; the key-sums always equal the grand total exactly.
+    Each key adds its lines' costs in line order."""
     if by not in ROLLUP_KEYS:
         raise ValueError(f"unknown rollup key {by!r}, expected one of {ROLLUP_KEYS}")
-    keys = list(map(_ROLLUP_KEY_OF[by], report.lines))
+    if by == "month":  # months without a line have no key
+        return [(str(month), total) for (month, total), costs
+                in zip(report.monthly_totals(), report._month_costs())
+                if costs.count(None) < len(costs)]
+    keys = list(map(_SERIES_KEY_OF[by], report.series))
     totals = dict.fromkeys(keys, Decimal(0))
-    for key, line in zip(keys, report.lines):
-        totals[key] += line.cost
+    for costs in report._month_costs():
+        for key, cost in zip(keys, costs):
+            if cost is not None:
+                totals[key] += cost
     return [(key, to_money(totals[key])) for key in sorted(totals)]
 
 

@@ -1,9 +1,8 @@
 """Calendar-month arithmetic shared by the usage and billing layers.
 
 A :class:`Month` is a ``(year, month)`` tuple with calendar methods. A cost
-report checks that its lines' (month, subject, dimension) keys increase and
-keys the monthly totals by month, so equality, ordering and hashing stay the
-tuple's own, in C.
+report built from lines checks that their (month, subject, dimension) keys
+increase, so equality, ordering and hashing stay the tuple's own, in C.
 By design a ``Month`` therefore equals the plain tuple ``(year, month)``.
 It is a named tuple, so ``_asdict`` and ``_replace`` of a record holding one
 keep it a ``Month``.

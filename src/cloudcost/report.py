@@ -46,37 +46,50 @@ def to_csv(report: CostReport) -> str:
     dimension) order. The `node` column carries the line's subject, so
     transfer lines appear under their path id.
 
-    Each window month, distinct quantity and distinct cost is formatted once.
+    Rows are written month by month, each month's series in report order.
+    Each window month, distinct quantity and distinct cost is formatted once,
+    and each series' constant fields once, as the text around its quantity.
     Zero costs skip the memo: ``-0.000000`` equals ``0`` but renders as ``-0.00``.
 
-    A plain row is joined here: one whose nine fields hold no comma and none
-    of ``"``, ``\\r``, ``\\n`` and NUL, the only characters that make
-    ``csv.writer`` quote a field (or, on Python 3.10, raise for NUL). Any
-    other row goes through ``csv.writer``, so every row reads as it would
-    from the writer.
+    A plain series' rows are joined here: its six text fields hold no comma
+    and none of ``"``, ``\\r``, ``\\n`` and NUL, the only characters that make
+    ``csv.writer`` quote a field (or, on Python 3.10, raise for NUL); month,
+    quantity and cost texts never hold one. Any other series' rows go through
+    ``csv.writer``, so every row reads as it would from the writer.
     """
-    month_text = {month: str(month) for month in report.window.months()}
+    # per series: (text before the quantity, after it), or (None, its six fields)
+    heads: list[tuple[str | None, str | tuple[str, ...]]] = []
+    for item in report.series:
+        fields = (item.group or "", item.subject, item.provider, item.region,
+                  item.dimension, item.unit)
+        text = "".join(fields)
+        if any(char in text for char in ',"\r\n\0'):
+            heads.append((None, fields))
+        else:
+            heads.append((f",{','.join(fields[:5])},", f",{item.unit},"))
     quantity_text: dict[float, str] = {}
     money_text: dict[Decimal, str] = {}
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
     write = buffer.write
-    for month, subject, _, dimension, quantity, unit, cost, group, provider, region, _ \
-            in report.lines:
-        quantity_str = quantity_text.get(quantity)
-        if quantity_str is None:
-            quantity_str = quantity_text[quantity] = _format_quantity(quantity)
-        cost_str = money_text.get(cost) if cost else None
-        if cost_str is None:
-            cost_str = money_text[cost] = format_money(cost)
-        fields = (month_text[month], group or "", subject, provider, region, dimension,
-                  quantity_str, unit, cost_str)
-        row = ",".join(fields)
-        if row.count(",") != 8 or '"' in row or "\r" in row or "\n" in row or "\0" in row:
-            writer.writerow(fields)
-        else:
-            write(row + "\r\n")
+    for month, quantities, costs in zip(report.window.months(),
+                                        zip(*(item.quantities for item in report.series)),
+                                        zip(*(item.costs for item in report.series))):
+        month_str = str(month)
+        for (before, after), quantity, cost in zip(heads, quantities, costs):
+            if cost is None:
+                continue
+            quantity_str = quantity_text.get(quantity)
+            if quantity_str is None:
+                quantity_str = quantity_text[quantity] = _format_quantity(quantity)
+            cost_str = money_text.get(cost) if cost else None
+            if cost_str is None:
+                cost_str = money_text[cost] = format_money(cost)
+            if before is None:
+                writer.writerow((month_str, *after[:5], quantity_str, after[5], cost_str))
+            else:
+                write(f"{month_str}{before}{quantity_str}{after}{cost_str}\r\n")
     return buffer.getvalue()
 
 

@@ -488,12 +488,17 @@ def cost_line(month, subject="vm1", dimension=m.VM_HOURS):
                            None, "aws", "us-east")
 
 
+def series_of(subject, months, dimension=m.VM_HOURS):
+    return engine.CostSeries(subject, subject, dimension, "hours", None, "aws", "us-east", None,
+                             (1.0,) * months, (Decimal(1),) * months)
+
+
 class TestCostReport:
     def test_sorted_unique_lines_in_the_window_are_accepted(self):
         jan, feb = Month(2011, 1), Month(2011, 2)
         lines = (cost_line(jan, "a", m.STORAGE_GB), cost_line(jan, "a"), cost_line(jan, "b"),
                  cost_line(feb, "a"))
-        assert engine.CostReport(window(2), lines).lines == lines
+        assert engine.CostReport.from_lines(window(2), lines).lines == lines
 
     @pytest.mark.parametrize("keys", [
         [(Month(2011, 2), "a", m.VM_HOURS), (Month(2011, 1), "a", m.VM_HOURS)],
@@ -502,51 +507,131 @@ class TestCostReport:
     ], ids=["month", "subject", "dimension"])
     def test_lines_out_of_order_are_rejected(self, keys):
         with pytest.raises(ValueError, match="cost line out of order"):
-            engine.CostReport(window(2), tuple(cost_line(*key) for key in keys))
+            engine.CostReport.from_lines(window(2), tuple(cost_line(*key) for key in keys))
 
     def test_duplicate_line_is_rejected(self):
         lines = (cost_line(Month(2011, 1)), cost_line(Month(2011, 1)))
         with pytest.raises(ValueError, match="duplicate cost line"):
-            engine.CostReport(window(2), lines)
+            engine.CostReport.from_lines(window(2), lines)
 
     @pytest.mark.parametrize("outside", [Month(2010, 12), Month(2011, 3)])
     def test_month_outside_the_window_is_rejected(self, outside):
         lines = tuple(sorted((cost_line(outside, "a"), cost_line(Month(2011, 1), "b")),
                              key=lambda line: (line.month, line.subject)))
         with pytest.raises(ValueError, match=f"line month {outside} outside the window"):
-            engine.CostReport(window(2), lines)
+            engine.CostReport.from_lines(window(2), lines)
 
     def test_replace_runs_the_same_checks(self):
         jan, feb = Month(2011, 1), Month(2011, 2)
-        report = engine.CostReport(window(2), (cost_line(jan, "a"), cost_line(feb, "a")))
+        report = engine.CostReport.from_lines(window(2), (cost_line(jan, "a"), cost_line(feb, "a")))
         with pytest.raises(ValueError, match=r"^cost line out of order: "):
-            report._replace(lines=report.lines[::-1])
+            engine.CostReport.from_lines(window(2), report.lines[::-1])
         with pytest.raises(ValueError, match=r"^duplicate cost line for "):
-            report._replace(lines=report.lines[:1] * 2)
-        with pytest.raises(ValueError, match=r"^line month 2011-02 outside the window$"):
+            engine.CostReport.from_lines(window(2), report.lines[:1] * 2)
+        with pytest.raises(ValueError, match=r"^cost series a/vm_hours: 2 costs and "
+                                             r"2 quantities for a 1-month window$"):
             report._replace(window=window(1))
+        with pytest.raises(ValueError, match=r"^cost series out of order: "):
+            report._replace(series=report.series + (series_of("0", 2),))
+        with pytest.raises(ValueError, match=r"^duplicate cost series for "):
+            report._replace(series=report.series * 2)
         assert report._replace(warnings=("w",)).warnings == ("w",)
+
+    def test_simulated_series_give_the_report_built_from_their_lines(self, demo_model_text,
+                                                                   demo_catalog_text):
+        plan = {"web-1": engine.PlanChoice(pricing.RESERVED, 12)}
+        report = engine.simulate(m.parse_model(demo_model_text),
+                                 pricing.load_catalog(demo_catalog_text),
+                                 SimulationWindow(Month(2011, 1), Month(2013, 6)), plan)
+        fees = [s for s in report.series if s.dimension == engine.RESERVATION_UPFRONT]
+        assert [s.costs.count(None) for s in fees] == [27]  # fees in months 1, 13 and 25
+        assert engine.CostReport.from_lines(report.window, report.lines, report.warnings,
+                                            report.currency) == report
+
+    def test_lines_that_make_no_checked_series_are_kept_but_not_replaced(self):
+        jan, feb = Month(2011, 1), Month(2011, 2)
+        lines = (cost_line(jan, "a"), cost_line(feb, "a")._replace(node_id="b"))
+        report = engine.CostReport.from_lines(window(2), lines)
+        assert report.lines == lines and len(report.series) == 2
+        with pytest.raises(ValueError, match=r"^duplicate cost series for \('a', 'vm_hours'\)$"):
+            report._replace(warnings=("w",))
+
+    @pytest.mark.parametrize("subjects", [("b", "a"), ("a", "a")], ids=["order", "duplicate"])
+    def test_series_out_of_order_or_duplicated_are_rejected(self, subjects):
+        series = tuple(series_of(subject, 2) for subject in subjects)
+        problem = "cost series out of order:" if subjects[0] != subjects[1] else \
+            "duplicate cost series for"
+        with pytest.raises(ValueError, match=rf"^{problem} \('a', 'vm_hours'\)$"):
+            engine.CostReport(window(2), series)
+
+    def test_series_dimension_order_follows_the_subject(self):
+        series = (series_of("a", 2, m.VM_HOURS), series_of("a", 2, m.STORAGE_GB))
+        with pytest.raises(ValueError, match=r"^cost series out of order: \('a', 'storage_gb'\)$"):
+            engine.CostReport(window(2), series)
+        assert engine.CostReport(window(2), series[::-1]).series == series[::-1]
+
+    @pytest.mark.parametrize("months", [1, 3])
+    def test_series_not_as_long_as_the_window_is_rejected(self, months):
+        with pytest.raises(ValueError, match=rf"^cost series a/vm_hours: {months} costs and "
+                                             rf"{months} quantities for a 2-month window$"):
+            engine.CostReport(window(2), (series_of("a", months),))
+        uneven = series_of("a", 2)._replace(quantities=(1.0,) * months)
+        with pytest.raises(ValueError, match=rf"^cost series a/vm_hours: 2 costs and "
+                                             rf"{months} quantities for a 2-month window$"):
+            engine.CostReport(window(2), (uneven,))
+
+    def test_series_without_its_first_month_is_rejected(self):
+        late = series_of("a", 3)._replace(quantities=(None, 1.0, 1.0),
+                                          costs=(None, Decimal(1), Decimal(1)))
+        with pytest.raises(ValueError, match=r"^cost series a/vm_hours has no line in the "
+                                             r"window's first month 2011-01$"):
+            engine.CostReport(window(3), (late,))
+        report = engine.CostReport(window(3), (series_of("a", 3),))
+        with pytest.raises(ValueError, match=r"has no line in the window's first month"):
+            report._replace(series=(late,))
+        fee = late._replace(quantities=(1.0, None, None), costs=(Decimal(1), None, None))
+        assert [line.month for line in report._replace(series=(fee,)).lines] == [Month(2011, 1)]
 
     def test_monthly_totals_equal_per_line_sums_keyed_by_month(self, demo_model_text,
                                                               demo_catalog_text):
         decade = engine.simulate(m.parse_model(demo_model_text),
                                  pricing.load_catalog(demo_catalog_text),
                                  SimulationWindow(Month(2011, 1), Month(2020, 12)))
-        # Feb and Apr have no lines; March's sum rounds differently in any other order
+        # Feb has no lines; March's sum rounds differently in any other order, and
+        # so does the grand total, which adds b's April cost after March's lines
         mar = Month(2011, 3)
-        gap = engine.CostReport(window(4), (
+        gap = engine.CostReport.from_lines(window(4), (
             cost_line(Month(2011, 1)),
             cost_line(mar, "a")._replace(cost=Decimal("1e21")),
             cost_line(mar, "b")._replace(cost=Decimal("0.0000006")),
-            cost_line(mar, "c")._replace(cost=Decimal("0.0000006"))))
+            cost_line(mar, "c")._replace(cost=Decimal("0.0000006")),
+            cost_line(Month(2011, 4), "b")._replace(cost=Decimal("0.0000005"))))
         for report in (decade, gap):
             totals = {month: Decimal(0) for month in report.window.months()}
             for line in report.lines:
                 totals[line.month] += line.cost
             expected = [(month, str(to_money(total))) for month, total in totals.items()]
             assert [(month, str(total)) for month, total in report.monthly_totals()] == expected
+            for by in engine.ROLLUP_KEYS:
+                keyed = {}
+                for line in report.lines:  # month-major, in line order
+                    key = str(line.month) if by == "month" else (
+                        line.group or "" if by == "group" else getattr(
+                            line, "node_id" if by == "node" else by))
+                    keyed[key] = keyed.get(key, Decimal(0)) + line.cost
+                assert [(key, str(total)) for key, total in engine.rollup(report, by)] == [
+                    (key, str(to_money(keyed[key]))) for key in sorted(keyed)]
+            grand = Decimal(0)
+            for line in report.lines:
+                grand += line.cost
+            assert str(report.grand_total()) == str(to_money(grand))
         assert [str(total) for _, total in gap.monthly_totals()] == [
             "1.000000", "0.000000", "1000000000000000000000.000002", "0.000000"]
+        # adding series by series, a first, would give ...001.000003
+        assert str(gap.grand_total()) == "1000000000000000000001.000002"
+        assert engine.rollup(gap, "provider") == [("aws", gap.grand_total())]
+        assert [key for key, _ in engine.rollup(gap, "month")] == ["2011-01", "2011-03",
+                                                                   "2011-04"]
 
 
 class TestRollup:

@@ -84,9 +84,9 @@ def test_dataclass_conversions_rebuild_months():
     assert all(type(month) is Month for month in as_tuple)
     line = CostLine(Month(2011, 1), "web", "web", "vm_hours", 720.0, "hours",
                     Decimal("7.20"), None, "p", "r")
-    report = CostReport(window, (line,), (), "USD")
-    assert report._asdict()["lines"][0]._asdict()["month"] == Month(2011, 1)
-    assert type(tuple(report)[1][0][0]) is Month
+    report = CostReport.from_lines(window, (line,), (), "USD")
+    assert report.lines[0]._asdict()["month"] == Month(2011, 1)
+    assert type(tuple(report.lines[0])[0]) is Month
 
 
 def test_a_month_equals_its_plain_tuple():

@@ -14,7 +14,7 @@ from cloudcost import engine, model as m, pricing, report
 from cloudcost.months import Month, SimulationWindow
 from cloudcost.money import format_money
 
-from test_engine import catalog_of, entry, vm, window
+from test_engine import TRANSFER_CATALOG, catalog_of, entry, vm, window
 
 DECADE = SimulationWindow(Month(2011, 1), Month(2020, 12))
 PROVIDERS = ("nimbus", "stratus", "cumulus")  # providers-3's map, all in us-east
@@ -111,7 +111,7 @@ def line(month, subject, quantity, cost):
 class TestTextMemos:
     def test_csv_equals_a_per_line_rendering(self):
         jan, feb = Month(2011, 1), Month(2011, 2)
-        rep = engine.CostReport(window(2), (
+        rep = engine.CostReport.from_lines(window(2), (
             line(jan, "a", 0.0, "0.000000"),
             line(jan, "b", 0.0, "-0.000000"),
             line(jan, "c", 720.0000000000003, "-0.000000"),
@@ -151,7 +151,7 @@ class TestTextMemos:
                         month, subject, text(), dimension, quantity, text(),
                         Decimal(cost).quantize(Decimal("0.000001")),
                         rng.choice((None, "", text())), text(), text()))
-            rep = engine.CostReport(span, tuple(lines))
+            rep = engine.CostReport.from_lines(span, tuple(lines))
             try:
                 expected = per_line_csv(rep)
             except csv.Error:  # Python 3.10 refuses an unquoted NUL
@@ -162,6 +162,25 @@ class TestTextMemos:
             assert report.to_csv(rep) == expected
             seen["quoted" if '"' in expected else "plain"] += 1
         assert seen["quoted"] > 100 and seen["plain"] > 100
+
+    def test_quoted_series_interleave_with_plain_ones(self):
+        # a node id with a comma and a quote, and a group with a comma, sort
+        # between plain series; their rows go through csv.writer each month
+        quoted = 'b,"x"'
+        nodes = (vm("a", patterns=("perm: every month +10",)), vm(quoted), vm("c"))
+        paths = (m.CommunicationPath("p", quoted, "a",
+                                     m.ResourceRequirement(m.DATA_LINK_GB, 5.0)),)
+        model = m.DeploymentModel("mixed", nodes, paths=paths,
+                                  groups=(m.Group("front,end", "front", ("c",)),))
+        rep = engine.simulate(model, TRANSFER_CATALOG, window(3))
+        text = report.to_csv(rep)
+        assert text.splitlines() == per_line_csv(rep).splitlines()
+        rows = text.splitlines()[1:]
+        assert len(rows) == len(rep.lines) == 15
+        assert [row[:7] + ("Q" if '"' in row else "") for row in rows[:5]] == [
+            "2011-01", "2011-01Q", '2011-01Q', "2011-01", "2011-01"]
+        assert rows[1].startswith('2011-01,,"b,""x""",aws,')
+        assert rows[2].startswith('2011-01,"front,end",c,aws,')
 
 
 class TestNoPerLineKeys:

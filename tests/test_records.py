@@ -24,8 +24,9 @@ REQUIREMENT = m.ResourceRequirement("vm_hours", 720.0, ("perm: every month +10",
 NODE = m.Node("web-1", "virtual_machine", m.Placement("nimbus", "us-east"),
               m.VmSpec("linux", "small"), None, (REQUIREMENT,))
 WINDOW = SimulationWindow(Month(2011, 1), Month(2011, 3))
-LINE = engine.CostLine(Month(2011, 1), "web-1", "web-1", "vm_hours", 720.0, "hours",
-                       Decimal("86.40"), "g", "nimbus", "us-east")
+SERIES = engine.CostSeries("web-1", "web-1", "vm_hours", "hours", "g", "nimbus", "us-east",
+                           None, (720.0, 744.0, 720.0), (Decimal("86.40"), Decimal("89.28"),
+                                                         Decimal("86.40")))
 
 # (type, every field in declaration order -> a value)
 RECORDS = [
@@ -77,7 +78,11 @@ RECORDS = [
                        "dimension": "vm_hours", "quantity": 720.0, "unit": "hours",
                        "cost": Decimal("86.40"), "group": "g", "provider": "nimbus",
                        "region": "us-east", "scope": None}),
-    (engine.CostReport, {"window": WINDOW, "lines": (LINE,), "warnings": ("w",),
+    (engine.CostSeries, {"subject": "web-1", "node_id": "web-1", "dimension": "vm_hours",
+                         "unit": "hours", "group": "g", "provider": "nimbus",
+                         "region": "us-east", "scope": None, "quantities": (720.0, 744.0),
+                         "costs": (Decimal("86.40"), None)}),
+    (engine.CostReport, {"window": WINDOW, "series": (SERIES,), "warnings": ("w",),
                          "currency": "USD"}),
     (engine.SummaryRow, {"label": "demo", "first_month": Decimal("1.00"),
                          "monthly_avg": Decimal("1.50"), "total": Decimal("2.50"),
@@ -86,7 +91,7 @@ RECORDS = [
 IDS = [kind.__name__ for kind, _ in RECORDS]
 # A first field other than "other" where the construction check needs one
 OTHER_FIRST = {el.UsageSchedule: "stock", SimulationWindow: Month(2011, 2),
-               engine.CostReport: SimulationWindow(Month(2011, 1), Month(2011, 2))}
+               engine.CostReport: SimulationWindow(Month(2011, 2), Month(2011, 4))}
 
 
 @pytest.mark.parametrize("kind, fields", RECORDS, ids=IDS)
