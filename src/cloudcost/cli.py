@@ -235,7 +235,7 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
     catalog = _load_catalog(args)
 
     def placed(mapping: object) -> list[tuple[str, model.DeploymentModel]]:
-        """The model moved to each map entry's provider and region."""
+        """The model moved to each map entry's provider and region, neither empty."""
         if not isinstance(mapping, dict) or len(mapping) < 2:
             raise CatalogError(f"map file {args.map}: expected at least two entries "
                                f"label -> {{provider, region}}")
@@ -243,8 +243,13 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
         for label, target in mapping.items():
             where = f"map entry {label!r}"
             schema.fields(target, where, ("provider", "region"))
-            models.append((label, parsed.replaced(schema.string(target, "provider", where),
-                                                  schema.string(target, "region", where))))
+            placement = []
+            for key in ("provider", "region"):
+                value = schema.string(target, key, where)
+                if not value:
+                    raise CatalogError.at(f"{where}.{key}", f"{key} must be non-empty")
+                placement.append(value)
+            models.append((label, parsed.replaced(*placement)))
         return models
 
     models = schema.read(schema.read_input(args.map), placed, CatalogError, args.map)

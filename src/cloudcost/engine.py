@@ -133,14 +133,6 @@ class CostLine(NamedTuple):
     scope: str | None = None
 
 
-def _check_increasing(keys: list[tuple], what: str) -> None:
-    """Raise ValueError unless ``keys`` strictly increase: sorted and unique."""
-    for prev, key in zip(keys, keys[1:]):
-        if not prev < key:
-            problem = f"duplicate {what} for" if prev == key else f"{what} out of order:"
-            raise ValueError(f"{problem} {key}")
-
-
 class CostSeries(NamedTuple):
     """The cost lines of one requirement or path endpoint, or a reserved
     node's fees: the fields a line repeats, then its quantities and costs,
@@ -177,7 +169,11 @@ class CostReport(_ReportFields):
         """Series keys (subject, dimension) strictly increase, and each series
         is as long as the window and has its first month, so the series read
         month by month give the lines sorted, unique and inside the window."""
-        _check_increasing(list(map(_series_key, series)), "cost series")
+        keys = list(map(_series_key, series))
+        for prev, key in zip(keys, keys[1:]):
+            if not prev < key:
+                raise ValueError(f"duplicate cost series for {key}" if prev == key
+                                 else f"cost series out of order: {key}")
         count = window.count
         for item in series:
             if not len(item.quantities) == len(item.costs) == count:
@@ -188,37 +184,6 @@ class CostReport(_ReportFields):
                 raise ValueError(f"cost series {item.subject}/{item.dimension} has no line "
                                  f"in the window's first month {window.start}")
         return tuple.__new__(cls, (window, series, warnings, currency))
-
-    @classmethod
-    def from_lines(cls, window: SimulationWindow, lines: Sequence[CostLine],
-                   warnings: tuple[str, ...] = (), currency: str = "USD") -> CostReport:
-        """The report of ``lines``, checked as lines: their (month, subject,
-        dimension) keys strictly increase (sorted and unique) and the first and
-        last months lie in the window.
-
-        Lines that share every field but month, quantity and cost make one
-        series. Such a series may start after the window or share its
-        (subject, dimension) with another, which the series check refuses;
-        so ``_replace``, copy and pickle refuse a report that holds one.
-        """
-        keys = list(map(attrgetter("month", "subject", "dimension"), lines))
-        _check_increasing(keys, "cost line")
-        for month, _, _ in keys[:1] + keys[-1:]:
-            if month not in window:
-                raise ValueError(f"line month {month} outside the window")
-        count = window.count
-        columns: dict[tuple, tuple[list, list]] = {}
-        for month, subject, node_id, dimension, quantity, unit, cost, group, provider, \
-                region, scope in lines:
-            quantities, costs = columns.setdefault(
-                (subject, node_id, dimension, unit, group, provider, region, scope),
-                ([None] * count, [None] * count))
-            index = month.diff(window.start)
-            quantities[index], costs[index] = quantity, cost
-        series = sorted((CostSeries(*head, tuple(quantities), tuple(costs))
-                         for head, (quantities, costs) in columns.items()),
-                        key=_series_key)
-        return tuple.__new__(cls, (window, tuple(series), warnings, currency))
 
     @property
     def lines(self) -> tuple[CostLine, ...]:
@@ -485,7 +450,7 @@ def summarize(totals: Sequence, label: str) -> SummaryRow:
 class ComparisonEntry(NamedTuple):
     row: SummaryRow
     is_baseline: bool
-    difference: str | None  # "+Nx" vs the baseline; None on the baseline row
+    difference: str | None  # "+Nx" or "n/a" vs the baseline; None on the baseline row
     delta: Decimal  # total - baseline total
 
 
@@ -496,7 +461,9 @@ class ComparisonTable(NamedTuple):
 
 
 def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
-    """Pick the cheapest total as baseline and express the rest as +Nx."""
+    """Pick the cheapest total as baseline and express the rest as +Nx: the
+    total over the baseline total, rounded half-even to an integer. Over a
+    zero baseline an equal total reads +1x and a greater one n/a."""
     if len(rows) < 2:
         raise ValueError("comparison needs at least two rows")
     min_total = min(row.total for row in rows)
@@ -514,8 +481,11 @@ def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
             entries.append(ComparisonEntry(row, True, None, Decimal(0).quantize(MONEY_EXP)))
             continue
         num, den = row.total.as_integer_ratio()
-        multiple = round_half_even(num * base_den, den * base_num) if base_num else 0
-        entries.append(ComparisonEntry(row, False, f"+{multiple}x",
+        if base_num:
+            difference = f"+{round_half_even(num * base_den, den * base_num)}x"
+        else:  # a zero baseline: a tie is +1x, and any more has no finite multiple
+            difference = "n/a" if num else "+1x"
+        entries.append(ComparisonEntry(row, False, difference,
                                        to_money(row.total - baseline.total)))
     return ComparisonTable(tuple(entries), baseline.label, tuple(warnings))
 

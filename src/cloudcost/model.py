@@ -9,6 +9,7 @@ used for cost breakdowns.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property
 from typing import Any, NamedTuple
 
@@ -252,7 +253,8 @@ def load_model(path: str) -> DeploymentModel:
 # --- semantic validation ---------------------------------------------------
 
 def validate(model: DeploymentModel) -> list[Diagnostic]:
-    """All invariant violations as diagnostics, sorted by location path.
+    """All invariant violations as diagnostics, sorted by location path with
+    each ``[index]`` compared as an integer (``nodes[2]`` before ``nodes[10]``).
 
     The model is immutable, so they are found once and kept on it; each call
     returns a new list. A copy made by :meth:`DeploymentModel.replaced` is
@@ -365,8 +367,16 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
             else:
                 grouped[node_id] = group.id
 
-    diags.sort(key=lambda d: (d.path, d.message))
+    diags.sort(key=_path_order)
     return tuple(diags)
+
+
+def _path_order(diagnostic: Diagnostic) -> tuple[list, str]:
+    """Sort key: the path, split so that each ``[index]`` is an integer, then
+    the message."""
+    parts: list = re.split(r"\[([0-9]+)\]", diagnostic.path)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, diagnostic.message
 
 
 def _check_requirement(model: DeploymentModel, req: ResourceRequirement, path: str, err) -> None:

@@ -1,11 +1,10 @@
 """Calendar-month arithmetic shared by the usage and billing layers.
 
-A :class:`Month` is a ``(year, month)`` tuple with calendar methods. A cost
-report built from lines checks that their (month, subject, dimension) keys
-increase, so equality, ordering and hashing stay the tuple's own, in C.
-By design a ``Month`` therefore equals the plain tuple ``(year, month)``.
-It is a named tuple, so ``_asdict`` and ``_replace`` of a record holding one
-keep it a ``Month``.
+A :class:`Month` is a ``(year, month)`` tuple with calendar methods. Window
+bounds and fee renewals compare months, so equality, ordering and hashing
+stay the tuple's own, in C. By design a ``Month`` therefore equals the plain
+tuple ``(year, month)``. It is a named tuple, so ``_asdict`` and ``_replace``
+of a record holding one keep it a ``Month``.
 
 Month lengths and the weekday of each month's first day come from integer
 arithmetic (:func:`month_calendar`), not from the ``calendar`` module.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from decimal import Decimal
+from itertools import accumulate
 from typing import Sequence
 
 from . import engine, model as m
@@ -48,30 +49,26 @@ def to_csv(report: CostReport) -> str:
 
     Rows are written month by month, each month's series in report order.
     Each window month, distinct quantity and distinct cost is formatted once,
-    and each series' constant fields once, as the text around its quantity.
-    Zero costs skip the memo: ``-0.000000`` equals ``0`` but renders as ``-0.00``.
-
-    A plain series' rows are joined here: its six text fields hold no comma
-    and none of ``"``, ``\\r``, ``\\n`` and NUL, the only characters that make
-    ``csv.writer`` quote a field (or, on Python 3.10, raise for NUL); month,
-    quantity and cost texts never hold one. Any other series' rows go through
-    ``csv.writer``, so every row reads as it would from the writer.
+    and each series' constant fields once, as the text around its quantity:
+    ``csv.writer`` writes them, so it alone decides what is quoted (or, on
+    Python 3.10, refuses a NUL), and month, quantity and cost texts never
+    need quoting. Zero costs skip the memo: ``-0.000000`` equals ``0`` but
+    renders as ``-0.00``.
     """
-    # per series: (text before the quantity, after it), or (None, its six fields)
-    heads: list[tuple[str | None, str | tuple[str, ...]]] = []
-    for item in report.series:
-        fields = (item.group or "", item.subject, item.provider, item.region,
-                  item.dimension, item.unit)
-        text = "".join(fields)
-        if any(char in text for char in ',"\r\n\0'):
-            heads.append((None, fields))
-        else:
-            heads.append((f",{','.join(fields[:5])},", f",{item.unit},"))
+    # per series, the text before its quantity and after it: each written as a
+    # row with empty end fields, sliced by the characters writerow returns
+    scratch = io.StringIO()
+    quote = csv.writer(scratch).writerow
+    ends = list(accumulate(quote(fields) for item in report.series for fields in (
+        ("", item.group or "", item.subject, item.provider, item.region, item.dimension, ""),
+        ("", item.unit, ""))))
+    text = scratch.getvalue()
+    pieces = [text[start:end - 2] for start, end in zip([0, *ends], ends)]  # less \r\n
+    heads = list(zip(pieces[::2], pieces[1::2]))
     quantity_text: dict[float, str] = {}
     money_text: dict[Decimal, str] = {}
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_HEADER)
+    csv.writer(buffer).writerow(CSV_HEADER)
     write = buffer.write
     for month, quantities, costs in zip(report.window.months(),
                                         zip(*(item.quantities for item in report.series)),
@@ -86,10 +83,7 @@ def to_csv(report: CostReport) -> str:
             cost_str = money_text.get(cost) if cost else None
             if cost_str is None:
                 cost_str = money_text[cost] = format_money(cost)
-            if before is None:
-                writer.writerow((month_str, *after[:5], quantity_str, after[5], cost_str))
-            else:
-                write(f"{month_str}{before}{quantity_str}{after}{cost_str}\r\n")
+            write(f"{month_str}{before}{quantity_str}{after}{cost_str}\r\n")
     return buffer.getvalue()
 
 

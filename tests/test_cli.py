@@ -380,12 +380,15 @@ class TestCompareProviders:
         assert [row["label"] for row in payload["rows"]] == ["Nimbus", "Stratus",
                                                              "Cumulus"]
 
-    @pytest.mark.parametrize("target, key", [
-        ({"provider": 5, "region": "us-east"}, "provider"),
-        ({"provider": "nimbus", "region": ["us-east"]}, "region"),
-        ({"provider": None, "region": "us-east"}, "provider"),
+    @pytest.mark.parametrize("target, key, problem", [
+        ({"provider": 5, "region": "us-east"}, "provider", "expected a string, got "),
+        ({"provider": "nimbus", "region": ["us-east"]}, "region", "expected a string, got "),
+        ({"provider": None, "region": "us-east"}, "provider", "expected a string, got "),
+        ({"provider": "", "region": "us-east"}, "provider", "provider must be non-empty\n"),
+        ({"provider": "nimbus", "region": ""}, "region", "region must be non-empty\n"),
     ])
-    def test_non_string_provider_or_region_is_a_located_error(self, tmp_path, target, key):
+    def test_provider_or_region_not_a_nonempty_string_is_a_located_error(self, tmp_path,
+                                                                         target, key, problem):
         remap = tmp_path / "map.json"
         remap.write_text(json.dumps({
             "Nimbus": {"provider": "nimbus", "region": "us-east"}, "Odd": target}))
@@ -393,7 +396,7 @@ class TestCompareProviders:
                                 "--catalog", DEMO_CATALOG, "--map", str(remap),
                                 "--start", "2011-01", "--end", "2011-03")
         assert code == 1
-        assert err.startswith(f"error: map entry 'Odd'.{key}: expected a string, got ")
+        assert err.startswith(f"error: map entry 'Odd'.{key}: {problem}")
 
     @pytest.mark.parametrize("labels", [(), ("Nimbus",)], ids=["empty", "one_label"])
     def test_fewer_than_two_labels_is_a_map_error(self, tmp_path, labels):
@@ -446,6 +449,20 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "tie" in captured.err
         assert "digital-library" in captured.out
+
+    def test_a_zero_baseline_prints_1x_on_a_tie_and_n_a_above_it(self, tmp_path, capsys):
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps({"name": "free",
+                                    "nodes": [{"id": "users", "kind": "remote_node"}]}))
+        code = run("compare", "--models", f"{free},{free},{DEMO_MODEL}",
+                   "--catalog", DEMO_CATALOG, "--start", "2011-01", "--end", "2011-02",
+                   "--out", str(tmp_path / "out"))
+        assert code == 0
+        differences = capsys.readouterr().out.splitlines()[-1]
+        assert differences.split()[-2:] == ["+1x", "n/a"]
+        assert differences.startswith("Difference with free ")
+        payload = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        assert [row["difference"] for row in payload["rows"]] == [None, "+1x", "n/a"]
 
     @pytest.mark.parametrize("names, labels", [
         (["x", "x"], ["x", "x #2"]),

@@ -483,52 +483,32 @@ class TestPatternsParsedOnce:
         assert engine.simulate(base, BASIC_CATALOG, window(2)) == before
 
 
-def cost_line(month, subject="vm1", dimension=m.VM_HOURS):
-    return engine.CostLine(month, subject, subject, dimension, 1.0, "hours", Decimal(1),
-                           None, "aws", "us-east")
-
-
 def series_of(subject, months, dimension=m.VM_HOURS):
     return engine.CostSeries(subject, subject, dimension, "hours", None, "aws", "us-east", None,
                              (1.0,) * months, (Decimal(1),) * months)
 
 
+def series_costing(subject, *costs):
+    """A series of ``subject``'s VM hours costing ``costs``, ``None`` for no line."""
+    return series_of(subject, len(costs))._replace(
+        quantities=tuple(None if cost is None else 1.0 for cost in costs),
+        costs=tuple(None if cost is None else Decimal(cost) for cost in costs))
+
+
 class TestCostReport:
-    def test_sorted_unique_lines_in_the_window_are_accepted(self):
+    def test_series_read_month_by_month_give_sorted_lines(self):
         jan, feb = Month(2011, 1), Month(2011, 2)
-        lines = (cost_line(jan, "a", m.STORAGE_GB), cost_line(jan, "a"), cost_line(jan, "b"),
-                 cost_line(feb, "a"))
-        assert engine.CostReport.from_lines(window(2), lines).lines == lines
-
-    @pytest.mark.parametrize("keys", [
-        [(Month(2011, 2), "a", m.VM_HOURS), (Month(2011, 1), "a", m.VM_HOURS)],
-        [(Month(2011, 1), "b", m.VM_HOURS), (Month(2011, 1), "a", m.VM_HOURS)],
-        [(Month(2011, 1), "a", m.VM_HOURS), (Month(2011, 1), "a", m.STORAGE_GB)],
-    ], ids=["month", "subject", "dimension"])
-    def test_lines_out_of_order_are_rejected(self, keys):
-        with pytest.raises(ValueError, match="cost line out of order"):
-            engine.CostReport.from_lines(window(2), tuple(cost_line(*key) for key in keys))
-
-    def test_duplicate_line_is_rejected(self):
-        lines = (cost_line(Month(2011, 1)), cost_line(Month(2011, 1)))
-        with pytest.raises(ValueError, match="duplicate cost line"):
-            engine.CostReport.from_lines(window(2), lines)
-
-    @pytest.mark.parametrize("outside", [Month(2010, 12), Month(2011, 3)])
-    def test_month_outside_the_window_is_rejected(self, outside):
-        lines = tuple(sorted((cost_line(outside, "a"), cost_line(Month(2011, 1), "b")),
-                             key=lambda line: (line.month, line.subject)))
-        with pytest.raises(ValueError, match=f"line month {outside} outside the window"):
-            engine.CostReport.from_lines(window(2), lines)
+        report = engine.CostReport(window(2), (
+            series_costing("a", 1, None)._replace(dimension=m.STORAGE_GB),
+            series_of("a", 2), series_costing("b", 1, None)))
+        assert [(line.month, line.subject, line.dimension) for line in report.lines] == [
+            (jan, "a", m.STORAGE_GB), (jan, "a", m.VM_HOURS), (jan, "b", m.VM_HOURS),
+            (feb, "a", m.VM_HOURS)]
+        assert report.lines[1] == engine.CostLine(jan, "a", "a", m.VM_HOURS, 1.0, "hours",
+                                                  Decimal(1), None, "aws", "us-east")
 
     def test_replace_runs_the_same_checks(self):
-        jan, feb = Month(2011, 1), Month(2011, 2)
-        report = engine.CostReport.from_lines(window(2), (cost_line(jan, "a"),
-                                                          cost_line(feb, "a")))
-        with pytest.raises(ValueError, match=r"^cost line out of order: "):
-            engine.CostReport.from_lines(window(2), report.lines[::-1])
-        with pytest.raises(ValueError, match=r"^duplicate cost line for "):
-            engine.CostReport.from_lines(window(2), report.lines[:1] * 2)
+        report = engine.CostReport(window(2), (series_of("a", 2),))
         with pytest.raises(ValueError, match=r"^cost series a/vm_hours: 2 costs and "
                                              r"2 quantities for a 1-month window$"):
             report._replace(window=window(1))
@@ -538,24 +518,34 @@ class TestCostReport:
             report._replace(series=report.series * 2)
         assert report._replace(warnings=("w",)).warnings == ("w",)
 
-    def test_simulated_series_give_the_report_built_from_their_lines(self, demo_model_text,
-                                                                   demo_catalog_text):
+    def test_simulated_lines_regrouped_by_subject_and_dimension_give_the_series(
+            self, demo_model_text, demo_catalog_text):
         plan = {"web-1": engine.PlanChoice(pricing.RESERVED, 12)}
         report = engine.simulate(m.parse_model(demo_model_text),
                                  pricing.load_catalog(demo_catalog_text),
                                  SimulationWindow(Month(2011, 1), Month(2013, 6)), plan)
         fees = [s for s in report.series if s.dimension == engine.RESERVATION_UPFRONT]
         assert [s.costs.count(None) for s in fees] == [27]  # fees in months 1, 13 and 25
-        assert engine.CostReport.from_lines(report.window, report.lines, report.warnings,
-                                            report.currency) == report
-
-    def test_lines_that_make_no_checked_series_are_kept_but_not_replaced(self):
-        jan, feb = Month(2011, 1), Month(2011, 2)
-        lines = (cost_line(jan, "a"), cost_line(feb, "a")._replace(node_id="b"))
-        report = engine.CostReport.from_lines(window(2), lines)
-        assert report.lines == lines and len(report.series) == 2
-        with pytest.raises(ValueError, match=r"^duplicate cost series for \('a', 'vm_hours'\)$"):
-            report._replace(warnings=("w",))
+        rng = random.Random(22)
+        reports = [report] + [
+            engine.simulate(random_model(rng), flat_catalog(rng, PLACEMENTS),
+                            window(rng.randint(1, 4))) for _ in range(20)]
+        for report in reports:
+            months = list(report.window.months())
+            regrouped = {}
+            for line in report.lines:
+                regrouped.setdefault((line.subject, line.dimension), []).append(line)
+            assert sorted(regrouped) == [(s.subject, s.dimension) for s in report.series]
+            for item in report.series:
+                lines = regrouped[item.subject, item.dimension]
+                by_month = {line.month: line for line in lines}
+                assert len(by_month) == len(lines)
+                for field in item._fields[:-2]:  # each but quantities and costs
+                    assert {getattr(line, field) for line in lines} == {getattr(item, field)}
+                assert item.quantities == tuple(
+                    by_month[month].quantity if month in by_month else None for month in months)
+                assert item.costs == tuple(
+                    by_month[month].cost if month in by_month else None for month in months)
 
     @pytest.mark.parametrize("keys, problem", [
         ([("b", m.VM_HOURS), ("a", m.VM_HOURS)], "cost series out of order: ('a', 'vm_hours')"),
@@ -598,13 +588,12 @@ class TestCostReport:
                                  SimulationWindow(Month(2011, 1), Month(2020, 12)))
         # Feb has no lines; March's sum rounds differently in any other order, and
         # so does the grand total, which adds b's April cost after March's lines
-        mar = Month(2011, 3)
-        gap = engine.CostReport.from_lines(window(4), (
-            cost_line(Month(2011, 1)),
-            cost_line(mar, "a")._replace(cost=Decimal("1e21")),
-            cost_line(mar, "b")._replace(cost=Decimal("0.0000006")),
-            cost_line(mar, "c")._replace(cost=Decimal("0.0000006")),
-            cost_line(Month(2011, 4), "b")._replace(cost=Decimal("0.0000005"))))
+        # (each series has its first month, a January line costing 0)
+        gap = engine.CostReport(window(4), (
+            series_costing("a", 0, None, "1e21", None),
+            series_costing("b", 0, None, "0.0000006", "0.0000005"),
+            series_costing("c", 0, None, "0.0000006", None),
+            series_costing("vm1", 1, None, None, None)))
         for report in (decade, gap):
             totals = {month: Decimal(0) for month in report.window.months()}
             for line in report.lines:
@@ -735,6 +724,16 @@ class TestCompare:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             engine.compare([row("only", "1", "10", 12)])
+
+    def test_a_zero_baseline_reads_1x_on_a_tie_and_n_a_above_it(self):
+        rows = [engine.summarize([0, 0], "free"), engine.summarize([0, 0], "gratis"),
+                engine.summarize([2, 3], "paid"), engine.summarize([3], "three"),
+                engine.summarize([1, 2], "also three")]
+        table = engine.compare(rows)
+        assert table.baseline_label == "free"
+        assert [entry.difference for entry in table.entries] == [None, "+1x", "n/a", "n/a",
+                                                                 "n/a"]
+        assert engine.compare(rows[3:]).entries[0].difference == "+1x"
 
 
 class TestCompareScenarios:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,6 +7,13 @@ import cloudcost
 from cloudcost import assess, model as m, pricing
 from cloudcost.cli import main
 from cloudcost.errors import AssessmentError, CatalogError, ModelError
+
+
+def path_key(path):
+    """A location path, split so that each ``[index]`` compares as an integer."""
+    parts = re.split(r"\[([0-9]+)\]", path)
+    return [int(part) if i % 2 else part for i, part in enumerate(parts)]
+
 
 MINIMAL = """
 {
@@ -235,7 +243,19 @@ class TestValidate:
         first = m.validate(broken)
         second = m.validate(broken)
         assert first == second
-        assert [d.path for d in first] == sorted(d.path for d in first)
+        assert first == sorted(first, key=lambda d: (path_key(d.path), d.message))
+
+    def test_indexes_sort_as_integers_within_each_section(self):
+        placements = {1: m.Placement("", "r"), 10: m.Placement("p", "")}
+        hours = tuple(m.ResourceRequirement(m.VM_HOURS, -1.0 if k in (2, 10) else 1.0)
+                      for k in range(11))  # its repeated kinds are errors too, left out below
+        nodes = tuple(m.Node(f"n{i}", m.VIRTUAL_MACHINE, placements.get(i, m.Placement("p", "r")),
+                             m.VmSpec("linux", sku="s"), requirements=hours if i == 3 else ())
+                      for i in range(11))
+        paths = [d.path for d in m.validate(m.DeploymentModel("x", nodes))
+                 if not d.path.endswith(".kind")]
+        assert paths == ["nodes[1].placement.provider", "nodes[3].requirements[2].baseline",
+                         "nodes[3].requirements[10].baseline", "nodes[10].placement.region"]
 
 
 def _node_of_kind(node_kind, req_kind):

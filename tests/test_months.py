@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cloudcost.engine import CostLine, CostReport
+from cloudcost.engine import CostReport, CostSeries
 from cloudcost.errors import WindowError
 from cloudcost.months import Month, SimulationWindow, month_calendar
 
@@ -82,9 +82,9 @@ def test_dataclass_conversions_rebuild_months():
     as_tuple = tuple(window)
     assert as_tuple == (Month(2011, 1), Month(2011, 2))
     assert all(type(month) is Month for month in as_tuple)
-    line = CostLine(Month(2011, 1), "web", "web", "vm_hours", 720.0, "hours",
-                    Decimal("7.20"), None, "p", "r")
-    report = CostReport.from_lines(window, (line,), (), "USD")
+    series = CostSeries("web", "web", "vm_hours", "hours", None, "p", "r", None,
+                        (720.0, None), (Decimal("7.20"), None))
+    report = CostReport(window, (series,), (), "USD")
     assert report.lines[0]._asdict()["month"] == Month(2011, 1)
     assert type(tuple(report.lines[0])[0]) is Month
 

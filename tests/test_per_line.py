@@ -103,23 +103,18 @@ def per_line_csv(rep):
     return buffer.getvalue()
 
 
-def line(month, subject, quantity, cost):
-    return engine.CostLine(month, subject, subject, m.VM_HOURS, quantity, "hours",
-                           Decimal(cost), None, "aws", "us-east")
+def vm_series(subject, quantities, costs):
+    return engine.CostSeries(subject, subject, m.VM_HOURS, "hours", None, "aws", "us-east",
+                             None, quantities, tuple(map(Decimal, costs)))
 
 
 class TestTextMemos:
     def test_csv_equals_a_per_line_rendering(self):
-        jan, feb = Month(2011, 1), Month(2011, 2)
-        rep = engine.CostReport.from_lines(window(2), (
-            line(jan, "a", 0.0, "0.000000"),
-            line(jan, "b", 0.0, "-0.000000"),
-            line(jan, "c", 720.0000000000003, "-0.000000"),
-            line(jan, "d", 720.0, "0.000000"),
-            line(feb, "a", 1.5, "72.000000"),
-            line(feb, "b", 1.5, "72.000000"),
-            line(feb, "c", -0.0, "72.004999"),
-            line(feb, "d", 2.5e-7, "-0.004999"),
+        rep = engine.CostReport(window(2), (
+            vm_series("a", (0.0, 1.5), ("0.000000", "72.000000")),
+            vm_series("b", (0.0, 1.5), ("-0.000000", "72.000000")),
+            vm_series("c", (720.0000000000003, -0.0), ("-0.000000", "72.004999")),
+            vm_series("d", (720.0, 2.5e-7), ("0.000000", "-0.004999")),
         ))
         text = report.to_csv(rep)
         assert text == per_line_csv(rep)
@@ -130,7 +125,7 @@ class TestTextMemos:
 
     def test_csv_equals_the_writer_for_any_field_text(self):
         # fields hold every character that makes csv.writer quote a field (or,
-        # on 3.10, refuse a NUL), so both ways of writing a row are exercised
+        # on 3.10, refuse a NUL), beside fields that need no quoting
         rng = random.Random(19)
         alphabet = ',"\r\n\0 \té' + "ab" * 4
 
@@ -140,18 +135,21 @@ class TestTextMemos:
         seen = Counter()
         for _ in range(3000):
             span = window(rng.randint(1, 3))
-            lines = []
-            for month in span.months():
-                keys = sorted({(text(), text()) for _ in range(rng.randint(0, 4))})
-                for subject, dimension in keys:
-                    cost = rng.choice(("0", "-0", f"{rng.randint(-10**8, 10**8)}e-6"))
-                    quantity = rng.choice((0.0, -0.0, 720 + 3e-13, 2.5e-7,
-                                           rng.randint(0, 10**4) + rng.random()))
-                    lines.append(engine.CostLine(
-                        month, subject, text(), dimension, quantity, text(),
-                        Decimal(cost).quantize(Decimal("0.000001")),
-                        rng.choice((None, "", text())), text(), text()))
-            rep = engine.CostReport.from_lines(span, tuple(lines))
+            series = []
+            for subject, dimension in sorted({(text(), text())
+                                              for _ in range(rng.randint(0, 4))}):
+                # a line in the first month, then in any later month
+                months = [True] + [rng.random() < 0.6 for _ in range(span.count - 1)]
+                quantities = tuple(rng.choice((0.0, -0.0, 720 + 3e-13, 2.5e-7,
+                                               rng.randint(0, 10**4) + rng.random()))
+                                   if line else None for line in months)
+                costs = tuple(Decimal(rng.choice(("0", "-0", f"{rng.randint(-10**8, 10**8)}e-6")))
+                              .quantize(Decimal("0.000001")) if line else None
+                              for line in months)
+                series.append(engine.CostSeries(
+                    subject, text(), dimension, text(), rng.choice((None, "", text())),
+                    text(), text(), rng.choice((None, text())), quantities, costs))
+            rep = engine.CostReport(span, tuple(series))
             try:
                 expected = per_line_csv(rep)
             except csv.Error:  # Python 3.10 refuses an unquoted NUL
@@ -165,7 +163,7 @@ class TestTextMemos:
 
     def test_quoted_series_interleave_with_plain_ones(self):
         # a node id with a comma and a quote, and a group with a comma, sort
-        # between plain series; their rows go through csv.writer each month
+        # between plain series; csv.writer quotes their text once per series
         quoted = 'b,"x"'
         nodes = (vm("a", patterns=("perm: every month +10",)), vm(quoted), vm("c"))
         paths = (m.CommunicationPath("p", quoted, "a",
