@@ -380,23 +380,31 @@ class TestCompareProviders:
         assert [row["label"] for row in payload["rows"]] == ["Nimbus", "Stratus",
                                                              "Cumulus"]
 
-    @pytest.mark.parametrize("target, key, problem", [
-        ({"provider": 5, "region": "us-east"}, "provider", "expected a string, got "),
-        ({"provider": "nimbus", "region": ["us-east"]}, "region", "expected a string, got "),
-        ({"provider": None, "region": "us-east"}, "provider", "expected a string, got "),
-        ({"provider": "", "region": "us-east"}, "provider", "provider must be non-empty\n"),
-        ({"provider": "nimbus", "region": ""}, "region", "region must be non-empty\n"),
-    ])
-    def test_provider_or_region_not_a_nonempty_string_is_a_located_error(self, tmp_path,
-                                                                         target, key, problem):
+    @staticmethod
+    def run_with_odd_entry(tmp_path, target):
         remap = tmp_path / "map.json"
         remap.write_text(json.dumps({
             "Nimbus": {"provider": "nimbus", "region": "us-east"}, "Odd": target}))
-        code, err = run_quietly("compare-providers", "--model", DEMO_MODEL,
-                                "--catalog", DEMO_CATALOG, "--map", str(remap),
-                                "--start", "2011-01", "--end", "2011-03")
+        return run_quietly("compare-providers", "--model", DEMO_MODEL,
+                           "--catalog", DEMO_CATALOG, "--map", str(remap),
+                           "--start", "2011-01", "--end", "2011-03")
+
+    @pytest.mark.parametrize("target, key", [
+        ({"provider": 5, "region": "us-east"}, "provider"),
+        ({"provider": "nimbus", "region": ["us-east"]}, "region"),
+        ({"provider": None, "region": "us-east"}, "provider"),
+    ])
+    def test_non_string_provider_or_region_is_a_located_error(self, tmp_path, target, key):
+        code, err = self.run_with_odd_entry(tmp_path, target)
         assert code == 1
-        assert err.startswith(f"error: map entry 'Odd'.{key}: {problem}")
+        assert err.startswith(f"error: map entry 'Odd'.{key}: expected a string, got ")
+
+    @pytest.mark.parametrize("key", ["provider", "region"])
+    def test_empty_provider_or_region_is_a_located_error(self, tmp_path, key):
+        code, err = self.run_with_odd_entry(tmp_path, {"provider": "nimbus",
+                                                       "region": "us-east", key: ""})
+        assert code == 1
+        assert err == f"error: map entry 'Odd'.{key}: {key} must be non-empty\n"
 
     @pytest.mark.parametrize("labels", [(), ("Nimbus",)], ids=["empty", "one_label"])
     def test_fewer_than_two_labels_is_a_map_error(self, tmp_path, labels):

@@ -496,7 +496,7 @@ def series_costing(subject, *costs):
 
 
 class TestCostReport:
-    def test_series_read_month_by_month_give_sorted_lines(self):
+    def test_sorted_unique_lines_in_the_window_are_accepted(self):
         jan, feb = Month(2011, 1), Month(2011, 2)
         report = engine.CostReport(window(2), (
             series_costing("a", 1, None)._replace(dimension=m.STORAGE_GB),
@@ -724,6 +724,14 @@ class TestCompare:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             engine.compare([row("only", "1", "10", 12)])
+
+    @pytest.mark.parametrize("baseline, total, difference", [
+        (2, 5, "+2x"), (2, 7, "+4x"), (4, 6, "+2x")])
+    def test_multiple_is_the_total_over_the_baseline_rounded_half_even(self, baseline, total,
+                                                                      difference):
+        table = engine.compare([engine.summarize([baseline], "base"),
+                                engine.summarize([total], "other")])
+        assert table_entry(table, "other").difference == difference
 
     def test_a_zero_baseline_reads_1x_on_a_tie_and_n_a_above_it(self):
         rows = [engine.summarize([0, 0], "free"), engine.summarize([0, 0], "gratis"),
