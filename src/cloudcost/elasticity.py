@@ -27,27 +27,32 @@ Evaluation semantics:
   warning. ``/0`` and negative exponents are rejected at parse time;
   ``0^0`` evaluates to 1.
 
-Replay walks the calendar month by month and each month in runs of
-identical days. Each month filters the patterns by month selector once and
-gives every active pattern a firing bitmask, bit ``dom`` set for each day it
-applies on, built with integer arithmetic (weekday selectors rotate a 7-bit
-week by day 1's weekday). A run starts on day 1, on every day a perm fires,
-on every day the set of firing temps changes and on the day after a temp
-clamps. Perms fire only on a run's first day, so the run's perms and then
-its temps are applied once, and each later day of the run repeats its value.
-A clamping day ends its run, so each day that clamps is replayed on its own
-and warns under its own date, in pattern order, as a day-by-day walk would.
-A month's quantity still adds its daily values one by one from 0.0, once
-per day of each run: the order of float operations is part of the output
-contract, so no ``value * n``, closed form, ``sum()`` (compensated since
-Python 3.12) or ``math.fsum`` stands in for the loop.
+Replay has two parts. :func:`month_plan` depends only on the patterns and
+the window: for each month it keeps the active perms and temps, each with a
+firing bitmask (bit ``dom`` set for each day it applies on, built with
+integer arithmetic; weekday selectors rotate a 7-bit week by day 1's
+weekday) and its operator as a function, plus a mask of the days that start
+a run of identical days. A run starts on day 1, on every day a perm fires
+and on every day the set of firing temps changes; the mask also holds day
+n+1 of an n-day month, which ends the last run. :func:`monthly_series` then
+walks the runs from the schedule's baseline, so one plan serves every
+baseline and kind class. Perms fire only on a run's first day, so the run's
+perms and then its temps are applied once, and each later day of the run
+repeats its value. A temp that clamps ends its run after that day, so each
+day that clamps is replayed on its own and warns under its own date, in pattern
+order, as a day-by-day walk would. A month's quantity still adds its daily
+values one by one from 0.0, once per day of each run: the order of float
+operations is part of the output contract, so no ``value * n``, closed
+form, ``sum()`` (compensated since Python 3.12) or ``math.fsum`` stands in
+for the loop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from typing import NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import EvaluationError, PatternError
 from .months import Month, SimulationWindow, month_calendar
@@ -288,23 +293,20 @@ class UsageSchedule(_ScheduleFields):
         return tuple.__new__(cls, (kind_class, baseline, patterns))
 
 
-def _apply_op(value: float, op: str, operand: float) -> float:
+def _pow(value: float, operand: float) -> float:
     try:
-        if op == "+":
-            result = value + operand
-        elif op == "-":
-            result = value - operand
-        elif op == "*":
-            result = value * operand
-        elif op == "/":
-            result = value / operand
-        else:
-            result = value ** operand  # operand >= 0 by parse; 0**0 == 1.0
+        return value ** operand  # operand >= 0 by parse; 0**0 == 1.0
     except OverflowError:  # only ** raises; the other operators give inf
-        result = math.inf
-    if not math.isfinite(result):
-        raise EvaluationError(f"value overflowed applying '{op}{operand:g}'")
-    return result
+        return math.inf
+
+
+# Each operator's function; a result that is not finite has overflowed.
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": _pow}
+
+
+def _overflow(pattern: PatternSpec) -> EvaluationError:
+    return EvaluationError(f"value overflowed applying '{pattern.op}{pattern.operand:g}'")
 
 
 def _clamp_message(pattern: PatternSpec, index: int, year: int, month: int, dom: int) -> str:
@@ -350,61 +352,91 @@ def _firing_days(pattern: PatternSpec, weekday1: int, month_days: int) -> int:
     return ((week * _FIVE_WEEKS) << 1) & month_days
 
 
-def monthly_series(schedule: UsageSchedule, window: SimulationWindow
+# One pattern that applies in a month: its firing days, its operator's
+# function and operand, its index in the schedule and the pattern itself.
+PlannedPattern = tuple[int, Callable[[float, float], float], float, int, PatternSpec]
+# One window month: year, month, days, the days after day 1 that start a run
+# (day n+1 included), and its active perms and temps in declaration order.
+PlannedMonth = tuple[int, int, int, int, tuple[PlannedPattern, ...], tuple[PlannedPattern, ...]]
+
+
+def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow
+               ) -> tuple[PlannedMonth, ...]:
+    """What a replay of ``patterns`` over ``window`` does in each month,
+    whatever the baseline and kind class; see the module docstring."""
+    plan: list[PlannedMonth] = []
+    for year, month, weekday1, days_in_month in month_calendar(window.start, window.end):
+        month_days = (2 << days_in_month) - 2
+        perms: list[PlannedPattern] = []
+        temps: list[PlannedPattern] = []
+        starts = 0
+        for i, p in enumerate(patterns):
+            if not p.months.contains(month):
+                continue
+            if p.mode == TEMP:
+                fires = _firing_days(p, weekday1, month_days)
+                temps.append((fires, _OPERATIONS[p.op], p.operand, i, p))
+                starts |= fires ^ (fires << 1)  # the days it starts or stops firing
+            # a day-less perm leaves the first month (no quantity yet) at the raw baseline
+            elif p.days.kind != EMPTY or plan:
+                fires = _firing_days(p, weekday1, month_days)
+                perms.append((fires, _OPERATIONS[p.op], p.operand, i, p))
+                starts |= fires
+        # day 1 always starts a run, so it is left out; day n+1 ends the last
+        plan.append((year, month, days_in_month, starts & month_days & ~2 | 2 << days_in_month,
+                     tuple(perms), tuple(temps)))
+    return tuple(plan)
+
+
+def monthly_series(schedule: UsageSchedule, window: SimulationWindow, *,
+                   plan: Sequence[PlannedMonth] | None = None
                    ) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """Billable quantity of each window month, in order, from one replay from
     the window's first day through its last, and a message per clamp, in the
     order they happened; see the module docstring.
 
-    A month's quantity is the sequential sum of its daily values, divided by
-    its length for stocks, so results are bit-reproducible. An overflow
-    raises EvaluationError with its ``month`` set.
+    ``plan`` is ``month_plan(schedule.patterns, window)``, built here when
+    not given. A month's quantity is the sequential sum of its daily values,
+    divided by its length for stocks, so results are bit-reproducible. An
+    overflow raises EvaluationError with its ``month`` set.
     """
+    if plan is None:
+        plan = month_plan(schedule.patterns, window)
     stock = schedule.kind_class == STOCK
     level = float(schedule.baseline)
     quantities: list[float] = []
     clamps: list[str] = []
+    inf = math.inf
     try:
-        for year, month, weekday1, days_in_month in month_calendar(window.start, window.end):
-            month_days = (2 << days_in_month) - 2
-            perms: list[tuple[int, PatternSpec, int]] = []
-            temps: list[tuple[int, PatternSpec, int]] = []
-            starts = 2  # the days that start a run; day 1 always does
-            for i, p in enumerate(schedule.patterns):
-                if not p.months.contains(month):
-                    continue
-                if p.mode == TEMP:
-                    fires = _firing_days(p, weekday1, month_days)
-                    temps.append((i, p, fires))
-                    starts |= fires ^ (fires << 1)  # the days it starts or stops firing
-                # a day-less perm leaves the first month (no quantity yet) at the raw baseline
-                elif p.days.kind != EMPTY or quantities:
-                    fires = _firing_days(p, weekday1, month_days)
-                    perms.append((i, p, fires))
-                    starts |= fires
-            starts &= month_days
+        for year, month, days_in_month, starts, perms, temps in plan:
             total = 0.0
+            dom = 1
             while starts:
-                dom = (starts & -starts).bit_length() - 1
-                starts &= starts - 1
-                for i, p, fires in perms:
+                for fires, apply, operand, i, p in perms:
                     if (fires >> dom) & 1:
-                        level = _apply_op(level, p.op, p.operand)
+                        level = apply(level, operand)
+                        if not -inf < level < inf:
+                            raise _overflow(p)
                         if level < 0:
                             level = 0.0
                             clamps.append(_clamp_message(p, i, year, month, dom))
                 value = level if stock else level / days_in_month
-                for i, p, fires in temps:
+                for fires, apply, operand, i, p in temps:
                     if (fires >> dom) & 1:
-                        value = _apply_op(value, p.op, p.operand)
+                        value = apply(value, operand)
+                        if not -inf < value < inf:
+                            raise _overflow(p)
                         if value < 0:
                             value = 0.0
                             clamps.append(_clamp_message(p, i, year, month, dom))
-                            starts |= (2 << dom) & month_days  # the next day warns on its own
-                end = (starts & -starts).bit_length() - 1 if starts else days_in_month + 1
+                            starts |= 2 << dom  # the next day warns on its own
+                first = starts & -starts  # the next run's first day, as a bit
+                starts ^= first
+                end = first.bit_length() - 1
                 for _ in range(dom, end):
                     total += value
-            if total == math.inf:
+                dom = end
+            if total == inf:
                 raise EvaluationError("value overflowed summing the month's days")
             quantities.append(total / days_in_month if stock else total)
     except EvaluationError as exc:

@@ -11,9 +11,12 @@ texts once the window is fixed, not on its subject, placement or catalog. So
 the pair a replay returns, monthly quantities and raw clamp messages, lands
 in a memo keyed by that triple, and an equal requirement reuses it; each
 requirement reports the messages under its own ``subject/kind:`` prefix.
-The memo is owned by one command: :func:`simulate` makes a fresh one per
-call, and :func:`compare_scenarios` shares one across its scenarios, which
-all use the same window. Nothing is kept between commands.
+A replay's month plan (see :mod:`cloudcost.elasticity`) depends on the
+pattern texts alone, so the same memo keeps it beside the texts'
+concatenated specs, keyed by the texts, for every replay of them. The memo
+is owned by one command: :func:`simulate` makes a fresh one per call, and
+:func:`compare_scenarios` shares one across its scenarios, which all use the
+same window. Nothing is kept between commands.
 
 Prices repeat the same way: many lines share a rate entry and a quantity. So
 :func:`simulate` prices each distinct (rate entry, quantity) pair once, in a
@@ -46,7 +49,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import model as m
 from . import pricing, schema
-from .elasticity import UsageSchedule, monthly_series
+from .elasticity import UsageSchedule, month_plan, monthly_series
 from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
 from .errors import CloudCostError, EvaluationError, MissingRateError, ModelError, PlanError
 from .money import MONEY_EXP, round_half_even, to_money
@@ -220,8 +223,11 @@ class CostReport(_ReportFields):
         return totals
 
 
-# (kind class, baseline, pattern texts) -> (quantity per window month, raw clamp messages)
-Replays = dict[tuple[str, float, tuple[str, ...]], tuple[tuple[float, ...], tuple[str, ...]]]
+# The replay memo: pattern texts -> (their specs, their month plan), and
+# (kind class, baseline, pattern texts) -> (quantity per window month, raw
+# clamp messages). A key of texts holds strings only, so the two kinds of key
+# never meet.
+Replays = dict[tuple, tuple]
 
 
 def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: SimulationWindow,
@@ -231,12 +237,14 @@ def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: Simula
     key = (m.KIND_CLASS[req.kind], req.baseline, req.patterns)
     replayed = replays.get(key)
     if replayed is None:
-        specs = []
-        for text in req.patterns:
-            specs.extend(model.parsed_patterns[text])
+        planned = replays.get(req.patterns)
+        if planned is None:
+            specs = tuple(spec for text in req.patterns for spec in model.parsed_patterns[text])
+            planned = replays[req.patterns] = (specs, month_plan(specs, window))
+        specs, plan = planned
         try:
             replayed = replays[key] = monthly_series(
-                UsageSchedule(key[0], req.baseline, tuple(specs)), window)
+                UsageSchedule(key[0], req.baseline, specs), window, plan=plan)
         except EvaluationError as exc:
             raise _line_error(subject, req.kind, exc.month, exc) from exc
     return replayed
@@ -463,9 +471,13 @@ class ComparisonTable(NamedTuple):
 def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:
     """Pick the cheapest total as baseline and express the rest as +Nx: the
     total over the baseline total, rounded half-even to an integer. Over a
-    zero baseline an equal total reads +1x and a greater one n/a."""
+    zero baseline an equal total reads +1x and a greater one n/a. A negative
+    total raises ValueError."""
     if len(rows) < 2:
         raise ValueError("comparison needs at least two rows")
+    for row in rows:
+        if row.total < 0:
+            raise ValueError(f"cannot compare {row.label!r}: its total {row.total} is negative")
     min_total = min(row.total for row in rows)
     tied = [row for row in rows if row.total == min_total]
     baseline = min(tied, key=lambda row: row.label)

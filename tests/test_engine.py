@@ -743,6 +743,16 @@ class TestCompare:
                                                                  "n/a"]
         assert engine.compare(rows[3:]).entries[0].difference == "+1x"
 
+    @pytest.mark.parametrize("totals", [([-1], [2]), ([2], [-1]), ([0], [-0.01])],
+                             ids=["baseline", "other", "cents"])
+    def test_a_negative_total_raises_naming_its_row(self, totals):
+        rows = [engine.summarize(totals[0], "a"), engine.summarize(totals[1], "b")]
+        (negative,) = [row for row in rows if row.total < 0]
+        with pytest.raises(ValueError) as raised:
+            engine.compare(rows)
+        assert str(raised.value) == (f"cannot compare '{negative.label}': "
+                                     f"its total {negative.total} is negative")
+
 
 class TestCompareScenarios:
     def test_same_model_twice_ties(self):

@@ -1,14 +1,17 @@
-"""A command replays each distinct usage schedule once.
+"""A command replays each distinct usage schedule once, and plans each
+distinct pattern set once.
 
 Replay depends on a requirement's kind class, baseline and pattern texts,
-not on its subject, placement or catalog. These tests count the calls into
-``engine.monthly_series`` and check that sharing a replay changes neither
-the output bytes nor any subject's clamp warnings.
+not on its subject, placement or catalog, and its month plan on the pattern
+texts alone. These tests count the calls into ``engine.monthly_series`` and
+``engine.month_plan`` and check that sharing a replay changes neither the
+output bytes nor any subject's clamp warnings.
 """
 
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from cloudcost import engine, model as m
 from cloudcost.cli import main
 from cloudcost.elasticity import UsageSchedule, monthly_series, parse_patterns
 from cloudcost.months import Month, SimulationWindow
+from cloudcost.pricing import load_catalog
 
 from oracle import oracle_replay
 from test_elasticity import clamp_events
@@ -48,6 +52,20 @@ def replays(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def plans(monkeypatch):
+    """Counter of month_plan calls, by pattern specs."""
+    calls = Counter()
+    original = engine.month_plan
+
+    def counting(patterns, window):
+        calls[tuple(patterns)] += 1
+        return original(patterns, window)
+
+    monkeypatch.setattr(engine, "month_plan", counting)
+    return calls
+
+
 def distinct_schedules(doc):
     """(kind class, baseline, patterns) of every billed requirement of a model document."""
     placed = {node["id"] for node in doc["nodes"] if "placement" in node}
@@ -76,6 +94,56 @@ def test_simulate_replays_the_demo_decade_once_per_distinct_schedule(tmp_path, r
     assert main(["simulate", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
                  "--start", "2011-01", "--end", "2020-12", "--out", str(tmp_path)]) == 0
     assert sum(replays.values()) == len(replays) == 12
+
+
+def test_the_demo_decade_builds_one_plan_per_distinct_pattern_set(tmp_path, replays, plans):
+    assert main(["simulate", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--start", "2011-01", "--end", "2020-12", "--out", str(tmp_path)]) == 0
+    assert sum(replays.values()) == 12
+    assert sum(plans.values()) == len(plans) == 3
+
+
+def test_compare_providers_builds_each_plan_once_across_its_scenarios(tmp_path, plans):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(THREE_PROVIDERS))
+    assert main(["compare-providers", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--map", str(mapping), "--start", "2011-01", "--end", "2013-12"]) == 0
+    assert sum(plans.values()) == len(plans) == 3  # not 3 per scenario
+
+
+def test_each_simulate_builds_its_own_plans(plans):
+    model = m.parse_model(DEMO_MODEL.read_text())
+    catalog = load_catalog(Path(DEMO_CATALOG).read_text())
+    window = SimulationWindow(Month(2011, 1), Month(2011, 12))
+    first = engine.simulate(model, catalog, window)
+    assert sum(plans.values()) == 3
+    assert engine.simulate(model, catalog, window) == first
+    assert sum(plans.values()) == len(plans) * 2 == 6
+
+
+def test_a_replay_takes_the_schedule_and_window_positionally(monkeypatch):
+    # bench/tracing.py reads a replay's schedule and window from its first
+    # two positional arguments and any third one as a usage start; the plan
+    # goes by keyword, and the schedule carries the requirement's own specs
+    calls = []
+    original = engine.monthly_series
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "monthly_series", recording)
+    model = m.parse_model(DEMO_MODEL.read_text())
+    window = SimulationWindow(Month(2011, 1), Month(2011, 3))
+    engine.simulate(model, load_catalog(Path(DEMO_CATALOG).read_text()), window)
+    assert calls and all(len(args) == 2 and args[1] == window and set(kwargs) == {"plan"}
+                         for args, kwargs in calls)
+    expected = {UsageSchedule(kind_class, baseline,
+                              tuple(spec for text in texts for spec in parse_patterns(text)))
+                for kind_class, baseline, texts in distinct_schedules(
+                    json.loads(DEMO_MODEL.read_text()))}
+    schedules = [args[0] for args, _ in calls]
+    assert len(set(schedules)) == len(schedules) and set(schedules) == expected
 
 
 def test_compare_replays_requirements_shared_by_models_once(tmp_path, replays):
