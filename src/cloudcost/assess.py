@@ -109,7 +109,9 @@ def parse_ratings(text: str) -> RatingSheet:
     """Ratings CSV: '# respondent:'/'# view:' metadata rows, then item_id,rating.
 
     A NUL anywhere is an error at its line: the csv module rejects it on some
-    Python versions and reads it into a cell on others."""
+    Python versions and reads it into a cell on others. One leading byte-order
+    mark, which spreadsheets write when they save "CSV UTF-8", is ignored."""
+    text = text.removeprefix("\ufeff")
     if "\0" in text:
         number = next(n for n, line in enumerate(text.splitlines(), 1) if "\0" in line)
         raise AssessmentError(f"rating file line {number}: holds a NUL character")

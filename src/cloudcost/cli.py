@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
 (including a missing catalog, unreadable or non-UTF-8 input and unwritable
 output paths), 3 missing rate.
 All output files are written atomically (temp + rename).
-Each command imports the modules it runs, so a short one starts fast.
+Each command imports only the modules it runs and builds only its own
+argument parser, so a short one starts fast; help, usage and errors read as
+they do with every parser built.
 """
 
 from __future__ import annotations
@@ -287,66 +289,90 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cloudcost",
-        description="Estimate IaaS deployment costs and score migration "
-                    "benefits and risks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _catalog_and_window_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--catalog", help=f"price catalog (default ${CATALOG_ENV})")
+    p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
+    p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
 
-    p = sub.add_parser("validate", help="validate a deployment model file")
+
+def _sim_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True)
+    _catalog_and_window_args(p)
+    p.add_argument("--plan", help="purchase plan JSON (node id -> choice)")
+
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
-    p.set_defaults(func=cmd_validate)
 
-    def catalog_and_window_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--catalog", help=f"price catalog (default ${CATALOG_ENV})")
-        p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
-        p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
 
-    def sim_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", required=True)
-        catalog_and_window_args(p)
-        p.add_argument("--plan", help="purchase plan JSON (node id -> choice)")
-
-    p = sub.add_parser("simulate", help="simulate costs and write reports")
-    sim_args(p)
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    _sim_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("export-csv", help="simulate and write only report.csv")
-    sim_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_csv)
 
-    p = sub.add_parser("compare", help="compare scenario models side by side")
+def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--models", required=True, help="comma-separated model files")
     p.add_argument("--plans", help="comma-separated plan files ('-' for on-demand)")
-    catalog_and_window_args(p)
+    _catalog_and_window_args(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("compare-providers",
-                       help="re-place all nodes per provider map and compare")
-    sim_args(p)
+
+def _compare_providers_args(p: argparse.ArgumentParser) -> None:
+    _sim_args(p)
     p.add_argument("--map", required=True,
                    help="JSON file: label -> {provider, region}")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare_providers)
 
-    p = sub.add_parser("assess", help="score a Likert rating sheet")
+
+def _assess_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--items", required=True)
     p.add_argument("--ratings", required=True)
     p.add_argument("--threshold", type=_rating_arg, default=4, metavar="{1,2,3,4,5}",
                    help="shortlist items rated at or above this (default 4)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_assess)
 
+
+# name -> (help, arguments, handler), in the order help lists the commands
+COMMANDS = {
+    "validate": ("validate a deployment model file", _validate_args, cmd_validate),
+    "simulate": ("simulate costs and write reports", _simulate_args, cmd_simulate),
+    "export-csv": ("simulate and write only report.csv", _simulate_args, cmd_export_csv),
+    "compare": ("compare scenario models side by side", _compare_args, cmd_compare),
+    "compare-providers": ("re-place all nodes per provider map and compare",
+                          _compare_providers_args, cmd_compare_providers),
+    "assess": ("score a Likert rating sheet", _assess_args, cmd_assess),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``cloudcost`` parser, with only ``command``'s subparser when it
+    names one of :data:`COMMANDS`, else with all of them.
+
+    Help, usage and errors read the same either way. The one-command parser's
+    usage line lists every command through a metavar, which the full parser
+    must not set: it would rename ``argument command`` in its errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cloudcost",
+        description="Estimate IaaS deployment costs and score migration "
+                    "benefits and risks.")
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        help_text, add_arguments, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command ``argv`` (default ``sys.argv[1:]``) names; its exit code.
+    A first argument that names a command builds only that command's parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except MissingRateError as exc:

@@ -96,15 +96,20 @@ def _member(path: str, key: str) -> str:
 
 def fields(value: Any, path: str, required: tuple[str, ...] = (),
            optional: tuple[str, ...] = ()) -> dict:
-    """``value``: an object with every required key and no key not allowed."""
+    """``value``: an object with every required key and no key not allowed.
+
+    Unknown keys are reported before missing ones, each sorted. Every accepted
+    object pays for the check, so the sets are built only for the message."""
     if not isinstance(value, dict):
         raise _Defect(path, f"expected an object, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(required) - set(optional))
-    if unknown:
-        raise _Defect(path, f"unknown key(s): {', '.join(unknown)}")
-    missing = sorted(set(required) - set(value))
-    if missing:
-        raise _Defect(path, f"missing required key(s): {', '.join(missing)}")
+    for key in value:
+        if key not in required and key not in optional:
+            unknown = sorted(set(value) - set(required) - set(optional))
+            raise _Defect(path, f"unknown key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            missing = sorted(set(required) - set(value))
+            raise _Defect(path, f"missing required key(s): {', '.join(missing)}")
     return value
 
 

@@ -91,6 +91,14 @@ class TestParseRatings:
         with pytest.raises(AssessmentError):
             assess.parse_ratings("id,score\nB1,5\n")
 
+    @pytest.mark.parametrize("text", [
+        "# respondent: alice\n# view: corporate\nitem_id,rating\nB1,5\nR1,3\n",
+        "item_id,rating\nB1,5\nR1,3\n",
+    ], ids=["before-comments", "before-header"])
+    def test_a_leading_byte_order_mark_is_ignored(self, text):
+        # spreadsheets write one when they save "CSV UTF-8"
+        assert assess.parse_ratings("\ufeff" + text) == assess.parse_ratings(text)
+
     def test_cell_beyond_the_csv_field_limit_names_its_row(self):
         text = "item_id,rating\nB1,5\nB2," + "5" * 131073 + "\n"
         with pytest.raises(AssessmentError, match=r"^rating row 3: field larger than"):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudcost
+from cloudcost import cli
 from cloudcost.cli import main
 
 DEMO_MODEL = str(cloudcost.data_path("demo_model.json"))
@@ -205,6 +207,77 @@ class TestUsageErrors:
         assert run(*argv, "--start", "2011-01", "--end", "2011-01") == 2
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "o").exists()
+
+
+COMMAND_NAMES = ["validate", "simulate", "export-csv", "compare", "compare-providers", "assess"]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the subparsers built, in order."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return names
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` run in process; any
+    exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneParser:
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["bogus"], ["valid"], ["--", "validate", DEMO_MODEL],
+        ["-h", "simulate"], *([name, "-h"] for name in COMMAND_NAMES),
+        ["validate"], ["validate", DEMO_MODEL], ["validate", DEMO_MODEL, "extra"],
+        ["simulate", "--model", DEMO_MODEL],
+        ["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+         "--start", "2011-13", "--end", "2011-01", "--out", "unwritten"],
+        ["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--threshold", "9"],
+        ["simulate", "validate"],
+    ], ids=lambda argv: " ".join(argv).replace(DEMO_MODEL, "M") or "none")
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    def test_output_equals_the_all_commands_parser(self, monkeypatch, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        one = outcome(argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert one == outcome(argv)
+
+    @pytest.mark.parametrize("argv, names", [
+        *(([name, "-h"], [name]) for name in COMMAND_NAMES),
+        (["-h"], COMMAND_NAMES), (["valid"], COMMAND_NAMES),
+        (["--", "validate"], COMMAND_NAMES),
+    ])
+    def test_a_named_command_builds_only_its_own_parser(self, capsys, built, argv, names):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == names
+
+    def test_main_without_arguments_reads_sys_argv(self, monkeypatch, capsys, built):
+        # the console script calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["cloudcost", "validate", DEMO_MODEL])
+        assert main() == 0
+        assert built == ["validate"]
+        monkeypatch.setattr(sys, "argv", ["cloudcost", "bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert "cloudcost: error: argument command: invalid choice: 'bogus'" in (
+            capsys.readouterr().err)
 
 
 class TestExportCsv:
@@ -848,13 +921,8 @@ DEMO_ITEMS_DOC = json.loads(cloudcost.data_path("assessment_items.json").read_te
 
 def run_quietly(*argv):
     """Exit code and stderr of one in-process CLI run; any exception escapes."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
+    code, _, err = outcome(list(argv))
+    return code, err
 
 
 class TestFuzz:

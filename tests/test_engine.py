@@ -239,9 +239,15 @@ class TestSimulate:
     @pytest.mark.parametrize("text, message", [
         ("[]", "plan file plan.json: expected an object of node choices"),
         ('{"vm1": {"kind": "reserved", "typo": 1}}', "plan for 'vm1': unknown key(s): typo"),
+        ('{"vm1": {"kind": "reserved", "zeta": 1, "alpha": 1}}',
+         "plan for 'vm1': unknown key(s): alpha, zeta"),
+        ('{"vm1": {"term_months": 12}}', "plan for 'vm1': missing required key(s): kind"),
+        ('{"vm1": {"term_months": 12, "zeta": 1}}', "plan for 'vm1': unknown key(s): zeta"),
+        ('{"vm1": ["reserved"]}', "plan for 'vm1': expected 'on_demand' or an object"),
         ('{"vm1": {"kind": "bogus"}}', "plan for 'vm1': unknown purchase kind 'bogus'"),
         ('{"vm1\\u0000": "on_demand"}', "$: key 'vm1\\x00' holds a NUL character"),
-    ], ids=["non-object", "unknown-key", "unknown-kind", "nul-in-key"])
+    ], ids=["non-object", "unknown-key", "unknown-keys-sorted", "missing-key",
+            "unknown-before-missing", "list-choice", "unknown-kind", "nul-in-key"])
     def test_load_plan_raises_plan_error(self, text, message):
         with pytest.raises(PlanError) as exc:
             engine.load_plan(text, "plan.json")

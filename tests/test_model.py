@@ -32,6 +32,18 @@ def minimal_model():
     return m.parse_model(MINIMAL)
 
 
+# reader, demo file, the keys that reach an object in it and its path, two of
+# its required keys, the error text around "path: reason"
+STRICT_OBJECTS = {
+    "model": (m.parse_model, "demo_model.json", ("nodes", 0, "placement"), "nodes[0].placement",
+              ("provider", "region"), "schema violation\n  error: {}"),
+    "catalog": (pricing.load_catalog, "demo_catalog.json", ("entries", 0), "entries[0]",
+                ("provider", "region"), "{}"),
+    "items": (assess.load_items, "assessment_items.json", ("items", 0), "items[0]",
+              ("category", "statement"), "{}"),
+}
+
+
 class TestParse:
     def test_minimal_model(self):
         parsed = minimal_model()
@@ -52,6 +64,33 @@ class TestParse:
             read("{ not json")
         assert str(exc.value) == ("syntax error at line 1, column 3: "
                                   "Expecting property name enclosed in double quotes")
+
+    @pytest.mark.parametrize("reader", STRICT_OBJECTS)
+    @pytest.mark.parametrize("edit, reason", [
+        ("unknown", "unknown key(s): alpha, zeta"),
+        ("missing", "missing required key(s): {0}, {1}"),
+        ("both", "unknown key(s): zeta"),
+        ("list", "expected an object, got list"),
+    ])
+    def test_strict_object_messages(self, reader, edit, reason):
+        read, name, keys, path, required, message = STRICT_OBJECTS[reader]
+        holder = json.loads(cloudcost.data_path(name).read_text(encoding="utf-8"))
+        doc = holder
+        for key in keys[:-1]:
+            holder = holder[key]
+        obj = holder[keys[-1]]
+        if edit == "unknown":
+            obj.update(zeta=1, alpha=1)
+        elif edit == "missing":
+            del obj[required[1]], obj[required[0]]
+        elif edit == "both":
+            del obj[required[0]]
+            obj["zeta"] = 1
+        else:
+            holder[keys[-1]] = []
+        with pytest.raises((ModelError, CatalogError, AssessmentError)) as exc:
+            read(json.dumps(doc))
+        assert str(exc.value) == message.format(f"{path}: {reason.format(*required)}")
 
     def test_unknown_top_level_key(self):
         doc = json.loads(MINIMAL)
