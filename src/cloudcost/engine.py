@@ -36,15 +36,23 @@ has its first month, because fees start at the window start. The series are
 sorted by (subject, dimension), which is unique per series in a validated
 model. Walking them month by month gives the report's (month, subject,
 dimension) line order, so totals, rollups and the CSV read the cost columns
-month-major and add every ``Decimal`` in line order, while each key or
-constant text is computed once per series. ``report.lines`` builds the lines
-on demand.
+month-major, while each key or constant text is computed once per series.
+``report.lines`` builds the lines on demand.
+
+Totals and rollups add with built-in ``sum`` from ``Decimal(0)`` over that
+line-order stream of costs, ``None`` skipped (not zeros). With a ``Decimal``
+start, ``sum`` adds left to right with no compensation, so every ``Decimal``
+is added in line order, exactly as a ``+=`` loop would; Python 3.12's
+compensated summation is for floats alone, which is why replay never sums
+floats with ``sum``.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from operator import attrgetter
+from functools import partial
+from itertools import chain
+from operator import attrgetter, is_not
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import model as m
@@ -154,6 +162,8 @@ class CostSeries(NamedTuple):
 
 
 _series_key = attrgetter("subject", "dimension")  # a series' place in a report
+_ZERO = Decimal(0)
+_is_cost = partial(is_not, None)  # a month with a line; a zero cost is one too
 
 
 class _ReportFields(NamedTuple):
@@ -204,23 +214,13 @@ class CostReport(_ReportFields):
         return zip(*(item.costs for item in self.series))
 
     def grand_total(self) -> Decimal:
-        total = Decimal(0)
-        for costs in self._month_costs():
-            for cost in costs:
-                if cost is not None:
-                    total += cost
-        return to_money(total)
+        """Every line's cost, added in line order."""
+        return to_money(sum(filter(_is_cost, chain.from_iterable(self._month_costs())), _ZERO))
 
     def monthly_totals(self) -> list[tuple[Month, Decimal]]:
         """Each window month's total, summed over its lines in order."""
-        totals = []
-        for month, costs in zip(self.window.months(), self._month_costs()):
-            total = Decimal(0)
-            for cost in costs:
-                if cost is not None:
-                    total += cost
-            totals.append((month, to_money(total)))
-        return totals
+        return [(month, to_money(sum(filter(_is_cost, costs), _ZERO)))
+                for month, costs in zip(self.window.months(), self._month_costs())]
 
 
 # The replay memo: pattern texts -> (their specs, their month plan), and
@@ -414,13 +414,13 @@ def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
         return [(str(month), total) for (month, total), costs
                 in zip(report.monthly_totals(), report._month_costs())
                 if costs.count(None) < len(costs)]
-    keys = list(map(_SERIES_KEY_OF[by], report.series))
-    totals = dict.fromkeys(keys, Decimal(0))
-    for costs in report._month_costs():
-        for key, cost in zip(keys, costs):
-            if cost is not None:
-                totals[key] += cost
-    return [(key, to_money(totals[key])) for key in sorted(totals)]
+    columns: dict[str, list[tuple[Decimal | None, ...]]] = {}  # key -> its series' costs
+    for item in report.series:
+        columns.setdefault(_SERIES_KEY_OF[by](item), []).append(item.costs)
+    # zip(*...) reads a key's columns month by month: its lines in line order
+    return [(key, to_money(sum(filter(_is_cost, chain.from_iterable(zip(*columns[key]))),
+                               _ZERO)))
+            for key in sorted(columns)]
 
 
 class SummaryRow(NamedTuple):
@@ -445,10 +445,7 @@ def summarize(totals: Sequence, label: str) -> SummaryRow:
     if not series:
         raise ValueError("cannot summarize an empty series")
     first = series[0]
-    total = Decimal(0)
-    for value in series:
-        total += value
-    total = to_money(total)
+    total = to_money(sum(series, _ZERO))
     n = len(series)
     num, den = (total if n == 1 else total - first).as_integer_ratio()
     cents = round_half_even(100 * num, den * max(n - 1, 1))

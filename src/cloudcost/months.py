@@ -111,7 +111,11 @@ class SimulationWindow(_WindowFields):
         return self.end.diff(self.start) + 1
 
     def months(self) -> list[Month]:
-        return [self.start.add(i) for i in range(self.count)]
+        """Each month of the window, built straight from its index, which is
+        always in range, so without :class:`Month`'s range check."""
+        new = tuple.__new__
+        return [new(Month, (index // 12, index % 12 + 1))
+                for index in range(self.start.index(), self.end.index() + 1)]
 
     def __contains__(self, month: Month) -> bool:
         return self.start <= month <= self.end

@@ -118,10 +118,14 @@ def _finite_decimal(value: str, path: str, what: str) -> Decimal:
 
 
 def _price_at(obj: dict, key: str, path: str) -> Decimal:
+    """The price ``obj[key]`` spells. A zero is kept as +0 (its exponent
+    unchanged): ``"-0"`` is not negative, but a cost it prices would print
+    ``-0.00``."""
     value = obj[key]
     if not isinstance(value, str):
         raise CatalogError(f"{path}.{key}: prices must be decimal strings, got {value!r}")
-    return _finite_decimal(value, f"{path}.{key}", "price")
+    price = _finite_decimal(value, f"{path}.{key}", "price")
+    return price if price else price.copy_abs()
 
 
 def _bound_at(value: Any, path: str) -> Decimal | None:

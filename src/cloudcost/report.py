@@ -52,8 +52,8 @@ def to_csv(report: CostReport) -> str:
     and each series' constant fields once, as the text around its quantity:
     ``csv.writer`` writes them, so it alone decides what is quoted (or, on
     Python 3.10, refuses a NUL), and month, quantity and cost texts never
-    need quoting. Zero costs skip the memo: ``-0.000000`` equals ``0`` but
-    renders as ``-0.00``.
+    need quoting. Zero costs are memoized by sign apart from the rest:
+    ``-0.000000`` equals ``0`` but renders as ``-0.00``.
     """
     # per series, the text before its quantity and after it: each written as a
     # row with empty end fields, sliced by the characters writerow returns
@@ -67,6 +67,7 @@ def to_csv(report: CostReport) -> str:
     heads = list(zip(pieces[::2], pieces[1::2]))
     quantity_text: dict[float, str] = {}
     money_text: dict[Decimal, str] = {}
+    zero_text: dict[bool, str] = {}  # a zero cost's sign -> its text
     buffer = io.StringIO()
     csv.writer(buffer).writerow(CSV_HEADER)
     write = buffer.write
@@ -80,9 +81,11 @@ def to_csv(report: CostReport) -> str:
             quantity_str = quantity_text.get(quantity)
             if quantity_str is None:
                 quantity_str = quantity_text[quantity] = _format_quantity(quantity)
-            cost_str = money_text.get(cost) if cost else None
+            memo = money_text if cost else zero_text
+            key = cost if cost else cost.is_signed()
+            cost_str = memo.get(key)
             if cost_str is None:
-                cost_str = money_text[cost] = format_money(cost)
+                cost_str = memo[key] = format_money(cost)
             write(f"{month_str}{before}{quantity_str}{after}{cost_str}\r\n")
     return buffer.getvalue()
 

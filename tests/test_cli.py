@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -287,6 +288,30 @@ class TestExportCsv:
                    "--start", "2011-01", "--end", "2011-02", "--out", str(out)) == 0
         assert (out / "report.csv").exists()
         assert not (out / "report.html").exists()
+
+    def test_a_negative_zero_price_costs_a_positive_zero(self, tmp_path):
+        # "-0" is not a negative price, so the catalog takes it, as a zero
+        catalog = json.loads(Path(DEMO_CATALOG).read_text(encoding="utf-8"))
+        for entry in catalog["entries"]:
+            if entry["provider"] == "nimbus" and entry["dimension"] == "vm_hours":
+                entry["pricing"] = {"flat": "-0"}
+        sku = catalog["skus"][0]
+        assert (sku["provider"], sku["region"], sku["name"]) == (
+            "nimbus", "us-east", "standard.small")
+        assert sku["purchase_options"][1]["term_months"] == 12
+        sku["purchase_options"][1]["hourly_rate"] = "-0.000"
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"web-1": {"kind": "reserved", "term_months": 12}}))
+        out = tmp_path / "out"
+        assert run("export-csv", "--model", DEMO_MODEL,
+                   "--catalog", str(tmp_path / "catalog.json"),
+                   "--plan", str(tmp_path / "plan.json"),
+                   "--start", "2011-01", "--end", "2011-01", "--out", str(out)) == 0
+        rows = list(csv.reader(io.StringIO((out / "report.csv").read_text(encoding="utf-8"))))
+        hours = {row[2]: row[-1] for row in rows if row[5] == "vm_hours"}
+        assert len(hours) == 15 and set(hours.values()) == {"0.00"}  # web-1 reserved too
+        assert [row[-1] for row in rows if row[5] == "reservation_upfront"] == ["220.00"]
 
 
 # Every JSON input of the commands, "{bad}" standing for its file.

@@ -600,7 +600,14 @@ class TestCostReport:
             series_costing("b", 0, None, "0.0000006", "0.0000005"),
             series_costing("c", 0, None, "0.0000006", None),
             series_costing("vm1", 1, None, None, None)))
-        for report in (decade, gap):
+        # February's only costs are zeros, one signed; c has no line after
+        # January; and a report may have no series at all
+        zeros = engine.CostReport(window(3), (
+            series_costing("a", "-0.000000", "-0.000000", "1.5"),
+            series_costing("b", "0E-7", "0E-7", "-0.000000"),
+            series_costing("c", "2", None, None)))
+        empty = engine.CostReport(window(2), ())
+        for report in (decade, gap, zeros, empty):
             totals = {month: Decimal(0) for month in report.window.months()}
             for line in report.lines:
                 totals[line.month] += line.cost
@@ -626,6 +633,13 @@ class TestCostReport:
         assert engine.rollup(gap, "provider") == [("aws", gap.grand_total())]
         assert [key for key, _ in engine.rollup(gap, "month")] == ["2011-01", "2011-03",
                                                                    "2011-04"]
+        assert [str(total) for _, total in zeros.monthly_totals()] == [
+            "2.000000", "0.000000", "1.500000"]
+        assert [(key, str(total)) for key, total in engine.rollup(zeros, "node")] == [
+            ("a", "1.500000"), ("b", "0.000000"), ("c", "2.000000")]
+        assert [str(total) for _, total in empty.monthly_totals()] == ["0.000000"] * 2
+        assert str(empty.grand_total()) == "0.000000"
+        assert all(engine.rollup(empty, by) == [] for by in engine.ROLLUP_KEYS)
 
 
 class TestRollup:

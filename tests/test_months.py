@@ -74,6 +74,18 @@ def test_reversed_window_is_rejected_also_by_replace(start, end):
         SimulationWindow(start, start)._replace(end=end)
 
 
+@pytest.mark.parametrize("start, count", [
+    (Month(2011, 11), 4),  # across a year end
+    (Month(0, 2), 10),  # within year 0000
+    (Month(9999, 1), 12),  # within year 9999, through its last month
+    (Month(2011, 1), 1),
+])
+def test_window_months_are_its_start_stepped_month_by_month(start, count):
+    months = SimulationWindow(start, start.add(count - 1)).months()
+    assert months == [start.add(i) for i in range(count)]
+    assert all(type(month) is Month for month in months)
+
+
 def test_dataclass_conversions_rebuild_months():
     window = SimulationWindow(Month(2011, 1), Month(2011, 2))
     as_dict = window._asdict()

@@ -116,6 +116,28 @@ class TestLoadCatalog:
             load(doc)
         assert "negative" in str(exc.value)
 
+    def test_a_zero_price_is_kept_as_positive_zero(self):
+        doc = catalog_doc()
+        doc["entries"][0]["pricing"] = {"tiers": [
+            {"upper_bound": "10", "unit_price": "-0.0"}, {"upper_bound": None, "unit_price": "0"}]}
+        doc["entries"].append(dict(doc["entries"][0], sku="small", pricing={"flat": "-0"}))
+        doc["skus"] = [{"provider": "aws", "region": "us-east", "name": "small",
+                        "purchase_options": [
+                            {"kind": "on_demand", "hourly_rate": "-0E+2"},
+                            {"kind": "reserved", "hourly_rate": "-0.000", "term_months": 12,
+                             "upfront_fee": "-0.00"}]}]
+        catalog = load(doc)
+        def rate(sku):
+            return pricing.lookup_rate(catalog, "aws", "us-east", "vm_hours", sku)
+
+        prices = [tier.unit_price for tier in rate("standard.small").tiers]
+        prices.append(rate("small").flat_price)
+        for option in catalog.find_sku("aws", "us-east", "small").purchase_options:
+            prices.append(option.hourly_rate)
+            if option.upfront_fee is not None:
+                prices.append(option.upfront_fee)
+        assert list(map(str, prices)) == ["0.0", "0", "0", "0E+2", "0.000", "0.00"]
+
     def test_unknown_dimension_rejected(self):
         doc = catalog_doc()
         doc["entries"][0]["dimension"] = "gpu_hours"
