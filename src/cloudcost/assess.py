@@ -70,33 +70,30 @@ def load_items(text: str, source: str | None = None) -> list[AssessmentItem]:
 
 
 def _build_items(data: Any) -> list[AssessmentItem]:
-    if not isinstance(data, dict) or len(data) != 1 or not isinstance(data.get("items"), list):
-        raise AssessmentError("item file must be an object with a single 'items' array")
+    top = schema.fields(data, "$", ("items",))
     items: list[AssessmentItem] = []
     seen: set[str] = set()
     required = ("id", "kind", "category", "statement")
-    optional = ("mitigation", "indicators", "references", "applies_to_private_cloud")
-    for i, raw in enumerate(data["items"]):
+    for i, raw in enumerate(schema.array(top, "items", "$")):
         path = f"items[{i}]"
-        schema.fields(raw, path, required, optional)
-        for key in required:
-            if not isinstance(raw[key], str) or not raw[key]:
-                raise AssessmentError(f"{path}.{key}: required non-empty string")
-        kind = schema.choice(raw["kind"], f"{path}.kind", KINDS, "kind")
-        category = schema.choice(raw["category"], f"{path}.category", CATEGORIES, "category")
-        if raw["id"] in seen:
-            raise AssessmentError(f"{path}.id: duplicate item id {raw['id']!r}")
-        seen.add(raw["id"])
-        mitigation = raw.get("mitigation")
-        indicators = raw.get("indicators")
+        obj = schema.fields(raw, path, required,
+                            ("mitigation", "indicators", "references", "applies_to_private_cloud"))
+        item_id, kind, category, statement = (schema.nonempty_string(obj, key, path)
+                                              for key in required)
+        schema.choice(kind, f"{path}.kind", KINDS, "kind")
+        schema.choice(category, f"{path}.category", CATEGORIES, "category")
+        if item_id in seen:
+            raise schema.Defect(f"{path}.id", f"duplicate item id {item_id!r}")
+        seen.add(item_id)
+        mitigation, indicators = (schema.string(obj, key, path) if key in obj else None
+                                  for key in ("mitigation", "indicators"))
         if kind == BENEFIT and (mitigation is not None or indicators is not None):
-            raise AssessmentError(
-                f"{path}: benefits never carry mitigation or indicator text")
-        references = schema.strings(raw, "references", path)
-        star = raw.get("applies_to_private_cloud", False)
+            raise schema.Defect(path, "benefits never carry mitigation or indicator text")
+        references = schema.strings(obj, "references", path)
+        star = obj.get("applies_to_private_cloud", False)
         if not isinstance(star, bool):
-            raise AssessmentError(f"{path}.applies_to_private_cloud: expected a boolean")
-        items.append(AssessmentItem(raw["id"], kind, category, raw["statement"],
+            raise schema.Defect(f"{path}.applies_to_private_cloud", "expected a boolean")
+        items.append(AssessmentItem(item_id, kind, category, statement,
                                     mitigation, indicators, references, star))
     return items
 

@@ -239,19 +239,15 @@ def cmd_compare_providers(args: argparse.Namespace) -> int:
     def placed(mapping: object) -> list[tuple[str, model.DeploymentModel]]:
         """The model moved to each map entry's provider and region, neither empty."""
         if not isinstance(mapping, dict) or len(mapping) < 2:
-            raise CatalogError(f"map file {args.map}: expected at least two entries "
-                               f"label -> {{provider, region}}")
+            raise schema.Defect(f"map file {args.map}",
+                                "expected at least two entries label -> {provider, region}")
         models = []
         for label, target in mapping.items():
             where = f"map entry {label!r}"
             schema.fields(target, where, ("provider", "region"))
-            placement = []
-            for key in ("provider", "region"):
-                value = schema.string(target, key, where)
-                if not value:
-                    raise CatalogError.at(f"{where}.{key}", f"{key} must be non-empty")
-                placement.append(value)
-            models.append((label, parsed.replaced(*placement)))
+            provider, region = (schema.nonempty_string(target, key, where)
+                                for key in ("provider", "region"))
+            models.append((label, parsed.replaced(provider, region)))
         return models
 
     models = schema.read(schema.read_input(args.map), placed, CatalogError, args.map)
@@ -312,7 +308,8 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
 
 def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--models", required=True, help="comma-separated model files")
-    p.add_argument("--plans", help="comma-separated plan files ('-' for on-demand)")
+    p.add_argument("--plans", help="comma-separated plan files, one per model; '-' or an "
+                   "empty entry for on-demand (on-demand first: --plans=-,... or --plans ,...)")
     _catalog_and_window_args(p)
     p.add_argument("--out")
 

@@ -76,14 +76,10 @@ BILLING_FOR_KIND = {
     m.DATA_OUT_GB: (pricing.DATA_OUT_GB, "GB"),
 }
 
-ROLLUP_KEYS = ("group", "node", "dimension", "provider", "month")
-# rollup key -> the series' value under it; "month" keys each month instead
-_SERIES_KEY_OF = {
-    "group": lambda series: series.group or "",
-    "node": attrgetter("node_id"),
-    "dimension": attrgetter("dimension"),
-    "provider": attrgetter("provider"),
-}
+ROLLUP_KEYS = ("group", "dimension")  # the HTML report's two tables
+# rollup key -> the series' value under it
+_SERIES_KEY_OF = {"group": lambda series: series.group or "",
+                  "dimension": attrgetter("dimension")}
 
 
 class PlanChoice(NamedTuple):
@@ -106,7 +102,7 @@ def load_plan(text: str, source: str) -> dict[str, PlanChoice]:
 
 def _build_plan(data: object, source: str) -> dict[str, PlanChoice]:
     if not isinstance(data, dict):
-        raise PlanError(f"plan file {source}: expected an object of node choices")
+        raise schema.Defect(f"plan file {source}", "expected an object of node choices")
     plan: dict[str, PlanChoice] = {}
     for node_id, raw in data.items():
         if raw == pricing.ON_DEMAND:
@@ -114,18 +110,18 @@ def _build_plan(data: object, source: str) -> dict[str, PlanChoice]:
             continue
         where = f"plan for {node_id!r}"
         if not isinstance(raw, dict):
-            raise PlanError(f"{where}: expected 'on_demand' or an object")
+            raise schema.Defect(where, "expected 'on_demand' or an object")
         schema.fields(raw, where, ("kind",), ("term_months",))
         term = raw.get("term_months")
         if schema.choice(raw["kind"], where, (pricing.ON_DEMAND, pricing.RESERVED),
                          "purchase kind") == pricing.ON_DEMAND:
             if "term_months" in raw:
-                raise PlanError(f"{where}: on_demand choices carry no term")
+                raise schema.Defect(where, "on_demand choices carry no term")
             plan[node_id] = ON_DEMAND_CHOICE
         else:
             if term is not None and (isinstance(term, bool) or not isinstance(term, int)
                                      or term < 1):
-                raise PlanError(f"{where}: term_months must be a positive integer")
+                raise schema.Defect(where, "term_months must be a positive integer")
             plan[node_id] = PlanChoice(pricing.RESERVED, term)
     return plan
 
@@ -410,10 +406,6 @@ def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
     Each key adds its lines' costs in line order."""
     if by not in ROLLUP_KEYS:
         raise ValueError(f"unknown rollup key {by!r}, expected one of {ROLLUP_KEYS}")
-    if by == "month":  # months without a line have no key
-        return [(str(month), total) for (month, total), costs
-                in zip(report.monthly_totals(), report._month_costs())
-                if costs.count(None) < len(costs)]
     columns: dict[str, list[tuple[Decimal | None, ...]]] = {}  # key -> its series' costs
     for item in report.series:
         columns.setdefault(_SERIES_KEY_OF[by](item), []).append(item.costs)

@@ -110,34 +110,34 @@ def _finite_decimal(value: str, path: str, what: str) -> Decimal:
     """The finite decimal that ``value`` spells; ``what`` names it in errors."""
     try:
         number = Decimal(value)
-    except InvalidOperation as exc:
-        raise CatalogError(f"{path}: invalid decimal {value!r}") from exc
+    except InvalidOperation:
+        raise schema.Defect(path, f"invalid decimal {value!r}") from None
     if not number.is_finite():
-        raise CatalogError(f"{path}: {what} must be finite")
+        raise schema.Defect(path, f"{what} must be finite")
     return number
 
 
 def _price_at(obj: dict, key: str, path: str) -> Decimal:
-    """The price ``obj[key]`` spells. A zero is kept as +0 (its exponent
-    unchanged): ``"-0"`` is not negative, but a cost it prices would print
-    ``-0.00``."""
-    value = obj[key]
+    """The price ``obj[key]`` spells, which may not be negative. A zero is
+    kept as +0 (its exponent unchanged): ``"-0"`` is not negative, but a cost
+    it prices would print ``-0.00``."""
+    value, path = obj[key], f"{path}.{key}"
     if not isinstance(value, str):
-        raise CatalogError(f"{path}.{key}: prices must be decimal strings, got {value!r}")
-    price = _finite_decimal(value, f"{path}.{key}", "price")
+        raise schema.Defect(path, f"prices must be decimal strings, got {value!r}")
+    price = _finite_decimal(value, path, "price")
+    if price < 0:
+        raise schema.Defect(path, "negative price")
     return price if price else price.copy_abs()
 
 
 def _bound_at(value: Any, path: str) -> Decimal | None:
     if value is None:
         return None
-    if isinstance(value, bool) or isinstance(value, float):
-        raise CatalogError(f"{path}: tier bounds must be integers, strings or null")
-    if isinstance(value, int):
-        return Decimal(value)
     if isinstance(value, str):
         return _finite_decimal(value, path, "tier bound")
-    raise CatalogError(f"{path}: tier bounds must be integers, strings or null")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise schema.Defect(path, "tier bounds must be integers, strings or null")
+    return Decimal(value)
 
 
 def _parse_entry(value: Any, path: str) -> RateEntry:
@@ -149,89 +149,67 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
     scope = obj.get("scope")
     if dimension in TRANSFER_DIMENSIONS:
         if scope not in SCOPES:
-            raise CatalogError(f"{path}.scope: transfer entries need a scope "
-                               f"(internet, intra_region or inter_region), got {scope!r}")
+            raise schema.Defect(f"{path}.scope", "transfer entries need a scope "
+                                f"(internet, intra_region or inter_region), got {scope!r}")
     elif scope is not None:
-        raise CatalogError(f"{path}.scope: scope is only valid on transfer dimensions")
-    pricing = schema.fields(obj["pricing"], f"{path}.pricing", (), ("flat", "tiers"))
-    flat = None
-    tiers: tuple[Tier, ...] = ()
+        raise schema.Defect(f"{path}.scope", "scope is only valid on transfer dimensions")
+    path = f"{path}.pricing"
+    pricing = schema.fields(obj["pricing"], path, (), ("flat", "tiers"))
     if ("flat" in pricing) == ("tiers" in pricing):
-        raise CatalogError(f"{path}.pricing: exactly one of 'flat' or 'tiers' is required")
+        raise schema.Defect(path, "exactly one of 'flat' or 'tiers' is required")
     if "flat" in pricing:
-        flat = _price_at(pricing, "flat", f"{path}.pricing")
-        if flat < 0:
-            raise CatalogError(f"{path}.pricing.flat: negative price")
-    else:
-        raw_tiers = pricing["tiers"]
-        if not isinstance(raw_tiers, list) or not raw_tiers:
-            raise CatalogError(f"{path}.pricing.tiers: expected a non-empty array")
-        parsed = []
-        for i, raw in enumerate(raw_tiers):
-            tobj = schema.fields(raw, f"{path}.pricing.tiers[{i}]",
-                                 ("upper_bound", "unit_price"))
-            bound = _bound_at(tobj["upper_bound"], f"{path}.pricing.tiers[{i}].upper_bound")
-            price = _price_at(tobj, "unit_price", f"{path}.pricing.tiers[{i}]")
-            if price < 0:
-                raise CatalogError(f"{path}.pricing.tiers[{i}].unit_price: negative price")
-            if bound is not None and bound <= 0:
-                raise CatalogError(f"{path}.pricing.tiers[{i}].upper_bound: must be positive")
-            parsed.append(Tier(bound, price))
-        for i in range(1, len(parsed)):
-            prev, cur = parsed[i - 1].upper_bound, parsed[i].upper_bound
-            if prev is None:
-                raise CatalogError(f"{path}.pricing.tiers[{i}]: only the last tier may be unbounded")
-            if cur is not None and cur <= prev:
-                raise CatalogError(f"{path}.pricing.tiers[{i}]: bounds must be strictly increasing")
-        if parsed[-1].upper_bound is not None:
-            raise CatalogError(f"{path}.pricing.tiers: the last tier must be unbounded (null)")
-        tiers = tuple(parsed)
-    return RateEntry(
-        provider=provider, region=region, dimension=dimension,
-        sku=sku, scope=scope, flat_price=flat, tiers=tiers,
-    )
+        return RateEntry(provider, region, dimension, sku, scope, _price_at(pricing, "flat", path))
+    tiers = []
+    for i, raw in enumerate(schema.nonempty_array(pricing, "tiers", path)):
+        where = f"{path}.tiers[{i}]"
+        tier = schema.fields(raw, where, ("upper_bound", "unit_price"))
+        bound = _bound_at(tier["upper_bound"], f"{where}.upper_bound")
+        price = _price_at(tier, "unit_price", where)
+        if bound is not None and bound <= 0:
+            raise schema.Defect(f"{where}.upper_bound", "must be positive")
+        tiers.append(Tier(bound, price))
+    # Their order is checked once every tier has read: a later tier's own
+    # defect is reported before an earlier tier's misplaced bound.
+    for i, (prev, cur) in enumerate(zip(tiers, tiers[1:]), 1):
+        if prev.upper_bound is None:
+            raise schema.Defect(f"{path}.tiers[{i}]", "only the last tier may be unbounded")
+        if cur.upper_bound is not None and cur.upper_bound <= prev.upper_bound:
+            raise schema.Defect(f"{path}.tiers[{i}]", "bounds must be strictly increasing")
+    if tiers[-1].upper_bound is not None:
+        raise schema.Defect(f"{path}.tiers", "the last tier must be unbounded (null)")
+    return RateEntry(provider, region, dimension, sku, scope, tiers=tuple(tiers))
 
 
 def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
     obj = schema.fields(value, path, ("provider", "region", "name", "purchase_options"))
     provider, region, name = (schema.string(obj, k, path) for k in ("provider", "region", "name"))
-    raw_options = obj["purchase_options"]
-    if not isinstance(raw_options, list) or not raw_options:
-        raise CatalogError(f"{path}.purchase_options: expected a non-empty array")
     options = []
-    for i, raw in enumerate(raw_options):
-        opath = f"{path}.purchase_options[{i}]"
-        oobj = schema.fields(raw, opath, ("kind", "hourly_rate"),
-                             ("term_months", "upfront_fee"))
-        rate = _price_at(oobj, "hourly_rate", opath)
-        if rate < 0:
-            raise CatalogError(f"{opath}.hourly_rate: negative price")
-        if schema.choice(oobj["kind"], f"{opath}.kind", (ON_DEMAND, RESERVED),
+    for i, raw in enumerate(schema.nonempty_array(obj, "purchase_options", path)):
+        where = f"{path}.purchase_options[{i}]"
+        option = schema.fields(raw, where, ("kind", "hourly_rate"), ("term_months", "upfront_fee"))
+        rate = _price_at(option, "hourly_rate", where)
+        if schema.choice(option["kind"], f"{where}.kind", (ON_DEMAND, RESERVED),
                          "purchase option kind") == ON_DEMAND:
-            if "term_months" in oobj or "upfront_fee" in oobj:
-                raise CatalogError(f"{opath}: on_demand options carry no term or upfront fee")
+            if "term_months" in option or "upfront_fee" in option:
+                raise schema.Defect(where, "on_demand options carry no term or upfront fee")
             options.append(PurchaseOption(ON_DEMAND, rate))
-        else:
-            term = oobj.get("term_months")
-            if not isinstance(term, int) or isinstance(term, bool) or term < 1:
-                raise CatalogError(f"{opath}.term_months: reserved options need a positive term")
-            if "upfront_fee" not in oobj:
-                raise CatalogError(f"{opath}.upfront_fee: reserved options need an upfront fee")
-            fee = _price_at(oobj, "upfront_fee", opath)
-            if fee < 0:
-                raise CatalogError(f"{opath}.upfront_fee: negative fee")
-            options.append(PurchaseOption(RESERVED, rate, term, fee))
-    sku = InstanceSku(provider, region, name, tuple(options))
-    on_demand = [o for o in options if o.kind == ON_DEMAND]
+            continue
+        term = option.get("term_months")
+        if not isinstance(term, int) or isinstance(term, bool) or term < 1:
+            raise schema.Defect(f"{where}.term_months", "reserved options need a positive term")
+        if "upfront_fee" not in option:
+            raise schema.Defect(f"{where}.upfront_fee", "reserved options need an upfront fee")
+        options.append(PurchaseOption(RESERVED, rate, term,
+                                      _price_at(option, "upfront_fee", where)))
+    on_demand = [option.hourly_rate for option in options if option.kind == ON_DEMAND]
     if not on_demand:
-        raise CatalogError(f"{path}: at least one on_demand purchase option is required")
-    cheapest = min(o.hourly_rate for o in on_demand)
+        raise schema.Defect(path, "at least one on_demand purchase option is required")
+    cheapest = min(on_demand)
     for option in options:
         if option.kind == RESERVED and option.hourly_rate > cheapest:
-            warnings.append(
-                f"{sku.provider}/{sku.region}/{sku.name}: reserved hourly rate "
-                f"{option.hourly_rate} exceeds the on-demand rate {cheapest}")
-    return sku
+            warnings.append(f"{provider}/{region}/{name}: reserved hourly rate "
+                            f"{option.hourly_rate} exceeds the on-demand rate {cheapest}")
+    return InstanceSku(provider, region, name, tuple(options))
 
 
 def load_catalog(text: str, source: str | None = None) -> PriceCatalog:
@@ -241,29 +219,22 @@ def load_catalog(text: str, source: str | None = None) -> PriceCatalog:
 
 def _build_catalog(data: Any) -> PriceCatalog:
     top = schema.fields(data, "$", ("currency", "entries"), ("skus",))
-    currency = top["currency"]
-    if not isinstance(currency, str) or not currency:
-        raise CatalogError("$.currency: expected a non-empty string")
-    warnings: list[str] = []
-    entries = []
-    seen_keys: set[tuple] = set()
+    currency = schema.nonempty_string(top, "currency", "$")
+    entries: dict[tuple, RateEntry] = {}
     for i, raw in enumerate(schema.array(top, "entries", "$")):
         entry = _parse_entry(raw, f"entries[{i}]")
-        if entry.key in seen_keys:
-            raise CatalogError(f"entries[{i}]: duplicate rate key "
-                               f"{_key_text(*entry.key)}")
-        seen_keys.add(entry.key)
-        entries.append(entry)
-    skus = []
-    seen_skus: set[tuple] = set()
+        if entry.key in entries:
+            raise schema.Defect(f"entries[{i}]", f"duplicate rate key {_key_text(*entry.key)}")
+        entries[entry.key] = entry
+    warnings: list[str] = []
+    skus: dict[tuple, InstanceSku] = {}
     for i, raw in enumerate(schema.array(top, "skus", "$")):
         sku = _parse_sku(raw, f"skus[{i}]", warnings)
         key = (sku.provider, sku.region, sku.name)
-        if key in seen_skus:
-            raise CatalogError(f"skus[{i}]: duplicate sku {'/'.join(key)}")
-        seen_skus.add(key)
-        skus.append(sku)
-    return PriceCatalog(currency, tuple(entries), tuple(skus), tuple(warnings))
+        if key in skus:
+            raise schema.Defect(f"skus[{i}]", f"duplicate sku {'/'.join(key)}")
+        skus[key] = sku
+    return PriceCatalog(currency, tuple(entries.values()), tuple(skus.values()), tuple(warnings))
 
 
 def load_catalog_file(path: str) -> PriceCatalog:

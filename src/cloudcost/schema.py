@@ -1,10 +1,14 @@
 """Strict reading of the JSON input documents: model, catalog, purchase plan,
 provider map and assessment items.
 
-A loader passes :func:`read` the text and a ``build`` that makes its records
-from the decoded JSON with the located checks below. A failed check raises a
-private defect, which :func:`read` turns into the loader's own error class
-through that class's ``at``; so checks run only inside such a ``build``.
+A loader passes :func:`read` the text, a ``build`` that makes its records
+from the decoded JSON, and its error class. ``build``, and every helper it
+calls, reports a defect one way: it raises :class:`Defect` with the value's
+path and the reason, itself or through one of the checks below. Only
+:func:`read` turns a defect into the loader's error, through that class's
+``at``; so the error class is named once per loader, and every reader
+locates its defects alike (``<path>: <reason>``, or a model's one
+diagnostic).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Any, Callable
 from .errors import CloudCostError, InputError
 
 
-class _Defect(Exception):
+class Defect(Exception):
     """A value that fails a check; ``args`` are its path and the reason."""
 
 
@@ -57,7 +61,7 @@ def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
         if not text.isascii() or "\\u" in text:  # only such text can hold a lone surrogate or a NUL
             _reject_surrogates_and_nuls(data)
         return build(data)
-    except _Defect as defect:
+    except Defect as defect:
         raise error.at(*defect.args) from None
 
 
@@ -82,12 +86,12 @@ def _reject_surrogates_and_nuls(data: Any) -> None:
 
 def _check_string(text: str, path: str, what: str) -> None:
     if "\0" in text:
-        raise _Defect(path or "$", f"{what} holds a NUL character")
+        raise Defect(path or "$", f"{what} holds a NUL character")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
-        raise _Defect(path or "$", f"{what} holds a lone surrogate, "
-                                   "which no UTF-8 output can encode") from None
+        raise Defect(path or "$", f"{what} holds a lone surrogate, "
+                                  "which no UTF-8 output can encode") from None
 
 
 def _member(path: str, key: str) -> str:
@@ -101,22 +105,22 @@ def fields(value: Any, path: str, required: tuple[str, ...] = (),
     Unknown keys are reported before missing ones, each sorted. Every accepted
     object pays for the check, so the sets are built only for the message."""
     if not isinstance(value, dict):
-        raise _Defect(path, f"expected an object, got {type(value).__name__}")
+        raise Defect(path, f"expected an object, got {type(value).__name__}")
     for key in value:
         if key not in required and key not in optional:
             unknown = sorted(set(value) - set(required) - set(optional))
-            raise _Defect(path, f"unknown key(s): {', '.join(unknown)}")
+            raise Defect(path, f"unknown key(s): {', '.join(unknown)}")
     for key in required:
         if key not in value:
             missing = sorted(set(required) - set(value))
-            raise _Defect(path, f"missing required key(s): {', '.join(missing)}")
+            raise Defect(path, f"missing required key(s): {', '.join(missing)}")
     return value
 
 
 def choice(value: Any, path: str, choices: tuple[str, ...], noun: str) -> str:
     """``value``, one of ``choices``; anything else is an unknown ``noun``."""
     if value not in choices:
-        raise _Defect(path, f"unknown {noun} {value!r}")
+        raise Defect(path, f"unknown {noun} {value!r}")
     return value
 
 
@@ -124,7 +128,15 @@ def string(obj: dict, key: str, path: str) -> str:
     """Member ``key`` of the object at ``path``, a string."""
     value = obj[key]
     if not isinstance(value, str):
-        raise _Defect(_member(path, key), f"expected a string, got {type(value).__name__}")
+        raise Defect(_member(path, key), f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def nonempty_string(obj: dict, key: str, path: str) -> str:
+    """Member ``key`` of the object at ``path``, a string that is not empty."""
+    value = string(obj, key, path)
+    if not value:
+        raise Defect(_member(path, key), "expected a non-empty string")
     return value
 
 
@@ -132,18 +144,26 @@ def number(obj: dict, key: str, path: str) -> float:
     """Member ``key`` of the object at ``path``, a number, as a float."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _Defect(_member(path, key), f"expected a number, got {type(value).__name__}")
+        raise Defect(_member(path, key), f"expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond float range
-        raise _Defect(_member(path, key), "number out of range") from None
+        raise Defect(_member(path, key), "number out of range") from None
 
 
 def array(obj: dict, key: str, path: str) -> list:
     """Member ``key`` of the object at ``path``, an array; empty when absent."""
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise _Defect(_member(path, key), "expected an array")
+        raise Defect(_member(path, key), "expected an array")
+    return value
+
+
+def nonempty_array(obj: dict, key: str, path: str) -> list:
+    """Member ``key`` of the object at ``path``, an array of at least one item."""
+    value = obj[key]
+    if not isinstance(value, list) or not value:
+        raise Defect(_member(path, key), "expected a non-empty array")
     return value
 
 
@@ -152,5 +172,5 @@ def strings(obj: dict, key: str, path: str, noun: str = "strings") -> tuple[str,
     (strings); empty when absent."""
     value = obj.get(key, [])
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise _Defect(_member(path, key), f"expected an array of {noun}")
+        raise Defect(_member(path, key), f"expected an array of {noun}")
     return tuple(value)

@@ -1,7 +1,8 @@
-"""Seeded random generators shared by property and acceptance tests."""
+"""Seeded random generators, and edits of JSON documents, shared by tests."""
 
 from __future__ import annotations
 
+import copy
 import random
 from decimal import Decimal
 
@@ -10,6 +11,26 @@ from cloudcost.months import Month, SimulationWindow
 
 MONTHS = elasticity.MONTH_NAMES
 DOWS = elasticity.DOW_NAMES
+DELETE = object()  # a change's value that removes its key
+
+
+def mutated(doc, *changes):
+    """A copy of ``doc`` with each (key path, value) change made; DELETE
+    removes the key, and the empty key path replaces the whole document."""
+    doc = copy.deepcopy(doc)
+    for keys, value in changes:
+        if not keys:
+            doc = value
+            continue
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
 
 
 def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:

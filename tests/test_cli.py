@@ -502,7 +502,7 @@ class TestCompareProviders:
         code, err = self.run_with_odd_entry(tmp_path, {"provider": "nimbus",
                                                        "region": "us-east", key: ""})
         assert code == 1
-        assert err == f"error: map entry 'Odd'.{key}: {key} must be non-empty\n"
+        assert err == f"error: map entry 'Odd'.{key}: expected a non-empty string\n"
 
     @pytest.mark.parametrize("labels", [(), ("Nimbus",)], ids=["empty", "one_label"])
     def test_fewer_than_two_labels_is_a_map_error(self, tmp_path, labels):
@@ -669,6 +669,28 @@ class TestWarnings:
         written = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["warnings"]
         assert ["warning: " + warning for warning in written] == labelled
 
+    @pytest.mark.parametrize("plans", [("--plans=-,{plan}",), ("--plans", ",{plan}")],
+                             ids=["equals-dash", "empty-entry"])
+    def test_the_first_scenario_can_be_on_demand(self, tmp_path, plans):
+        # a bare "--plans -,plan.json" is an argparse error: "-,..." reads as an option
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"web-1": {"kind": "reserved", "term_months": 36}}))
+
+        def totals(name, *plan_args):
+            out = tmp_path / name
+            code, err = run_quietly("compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}",
+                                    *plan_args, "--catalog", DEMO_CATALOG, "--start", "2011-01",
+                                    "--end", "2011-03", "--out", str(out))
+            assert code == 0, err
+            return [row["total"] for row in
+                    json.loads((out / "comparison.json").read_text())["rows"]]
+
+        on_demand, _ = totals("plain")
+        reserved, _ = totals("reserved-first", "--plans", f"{plan},-")
+        assert reserved != on_demand
+        assert totals("on-demand-first", *(arg.format(plan=plan) for arg in plans)) == [
+            on_demand, reserved]
+
 
 class TestAssess:
     def test_writes_radar_and_important(self, tmp_path):
@@ -701,6 +723,21 @@ class TestAssess:
         assert run("assess", "--items", DEMO_ITEMS, "--ratings", str(ratings)) == 1
         assert capsys.readouterr() == ("", f"error: rating file line {line}: "
                                            "holds a NUL character\n")
+
+    @pytest.mark.parametrize("key, value, type_name", [
+        ("mitigation", 5, "int"), ("indicators", {"a": [1]}, "dict"),
+        ("mitigation", ["text"], "list"), ("indicators", None, "NoneType"),
+    ])
+    def test_non_string_risk_text_exits_1_naming_its_path(self, tmp_path, capsys, key, value,
+                                                          type_name):
+        doc = json.loads(cloudcost.data_path("assessment_items.json").read_text())
+        index = next(i for i, item in enumerate(doc["items"]) if item["kind"] == "risk")
+        doc["items"][index][key] = value
+        items = tmp_path / "items.json"
+        items.write_text(json.dumps(doc))
+        assert run("assess", "--items", str(items), "--ratings", DEMO_RATINGS) == 1
+        assert capsys.readouterr() == ("", f"error: items[{index}].{key}: expected a string, "
+                                           f"got {type_name}\n")
 
     def test_threshold_flag(self, tmp_path, capsys):
         out = tmp_path / "out"

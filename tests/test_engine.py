@@ -603,8 +603,8 @@ class TestCostReport:
         # February's only costs are zeros, one signed; c has no line after
         # January; and a report may have no series at all
         zeros = engine.CostReport(window(3), (
-            series_costing("a", "-0.000000", "-0.000000", "1.5"),
-            series_costing("b", "0E-7", "0E-7", "-0.000000"),
+            series_costing("a", "-0.000000", "-0.000000", "1.5")._replace(group="a"),
+            series_costing("b", "0E-7", "0E-7", "-0.000000")._replace(group="b"),
             series_costing("c", "2", None, None)))
         empty = engine.CostReport(window(2), ())
         for report in (decade, gap, zeros, empty):
@@ -616,9 +616,7 @@ class TestCostReport:
             for by in engine.ROLLUP_KEYS:
                 keyed = {}
                 for line in report.lines:  # month-major, in line order
-                    key = str(line.month) if by == "month" else (
-                        line.group or "" if by == "group" else getattr(
-                            line, "node_id" if by == "node" else by))
+                    key = line.group or "" if by == "group" else line.dimension
                     keyed[key] = keyed.get(key, Decimal(0)) + line.cost
                 assert [(key, str(total)) for key, total in engine.rollup(report, by)] == [
                     (key, str(to_money(keyed[key]))) for key in sorted(keyed)]
@@ -630,13 +628,11 @@ class TestCostReport:
             "1.000000", "0.000000", "1000000000000000000000.000002", "0.000000"]
         # adding series by series, a first, would give ...001.000003
         assert str(gap.grand_total()) == "1000000000000000000001.000002"
-        assert engine.rollup(gap, "provider") == [("aws", gap.grand_total())]
-        assert [key for key, _ in engine.rollup(gap, "month")] == ["2011-01", "2011-03",
-                                                                   "2011-04"]
+        assert engine.rollup(gap, "dimension") == [("vm_hours", gap.grand_total())]
         assert [str(total) for _, total in zeros.monthly_totals()] == [
             "2.000000", "0.000000", "1.500000"]
-        assert [(key, str(total)) for key, total in engine.rollup(zeros, "node")] == [
-            ("a", "1.500000"), ("b", "0.000000"), ("c", "2.000000")]
+        assert [(key, str(total)) for key, total in engine.rollup(zeros, "group")] == [
+            ("", "2.000000"), ("a", "1.500000"), ("b", "0.000000")]
         assert [str(total) for _, total in empty.monthly_totals()] == ["0.000000"] * 2
         assert str(empty.grand_total()) == "0.000000"
         assert all(engine.rollup(empty, by) == [] for by in engine.ROLLUP_KEYS)
@@ -646,7 +642,8 @@ class TestRollup:
     def test_single_line(self):
         report = engine.simulate(m.DeploymentModel("one", (vm(),)), BASIC_CATALOG,
                                  window(1))
-        assert engine.rollup(report, "node") == [("vm1", Decimal("72.000000"))]
+        assert engine.rollup(report, "group") == [("", Decimal("72.000000"))]
+        assert engine.rollup(report, "dimension") == [("vm_hours", Decimal("72.000000"))]
 
     def test_dimension_shares_sum_to_one(self, demo_model_text, demo_catalog_text):
         import cloudcost
@@ -672,6 +669,8 @@ class TestRollup:
                                  window(1))
         with pytest.raises(ValueError):
             engine.rollup(report, "color")
+        with pytest.raises(ValueError):
+            engine.rollup(report, "month")
 
 
 class TestSummarize:

@@ -6,7 +6,6 @@ empty key path) and pins ``str()`` of the error it raises. The rows marked
 """
 
 import contextlib
-import copy
 import io
 import json
 
@@ -17,7 +16,7 @@ from cloudcost import assess, engine, pricing
 from cloudcost.cli import main
 from cloudcost.errors import AssessmentError, CatalogError, PlanError
 
-DELETE = object()
+from builders import DELETE, mutated
 
 CATALOG = {
     "currency": "USD",
@@ -49,25 +48,6 @@ ITEMS = {"items": [
     {"id": "R1", "kind": "risk", "category": "legal", "statement": "data abroad",
      "mitigation": "contract", "indicators": "audit findings"},
 ]}
-
-
-def mutated(doc, *changes):
-    """A copy of ``doc`` with each (key path, value) change made; DELETE
-    removes the key, and the empty key path replaces the whole document."""
-    doc = copy.deepcopy(doc)
-    for keys, value in changes:
-        if not keys:
-            doc = value
-            continue
-        *parents, last = keys
-        target = doc
-        for key in parents:
-            target = target[key]
-        if value is DELETE:
-            del target[last]
-        else:
-            target[last] = value
-    return doc
 
 
 def catalog_message(doc, tmp_path):
@@ -111,7 +91,7 @@ OPTIONS = ("skus", 0, "purchase_options")
 
 CATALOG_ROWS = [
     ([(("currency",), "")], "$.currency: expected a non-empty string"),
-    ([(("currency",), 5)], "$.currency: expected a non-empty string"),
+    ([(("currency",), 5)], "$.currency: expected a string, got int"),
     ([(("currency",), DELETE)], "$: missing required key(s): currency"),
     ([(("rates",), [])], "$: unknown key(s): rates"),
     ([(("entries",), {})], "$.entries: expected an array"),
@@ -183,7 +163,7 @@ CATALOG_ROWS = [
     ([((*OPTIONS, 1, "upfront_fee"), DELETE)],
      "skus[0].purchase_options[1].upfront_fee: reserved options need an upfront fee"),
     ([((*OPTIONS, 1, "upfront_fee"), "-100")],
-     "skus[0].purchase_options[1].upfront_fee: negative fee"),
+     "skus[0].purchase_options[1].upfront_fee: negative price"),
     ([((*OPTIONS, 0), CATALOG["skus"][0]["purchase_options"][1])],
      "skus[0]: at least one on_demand purchase option is required"),
     ([(("skus",), CATALOG["skus"] * 2)], "skus[1]: duplicate sku aws/us-east/small"),
@@ -220,24 +200,24 @@ MAP_ROWS = [
     ([(("Stratus", "zone"), "a")], "map entry 'Stratus': unknown key(s): zone"),
     ([(("Stratus", "region"), DELETE)], "map entry 'Stratus': missing required key(s): region"),
     ([(("Stratus", "region"), 5)], "map entry 'Stratus'.region: expected a string, got int"),
-    ([(("Stratus", "provider"), "")], "map entry 'Stratus'.provider: provider must be non-empty"),
+    ([(("Stratus", "provider"), "")], "map entry 'Stratus'.provider: expected a non-empty string"),
     # two defects
     ([(("Nimbus", "region"), ""), (("Stratus", "provider"), 5)],
-     "map entry 'Nimbus'.region: region must be non-empty"),
+     "map entry 'Nimbus'.region: expected a non-empty string"),
 ]
 
 ITEM0, ITEM1 = ("items", 0), ("items", 1)
 
 ITEMS_ROWS = [
-    ([((), [])], "item file must be an object with a single 'items' array"),
-    ([(("items",), {})], "item file must be an object with a single 'items' array"),
-    ([(("items",), DELETE)], "item file must be an object with a single 'items' array"),
-    ([(("version",), 1)], "item file must be an object with a single 'items' array"),
+    ([((), [])], "$: expected an object, got list"),
+    ([(("items",), {})], "$.items: expected an array"),
+    ([(("items",), DELETE)], "$: missing required key(s): items"),
+    ([(("version",), 1)], "$: unknown key(s): version"),
     ([(ITEM0, "B1")], "items[0]: expected an object, got str"),
     ([((*ITEM0, "colour"), "red")], "items[0]: unknown key(s): colour"),
     ([((*ITEM0, "kind"), DELETE)], "items[0]: missing required key(s): kind"),
-    ([((*ITEM0, "id"), "")], "items[0].id: required non-empty string"),
-    ([((*ITEM0, "statement"), 5)], "items[0].statement: required non-empty string"),
+    ([((*ITEM0, "id"), "")], "items[0].id: expected a non-empty string"),
+    ([((*ITEM0, "statement"), 5)], "items[0].statement: expected a string, got int"),
     ([((*ITEM0, "kind"), "gain")], "items[0].kind: unknown kind 'gain'"),
     ([((*ITEM0, "category"), "moral")], "items[0].category: unknown category 'moral'"),
     ([((*ITEM1, "id"), "B1")], "items[1].id: duplicate item id 'B1'"),
