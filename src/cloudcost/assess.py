@@ -3,6 +3,10 @@
 Items are rated 1..5 (unimportant .. very important). Per-category scores
 are the arithmetic mean of the ratings given to that category's items;
 unrated items are excluded. The five category axes feed a radar chart.
+
+:func:`cmd_assess`, the ``assess`` command's handler, lives here rather than
+in :mod:`cloudcost.cli`, since this is the one module the command runs: no
+other command compiles it.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import schema
@@ -203,3 +208,35 @@ def important_items(sheet: RatingSheet, items: Sequence[AssessmentItem],
     for ids in result.values():
         ids.sort(key=natural_id_key)
     return result
+
+
+def cmd_assess(args: argparse.Namespace) -> int:
+    """The ``assess`` command: print the radar and shortlist, and with
+    ``--out`` write radar.json and important.json."""
+    import json
+    from pathlib import Path
+
+    from . import cli
+
+    items = load_items_file(args.items)
+    sheet = parse_ratings_file(args.ratings)
+    diagnostics = validate_sheet(sheet, items)
+    for diag in diagnostics:
+        print(str(diag), file=sys.stderr)
+    if any(d.severity == "error" for d in diagnostics):
+        return 1
+    rows = radar(sheet, items)
+    important = important_items(sheet, items, args.threshold)
+    for row in rows:
+        print(f"{row.kind:8s} {row.category:15s} {row.average:.4f} "
+              f"({row.item_count} rated)")
+    print(f"important (rating >= {args.threshold}): "
+          f"{len(important[BENEFIT])} benefits, {len(important[RISK])} risks")
+    if args.out:
+        out = Path(args.out)
+        cli.write_atomic(out / "radar.json",
+                         json.dumps([row._asdict() for row in rows], indent=2) + "\n")
+        cli.write_atomic(out / "important.json",
+                         json.dumps({"threshold": args.threshold, **important},
+                                    indent=2) + "\n")
+    return 0

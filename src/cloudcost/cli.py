@@ -6,7 +6,11 @@ output paths), 3 missing rate.
 All output files are written atomically (temp + rename).
 Each command imports only the modules it runs and builds only its own
 argument parser, so a short one starts fast; help, usage and errors read as
-they do with every parser built.
+they do with every parser built. The handlers of validate, simulate and
+export-csv live here. Those of compare and compare-providers live in
+:mod:`cloudcost.comparison`, and that of assess in :mod:`cloudcost.assess`,
+modules no other command imports, so no other command compiles them;
+:data:`COMMANDS` names each handler by module and name.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .errors import CatalogError, CloudCostError, MissingRateError, ModelError, UsageError
+from .errors import CloudCostError, MissingRateError, ModelError, UsageError
 
 CATALOG_ENV = "CLOUDCOST_CATALOG"
 
@@ -104,54 +109,6 @@ def _summary_payload(row: engine.SummaryRow, currency: str) -> dict:
     }
 
 
-def _comparison_payload(table: engine.ComparisonTable, currency: str) -> dict:
-    from .money import format_money
-
-    return {
-        "currency": currency,
-        "baseline": table.baseline_label,
-        "rows": [
-            {
-                **_summary_payload(entry.row, currency),
-                "difference": entry.difference,
-                "delta": format_money(entry.delta),
-                "baseline": entry.is_baseline,
-            }
-            for entry in table.entries
-        ],
-        "warnings": list(table.warnings),
-    }
-
-
-def _emit_comparison(table: engine.ComparisonTable, currency: str,
-                     out: str | None) -> None:
-    """Print the comparison table; with ``out``, also write comparison.json."""
-    from .money import format_money_grouped
-
-    labels = [entry.row.label for entry in table.entries]
-    header = [f"Cost ({currency})"]
-    first = ["1st month"]
-    avg = ["Monthly avg."]
-    total = ["Total"]
-    diff = [f"Difference with {table.baseline_label}"]
-    for entry in table.entries:
-        header.append(entry.row.label)
-        first.append(format_money_grouped(entry.row.first_month))
-        avg.append(format_money_grouped(entry.row.monthly_avg))
-        total.append(format_money_grouped(entry.row.total))
-        diff.append(entry.difference or "")
-    widths = [max(len(row[i]) for row in (header, first, avg, total, diff))
-              for i in range(len(labels) + 1)]
-    for row in (header, first, avg, total, diff):
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(widths[i + 1]) for i, cell in enumerate(row[1:])]
-        print("  ".join(cells))
-    _warn(table.warnings)
-    if out:
-        write_atomic(Path(out) / "comparison.json",
-                     json.dumps(_comparison_payload(table, currency), indent=2) + "\n")
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -202,89 +159,6 @@ def cmd_export_csv(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    from . import engine, model
-
-    model_paths = [p for p in args.models.split(",") if p]
-    if len(model_paths) < 2:
-        raise UsageError("compare needs at least two models")
-    plan_paths: list[str | None] = [None] * len(model_paths)
-    if args.plans:
-        raw = args.plans.split(",")
-        if len(raw) != len(model_paths):
-            raise UsageError("--plans must list one entry per model ('-' for on-demand)")
-        plan_paths = [None if p in ("", "-") else p for p in raw]
-    catalog = _load_catalog(args)
-    scenarios = []
-    labels: set[str] = set()
-    for path, plan_path in zip(model_paths, plan_paths):
-        parsed = model.load_model(path)
-        label, n = parsed.name, 1
-        while label in labels:  # a later model may itself be named "x #2"
-            n += 1
-            label = f"{parsed.name} #{n}"
-        labels.add(label)
-        scenarios.append((label, parsed, _load_plan(plan_path)))
-    table = engine.compare_scenarios(scenarios, catalog, _window(args))
-    _emit_comparison(table, catalog.currency, args.out)
-    return 0
-
-
-def cmd_compare_providers(args: argparse.Namespace) -> int:
-    from . import engine, model, schema
-
-    parsed = model.load_model(args.model)
-    catalog = _load_catalog(args)
-
-    def placed(mapping: object) -> list[tuple[str, model.DeploymentModel]]:
-        """The model moved to each map entry's provider and region, neither empty."""
-        if not isinstance(mapping, dict) or len(mapping) < 2:
-            raise schema.Defect(f"map file {args.map}",
-                                "expected at least two entries label -> {provider, region}")
-        models = []
-        for label, target in mapping.items():
-            where = f"map entry {label!r}"
-            schema.fields(target, where, ("provider", "region"))
-            provider, region = (schema.nonempty_string(target, key, where)
-                                for key in ("provider", "region"))
-            models.append((label, parsed.replaced(provider, region)))
-        return models
-
-    models = schema.read(schema.read_input(args.map), placed, CatalogError, args.map)
-    plan = _load_plan(args.plan)
-    scenarios = [(label, moved, plan) for label, moved in models]
-    table = engine.compare_scenarios(scenarios, catalog, _window(args))
-    _emit_comparison(table, catalog.currency, args.out)
-    return 0
-
-
-def cmd_assess(args: argparse.Namespace) -> int:
-    from . import assess
-
-    items = assess.load_items_file(args.items)
-    sheet = assess.parse_ratings_file(args.ratings)
-    diagnostics = assess.validate_sheet(sheet, items)
-    for diag in diagnostics:
-        print(str(diag), file=sys.stderr)
-    if any(d.severity == "error" for d in diagnostics):
-        return 1
-    rows = assess.radar(sheet, items)
-    important = assess.important_items(sheet, items, args.threshold)
-    for row in rows:
-        print(f"{row.kind:8s} {row.category:15s} {row.average:.4f} "
-              f"({row.item_count} rated)")
-    print(f"important (rating >= {args.threshold}): "
-          f"{len(important['benefit'])} benefits, {len(important['risk'])} risks")
-    if args.out:
-        out = Path(args.out)
-        write_atomic(out / "radar.json",
-                     json.dumps([row._asdict() for row in rows], indent=2) + "\n")
-        write_atomic(out / "important.json",
-                     json.dumps({"threshold": args.threshold, **important},
-                                indent=2) + "\n")
-    return 0
-
-
 def _catalog_and_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", help=f"price catalog (default ${CATALOG_ENV})")
     p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
@@ -329,15 +203,18 @@ def _assess_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out")
 
 
-# name -> (help, arguments, handler), in the order help lists the commands
+# name -> (help, arguments, handler's module, handler), in the order help
+# lists the commands; main imports the handler's module when its command runs
 COMMANDS = {
-    "validate": ("validate a deployment model file", _validate_args, cmd_validate),
-    "simulate": ("simulate costs and write reports", _simulate_args, cmd_simulate),
-    "export-csv": ("simulate and write only report.csv", _simulate_args, cmd_export_csv),
-    "compare": ("compare scenario models side by side", _compare_args, cmd_compare),
+    "validate": ("validate a deployment model file", _validate_args, "cli", "cmd_validate"),
+    "simulate": ("simulate costs and write reports", _simulate_args, "cli", "cmd_simulate"),
+    "export-csv": ("simulate and write only report.csv", _simulate_args,
+                   "cli", "cmd_export_csv"),
+    "compare": ("compare scenario models side by side", _compare_args,
+                "comparison", "cmd_compare"),
     "compare-providers": ("re-place all nodes per provider map and compare",
-                          _compare_providers_args, cmd_compare_providers),
-    "assess": ("score a Likert rating sheet", _assess_args, cmd_assess),
+                          _compare_providers_args, "comparison", "cmd_compare_providers"),
+    "assess": ("score a Likert rating sheet", _assess_args, "assess", "cmd_assess"),
 }
 
 
@@ -357,10 +234,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(COMMANDS) + "}" if one else None)
     for name in [command] if one else COMMANDS:
-        help_text, add_arguments, func = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=func)
+        help_text, add_arguments, _, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -370,8 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _, _, module, handler = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return getattr(import_module(f".{module}", __package__), handler)(args)
     except MissingRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

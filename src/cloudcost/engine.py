@@ -58,10 +58,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import model as m
 from . import pricing, schema
 from .elasticity import UsageSchedule, month_plan, monthly_series
-from .elasticity import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
 from .errors import CloudCostError, EvaluationError, MissingRateError, ModelError, PlanError
 from .money import MONEY_EXP, round_half_even, to_money
 from .months import Month, SimulationWindow
+from .patterns import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it by name
 
 RESERVATION_UPFRONT = "reservation_upfront"
 

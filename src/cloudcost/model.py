@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Any, NamedTuple
 
 from . import schema
-from .elasticity import PatternSpec, parse_patterns
 from .errors import Diagnostic, ModelError, PatternError
+from .patterns import PatternSpec, parse_patterns
 
 VIRTUAL_MACHINE = "virtual_machine"
 VIRTUAL_STORAGE = "virtual_storage"

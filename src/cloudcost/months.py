@@ -56,10 +56,7 @@ class Month(_MonthFields):
         """The last day as a ``date``, imported here: only bench/tracing.py calls it."""
         from datetime import date
 
-        return date(self.year, self.month, self.days())
-
-    def days(self) -> int:
-        return next(month_calendar(self, self))[3]
+        return date(self.year, self.month, next(month_calendar(self, self))[3])
 
     def index(self) -> int:
         return self.year * 12 + self.month - 1

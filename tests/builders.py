@@ -6,11 +6,11 @@ import copy
 import random
 from decimal import Decimal
 
-from cloudcost import elasticity, model, pricing
-from cloudcost.months import Month, SimulationWindow
+from cloudcost import elasticity, model, patterns as pt, pricing
+from cloudcost.months import Month, SimulationWindow, month_calendar
 
-MONTHS = elasticity.MONTH_NAMES
-DOWS = elasticity.DOW_NAMES
+MONTHS = pt.MONTH_NAMES
+DOWS = pt.DOW_NAMES
 DELETE = object()  # a change's value that removes its key
 
 
@@ -31,6 +31,11 @@ def mutated(doc, *changes):
         else:
             target[last] = value
     return doc
+
+
+def month_days(month: Month) -> int:
+    """The number of days in ``month``."""
+    return next(month_calendar(month, month))[3]
 
 
 def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:
@@ -90,7 +95,7 @@ def random_schedule(rng: random.Random) -> elasticity.UsageSchedule:
     kind_class = rng.choice([elasticity.STOCK, elasticity.FLOW])
     baseline = round(rng.uniform(0.0, 500.0), 2)
     texts = [random_pattern_text(rng) for _ in range(rng.randint(0, 4))]
-    specs = tuple(elasticity.parse_pattern(t) for t in texts)
+    specs = tuple(pt.parse_pattern(t) for t in texts)
     return elasticity.UsageSchedule(kind_class, baseline, specs)
 
 

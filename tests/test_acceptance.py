@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cloudcost
-from cloudcost import assess, elasticity as el, engine, model as m, pricing, report
+from cloudcost import assess, elasticity as el, engine, model as m, patterns as pt, pricing, report
 from cloudcost.cli import main
 from cloudcost.errors import PatternError
 from cloudcost.months import Month, SimulationWindow
@@ -110,26 +110,26 @@ MALFORMED_PATTERNS = [
 
 
 def test_pattern_grammar_examples_and_rejections():
-    assert el.parse_pattern("perm: every month +10") == el.PatternSpec(
-        "perm", el.MonthSelector(), el.DaySelector("empty"), "+", 10.0,
+    assert pt.parse_pattern("perm: every month +10") == pt.PatternSpec(
+        "perm", pt.MonthSelector(), pt.DaySelector("empty"), "+", 10.0,
         "perm: every month +10")
-    assert el.parse_pattern("temp: every jun-aug on weekends /2") == el.PatternSpec(
-        "temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0,
+    assert pt.parse_pattern("temp: every jun-aug on weekends /2") == pt.PatternSpec(
+        "temp", pt.MonthSelector(6, 8), pt.DaySelector("weekends"), "/", 2.0,
         "temp: every jun-aug on weekends /2")
-    assert el.parse_pattern("temp: every dec on 25-30 * 2") == el.PatternSpec(
-        "temp", el.MonthSelector(12, 12), el.DaySelector("dom_range", 25, 30),
+    assert pt.parse_pattern("temp: every dec on 25-30 * 2") == pt.PatternSpec(
+        "temp", pt.MonthSelector(12, 12), pt.DaySelector("dom_range", 25, 30),
         "*", 2.0, "temp: every dec on 25-30 * 2")
     assert len(MALFORMED_PATTERNS) >= 20
     for text in MALFORMED_PATTERNS:
         with pytest.raises(PatternError) as exc:
-            el.parse_pattern(text)
+            pt.parse_pattern(text)
         assert exc.value.position is not None, text
         assert "column" in str(exc.value), text
 
 
 def test_pattern_semantics_against_day_loop_oracle():
     began = time.monotonic()
-    worked = el.UsageSchedule("stock", 100, tuple(el.parse_patterns(
+    worked = el.UsageSchedule("stock", 100, tuple(pt.parse_patterns(
         "perm: every month +10, temp: every jun-aug on weekends /2, "
         "temp: every dec on 25-30 * 2")))
     start = Month(2011, 1)

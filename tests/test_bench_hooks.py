@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cloudcost
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -75,3 +77,55 @@ def test_the_tracer_counts_each_replay_over_the_window_alone(tmp_path):
     days, series = map(int, fresh_traced_run(FRESH_COUNTS, tmp_path).split())
     assert series > 0
     assert days == 31 * series
+
+
+# A fresh process that runs the command sys.argv[3:] under the tracer, after
+# one untraced run when sys.argv[2] is "warm", and prints its cli.write spans,
+# how many of them sit inside another cli.write span, and cli.write_bytes.
+FRESH_WRITES = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import cloudcost.cli
+if sys.argv[2] == "warm":
+    cloudcost.cli.main(sys.argv[3:])
+tracer = tracing.Tracer()
+cloudcost.cli.main(sys.argv[3:])
+tracer.close()
+spans = tracer.spans
+writes = [parent for name, _, _, parent in spans if name == "cli.write"]
+print(len(writes), sum(p >= 0 and spans[p][0] == "cli.write" for p in writes),
+      tracer.counts["cli.write_bytes"])
+"""
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("command, written", [
+    ("assess", ["important.json", "radar.json"]),
+    ("compare-providers", ["comparison.json"]),
+], ids=["assess", "compare-providers"])
+def test_each_file_a_command_writes_is_one_write_span(tmp_path, command, written, start):
+    # A handler outside cli.py that wrote through a by-name copy of
+    # write_atomic, taken before the tracer wrapped it (as after a "warm" run),
+    # would record no cli.write span and drop its bytes from cli.write_bytes.
+    data = Path(cloudcost.__file__).resolve().parent / "data"
+    out = tmp_path / "out"
+    remap = tmp_path / "map.json"
+    remap.write_text('{"A": {"provider": "nimbus", "region": "us-east"}, '
+                     '"B": {"provider": "stratus", "region": "us-east"}}')
+    argv = {
+        "assess": ["assess", "--items", str(data / "assessment_items.json"),
+                   "--ratings", str(data / "demo_ratings.csv")],
+        "compare-providers": ["compare-providers", "--model", str(data / "demo_model.json"),
+                              "--catalog", str(data / "demo_catalog.json"),
+                              "--map", str(remap), "--start", "2011-01", "--end", "2011-01"],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_WRITES, str(TRACING), start, *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(data.parents[1])},
+        capture_output=True, text=True, check=True)
+    files = sorted(out.iterdir())
+    assert [path.name for path in files] == written
+    size = sum(path.stat().st_size for path in files)
+    assert proc.stdout.splitlines()[-1] == f"{len(files)} 0 {size}"

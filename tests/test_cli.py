@@ -791,30 +791,58 @@ FOOTPRINT = """\
 import sys
 import cloudcost.cli as cli
 
-def loaded():
-    print(sorted(m for m in sys.modules if m.split(".")[0] == "cloudcost"), file=sys.stderr)
-
-loaded()
-cli.main(["validate", sys.argv[1]])
-loaded()
-cli.main(["assess", "--items", sys.argv[2], "--ratings", sys.argv[3], "--out", sys.argv[4]])
-loaded()
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "cloudcost"))
+sys.exit(code)
 """
+
+WINDOW = ("--catalog", DEMO_CATALOG, "--start", "2011-01", "--end", "2011-01")
 
 
 class TestImports:
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        # each command in a fresh process: the cloudcost modules it has loaded
+        # when it returns; "import" is a bare `import cloudcost.cli`
         src = Path(cloudcost.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT, DEMO_MODEL, DEMO_ITEMS, DEMO_RATINGS,
-             str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            check=True)
+        remap = tmp_path / "map.json"
+        remap.write_text(json.dumps({"A": {"provider": "nimbus", "region": "us-east"},
+                                     "B": {"provider": "stratus", "region": "us-east"}}))
+        out = str(tmp_path / "out")
+        commands = {
+            "import": [],
+            "validate": ["validate", DEMO_MODEL],
+            "assess": ["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS,
+                       "--out", out],
+            "export-csv": ["export-csv", "--model", DEMO_MODEL, *WINDOW, "--out", out],
+            "simulate": ["simulate", "--model", DEMO_MODEL, *WINDOW, "--out", out],
+            "compare": ["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", *WINDOW,
+                        "--out", out],
+            "compare-providers": ["compare-providers", "--model", DEMO_MODEL, *WINDOW,
+                                  "--map", str(remap), "--out", out],
+        }
+        loaded = {}
+        for name, argv in commands.items():
+            proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (name, proc.stderr)
+            loaded[name] = proc.stdout.splitlines()[-1]
         base = ["cloudcost", "cloudcost.cli", "cloudcost.errors"]
-        validate = sorted([*base, "cloudcost.elasticity", "cloudcost.model",
-                           "cloudcost.months", "cloudcost.schema"])
-        assess = sorted([*validate, "cloudcost.assess"])
-        assert proc.stderr.splitlines() == [repr(base), repr(validate), repr(assess)]
+        # validate parses patterns, but loads neither the replay nor the calendar
+        validate = [*base, "cloudcost.model", "cloudcost.patterns", "cloudcost.schema"]
+        pricing = [*validate, "cloudcost.elasticity", "cloudcost.engine", "cloudcost.money",
+                   "cloudcost.months", "cloudcost.pricing"]
+        # only the two compare commands load their handlers' module
+        compare = [*pricing, "cloudcost.comparison"]
+        assert loaded == {name: repr(sorted(modules)) for name, modules in (
+            ("import", base),
+            ("validate", validate),
+            ("assess", [*base, "cloudcost.assess", "cloudcost.schema"]),
+            ("export-csv", [*pricing, "cloudcost.report"]),
+            ("simulate", [*pricing, "cloudcost.report"]),
+            ("compare", compare),
+            ("compare-providers", compare),
+        )}
 
     # Standard-library modules a fresh process must not load, pinned by absence
     # so the pins hold whatever else each Python version's stdlib imports.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudcost import elasticity as el
+from cloudcost import elasticity as el, patterns as pt
 from cloudcost.errors import EvaluationError, PatternError
 from cloudcost.months import Month, SimulationWindow
 
@@ -16,7 +16,7 @@ from oracle import oracle_month_quantity, oracle_replay
 
 def schedule(kind_class, baseline, block=""):
     return el.UsageSchedule(kind_class, baseline,
-                            tuple(el.parse_patterns(block)) if block else ())
+                            tuple(pt.parse_patterns(block)) if block else ())
 
 
 WORKED = "perm: every month +10, temp: every jun-aug on weekends /2, temp: every dec on 25-30 * 2"
@@ -32,51 +32,51 @@ def checked_quantity(sched, month, start=Month(2011, 1)):
 
 class TestParse:
     def test_perm_every_month(self):
-        spec = el.parse_pattern("perm: every month +10")
-        assert spec == el.PatternSpec("perm", el.MonthSelector(),
-                                      el.DaySelector("empty"), "+", 10.0,
+        spec = pt.parse_pattern("perm: every month +10")
+        assert spec == pt.PatternSpec("perm", pt.MonthSelector(),
+                                      pt.DaySelector("empty"), "+", 10.0,
                                       "perm: every month +10")
 
     def test_temp_month_range_weekends(self):
-        spec = el.parse_pattern("temp: every jun-aug on weekends /2")
-        assert spec == el.PatternSpec("temp", el.MonthSelector(6, 8),
-                                      el.DaySelector("weekends"), "/", 2.0,
+        spec = pt.parse_pattern("temp: every jun-aug on weekends /2")
+        assert spec == pt.PatternSpec("temp", pt.MonthSelector(6, 8),
+                                      pt.DaySelector("weekends"), "/", 2.0,
                                       "temp: every jun-aug on weekends /2")
 
     def test_temp_day_range_spaced_operator(self):
-        spec = el.parse_pattern("temp: every dec on 25-30 * 2")
-        assert spec == el.PatternSpec("temp", el.MonthSelector(12, 12),
-                                      el.DaySelector("dom_range", 25, 30), "*", 2.0,
+        spec = pt.parse_pattern("temp: every dec on 25-30 * 2")
+        assert spec == pt.PatternSpec("temp", pt.MonthSelector(12, 12),
+                                      pt.DaySelector("dom_range", 25, 30), "*", 2.0,
                                       "temp: every dec on 25-30 * 2")
 
     def test_case_and_whitespace_tolerated(self):
-        spec = el.parse_pattern("  PERM :  Every   MONTH   +10 ")
+        spec = pt.parse_pattern("  PERM :  Every   MONTH   +10 ")
         assert spec.mode == "perm"
-        assert spec.months == el.MonthSelector()
+        assert spec.months == pt.MonthSelector()
 
     def test_bare_day_of_month(self):
-        spec = el.parse_pattern("perm: every month on 15 +10")
-        assert spec.days == el.DaySelector("dom", 15)
+        spec = pt.parse_pattern("perm: every month on 15 +10")
+        assert spec.days == pt.DaySelector("dom", 15)
 
     def test_day_of_week_range(self):
-        spec = el.parse_pattern("temp: every month on mon-fri *0")
-        assert spec.days == el.DaySelector("dow_range", 0, 4)
+        spec = pt.parse_pattern("temp: every month on mon-fri *0")
+        assert spec.days == pt.DaySelector("dow_range", 0, 4)
 
     def test_float_operand(self):
-        assert el.parse_pattern("temp: every month *1.5").operand == 1.5
+        assert pt.parse_pattern("temp: every month *1.5").operand == 1.5
 
     def test_wrapping_month_range(self):
-        spec = el.parse_pattern("temp: every nov-feb +1")
+        spec = pt.parse_pattern("temp: every nov-feb +1")
         assert spec.months.contains(12) and spec.months.contains(1)
         assert not spec.months.contains(6)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(PatternError) as exc:
-            el.parse_pattern("perm: every month %5")
+            pt.parse_pattern("perm: every month %5")
         assert exc.value.position is not None
 
     def test_block_split_on_commas_and_newlines(self):
-        specs = el.parse_patterns("perm: every month +10,\ntemp: every dec *2")
+        specs = pt.parse_patterns("perm: every month +10,\ntemp: every dec *2")
         assert [s.mode for s in specs] == ["perm", "temp"]
 
     @pytest.mark.parametrize("text", [
@@ -93,7 +93,7 @@ class TestParse:
     ])
     def test_malformed_rejected_with_position(self, text):
         with pytest.raises(PatternError) as exc:
-            el.parse_pattern(text)
+            pt.parse_pattern(text)
         assert exc.value.position is not None
         assert "column" in str(exc.value)
 
@@ -136,7 +136,7 @@ class TestParse:
     ])
     def test_each_defect_has_its_message_and_position(self, text, message, position):
         with pytest.raises(PatternError) as exc:
-            el.parse_pattern(text)
+            pt.parse_pattern(text)
         assert (exc.value.args[0], exc.value.position) == (message, position)
 
 

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from cloudcost import elasticity as el
+from cloudcost import elasticity as el, patterns as pt
 from cloudcost.errors import EvaluationError
 from cloudcost.months import Month, SimulationWindow
 
@@ -48,7 +48,7 @@ def test_a_planned_replay_equals_the_fresh_call_and_the_oracle(clause, operation
     rng = random.Random(f"{clause}{operation}")
     texts = [f"perm: every month{clause} {operation}", random_pattern_text(rng),
              f"temp: every month{clause} {operation}", CLAMPING]
-    specs = tuple(map(el.parse_pattern, texts))
+    specs = tuple(map(pt.parse_pattern, texts))
     for window in WINDOWS:
         plan = el.month_plan(specs, window)
         for kind_class in (el.STOCK, el.FLOW):
@@ -62,7 +62,7 @@ def test_one_plan_serves_stocks_and_flows_at_every_baseline():
     rng = random.Random(23)
     clamped = 0
     for _ in range(60):
-        specs = random_schedule(rng).patterns + (el.parse_pattern(CLAMPING),)
+        specs = random_schedule(rng).patterns + (pt.parse_pattern(CLAMPING),)
         start = Month(rng.randint(2010, 2013), rng.randint(1, 12))
         window = SimulationWindow(start, start.add(rng.randint(0, 14)))
         plan = el.month_plan(specs, window)
@@ -85,7 +85,7 @@ def test_one_plan_serves_stocks_and_flows_at_every_baseline():
 ], ids=["perm_mul", "perm_pow", "temp_mul", "month_sum"])
 def test_an_overflow_from_a_plan_keeps_its_message_and_month(kind_class, baseline, block,
                                                              message, month):
-    specs = tuple(el.parse_patterns(block))
+    specs = tuple(pt.parse_patterns(block))
     window = SimulationWindow(Month(2011, 1), Month(2011, 6))
     schedule = el.UsageSchedule(kind_class, baseline, specs)
     for plan in (el.month_plan(specs, window), None):

@@ -115,4 +115,4 @@ def test_month_calendar_agrees_with_the_calendar_module():
         assert (weekday1, days) == calendar.monthrange(year, month), (year, month)
         assert next(month_calendar(Month(year, month), Month(year, month))) == (
             year, month, weekday1, days)
-        assert Month(year, month).days() == days
+        assert Month(year, month).last_day().day == days

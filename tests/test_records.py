@@ -10,14 +10,14 @@ from decimal import Decimal
 import pytest
 
 import cloudcost
-from cloudcost import assess, elasticity as el, engine, errors, model as m, pricing
+from cloudcost import assess, elasticity as el, engine, errors, model as m, patterns as pt, pricing
 from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
 ROW = engine.SummaryRow("demo", Decimal("1.00"), Decimal("1.50"), Decimal("2.50"), 2)
 OPTION = pricing.PurchaseOption("reserved", Decimal("0.04"), 12, Decimal("100"))
 ENTRY = engine.ComparisonEntry(ROW, True, None, Decimal("0.000000"))
-SPEC = el.PatternSpec("temp", el.MonthSelector(6, 8), el.DaySelector("weekends"), "/", 2.0,
+SPEC = pt.PatternSpec("temp", pt.MonthSelector(6, 8), pt.DaySelector("weekends"), "/", 2.0,
                       "temp: every jun-aug on weekends /2")
 TIER = pricing.Tier(Decimal("10"), Decimal("0.12"))
 REQUIREMENT = m.ResourceRequirement("vm_hours", 720.0, ("perm: every month +10",))
@@ -55,10 +55,10 @@ RECORDS = [
                           "ratings": {"B1": 5, "R2": 3}}),
     (assess.CategoryAverage, {"kind": "benefit", "category": "technical", "average": 4.5,
                               "item_count": 2}),
-    (el.MonthSelector, {"start": 11, "end": 2}),
-    (el.DaySelector, {"kind": "dom_range", "a": 1, "b": 15}),
-    (el.PatternSpec, {"mode": "temp", "months": el.MonthSelector(6, 8),
-                      "days": el.DaySelector("weekends"), "op": "/", "operand": 2.0,
+    (pt.MonthSelector, {"start": 11, "end": 2}),
+    (pt.DaySelector, {"kind": "dom_range", "a": 1, "b": 15}),
+    (pt.PatternSpec, {"mode": "temp", "months": pt.MonthSelector(6, 8),
+                      "days": pt.DaySelector("weekends"), "op": "/", "operand": 2.0,
                       "source": "temp: every jun-aug on weekends /2"}),
     (el.UsageSchedule, {"kind_class": "flow", "baseline": 720.0, "patterns": (SPEC,)}),
     (SimulationWindow, {"start": Month(2011, 1), "end": Month(2011, 3)}),

@@ -18,8 +18,9 @@ import pytest
 import cloudcost
 from cloudcost import engine, model as m
 from cloudcost.cli import main
-from cloudcost.elasticity import UsageSchedule, monthly_series, parse_patterns
+from cloudcost.elasticity import UsageSchedule, monthly_series
 from cloudcost.months import Month, SimulationWindow
+from cloudcost.patterns import parse_patterns
 from cloudcost.pricing import load_catalog
 
 from oracle import oracle_replay

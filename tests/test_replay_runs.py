@@ -15,10 +15,11 @@ from datetime import date
 import pytest
 
 import cloudcost
-from cloudcost import elasticity as el
+from cloudcost import elasticity as el, patterns as pt
 from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
+from builders import month_days
 from oracle import oracle_replay
 from test_elasticity import clamp_events, schedule
 
@@ -41,8 +42,8 @@ DAY_CLAUSES = (
     + [f" on {dom:02d}" for dom in range(1, 32)]
     + [f" on {a:02d}-{b:02d}" for a, b in ((1, 1), (1, 31), (2, 9), (12, 20), (25, 28),
                                            (27, 29), (28, 31), (29, 30), (30, 31), (31, 31))]
-    + [f" on {day}" for day in el.DOW_NAMES]
-    + [f" on {el.DOW_NAMES[a]}-{el.DOW_NAMES[b]}"
+    + [f" on {day}" for day in pt.DOW_NAMES]
+    + [f" on {pt.DOW_NAMES[a]}-{pt.DOW_NAMES[b]}"
        for a, b in ((0, 4), (0, 6), (1, 3), (2, 6), (4, 5), (5, 6), (6, 6))]
 )
 
@@ -75,7 +76,7 @@ def test_clamps_on_repeated_run_days_are_day_major_then_declared(month):
     assert clamp_events(warnings) == clamps
     # every weekday clamps both temps; each Friday's perm clamps before them
     expected = []
-    for dom in range(1, month.days() + 1):
+    for dom in range(1, month_days(month) + 1):
         weekday = date(month.year, month.month, dom).weekday()
         if weekday == 4:
             expected.append((date(month.year, month.month, dom), 1))
