@@ -139,7 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     parsed, cost_report = _run_simulation(args)
     out = Path(args.out)
     totals = cost_report.monthly_totals()
-    summary = engine.summarize([total for _, total in totals], parsed.name)
+    summary = engine.summarize(totals, parsed.name)
     write_atomic(out / "report.csv", report.to_csv(cost_report))
     write_atomic(out / "report.html",
                  report.to_html(cost_report, summary, model=parsed, totals=totals))

@@ -39,12 +39,15 @@ dimension) line order, so totals, rollups and the CSV read the cost columns
 month-major, while each key or constant text is computed once per series.
 ``report.lines`` builds the lines on demand.
 
-Totals and rollups add with built-in ``sum`` from ``Decimal(0)`` over that
-line-order stream of costs, ``None`` skipped (not zeros). With a ``Decimal``
+Monthly totals and rollups add with built-in ``sum`` from ``Decimal(0)`` over
+that line-order stream of costs, ``None`` skipped (not zeros). With a ``Decimal``
 start, ``sum`` adds left to right with no compensation, so every ``Decimal``
 is added in line order, exactly as a ``+=`` loop would; Python 3.12's
 compensated summation is for floats alone, which is why replay never sums
-floats with ``sum``.
+floats with ``sum``. The grand total is the sum of the monthly totals
+(:func:`summarize`); every cost is non-negative money with 6 decimal places,
+so below 1E+22 every partial sum is exact, and the grand total equals the
+line-order sum of the costs.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from decimal import Decimal
 from functools import partial
 from itertools import chain
 from operator import attrgetter, is_not
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import model as m
 from . import pricing, schema
@@ -203,20 +206,11 @@ class CostReport(_ReportFields):
                      for index, month in enumerate(self.window.months())
                      for item in self.series if item.costs[index] is not None)
 
-    def _month_costs(self) -> Iterable[tuple[Decimal | None, ...]]:
-        """Each window month's costs, one per series in series order."""
-        if not self.series:
-            return [()] * self.window.count
-        return zip(*(item.costs for item in self.series))
-
-    def grand_total(self) -> Decimal:
-        """Every line's cost, added in line order."""
-        return to_money(sum(filter(_is_cost, chain.from_iterable(self._month_costs())), _ZERO))
-
-    def monthly_totals(self) -> list[tuple[Month, Decimal]]:
-        """Each window month's total, summed over its lines in order."""
-        return [(month, to_money(sum(filter(_is_cost, costs), _ZERO)))
-                for month, costs in zip(self.window.months(), self._month_costs())]
+    def monthly_totals(self) -> list[Decimal]:
+        """Each window month's total, summed over its lines in line order;
+        aligned to ``window.months()``."""
+        columns = [item.costs for item in self.series] or [(None,) * self.window.count]
+        return [to_money(sum(filter(_is_cost, costs), _ZERO)) for costs in zip(*columns)]
 
 
 # The replay memo: pattern texts -> (their specs, their month plan), and
@@ -265,9 +259,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
     with the same window may share one. A fresh one is used by default.
     """
     diagnostics = m.validate(model)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise ModelError("cannot simulate an invalid model", errors)
+    if diagnostics:  # validation finds errors only
+        raise ModelError("cannot simulate an invalid model", diagnostics)
     plan = dict(plan or {})
     node_by_id = {node.id: node for node in model.nodes}
     for node_id, choice in plan.items():
@@ -328,17 +321,14 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
 
         if reserved is not None:
             try:
-                charges = pricing.reservation_charges(reserved, window)
+                fees = pricing.reservation_charges(reserved, window)
             except EvaluationError as exc:  # a fee too large fails at its first charge
                 raise _line_error(node.id, RESERVATION_UPFRONT, window.start, exc) from exc
-            if charges:  # the first falls in window.start, so fees[0] is a line
-                fees: list[Decimal | None] = [None] * len(months)
-                for month, fee in charges:
-                    fees[month.diff(window.start)] = fee
+            if fees:  # the first falls in window.start, so fees[0] is a line
                 series.append(CostSeries(
                     node.id, node.id, RESERVATION_UPFRONT, "fee", group_of.get(node.id),
                     provider, region, None,
-                    tuple(None if fee is None else 1.0 for fee in fees), tuple(fees)))
+                    tuple(None if fee is None else 1.0 for fee in fees), fees))
 
     for path in model.paths:
         from_node = node_by_id[path.from_node]
@@ -402,8 +392,9 @@ def _resolve_reserved(catalog: pricing.PriceCatalog, node: m.Node,
 # --- rollups, summaries, comparisons ----------------------------------------
 
 def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
-    """Totals per key; the key-sums always equal the grand total exactly.
-    Each key adds its lines' costs in line order."""
+    """Totals per key, each adding its lines' costs in line order. For a
+    report :func:`simulate` builds, the key sums add up to the grand total
+    exactly."""
     if by not in ROLLUP_KEYS:
         raise ValueError(f"unknown rollup key {by!r}, expected one of {ROLLUP_KEYS}")
     columns: dict[str, list[tuple[Decimal | None, ...]]] = {}  # key -> its series' costs
@@ -431,7 +422,7 @@ class SummaryRow(NamedTuple):
 
 
 def summarize(totals: Sequence, label: str) -> SummaryRow:
-    """Summary of a series of monthly totals, such as the amounts of
+    """Summary of a series of monthly totals, such as
     ``report.monthly_totals()``."""
     series = [to_money(value) for value in totals]
     if not series:
@@ -513,7 +504,7 @@ def compare_scenarios(scenarios: Sequence[tuple[str, m.DeploymentModel, Mapping[
         except CloudCostError as exc:
             exc.args = (f"{label}: {exc.args[0]}",)
             raise
-        rows.append(summarize([total for _, total in report.monthly_totals()], label))
+        rows.append(summarize(report.monthly_totals(), label))
         warnings.extend(f"{label}: {warning}" for warning in report.warnings)
     table = compare(rows)
     return ComparisonTable(table.entries, table.baseline_label,

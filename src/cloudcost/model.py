@@ -241,7 +241,7 @@ def parse_model(text: str, source: str | None = None) -> DeploymentModel:
     """Parse and validate a model document (from file ``source``); raises ModelError."""
     model = schema.read(text, _build_model, ModelError, source)
     diagnostics = validate(model)
-    if any(d.severity == "error" for d in diagnostics):
+    if diagnostics:  # validation finds errors only
         raise ModelError("model validation failed", diagnostics)
     return model
 

@@ -1,8 +1,8 @@
 """Calendar-month arithmetic shared by the usage and billing layers.
 
 A :class:`Month` is a ``(year, month)`` tuple with calendar methods. Window
-bounds and fee renewals compare months, so equality, ordering and hashing
-stay the tuple's own, in C. By design a ``Month`` therefore equals the plain
+bounds compare months, so equality, ordering and hashing stay the tuple's
+own, in C. By design a ``Month`` therefore equals the plain
 tuple ``(year, month)``. It is a named tuple, so ``_asdict`` and ``_replace``
 of a record holding one keep it a ``Month``.
 
@@ -61,10 +61,6 @@ class Month(_MonthFields):
     def index(self) -> int:
         return self.year * 12 + self.month - 1
 
-    def add(self, count: int) -> Month:
-        total = self.index() + count
-        return Month(total // 12, total % 12 + 1)
-
     def diff(self, other: Month) -> int:
         return self.index() - other.index()
 
@@ -113,6 +109,3 @@ class SimulationWindow(_WindowFields):
         new = tuple.__new__
         return [new(Month, (index // 12, index % 12 + 1))
                 for index in range(self.start.index(), self.end.index() + 1)]
-
-    def __contains__(self, month: Month) -> bool:
-        return self.start <= month <= self.end

@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 from . import schema
 from .errors import CatalogError, MissingRateError
 from .money import as_decimal, to_money, too_large
-from .months import Month, SimulationWindow
+from .months import SimulationWindow
 
 VM_HOURS = "vm_hours"
 STORAGE_GB_MONTH = "storage_gb_month"
@@ -284,17 +284,14 @@ def price_breakdown(entry: RateEntry, quantity: float | int | Decimal) -> Decima
 
 
 def reservation_charges(option: PurchaseOption,
-                        window: SimulationWindow) -> list[tuple[Month, Decimal]]:
-    """Upfront fees inside the window: first month, then each term renewal."""
+                        window: SimulationWindow) -> tuple[Decimal | None, ...]:
+    """Upfront fees aligned to ``window.months()``: the fee in the first month
+    and at each term renewal, ``None`` in every other month; ``()`` for a zero
+    fee."""
     if option.kind != RESERVED:
         raise ValueError("reservation charges apply to reserved options only")
     assert option.term_months is not None and option.upfront_fee is not None
     if option.upfront_fee == 0:
-        return []
-    fee = to_money(option.upfront_fee)
-    charges = []
-    month = window.start
-    while month <= window.end:
-        charges.append((month, fee))
-        month = month.add(option.term_months)
-    return charges
+        return ()
+    fee, term = to_money(option.upfront_fee), option.term_months
+    return tuple(None if index % term else fee for index in range(window.count))

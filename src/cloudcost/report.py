@@ -103,14 +103,14 @@ svg { background: #fafafa; border: 1px solid #ddd; }
 """
 
 
-def _monthly_chart(totals: Sequence[tuple[Month, Decimal]]) -> str:
+def _monthly_chart(months: Sequence[Month], totals: Sequence[Decimal]) -> str:
     width, height, pad = 720, 240, 40
-    top = max(float(t) for _, t in totals) or 1.0
+    top = max(float(t) for t in totals) or 1.0
     n = len(totals)
     step = (width - 2 * pad) / max(n - 1, 1)
     points = []
     circles = []
-    for i, (month, total) in enumerate(totals):
+    for i, (month, total) in enumerate(zip(months, totals)):
         x = pad + i * step
         y = height - pad - (float(total) / top) * (height - 2 * pad)
         points.append(f"{x:.2f},{y:.2f}")
@@ -120,10 +120,10 @@ def _monthly_chart(totals: Sequence[tuple[Month, Decimal]]) -> str:
     polyline = (f'<polyline fill="none" stroke="#36c" stroke-width="2" '
                 f'points="{" ".join(points)}"/>') if n > 1 else ""
     labels = (
-        f'<text x="{pad}" y="{height - 12}" font-size="11">{totals[0][0]}</text>'
+        f'<text x="{pad}" y="{height - 12}" font-size="11">{months[0]}</text>'
         f'<text x="{width - pad}" y="{height - 12}" font-size="11" '
-        f'text-anchor="end">{totals[-1][0]}</text>'
-        f'<text x="{pad}" y="{pad - 8}" font-size="11">max {format_money(max(t for _, t in totals))}</text>'
+        f'text-anchor="end">{months[-1]}</text>'
+        f'<text x="{pad}" y="{pad - 8}" font-size="11">max {format_money(max(totals))}</text>'
     )
     return (f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
             f'role="img">{polyline}{"".join(circles)}{labels}</svg>')
@@ -173,10 +173,10 @@ def _topology_section(model: m.DeploymentModel) -> str:
 
 
 def to_html(report: CostReport, summary: SummaryRow,
-            model: m.DeploymentModel, totals: Sequence[tuple[Month, Decimal]]) -> str:
+            model: m.DeploymentModel, totals: Sequence[Decimal]) -> str:
     """Single self-contained page: summary, monthly chart, rollup tables,
-    warnings and the model topology. ``totals`` is ``report.monthly_totals()``,
-    which the caller has already computed for the summary."""
+    warnings and the model topology. ``totals`` is ``report.monthly_totals()``
+    and ``summary`` their summary, which the caller has already computed."""
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8"/>',
@@ -185,11 +185,11 @@ def to_html(report: CostReport, summary: SummaryRow,
         "<h1>Cloud cost report</h1>",
         f"<p>Window {report.window.start} to {report.window.end} "
         f"({report.window.count} months) &middot; grand total "
-        f"<strong>{format_money(report.grand_total())} {_escape(report.currency)}</strong></p>",
+        f"<strong>{format_money(summary.total)} {_escape(report.currency)}</strong></p>",
     ]
     parts.append(_summary_table(summary, report.currency))
     parts.append("<h2>Monthly total</h2>")
-    parts.append(_monthly_chart(totals))
+    parts.append(_monthly_chart(report.window.months(), totals))
     parts.append(_rollup_table(report, "group", "Cost by group"))
     parts.append(_rollup_table(report, "dimension", "Cost by resource dimension"))
     if report.warnings:

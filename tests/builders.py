@@ -6,7 +6,7 @@ import copy
 import random
 from decimal import Decimal
 
-from cloudcost import elasticity, model, patterns as pt, pricing
+from cloudcost import elasticity, engine, model, patterns as pt, pricing
 from cloudcost.months import Month, SimulationWindow, month_calendar
 
 MONTHS = pt.MONTH_NAMES
@@ -33,9 +33,21 @@ def mutated(doc, *changes):
     return doc
 
 
+def add_months(month: Month, count: int) -> Month:
+    """The month ``count`` months after ``month``, or before it if ``count`` is
+    negative."""
+    year, index = divmod(month.year * 12 + month.month - 1 + count, 12)
+    return Month(year, index + 1)
+
+
 def month_days(month: Month) -> int:
     """The number of days in ``month``."""
     return next(month_calendar(month, month))[3]
+
+
+def report_total(report: engine.CostReport):
+    """The report's total: its monthly totals summed by ``summarize``."""
+    return engine.summarize(report.monthly_totals(), "total").total
 
 
 def month_quantity(schedule: elasticity.UsageSchedule, month: Month, start: Month) -> float:
@@ -100,28 +112,35 @@ def random_schedule(rng: random.Random) -> elasticity.UsageSchedule:
 
 
 def flat_catalog(rng: random.Random, placements: list[tuple[str, str]],
-                 currency: str = "USD", terms: tuple[int, ...] = (12,)) -> pricing.PriceCatalog:
+                 currency: str = "USD", terms: tuple[int, ...] = (12,),
+                 tiered: bool = False) -> pricing.PriceCatalog:
     """Flat nonnegative rates covering every key a generated model can need;
-    sku ``std`` is reservable on each of ``terms``, in months."""
+    sku ``std`` is reservable on each of ``terms``, in months. With ``tiered``,
+    about half the entries carry 2-3 marginal tiers instead of a flat rate."""
     entries = []
     skus = []
     for provider, region in placements:
         def rate() -> Decimal:
             return Decimal(rng.randint(0, 5000)) / Decimal(10000)
 
-        entries.append(pricing.RateEntry(provider, region, pricing.VM_HOURS,
-                                         sku="std", flat_price=rate()))
-        entries.append(pricing.RateEntry(provider, region, pricing.VM_HOURS,
-                                         flat_price=rate()))
+        def priced(dimension: str, sku: str | None = None,
+                   scope: str | None = None) -> pricing.RateEntry:
+            if tiered and rng.random() < 0.5:
+                bounds = sorted(rng.sample(range(1, 2000), rng.randint(1, 2)))
+                tiers = (*(pricing.Tier(Decimal(bound), rate()) for bound in bounds),
+                         pricing.Tier(None, rate()))
+                return pricing.RateEntry(provider, region, dimension, sku, scope, tiers=tiers)
+            return pricing.RateEntry(provider, region, dimension, sku, scope, rate())
+
+        entries.append(priced(pricing.VM_HOURS, sku="std"))
+        entries.append(priced(pricing.VM_HOURS))
         for dim in (pricing.STORAGE_GB_MONTH, pricing.IO_IN_REQUESTS,
                     pricing.IO_OUT_REQUESTS, pricing.IO_GB):
-            entries.append(pricing.RateEntry(provider, region, dim, flat_price=rate()))
-            entries.append(pricing.RateEntry(provider, region, dim, sku="disk",
-                                             flat_price=rate()))
+            entries.append(priced(dim))
+            entries.append(priced(dim, sku="disk"))
         for dim in (pricing.DATA_IN_GB, pricing.DATA_OUT_GB):
             for scope in pricing.SCOPES:
-                entries.append(pricing.RateEntry(provider, region, dim, scope=scope,
-                                                 flat_price=rate()))
+                entries.append(priced(dim, scope=scope))
         skus.append(pricing.InstanceSku(provider, region, "std", (
             pricing.PurchaseOption(pricing.ON_DEMAND, rate()),
             *(pricing.PurchaseOption(pricing.RESERVED, rate() / 2, term,

@@ -132,6 +132,28 @@ def oracle_tiered_price(tiers: list[tuple[int | None, Decimal]], quantity: int) 
     return total
 
 
+def _next_month(year: int, month: int) -> tuple[int, int]:
+    return (year + 1, 1) if month == 12 else (year, month + 1)
+
+
+def oracle_fee_column(fee: Decimal, term: int, start: tuple[int, int],
+                      end: tuple[int, int]) -> list[Decimal | None]:
+    """The upfront fee of each month from ``start`` through ``end``, or None:
+    charged in ``start``, and again whenever ``term`` more months have been
+    stepped through, one at a time."""
+    column: list[Decimal | None] = []
+    month = renewal = start
+    while month <= end:
+        if month == renewal:
+            column.append(fee)
+            for _ in range(term):
+                renewal = _next_month(*renewal)
+        else:
+            column.append(None)
+        month = _next_month(*month)
+    return column
+
+
 def oracle_radar(ratings: dict[str, int], items) -> tuple[tuple[str, str, float, int], ...]:
     """Each (kind, category, mean rating, rated count) by a full scan of the
     items per pair: benefits then risks, categories in the documented order,

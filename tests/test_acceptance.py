@@ -19,11 +19,12 @@ from cloudcost.cli import main
 from cloudcost.errors import PatternError
 from cloudcost.months import Month, SimulationWindow
 
-from builders import (PLACEMENTS, flat_catalog, month_quantity, random_model,
-                      random_schedule, table_entry)
+from builders import (PLACEMENTS, add_months, flat_catalog, month_quantity,
+                      random_model, random_schedule, report_total, table_entry)
 from oracle import oracle_month_quantity, oracle_tiered_price
 
-GOLDEN = Path(__file__).parent / "golden" / "demo_report.csv"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "demo_report.csv"
 
 
 def series_with(first: str, total: str, months: int = 36) -> list[Decimal]:
@@ -142,7 +143,7 @@ def test_pattern_semantics_against_day_loop_oracle():
     for _ in range(1000):
         schedule = random_schedule(rng)
         start = Month(rng.randint(2009, 2012), rng.randint(1, 12))
-        month = start.add(rng.randint(0, 23))
+        month = add_months(start, rng.randint(0, 23))
         got = month_quantity(schedule, month, start)
         want = oracle_month_quantity(schedule.kind_class, schedule.baseline,
                                      schedule.patterns,
@@ -178,9 +179,9 @@ def test_rollup_conservation_on_random_models():
         scenario = random_model(rng)
         catalog = flat_catalog(rng, PLACEMENTS)
         start = Month(rng.randint(2010, 2012), rng.randint(1, 12))
-        window = SimulationWindow(start, start.add(rng.randint(0, 3)))
+        window = SimulationWindow(start, add_months(start, rng.randint(0, 3)))
         rep = engine.simulate(scenario, catalog, window)
-        grand = rep.grand_total()
+        grand = report_total(rep)
         for by in engine.ROLLUP_KEYS:
             assert sum((total for _, total in engine.rollup(rep, by)),
                        Decimal(0)) == grand
@@ -205,7 +206,7 @@ def test_usage_monotonicity_under_flat_catalogs():
     for _ in range(60):
         scenario = random_model(rng)
         catalog = flat_catalog(rng, PLACEMENTS)
-        base_total = engine.simulate(scenario, catalog, window).grand_total()
+        base_total = report_total(engine.simulate(scenario, catalog, window))
         nodes = list(scenario.nodes)
         targets = [(i, j) for i, node in enumerate(nodes)
                    for j, _ in enumerate(node.requirements)]
@@ -216,14 +217,13 @@ def test_usage_monotonicity_under_flat_catalogs():
         reqs[j] = reqs[j]._replace(baseline=reqs[j].baseline + rng.uniform(1, 500))
         nodes[i] = nodes[i]._replace(requirements=tuple(reqs))
         raised = scenario._replace(nodes=tuple(nodes))
-        assert engine.simulate(raised, catalog, window).grand_total() >= base_total
+        assert report_total(engine.simulate(raised, catalog, window)) >= base_total
 
     demo = cloudcost.parse_model(cloudcost.data_path("demo_model.json").read_text())
     catalog = pricing.load_catalog(cloudcost.data_path("demo_catalog.json").read_text())
     full_window = SimulationWindow(Month(2011, 1), Month(2011, 12))
-    around_the_clock = engine.simulate(demo, catalog, full_window).grand_total()
-    elastic = engine.simulate(_elastic_variant(demo), catalog,
-                              full_window).grand_total()
+    around_the_clock = report_total(engine.simulate(demo, catalog, full_window))
+    elastic = report_total(engine.simulate(_elastic_variant(demo), catalog, full_window))
     assert elastic <= around_the_clock
     assert time.monotonic() - began < 10.0
 
@@ -247,10 +247,10 @@ def test_reserved_upfront_produces_first_month_spike():
     rep = engine.simulate(m.DeploymentModel("reserved", (node,)), catalog,
                           SimulationWindow(Month(2011, 1), Month(2013, 12)),
                           {"vm1": engine.PlanChoice(pricing.RESERVED, 36)})
-    totals = [total for _, total in rep.monthly_totals()]
+    totals = rep.monthly_totals()
     later_avg = sum(totals[1:], Decimal(0)) / (len(totals) - 1)
     assert totals[0] > 10 * later_avg
-    share = Fraction(upfront) / Fraction(rep.grand_total())
+    share = Fraction(upfront) / Fraction(report_total(rep))
     assert abs(share - Fraction(3, 10)) < Fraction(1, 1000)
     assert time.monotonic() - began < 1.0
 
@@ -319,6 +319,8 @@ def test_report_determinism_and_golden_csv(tmp_path):
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
     assert (a / "report.html").read_bytes() == (b / "report.html").read_bytes()
     assert (a / "report.csv").read_bytes() == GOLDEN.read_bytes()
+    assert (a / "report.html").read_bytes() == (GOLDEN_DIR / "demo_report.html").read_bytes()
+    assert (a / "summary.json").read_bytes() == (GOLDEN_DIR / "demo_summary.json").read_bytes()
     summary = json.loads((a / "summary.json").read_text())
     identity_gap = (Decimal(summary["monthly_avg"]) * (summary["months"] - 1)
                     + Decimal(summary["first_month"]) - Decimal(summary["total"]))

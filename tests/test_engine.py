@@ -10,7 +10,8 @@ from cloudcost.errors import EvaluationError, MissingRateError, PlanError, Windo
 from cloudcost.money import to_money
 from cloudcost.months import Month, SimulationWindow
 
-from builders import PLACEMENTS, flat_catalog, random_model, table_entry
+from builders import (PLACEMENTS, add_months, flat_catalog, random_model, report_total,
+                      table_entry)
 
 
 def vm(node_id="vm1", provider="aws", region="us-east", sku="standard.small",
@@ -30,7 +31,7 @@ def catalog_of(*entries, skus=(), currency="USD"):
 
 
 def window(months, start=Month(2011, 1)):
-    return SimulationWindow(start, start.add(months - 1))
+    return SimulationWindow(start, add_months(start, months - 1))
 
 
 def assert_prefix(whole, first):
@@ -54,7 +55,7 @@ class TestSimulate:
         report = engine.simulate(m.DeploymentModel("one", (vm(),)), BASIC_CATALOG,
                                  window(3))
         assert len(report.lines) == 3
-        assert report.grand_total() == Decimal("216.000000")
+        assert report.monthly_totals() == [Decimal("72.000000")] * 3
         assert all(line.cost == Decimal("72.000000") for line in report.lines)
 
     def test_intra_region_transfer_is_free(self):
@@ -125,11 +126,11 @@ class TestSimulate:
         plan = {"vm1": engine.PlanChoice(pricing.RESERVED, 36)}
         report = engine.simulate(m.DeploymentModel("r", (vm(),)), catalog,
                                  window(36), plan)
-        totals = [total for _, total in report.monthly_totals()]
+        totals = report.monthly_totals()
         first = totals[0]
         later_avg = sum(totals[1:], Decimal(0)) / (len(totals) - 1)
         assert first > 10 * later_avg
-        upfront_share = Fraction(upfront) / Fraction(report.grand_total())
+        upfront_share = Fraction(upfront) / Fraction(report_total(report))
         assert abs(upfront_share - Fraction(3, 10)) < Fraction(1, 1000)
 
     def test_reserved_hours_use_reserved_rate(self):
@@ -320,7 +321,9 @@ class TestSimulate:
                 if node.id in plan:
                     option = catalog.find_sku(*node.placement, "std").reserved_option(
                         plan[node.id].term_months)
-                    fees = [month for month, _ in pricing.reservation_charges(option, span)]
+                    fees = [month for month, fee in zip(
+                        span.months(), pricing.reservation_charges(option, span))
+                            if fee is not None]
                     if fees:
                         expected[node.id, engine.RESERVATION_UPFRONT] = fees
                         seen["sparse fees"] += len(fees) < span.count
@@ -355,9 +358,10 @@ class TestSimulate:
                   for _ in range(25)]
         start = Month(2011, 1)
         for scenario, catalog, split in cases:
-            whole = engine.simulate(scenario, catalog, SimulationWindow(start, start.add(5)))
+            whole = engine.simulate(scenario, catalog,
+                                    SimulationWindow(start, add_months(start, 5)))
             first = engine.simulate(scenario, catalog,
-                                    SimulationWindow(start, start.add(split - 1)))
+                                    SimulationWindow(start, add_months(start, split - 1)))
             assert_prefix(whole, first)
 
     def test_usage_records(self):
@@ -405,9 +409,9 @@ class TestSimulate:
         plan = {"vm1": engine.PlanChoice(pricing.RESERVED, 12)}
         start = Month(2011, 1)
         whole = engine.simulate(scenario, catalog,
-                                SimulationWindow(start, start.add(23)), plan)
+                                SimulationWindow(start, add_months(start, 23)), plan)
         first = engine.simulate(scenario, catalog,
-                                SimulationWindow(start, start.add(11)), plan)
+                                SimulationWindow(start, add_months(start, 11)), plan)
         assert_prefix(whole, first)
 
     def test_merging_regions_never_raises_transfer_cost(self):
@@ -593,8 +597,8 @@ class TestCostReport:
                                  pricing.load_catalog(demo_catalog_text),
                                  SimulationWindow(Month(2011, 1), Month(2020, 12)))
         # Feb has no lines; March's sum rounds differently in any other order, and
-        # so does the grand total, which adds b's April cost after March's lines
-        # (each series has its first month, a January line costing 0)
+        # so does the vm_hours rollup, which adds b's April cost after March's
+        # lines (each series has its first month, a January line costing 0)
         gap = engine.CostReport(window(4), (
             series_costing("a", 0, None, "1e21", None),
             series_costing("b", 0, None, "0.0000006", "0.0000005"),
@@ -611,8 +615,8 @@ class TestCostReport:
             totals = {month: Decimal(0) for month in report.window.months()}
             for line in report.lines:
                 totals[line.month] += line.cost
-            expected = [(month, str(to_money(total))) for month, total in totals.items()]
-            assert [(month, str(total)) for month, total in report.monthly_totals()] == expected
+            expected = [str(to_money(total)) for total in totals.values()]
+            assert [str(total) for total in report.monthly_totals()] == expected
             for by in engine.ROLLUP_KEYS:
                 keyed = {}
                 for line in report.lines:  # month-major, in line order
@@ -620,22 +624,68 @@ class TestCostReport:
                     keyed[key] = keyed.get(key, Decimal(0)) + line.cost
                 assert [(key, str(total)) for key, total in engine.rollup(report, by)] == [
                     (key, str(to_money(keyed[key]))) for key in sorted(keyed)]
-            grand = Decimal(0)
-            for line in report.lines:
-                grand += line.cost
-            assert str(report.grand_total()) == str(to_money(grand))
-        assert [str(total) for _, total in gap.monthly_totals()] == [
+        assert [str(total) for total in gap.monthly_totals()] == [
             "1.000000", "0.000000", "1000000000000000000000.000002", "0.000000"]
         # adding series by series, a first, would give ...001.000003
-        assert str(gap.grand_total()) == "1000000000000000000001.000002"
-        assert engine.rollup(gap, "dimension") == [("vm_hours", gap.grand_total())]
-        assert [str(total) for _, total in zeros.monthly_totals()] == [
+        assert [(key, str(total)) for key, total in engine.rollup(gap, "dimension")] == [
+            ("vm_hours", "1000000000000000000001.000002")]
+        assert [str(total) for total in zeros.monthly_totals()] == [
             "2.000000", "0.000000", "1.500000"]
         assert [(key, str(total)) for key, total in engine.rollup(zeros, "group")] == [
             ("", "2.000000"), ("a", "1.500000"), ("b", "0.000000")]
-        assert [str(total) for _, total in empty.monthly_totals()] == ["0.000000"] * 2
-        assert str(empty.grand_total()) == "0.000000"
+        assert [str(total) for total in empty.monthly_totals()] == ["0.000000"] * 2
+        assert str(report_total(empty)) == "0.000000"
         assert all(engine.rollup(empty, by) == [] for by in engine.ROLLUP_KEYS)
+
+
+class TestTotals:
+    @staticmethod
+    def assert_totals_are_line_sums(report):
+        """The summary total is a plain += over the line costs, and each monthly
+        total its month's; compared as text, so sign and exponent count."""
+        grand = Decimal("0.000000")
+        by_month = {month: Decimal("0.000000") for month in report.window.months()}
+        for line in report.lines:
+            grand += line.cost
+            by_month[line.month] += line.cost
+        assert str(engine.summarize(report.monthly_totals(), "x").total) == str(grand)
+        assert [str(total) for total in report.monthly_totals()] == [
+            str(total) for total in by_month.values()]
+
+    def test_summary_total_is_the_line_sum_on_random_models(self):
+        # tiers on some dimensions, some machines reserved on every term, and
+        # windows that cross a year end
+        rng = random.Random(2811)
+        terms = (1, 2, 5, 12, 36)
+        seen = Counter()
+        for _ in range(150):
+            scenario = random_model(rng, max_nodes=6)
+            catalog = flat_catalog(rng, PLACEMENTS, terms=terms, tiered=True)
+            start = Month(rng.randint(2009, 2012), rng.randint(9, 12))
+            span = window(rng.randint(14 - start.month, 40), start)
+            plan = {node.id: engine.PlanChoice(pricing.RESERVED, rng.choice(terms))
+                    for node in scenario.nodes
+                    if node.vm_spec is not None and node.vm_spec.sku and rng.random() < 0.6}
+            try:
+                report = engine.simulate(scenario, catalog, span, plan)
+            except EvaluationError:  # a random pattern can grow past any price
+                continue
+            self.assert_totals_are_line_sums(report)
+            seen["priced"] += 1
+            seen["fees"] += any(item.dimension == engine.RESERVATION_UPFRONT
+                                for item in report.series)
+        assert seen["priced"] > 100 and seen["fees"] > 20
+
+    def test_summary_total_is_the_line_sum_on_the_reserved_demo(self, demo_model_text,
+                                                                 demo_catalog_text):
+        demo = m.parse_model(demo_model_text)
+        plan = {node.id: engine.PlanChoice(pricing.RESERVED, 36)
+                for node in demo.nodes if node.kind == m.VIRTUAL_MACHINE}
+        report = engine.simulate(demo, pricing.load_catalog(demo_catalog_text),
+                                 window(40, Month(2010, 11)), plan)
+        fees = [item for item in report.series if item.dimension == engine.RESERVATION_UPFRONT]
+        assert len(fees) == len(plan)
+        self.assert_totals_are_line_sums(report)
 
 
 class TestRollup:
@@ -649,7 +699,7 @@ class TestRollup:
         import cloudcost
         report = engine.simulate(cloudcost.parse_model(demo_model_text),
                                  pricing.load_catalog(demo_catalog_text), window(3))
-        grand = Fraction(report.grand_total())
+        grand = Fraction(report_total(report))
         shares = [Fraction(total) / grand for _, total in engine.rollup(report, "dimension")]
         assert sum(shares) == 1
 
@@ -659,7 +709,7 @@ class TestRollup:
             scenario = random_model(rng)
             catalog = flat_catalog(rng, PLACEMENTS)
             report = engine.simulate(scenario, catalog, window(rng.randint(1, 4)))
-            grand = report.grand_total()
+            grand = report_total(report)
             for by in engine.ROLLUP_KEYS:
                 keyed = engine.rollup(report, by)
                 assert sum((total for _, total in keyed), Decimal(0)) == grand
@@ -677,7 +727,7 @@ class TestSummarize:
     def test_report_summary_identity(self):
         report = engine.simulate(m.DeploymentModel("one", (vm(),)), BASIC_CATALOG,
                                  window(3))
-        row = engine.summarize([total for _, total in report.monthly_totals()], "one")
+        row = engine.summarize(report.monthly_totals(), "one")
         exact = Fraction(row.total - row.first_month) / (row.months - 1)
         assert row.monthly_avg == round(exact * 100) / 100
 
@@ -842,11 +892,11 @@ class TestMonotonicity:
             scenario = random_model(rng, with_patterns=True)
             catalog = flat_catalog(rng, PLACEMENTS)
             win = window(rng.randint(1, 3))
-            base_total = engine.simulate(scenario, catalog, win).grand_total()
+            base_total = report_total(engine.simulate(scenario, catalog, win))
             bumped = _bump_some_baseline(scenario, rng)
             if bumped is None:
                 continue
-            assert engine.simulate(bumped, catalog, win).grand_total() >= base_total
+            assert report_total(engine.simulate(bumped, catalog, win)) >= base_total
 
 
 def _bump_some_baseline(scenario, rng):

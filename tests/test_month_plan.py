@@ -17,7 +17,7 @@ from cloudcost import elasticity as el, patterns as pt
 from cloudcost.errors import EvaluationError
 from cloudcost.months import Month, SimulationWindow
 
-from builders import random_pattern_text, random_schedule
+from builders import add_months, random_pattern_text, random_schedule
 from oracle import oracle_replay
 from test_elasticity import clamp_events
 
@@ -64,7 +64,7 @@ def test_one_plan_serves_stocks_and_flows_at_every_baseline():
     for _ in range(60):
         specs = random_schedule(rng).patterns + (pt.parse_pattern(CLAMPING),)
         start = Month(rng.randint(2010, 2013), rng.randint(1, 12))
-        window = SimulationWindow(start, start.add(rng.randint(0, 14)))
+        window = SimulationWindow(start, add_months(start, rng.randint(0, 14)))
         plan = el.month_plan(specs, window)
         for kind_class in (el.STOCK, el.FLOW):
             for baseline in (0.0, 1.0, 97.5, 1e6):

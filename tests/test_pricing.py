@@ -10,7 +10,8 @@ from cloudcost import pricing
 from cloudcost.errors import CatalogError, EvaluationError, MissingRateError
 from cloudcost.months import Month, SimulationWindow
 
-from oracle import oracle_tiered_price
+from builders import add_months
+from oracle import oracle_fee_column, oracle_tiered_price
 
 
 def catalog_doc(**overrides):
@@ -343,23 +344,38 @@ class TestReservationCharges:
                                       term, Decimal(upfront))
 
     def window(self, months):
-        return SimulationWindow(Month(2011, 1), Month(2011, 1).add(months - 1))
+        return SimulationWindow(Month(2011, 1), add_months(Month(2011, 1), months - 1))
 
     def test_single_term(self):
         charges = pricing.reservation_charges(self.reserved("1000", 36), self.window(36))
-        assert charges == [(Month(2011, 1), Decimal("1000.000000"))]
+        assert charges == (Decimal("1000.000000"),) + (None,) * 35
 
     def test_renewal_boundaries(self):
-        charges = pricing.reservation_charges(self.reserved("1000", 12), self.window(36))
-        assert [month for month, _ in charges] == [
+        window = self.window(36)
+        charges = pricing.reservation_charges(self.reserved("1000", 12), window)
+        assert [month for month, fee in zip(window.months(), charges) if fee is not None] == [
             Month(2011, 1), Month(2012, 1), Month(2013, 1)]
+
+    @pytest.mark.parametrize("term", [1, 2, 5, 12, 36])
+    @pytest.mark.parametrize("first", [(2011, 1), (2011, 11)], ids=["jan", "nov"])
+    def test_fee_column_matches_a_hand_stepped_oracle(self, term, first):
+        option = self.reserved("1000.5", term)
+        end = first
+        for count in range(1, 41):  # windows of 1-40 months
+            column = pricing.reservation_charges(option, SimulationWindow(Month(*first),
+                                                                          Month(*end)))
+            expected = oracle_fee_column(Decimal("1000.500000"), term, first, end)
+            assert len(column) == len(expected) == count
+            assert [None if fee is None else str(fee) for fee in column] == [
+                None if fee is None else str(fee) for fee in expected]
+            end = (end[0] + 1, 1) if end[1] == 12 else (end[0], end[1] + 1)
 
     def test_fee_beyond_decimal_precision_is_named_error(self):
         with pytest.raises(EvaluationError, match="exceeds the 28-digit decimal precision"):
             pricing.reservation_charges(self.reserved("1E+30", 12), self.window(12))
 
     def test_zero_upfront_is_empty(self):
-        assert pricing.reservation_charges(self.reserved("0", 12), self.window(36)) == []
+        assert pricing.reservation_charges(self.reserved("0", 12), self.window(36)) == ()
 
     def test_on_demand_rejected(self):
         option = pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10"))

@@ -19,7 +19,7 @@ from cloudcost import elasticity as el, patterns as pt
 from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
-from builders import month_days
+from builders import add_months, month_days
 from oracle import oracle_replay
 from test_elasticity import clamp_events, schedule
 
@@ -53,7 +53,7 @@ DAY_CLAUSES = (
                                       ("temp", "*3"), ("temp", "-120")])
 def test_every_day_clause_on_every_month_shape_matches_oracle(mode, op, first):
     for month in MONTHS:
-        start = month if first else month.add(-1)
+        start = month if first else add_months(month, -1)
         for clause in DAY_CLAUSES:
             sched = schedule(el.FLOW, 100, f"{mode}: every month{clause} {op}")
             got, warnings = el.monthly_series(sched, SimulationWindow(start, month))

@@ -10,6 +10,7 @@ import cloudcost
 from cloudcost import engine, model as m, pricing, report
 from cloudcost.months import Month, SimulationWindow
 
+from builders import report_total
 from test_engine import BASIC_CATALOG, catalog_of, entry, vm, window
 
 
@@ -24,8 +25,7 @@ def parse_csv(text):
 
 def page_of(rep, scenario):
     totals = rep.monthly_totals()
-    return report.to_html(rep, engine.summarize([t for _, t in totals], scenario.name),
-                          scenario, totals)
+    return report.to_html(rep, engine.summarize(totals, scenario.name), scenario, totals)
 
 
 class TestCsv:
@@ -44,7 +44,7 @@ class TestCsv:
         rep = one_line_report(months=4)
         rows = parse_csv(report.to_csv(rep))[1:]
         column_total = sum(Decimal(row[-1]) for row in rows)
-        assert column_total == rep.grand_total()
+        assert column_total == report_total(rep)
 
     def test_rows_sorted_by_month_subject_dimension(self, demo_model_text,
                                                     demo_catalog_text):
