@@ -2,13 +2,14 @@
 
 These deliberately re-derive everything from first principles: calendar
 arithmetic via datetime/timedelta, month lengths via date subtraction,
-tier pricing via a unit-by-unit loop. They must not import the library's
-evaluation or pricing code paths (parsed pattern ASTs are shared; the
-semantics are not).
+tier pricing via a unit-by-unit loop, and pattern text read by a regex of
+README's grammar. They import nothing from ``cloudcost``: a parsed pattern
+is read only for its ``source`` text.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import date, timedelta
 from decimal import Decimal
 
@@ -22,31 +23,63 @@ def _days_in_month(year: int, month: int) -> int:
     return (after - first).days
 
 
-def _month_matches(selector, month_number: int) -> bool:
-    if selector.start is None:
-        return True
-    if selector.start <= selector.end:
-        return selector.start <= month_number <= selector.end
-    return month_number >= selector.start or month_number <= selector.end
+_MONTHS = ("jan", "feb", "mar", "apr", "may", "jun",
+           "jul", "aug", "sep", "oct", "nov", "dec")
+_WEEKDAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+_PATTERN = re.compile(r"\s*(temp|perm)\s*:\s*every\s+([a-z]+(?:-[a-z]+)?)\s*"
+                      r"(?:on\s*([0-9]+(?:-[0-9]+)?|[a-z]+(?:-[a-z]+)?)\s*)?"
+                      r"([-+*/^])\s*(\S+)\s*", re.IGNORECASE)
 
 
-def _day_matches(selector, day: date) -> bool:
-    kind = selector.kind
-    if kind == "everyday":
-        return True
-    if kind == "weekdays":
-        return day.weekday() in (0, 1, 2, 3, 4)
-    if kind == "weekends":
-        return day.weekday() in (5, 6)
-    if kind == "dom":
-        return day.day == selector.a
-    if kind == "dom_range":
-        return selector.a <= day.day <= selector.b
-    if kind == "dow":
-        return day.weekday() == selector.a
-    if kind == "dow_range":
-        return selector.a <= day.weekday() <= selector.b
-    raise AssertionError(kind)
+def _name_range(names: tuple[str, ...], token: str) -> list[int]:
+    """The 0-based indexes ``token`` names: one name, or an inclusive range
+    of two that may wrap past the last name."""
+    lo, _, hi = token.partition("-")
+    a = names.index(lo)
+    b = names.index(hi or lo)
+    return [(a + k) % len(names) for k in range((b - a) % len(names) + 1)]
+
+
+def read_pattern(text: str) -> tuple[str, set[int], tuple[set[int], set[int]] | None, str, float]:
+    """``(mode, month numbers, days, op, operand)`` of a valid pattern, read
+    with README's grammar. ``days`` is None for a missing day clause, else the
+    days of month and the weekdays (0 is Monday) it selects."""
+    match = _PATTERN.fullmatch(text)
+    assert match, text
+    mode, months, days, op, operand = match.groups()
+    months = months.lower()
+    selected = set(range(1, 13)) if months == "month" else {
+        index + 1 for index in _name_range(_MONTHS, months)}
+    selects = None
+    if days is not None:
+        days = days.lower()
+        if days[0].isdigit():
+            lo, _, hi = days.partition("-")
+            selects = set(range(int(lo), int(hi or lo) + 1)), set()
+        else:
+            keyword = {"everyday": range(7), "weekdays": range(5), "weekends": (5, 6)}.get(days)
+            selects = set(), set(_name_range(_WEEKDAYS, days) if keyword is None else keyword)
+    return mode.lower(), selected, selects, op, float(operand)
+
+
+def _fires(pattern, day: date, in_first_month: bool) -> bool:
+    """Whether a :func:`read_pattern` result applies on ``day``. Without a day
+    clause a temp applies on every day, a perm on day 1 after the first
+    simulated month."""
+    mode, months, days = pattern[:3]
+    if day.month not in months:
+        return False
+    if days is None:
+        return mode == "temp" or (day.day == 1 and not in_first_month)
+    return day.day in days[0] or day.weekday() in days[1]
+
+
+def oracle_firing_days(text: str, year: int, month: int, first: bool) -> set[int]:
+    """The days of a month on which the pattern ``text`` applies; ``first``
+    tells whether the month is the first simulated one."""
+    pattern = read_pattern(text)
+    return {day for day in range(1, _days_in_month(year, month) + 1)
+            if _fires(pattern, date(year, month, day), first)}
 
 
 def _apply(value: float, op: str, operand: float) -> float:
@@ -69,10 +102,12 @@ def oracle_replay(kind_class: str, baseline: float, patterns,
                   ) -> tuple[float, list[tuple[date, int]]]:
     """Day-by-day replay of the documented pattern semantics.
 
+    Each pattern is read from its ``source`` text by :func:`read_pattern`.
     Returns the target month's quantity and every clamp from the first
     simulated day through the target month's last day, in order, as
     (day, zero-based pattern index).
     """
+    read = [read_pattern(p.source) for p in patterns]
     start_year, start_month = sim_start
     target_year, target_month = month
     level = float(baseline)
@@ -89,23 +124,16 @@ def oracle_replay(kind_class: str, baseline: float, patterns,
 
     while day <= end:
         in_first_month = (day.year, day.month) == (start_year, start_month)
-        for index, p in enumerate(patterns):
-            if p.mode != "perm" or not _month_matches(p.months, day.month):
-                continue
-            if p.days.kind == "empty":
-                if day.day == 1 and not in_first_month:
-                    level = clamped(_apply(level, p.op, p.operand), index)
-            elif _day_matches(p.days, day):
-                level = clamped(_apply(level, p.op, p.operand), index)
+        for index, pattern in enumerate(read):
+            if pattern[0] == "perm" and _fires(pattern, day, in_first_month):
+                level = clamped(_apply(level, *pattern[3:]), index)
         if kind_class == "stock":
             value = level
         else:
             value = level / _days_in_month(day.year, day.month)
-        for index, p in enumerate(patterns):
-            if p.mode != "temp" or not _month_matches(p.months, day.month):
-                continue
-            if p.days.kind == "empty" or _day_matches(p.days, day):
-                value = clamped(_apply(value, p.op, p.operand), index)
+        for index, pattern in enumerate(read):
+            if pattern[0] == "temp" and _fires(pattern, day, in_first_month):
+                value = clamped(_apply(value, *pattern[3:]), index)
         if (day.year, day.month) == (target_year, target_month):
             total += value
         day += timedelta(days=1)

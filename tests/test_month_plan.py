@@ -6,9 +6,11 @@ window month, whatever the baseline and kind class, and
 kind with every operator, next to a seeded extra pattern and a clamping temp,
 over windows that start with a day-less perm's first month, cross a year end
 or hold a leap February, and check the walk of one plan against a fresh call
-and the day-loop oracle.
+and the day-loop oracle. Every day and month clause of the grammar also fires
+on the days the oracle's own reader of the pattern text selects.
 """
 
+import calendar
 import random
 
 import pytest
@@ -17,8 +19,8 @@ from cloudcost import elasticity as el, patterns as pt
 from cloudcost.errors import EvaluationError
 from cloudcost.months import Month, SimulationWindow
 
-from builders import add_months, random_pattern_text, random_schedule
-from oracle import oracle_replay
+from builders import DOWS, MONTHS, add_months, random_pattern_text, random_schedule
+from oracle import oracle_firing_days, oracle_replay
 from test_elasticity import clamp_events
 
 DAY_CLAUSES = ["", " on everyday", " on weekdays", " on weekends", " on 29", " on 27-31",
@@ -30,6 +32,56 @@ WINDOWS = [
     SimulationWindow(Month(2099, 12), Month(2100, 3)),  # 2100 is not a leap year
 ]
 CLAMPING = "temp: every dec-feb on weekends -1e4"
+# Every day clause: none, each day of month and ordered day range, each weekday
+# and ordered weekday range, and the three keywords.
+EVERY_DAY_CLAUSE = ["", *(f" on {a}" for a in range(1, 32)),
+                    *(f" on {a}-{b}" for a in range(1, 32) for b in range(a, 32)),
+                    *(f" on {a}" for a in DOWS),
+                    *(f" on {a}-{b}" for i, a in enumerate(DOWS) for b in DOWS[i:]),
+                    " on everyday", " on weekdays", " on weekends"]
+EVERY_MONTH_CLAUSE = ["month", *MONTHS, *(f"{a}-{b}" for a in MONTHS for b in MONTHS)]
+
+
+def planned_days(plan, count: int) -> list[dict[int, set[int]]]:
+    """Each planned month's firing days of each of ``count`` patterns, by
+    pattern index; an inactive pattern fires on no day."""
+    months = []
+    for _, _, days_in_month, _, perms, temps in plan:
+        fired = {i: set() for i in range(count)}
+        for fires, _, _, i, _ in perms + temps:
+            fired[i] = {day for day in range(1, days_in_month + 1) if fires >> day & 1}
+        months.append(fired)
+    return months
+
+
+def test_every_day_clause_fires_on_the_days_the_oracle_reads():
+    texts = [f"{mode}: every month{clause} *2" for clause in EVERY_DAY_CLAUSE
+             for mode in ("temp", "perm")]
+    specs = tuple(map(pt.parse_pattern, texts))
+    # one month per (weekday of day 1, month length): 28 years hold all 28 pairs
+    shapes = {calendar.monthrange(year, month): (year, month)
+              for year in range(2000, 2028) for month in range(1, 13)}
+    assert len(shapes) == 28
+    for year, month in shapes.values():
+        # the month before is the first simulated one, where a day-less perm waits
+        window = SimulationWindow(add_months(Month(year, month), -1), Month(year, month))
+        first, second = planned_days(el.month_plan(specs, window), len(texts))
+        before = window.start
+        for i, text in enumerate(texts):
+            assert first[i] == oracle_firing_days(text, before.year, before.month, True), text
+            assert second[i] == oracle_firing_days(text, year, month, False), text
+
+
+def test_every_month_clause_fires_in_the_months_the_oracle_reads():
+    texts = [f"{mode}: every {clause}{days} *2" for clause in EVERY_MONTH_CLAUSE
+             for mode in ("temp", "perm") for days in ("", " on 1")]
+    specs = tuple(map(pt.parse_pattern, texts))
+    window = SimulationWindow(Month(2011, 12), Month(2013, 1))  # a leap year and both year ends
+    for month, fired in zip(window.months(), planned_days(el.month_plan(specs, window),
+                                                          len(texts))):
+        first = month == window.start
+        for i, text in enumerate(texts):
+            assert fired[i] == oracle_firing_days(text, month.year, month.month, first), text
 
 
 def oracle_series(schedule, window):
