@@ -276,6 +276,8 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
             err(f"nodes[{i}].id", f"duplicate node id {node.id!r}")
         else:
             node_ids[node.id] = i
+        if node.kind not in NODE_KINDS:
+            err(f"nodes[{i}].kind", f"unknown node kind {node.kind!r}")
         if node.kind == REMOTE_NODE:
             if node.placement is not None:
                 err(f"nodes[{i}].placement", "remote nodes carry no placement")
@@ -318,6 +320,8 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
         if artifact.id in artifact_ids:
             err(f"artifacts[{i}].id", f"duplicate artifact id {artifact.id!r}")
         artifact_ids.add(artifact.id)
+        if artifact.kind not in ARTIFACT_KINDS:
+            err(f"artifacts[{i}].kind", f"unknown artifact kind {artifact.kind!r}")
 
     artifact_by_id = {a.id: a for a in model.artifacts}
     for i, binding in enumerate(model.bindings):

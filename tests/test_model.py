@@ -247,6 +247,16 @@ class TestValidate:
                 else:
                     assert illegal, (node_kind, req_kind)
 
+    def test_unknown_node_and_artifact_kinds_flagged(self):
+        # the JSON reader rejects these kinds; a model built in code reaches validate
+        nodes = (m.Node("x", "bogus", m.Placement("nimbus", "us-east")),
+                 m.Node("s", m.VIRTUAL_STORAGE, m.Placement("nimbus", "us-east")))
+        bad = m.DeploymentModel("t", nodes, (m.ArtifactItem("a1", "weird"),),
+                                (m.DeploymentBinding("a1", "s"),))
+        assert [(d.path, d.message) for d in m.validate(bad)] == [
+            ("artifacts[0].kind", "unknown artifact kind 'weird'"),
+            ("nodes[0].kind", "unknown node kind 'bogus'")]
+
     def test_storage_requirement_on_vm_flagged(self):
         node = _node_of_kind(m.VIRTUAL_MACHINE, m.STORAGE_GB)
         diags = m.validate(m.DeploymentModel("bad", (node,)))
