@@ -326,3 +326,15 @@ def test_report_determinism_and_golden_csv(tmp_path):
                     + Decimal(summary["first_month"]) - Decimal(summary["total"]))
     assert abs(identity_gap) <= Decimal("0.01") * summary["months"]
     assert time.monotonic() - began < 5.0
+
+
+def test_every_grammar_form_gives_its_golden_csv(tmp_path, capsys):
+    # one VM per month and day clause form, and a clamping temp, over a window
+    # that crosses a year end and holds a leap February
+    code = main(["export-csv", "--model", str(GOLDEN_DIR / "patterns_model.json"),
+                 "--catalog", str(cloudcost.data_path("demo_catalog.json")),
+                 "--start", "2011-11", "--end", "2012-03", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "report.csv").read_bytes() == (
+        GOLDEN_DIR / "patterns_report.csv").read_bytes()
+    assert "vm-clamping-temp/vm_hours: clamped" in capsys.readouterr().err
