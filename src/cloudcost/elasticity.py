@@ -2,8 +2,11 @@
 and its patterns.
 
 The patterns themselves, their grammar and parser, are
-:mod:`cloudcost.patterns`; this module replays parsed
-:class:`~cloudcost.patterns.PatternSpec` records day by day.
+:mod:`cloudcost.patterns`, which makes each pattern's month and day masks
+once. This module replays parsed :class:`~cloudcost.patterns.PatternSpec`
+records day by day. It still decides the calendar side: which days of each
+month a weekday mask selects, and the two rules below for a pattern without
+a day clause.
 
 Evaluation semantics:
 
@@ -23,10 +26,10 @@ Evaluation semantics:
 
 Replay has two parts. :func:`month_plan` depends only on the patterns and
 the window: for each month it keeps the active perms and temps, each with a
-firing bitmask (bit ``dom`` set for each day it applies on, built with
-integer arithmetic; weekday selectors rotate a 7-bit week by day 1's
-weekday) and its operator as a function, plus a mask of the days that start
-a run of identical days. A run starts on day 1, on every day a perm fires
+firing bitmask (bit ``dom`` set for each day it applies on: the weekday
+mask rotated to day 1's weekday and repeated over the month, or-ed with the
+day-of-month mask) and its operator as a function, plus a mask of the days
+that start a run of identical days. A run starts on day 1, on every day a perm fires
 and on every day the set of firing temps changes; the mask also holds day
 n+1 of an n-day month, which ends the last run. :func:`monthly_series` then
 walks the runs from the schedule's baseline, so one plan serves every
@@ -49,8 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import EvaluationError
 from .months import Month, SimulationWindow, month_calendar
-from .patterns import (DOM, DOM_RANGE, DOW, DOW_RANGE, EMPTY, EVERYDAY, TEMP, WEEKDAYS,
-                       WEEKENDS, PatternSpec)
+from .patterns import TEMP, PatternSpec
 
 STOCK = "stock"
 FLOW = "flow"
@@ -105,35 +107,15 @@ def _clamp_message(pattern: PatternSpec, index: int, year: int, month: int, dom:
 _FIVE_WEEKS = sum(1 << (7 * week) for week in range(5))
 
 
-def _firing_days(pattern: PatternSpec, weekday1: int, month_days: int) -> int:
-    """Days on which ``pattern`` applies in a month it selects, as a bitmask
-    with bit ``dom`` set per day. The month's day 1 falls on ``weekday1`` (0
-    is Monday) and ``month_days`` has bits 1..n set for its n days. An
-    absent day clause selects every day for temp patterns but only day 1
-    (the firing point) for perm patterns."""
-    days = pattern.days
-    k = days.kind
-    if k == EMPTY:
-        return month_days if pattern.mode == TEMP else 2
-    if k == EVERYDAY:
-        return month_days
-    if k == DOM:
-        return (1 << days.a) & month_days
-    if k == DOM_RANGE:
-        return ((2 << days.b) - (1 << days.a)) & month_days
-    if k == WEEKDAYS:
-        week = 0b0011111
-    elif k == WEEKENDS:
-        week = 0b1100000
-    elif k == DOW:
-        week = 1 << days.a
-    elif k == DOW_RANGE:
-        week = (2 << days.b) - (1 << days.a)
-    else:
-        raise AssertionError(f"unhandled day selector {k!r}")
+def _firing_days(days: tuple[int, int], weekday1: int, month_days: int) -> int:
+    """The days a (day-of-month mask, weekday mask) pair selects in a month,
+    as a bitmask with bit ``dom`` set per day. The month's day 1 falls on
+    ``weekday1`` (0 is Monday) and ``month_days`` has bits 1..n set for its
+    n days."""
+    dom, week = days
     # bit j of the month's first week is weekday (weekday1 + j) % 7
     week = ((week >> weekday1) | (week << (7 - weekday1))) & 0x7F
-    return ((week * _FIVE_WEEKS) << 1) & month_days
+    return (dom | (week * _FIVE_WEEKS) << 1) & month_days
 
 
 # One pattern that applies in a month: its firing days, its operator's
@@ -155,15 +137,20 @@ def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow
         temps: list[PlannedPattern] = []
         starts = 0
         for i, p in enumerate(patterns):
-            if not p.months.contains(month):
+            if not p.months >> month & 1:
                 continue
+            if p.days is not None:
+                fires = _firing_days(p.days, weekday1, month_days)
+            elif p.mode == TEMP:
+                fires = month_days  # a day-less temp applies every day
+            elif plan:
+                fires = 2  # a day-less perm fires on day 1 ...
+            else:
+                continue  # ... but leaves the first month (no quantity yet) at the raw baseline
             if p.mode == TEMP:
-                fires = _firing_days(p, weekday1, month_days)
                 temps.append((fires, _OPERATIONS[p.op], p.operand, i, p))
                 starts |= fires ^ (fires << 1)  # the days it starts or stops firing
-            # a day-less perm leaves the first month (no quantity yet) at the raw baseline
-            elif p.days.kind != EMPTY or plan:
-                fires = _firing_days(p, weekday1, month_days)
+            else:
                 perms.append((fires, _OPERATIONS[p.op], p.operand, i, p))
                 starts |= fires
         # day 1 always starts a run, so it is left out; day n+1 ends the last

@@ -12,9 +12,13 @@ written without internal spaces so the dash can never be confused with
 the subtraction operator. ``/0`` and negative exponents are rejected at
 parse time, and so is an operand that is not finite.
 
-This module only reads patterns into :class:`PatternSpec` records; what a
-pattern does to usage, day by day, is :mod:`cloudcost.elasticity`'s replay.
-It imports neither the replay nor the calendar, so a command that only
+This module reads patterns into :class:`PatternSpec` records and makes
+their bitmasks once per pattern: the months a pattern selects, with a
+wrapped range resolved, and the days of month and weekdays of its day
+clause. What a pattern does to usage, day by day, is
+:mod:`cloudcost.elasticity`'s replay, which places the weekday mask on each
+month's calendar and applies the rules for a missing day clause. This
+module imports neither the replay nor the calendar, so a command that only
 validates a model loads neither.
 """
 
@@ -35,58 +39,30 @@ MONTH_NAMES = ("jan", "feb", "mar", "apr", "may", "jun",
 DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 OPERATORS = "+-*/^"
 
-# Day-selector kinds
-EMPTY = "empty"
-EVERYDAY = "everyday"
-WEEKDAYS = "weekdays"
-WEEKENDS = "weekends"
-DOM = "dom"
-DOM_RANGE = "dom_range"
-DOW = "dow"
-DOW_RANGE = "dow_range"
-
-
-class MonthSelector(NamedTuple):
-    """Selects calendar months; ranges may wrap the year end (nov-feb)."""
-
-    start: int | None = None  # 1..12; None selects every month
-    end: int | None = None
-
-    def contains(self, month: int) -> bool:
-        if self.start is None:
-            return True
-        assert self.end is not None
-        if self.start <= self.end:
-            return self.start <= month <= self.end
-        return month >= self.start or month <= self.end  # wrapped range
-
-
-class DaySelector(NamedTuple):
-    """Selects days within a matching month.
-
-    ``empty`` is mode-dependent: every day of the month for temp patterns,
-    only the month's first day (the firing point) for perm patterns; that
-    asymmetry lives in the replay's ``_firing_days``
-    (:mod:`cloudcost.elasticity`).
-    """
-
-    kind: str = EMPTY
-    a: int | None = None  # day-of-month 1..31 or weekday index 0..6
-    b: int | None = None
-
-
-EMPTY_DAYS = DaySelector(EMPTY)
+# The weekday mask of each day keyword: bit j is weekday j, 0 being Monday.
+_DAY_WORDS = {"everyday": 0b1111111, "weekdays": 0b0011111, "weekends": 0b1100000}
 
 
 class PatternSpec(NamedTuple):
-    """Parsed elasticity pattern."""
+    """Parsed elasticity pattern.
+
+    ``months`` has bit m set for each month m (1 is January) it selects; a
+    wrapped range is resolved here. ``days`` is None without a day clause,
+    else a (day-of-month mask, weekday mask) pair: bit d is day d and bit j
+    is weekday j, 0 being Monday. A day applies when either mask selects it.
+    """
 
     mode: str
-    months: MonthSelector
-    days: DaySelector
+    months: int
+    days: tuple[int, int] | None
     op: str
     operand: float
     source: str = ""
+
+
+def _bits(lo: int, hi: int) -> int:
+    """Bits lo..hi set."""
+    return (2 << hi) - (1 << lo)
 
 
 class _Scanner:
@@ -135,56 +111,43 @@ class _Scanner:
         return m.group(0) if m else ""
 
 
-def _parse_months(s: _Scanner) -> MonthSelector:
+def _parse_months(s: _Scanner) -> int:
     word, start = s.expect(s._word_re, "expected 'month' or a month name after 'every'")
     token = word.lower()
     if token == "month":
-        return MonthSelector()
-    if "-" in token:
-        lo, hi = token.split("-", 1)
-        for part in (lo, hi):
-            if part not in MONTH_NAMES:
-                s.fail(f"unknown month {part!r}", start)
-        return MonthSelector(MONTH_NAMES.index(lo) + 1, MONTH_NAMES.index(hi) + 1)
-    if token not in MONTH_NAMES:
-        s.fail(f"unknown month token {token!r}", start)
-    month = MONTH_NAMES.index(token) + 1
-    return MonthSelector(month, month)
+        return _bits(1, 12)
+    lo, _, hi = token.partition("-")  # one name is the range lo-lo
+    for part in (lo, hi or lo):
+        if part not in MONTH_NAMES:
+            s.fail(f"unknown month {part!r}" if hi else f"unknown month token {part!r}", start)
+    a, b = MONTH_NAMES.index(lo) + 1, MONTH_NAMES.index(hi or lo) + 1
+    return _bits(a, b) if a <= b else _bits(a, 12) | _bits(1, b)
 
 
-def _parse_days(s: _Scanner) -> DaySelector:
+def _parse_days(s: _Scanner) -> tuple[int, int]:
     got = s.take(s._dom_re)
     if got is not None:
         token, start = got
-        if "-" in token:
-            lo_text, hi_text = token.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(token)
+        lo_text, _, hi_text = token.partition("-")
+        lo, hi = int(lo_text), int(hi_text or lo_text)
         for value in (lo, hi):
             if not 1 <= value <= 31:
                 s.fail(f"day of month out of range: {value:02d}", start)
         if lo > hi:
             s.fail(f"decreasing day range {lo:02d}-{hi:02d}", start)
-        if lo == hi and "-" not in token:
-            return DaySelector(DOM, lo)
-        return DaySelector(DOM_RANGE, lo, hi)
+        return _bits(lo, hi), 0
     word, start = s.expect(s._word_re, "expected a day selector after 'on'")
     token = word.lower()
-    if "-" in token:
-        lo, hi = token.split("-", 1)
-        for part in (lo, hi):
-            if part not in DOW_NAMES:
-                s.fail(f"unknown day token {part!r}", start)
-        a, b = DOW_NAMES.index(lo), DOW_NAMES.index(hi)
-        if a > b:
-            s.fail(f"day-of-week range may not wrap: {lo}-{hi}", start)
-        return DaySelector(DOW_RANGE, a, b)
-    if token in (EVERYDAY, WEEKDAYS, WEEKENDS):
-        return DaySelector(token)
-    if token not in DOW_NAMES:
-        s.fail(f"unknown day token {token!r}", start)
-    return DaySelector(DOW, DOW_NAMES.index(token))
+    if token in _DAY_WORDS:
+        return 0, _DAY_WORDS[token]
+    lo, _, hi = token.partition("-")  # one weekday is the range lo-lo
+    for part in (lo, hi or lo):
+        if part not in DOW_NAMES:
+            s.fail(f"unknown day token {part!r}", start)
+    a, b = DOW_NAMES.index(lo), DOW_NAMES.index(hi or lo)
+    if a > b:
+        s.fail(f"day-of-week range may not wrap: {lo}-{hi}", start)
+    return 0, _bits(a, b)
 
 
 def parse_pattern(text: str) -> PatternSpec:
@@ -202,7 +165,7 @@ def parse_pattern(text: str) -> PatternSpec:
     s.skip_ws()
     months = _parse_months(s)
     s.skip_ws()
-    days = EMPTY_DAYS
+    days = None
     if s.take(s._on_re) is not None:
         s.skip_ws()
         days = _parse_days(s)

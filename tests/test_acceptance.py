@@ -111,15 +111,14 @@ MALFORMED_PATTERNS = [
 
 
 def test_pattern_grammar_examples_and_rejections():
+    # months: bit m per month; days: (bit d per day of month, bit j per weekday)
     assert pt.parse_pattern("perm: every month +10") == pt.PatternSpec(
-        "perm", pt.MonthSelector(), pt.DaySelector("empty"), "+", 10.0,
-        "perm: every month +10")
+        "perm", 0b1_1111_1111_1110, None, "+", 10.0, "perm: every month +10")
     assert pt.parse_pattern("temp: every jun-aug on weekends /2") == pt.PatternSpec(
-        "temp", pt.MonthSelector(6, 8), pt.DaySelector("weekends"), "/", 2.0,
+        "temp", 0b1_1100_0000, (0, 0b110_0000), "/", 2.0,
         "temp: every jun-aug on weekends /2")
     assert pt.parse_pattern("temp: every dec on 25-30 * 2") == pt.PatternSpec(
-        "temp", pt.MonthSelector(12, 12), pt.DaySelector("dom_range", 25, 30),
-        "*", 2.0, "temp: every dec on 25-30 * 2")
+        "temp", 1 << 12, (0b111_1110 << 24, 0), "*", 2.0, "temp: every dec on 25-30 * 2")
     assert len(MALFORMED_PATTERNS) >= 20
     for text in MALFORMED_PATTERNS:
         with pytest.raises(PatternError) as exc:

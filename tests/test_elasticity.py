@@ -30,45 +30,48 @@ def checked_quantity(sched, month, start=Month(2011, 1)):
     return got
 
 
+def bits(*numbers):
+    """A mask with bit n set for each of ``numbers``."""
+    return sum(1 << n for n in numbers)
+
+
 class TestParse:
     def test_perm_every_month(self):
         spec = pt.parse_pattern("perm: every month +10")
-        assert spec == pt.PatternSpec("perm", pt.MonthSelector(),
-                                      pt.DaySelector("empty"), "+", 10.0,
+        assert spec == pt.PatternSpec("perm", bits(*range(1, 13)), None, "+", 10.0,
                                       "perm: every month +10")
 
     def test_temp_month_range_weekends(self):
         spec = pt.parse_pattern("temp: every jun-aug on weekends /2")
-        assert spec == pt.PatternSpec("temp", pt.MonthSelector(6, 8),
-                                      pt.DaySelector("weekends"), "/", 2.0,
+        assert spec == pt.PatternSpec("temp", bits(6, 7, 8), (0, bits(5, 6)), "/", 2.0,
                                       "temp: every jun-aug on weekends /2")
 
     def test_temp_day_range_spaced_operator(self):
         spec = pt.parse_pattern("temp: every dec on 25-30 * 2")
-        assert spec == pt.PatternSpec("temp", pt.MonthSelector(12, 12),
-                                      pt.DaySelector("dom_range", 25, 30), "*", 2.0,
+        assert spec == pt.PatternSpec("temp", bits(12), (bits(*range(25, 31)), 0), "*", 2.0,
                                       "temp: every dec on 25-30 * 2")
 
     def test_case_and_whitespace_tolerated(self):
         spec = pt.parse_pattern("  PERM :  Every   MONTH   +10 ")
         assert spec.mode == "perm"
-        assert spec.months == pt.MonthSelector()
+        assert spec.months == bits(*range(1, 13))
 
     def test_bare_day_of_month(self):
         spec = pt.parse_pattern("perm: every month on 15 +10")
-        assert spec.days == pt.DaySelector("dom", 15)
+        assert spec.days == (bits(15), 0)
+        assert spec == pt.parse_pattern("perm: every month on 15-15 +10")._replace(
+            source=spec.source)
 
     def test_day_of_week_range(self):
         spec = pt.parse_pattern("temp: every month on mon-fri *0")
-        assert spec.days == pt.DaySelector("dow_range", 0, 4)
+        assert spec.days == (0, bits(0, 1, 2, 3, 4))
 
     def test_float_operand(self):
         assert pt.parse_pattern("temp: every month *1.5").operand == 1.5
 
     def test_wrapping_month_range(self):
         spec = pt.parse_pattern("temp: every nov-feb +1")
-        assert spec.months.contains(12) and spec.months.contains(1)
-        assert not spec.months.contains(6)
+        assert spec.months == bits(11, 12, 1, 2)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(PatternError) as exc:

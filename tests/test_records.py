@@ -17,7 +17,7 @@ from cloudcost.months import Month, SimulationWindow
 ROW = engine.SummaryRow("demo", Decimal("1.00"), Decimal("1.50"), Decimal("2.50"), 2)
 OPTION = pricing.PurchaseOption("reserved", Decimal("0.04"), 12, Decimal("100"))
 ENTRY = engine.ComparisonEntry(ROW, True, None, Decimal("0.000000"))
-SPEC = pt.PatternSpec("temp", pt.MonthSelector(6, 8), pt.DaySelector("weekends"), "/", 2.0,
+SPEC = pt.PatternSpec("temp", 0b111000000, (0, 0b1100000), "/", 2.0,
                       "temp: every jun-aug on weekends /2")
 TIER = pricing.Tier(Decimal("10"), Decimal("0.12"))
 REQUIREMENT = m.ResourceRequirement("vm_hours", 720.0, ("perm: every month +10",))
@@ -55,11 +55,8 @@ RECORDS = [
                           "ratings": {"B1": 5, "R2": 3}}),
     (assess.CategoryAverage, {"kind": "benefit", "category": "technical", "average": 4.5,
                               "item_count": 2}),
-    (pt.MonthSelector, {"start": 11, "end": 2}),
-    (pt.DaySelector, {"kind": "dom_range", "a": 1, "b": 15}),
-    (pt.PatternSpec, {"mode": "temp", "months": pt.MonthSelector(6, 8),
-                      "days": pt.DaySelector("weekends"), "op": "/", "operand": 2.0,
-                      "source": "temp: every jun-aug on weekends /2"}),
+    (pt.PatternSpec, {"mode": "temp", "months": 0b111000000, "days": (0, 0b1100000),
+                      "op": "/", "operand": 2.0, "source": "temp: every jun-aug on weekends /2"}),
     (el.UsageSchedule, {"kind_class": "flow", "baseline": 720.0, "patterns": (SPEC,)}),
     (SimulationWindow, {"start": Month(2011, 1), "end": Month(2011, 3)}),
     (pricing.Tier, {"upper_bound": Decimal("10"), "unit_price": Decimal("0.12")}),
