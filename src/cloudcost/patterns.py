@@ -116,11 +116,12 @@ def _parse_months(s: _Scanner) -> int:
     token = word.lower()
     if token == "month":
         return _bits(1, 12)
-    lo, _, hi = token.partition("-")  # one name is the range lo-lo
-    for part in (lo, hi or lo):
+    lo, dash, hi = token.partition("-")
+    hi = hi or lo  # one name is the range lo-lo
+    for part in (lo, hi):
         if part not in MONTH_NAMES:
-            s.fail(f"unknown month {part!r}" if hi else f"unknown month token {part!r}", start)
-    a, b = MONTH_NAMES.index(lo) + 1, MONTH_NAMES.index(hi or lo) + 1
+            s.fail(f"unknown month {part!r}" if dash else f"unknown month token {part!r}", start)
+    a, b = MONTH_NAMES.index(lo) + 1, MONTH_NAMES.index(hi) + 1
     return _bits(a, b) if a <= b else _bits(a, 12) | _bits(1, b)
 
 
@@ -140,11 +141,12 @@ def _parse_days(s: _Scanner) -> tuple[int, int]:
     token = word.lower()
     if token in _DAY_WORDS:
         return 0, _DAY_WORDS[token]
-    lo, _, hi = token.partition("-")  # one weekday is the range lo-lo
-    for part in (lo, hi or lo):
+    lo, _, hi = token.partition("-")
+    hi = hi or lo  # one weekday is the range lo-lo
+    for part in (lo, hi):
         if part not in DOW_NAMES:
             s.fail(f"unknown day token {part!r}", start)
-    a, b = DOW_NAMES.index(lo), DOW_NAMES.index(hi or lo)
+    a, b = DOW_NAMES.index(lo), DOW_NAMES.index(hi)
     if a > b:
         s.fail(f"day-of-week range may not wrap: {lo}-{hi}", start)
     return 0, _bits(a, b)

@@ -40,7 +40,7 @@ def _name_range(names: tuple[str, ...], token: str) -> list[int]:
     return [(a + k) % len(names) for k in range((b - a) % len(names) + 1)]
 
 
-def read_pattern(text: str) -> tuple[str, set[int], tuple[set[int], set[int]] | None, str, float]:
+def _read_pattern(text: str) -> tuple[str, set[int], tuple[set[int], set[int]] | None, str, float]:
     """``(mode, month numbers, days, op, operand)`` of a valid pattern, read
     with README's grammar. ``days`` is None for a missing day clause, else the
     days of month and the weekdays (0 is Monday) it selects."""
@@ -63,7 +63,7 @@ def read_pattern(text: str) -> tuple[str, set[int], tuple[set[int], set[int]] | 
 
 
 def _fires(pattern, day: date, in_first_month: bool) -> bool:
-    """Whether a :func:`read_pattern` result applies on ``day``. Without a day
+    """Whether a :func:`_read_pattern` result applies on ``day``. Without a day
     clause a temp applies on every day, a perm on day 1 after the first
     simulated month."""
     mode, months, days = pattern[:3]
@@ -77,7 +77,7 @@ def _fires(pattern, day: date, in_first_month: bool) -> bool:
 def oracle_firing_days(text: str, year: int, month: int, first: bool) -> set[int]:
     """The days of a month on which the pattern ``text`` applies; ``first``
     tells whether the month is the first simulated one."""
-    pattern = read_pattern(text)
+    pattern = _read_pattern(text)
     return {day for day in range(1, _days_in_month(year, month) + 1)
             if _fires(pattern, date(year, month, day), first)}
 
@@ -102,12 +102,12 @@ def oracle_replay(kind_class: str, baseline: float, patterns,
                   ) -> tuple[float, list[tuple[date, int]]]:
     """Day-by-day replay of the documented pattern semantics.
 
-    Each pattern is read from its ``source`` text by :func:`read_pattern`.
+    Each pattern is read from its ``source`` text by :func:`_read_pattern`.
     Returns the target month's quantity and every clamp from the first
     simulated day through the target month's last day, in order, as
     (day, zero-based pattern index).
     """
-    read = [read_pattern(p.source) for p in patterns]
+    read = [_read_pattern(p.source) for p in patterns]
     start_year, start_month = sim_start
     target_year, target_month = month
     level = float(baseline)
