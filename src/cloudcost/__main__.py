@@ -1,5 +1,63 @@
+"""The process entry of ``python -m cloudcost`` and the ``cloudcost`` script.
+
+:func:`run` runs :func:`cloudcost.cli.main` and ends the process without
+tearing the interpreter down: by then every output file is closed and
+renamed, so freeing each module and object would only cost time. A tool that
+reports at exit gets the normal exit instead.
+"""
+
+import atexit
+import os
 import sys
+from typing import NoReturn
 
 from .cli import main
 
-sys.exit(main())
+
+def _reporting_at_exit() -> bool:
+    """Whether a tracer, profiler, ``sys.monitoring`` tool (3.12+; cProfile
+    and coverage register there) or ``-X dev`` expects the normal exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile() or sys.flags.dev_mode
+                or monitoring and any(monitoring.get_tool(i) for i in range(6)))
+
+
+def _flushed() -> bool:
+    """Flush stdout and stderr, each unless closed at start (``None``); False
+    when stdout cannot take the output, an unwritable output as when a write
+    fails during the command (exit 2)."""
+    flushed = True
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # fd 1 now discards, so no later flush, at shutdown included, fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        flushed = False
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it; shutdown ignores it the same way
+    return flushed
+
+
+def run() -> NoReturn:
+    """Run the command ``sys.argv`` names and exit with its code: ``atexit``
+    callbacks, then the flushes, then :func:`os._exit`; or ``sys.exit`` when
+    the code is not an int or a tool reports at exit."""
+    try:
+        code: int | str | None = main()
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
+    if isinstance(code, int) and not _reporting_at_exit():
+        atexit._run_exitfuncs()
+        os._exit(code if _flushed() else 2)
+    sys.exit(code if _flushed() else 2)
+
+
+if __name__ == "__main__":
+    run()

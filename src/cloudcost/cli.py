@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
 (including a missing catalog, unreadable or non-UTF-8 input and unwritable
 output paths), 3 missing rate.
 All output files are written atomically (temp + rename).
+:func:`main` returns the exit code; the process entry,
+:func:`cloudcost.__main__.run`, then exits without interpreter teardown.
 Each command imports only the modules it runs and builds only its own
 argument parser, so a short one starts fast; help, usage and errors read as
 they do with every parser built. The handlers of validate, simulate and
