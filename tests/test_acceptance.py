@@ -337,3 +337,18 @@ def test_every_grammar_form_gives_its_golden_csv(tmp_path, capsys):
     assert (tmp_path / "report.csv").read_bytes() == (
         GOLDEN_DIR / "patterns_report.csv").read_bytes()
     assert "vm-clamping-temp/vm_hours: clamped" in capsys.readouterr().err
+
+
+def test_reserved_plan_gives_its_golden_report(tmp_path):
+    # every way a plan picks an option: a 12- and a 36-month term, no term
+    # where the sku has one reserved option, and on demand; the window crosses
+    # the 12-month renewal
+    code = main(["simulate", "--model", str(cloudcost.data_path("demo_model.json")),
+                 "--catalog", str(cloudcost.data_path("demo_catalog.json")),
+                 "--plan", str(GOLDEN_DIR / "demo_plan.json"),
+                 "--start", "2011-11", "--end", "2013-01", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "report.csv").read_bytes() == (
+        GOLDEN_DIR / "demo_plan_report.csv").read_bytes()
+    assert (tmp_path / "summary.json").read_bytes() == (
+        GOLDEN_DIR / "demo_plan_summary.json").read_bytes()

@@ -610,6 +610,81 @@ class TestCompare:
                                   "nimbus/mars-1/vm_hours/standard.small\n")
 
 
+NIMBUS = {"provider": "nimbus", "region": "us-east"}
+STRATUS = {"provider": "stratus", "region": "us-east"}
+EU = {"provider": "nimbus", "region": "eu-west"}
+SMALL = "nimbus/us-east/sku/standard.small/reserved"
+
+# plan, provider map (None: simulate the demo model), the node made a
+# raw-spec machine, exit code, stderr line, and the MissingRateError key
+# (None: a PlanError)
+PLAN_FAILURES = {
+    "unknown-node": ({"ghost": "on_demand"}, None, None, 1,
+                     "plan references unknown node 'ghost'", None),
+    "reserved-storage": ({"store-1": {"kind": "reserved"}}, None, None, 1,
+                         "plan reserves 'store-1', which is not a virtual machine", None),
+    "raw-spec": ({"web-1": {"kind": "reserved"}}, None, "web-1", 1,
+                 "node 'web-1' has no sku; raw-spec machines cannot be reserved", None),
+    "no-such-term": ({"web-1": {"kind": "reserved", "term_months": 24}}, None, None, 3,
+                     f"web-1: no unique reserved option (24m term) for {SMALL}", SMALL),
+    "two-terms-match": ({"web-1": {"kind": "reserved"}}, {"Nimbus": NIMBUS, "Stratus": STRATUS},
+                        None, 3, f"Nimbus: web-1: no unique reserved option (any term) for {SMALL}",
+                        SMALL),
+    "no-reserved-option": (
+        {"web-1": {"kind": "reserved", "term_months": 36}}, {"Nimbus": NIMBUS, "Stratus": STRATUS},
+        None, 3, "Stratus: web-1: no unique reserved option (36m term) for "
+        "stratus/us-east/sku/standard.small/reserved", "stratus/us-east/sku/standard.small/reserved"),
+    "no-catalog-sku": (
+        {"ingest-1": {"kind": "reserved", "term_months": 36}}, {"Nimbus": NIMBUS, "EU": EU},
+        None, 3, "EU: ingest-1: no catalog sku for nimbus/eu-west/sku/standard.large",
+        "nimbus/eu-west/sku/standard.large"),
+}
+
+
+class TestPlanResolution:
+    """Each way a plan fails against a model and the catalog: the CLI's exit
+    code and one stderr line, and the library's error class and key."""
+
+    @pytest.mark.parametrize("plan, mapping, raw_spec, code, line, key",
+                             PLAN_FAILURES.values(), ids=PLAN_FAILURES)
+    def test_exit_code_line_and_key(self, tmp_path, plan, mapping, raw_spec, code, line, key):
+        from cloudcost import engine, model, pricing
+        from cloudcost.errors import MissingRateError, PlanError
+        from cloudcost.months import Month, SimulationWindow
+
+        model_path, plan_path = tmp_path / "model.json", tmp_path / "plan.json"
+        doc = json.loads(cloudcost.data_path("demo_model.json").read_text())
+        for node in doc["nodes"]:
+            if node["id"] == raw_spec:
+                node["vm_spec"] = {"operating_system": "linux", "cpu_ghz": 2.0, "ram_gb": 4}
+        model_path.write_text(json.dumps(doc))
+        plan_path.write_text(json.dumps(plan))
+        window = ["--start", "2011-01", "--end", "2011-01"]
+        if mapping is None:
+            argv = ["simulate", "--model", str(model_path), "--out", str(tmp_path / "out")]
+        else:
+            (tmp_path / "map.json").write_text(json.dumps(mapping))
+            argv = ["compare-providers", "--model", str(model_path),
+                    "--map", str(tmp_path / "map.json")]
+        assert run_quietly(*argv, "--catalog", DEMO_CATALOG, "--plan", str(plan_path),
+                           *window) == (code, f"error: {line}\n")
+        assert not (tmp_path / "out").exists()
+
+        parsed = model.load_model(str(model_path))
+        catalog = pricing.load_catalog_file(DEMO_CATALOG)
+        choices = engine.load_plan(json.dumps(plan), "plan.json")
+        span = SimulationWindow(Month(2011, 1), Month(2011, 1))
+        with pytest.raises(PlanError if key is None else MissingRateError) as exc:
+            if mapping is None:
+                engine.simulate(parsed, catalog, span, choices)
+            else:
+                engine.compare_scenarios(
+                    [(label, parsed.replaced(target["provider"], target["region"]), choices)
+                     for label, target in mapping.items()], catalog, span)
+        assert str(exc.value) == line
+        assert getattr(exc.value, "key", None) == key
+
+
 class TestWarnings:
     @pytest.mark.parametrize("command", ["simulate", "export-csv", "compare",
                                          "compare-providers"])
