@@ -213,7 +213,6 @@ def important_items(sheet: RatingSheet, items: Sequence[AssessmentItem],
 def cmd_assess(args: argparse.Namespace) -> int:
     """The ``assess`` command: print the radar and shortlist, and with
     ``--out`` write radar.json and important.json."""
-    import json
     from pathlib import Path
 
     from . import cli
@@ -234,9 +233,6 @@ def cmd_assess(args: argparse.Namespace) -> int:
           f"{len(important[BENEFIT])} benefits, {len(important[RISK])} risks")
     if args.out:
         out = Path(args.out)
-        cli.write_atomic(out / "radar.json",
-                         json.dumps([row._asdict() for row in rows], indent=2) + "\n")
-        cli.write_atomic(out / "important.json",
-                         json.dumps({"threshold": args.threshold, **important},
-                                    indent=2) + "\n")
+        cli.write_json(out / "radar.json", [row._asdict() for row in rows])
+        cli.write_json(out / "important.json", {"threshold": args.threshold, **important})
     return 0

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
 (including a missing catalog, unreadable or non-UTF-8 input and unwritable
 output paths), 3 missing rate.
-All output files are written atomically (temp + rename).
+All output files are written atomically (temp + rename), JSON ones through
+:func:`write_json`.
 :func:`main` returns the exit code; the process entry,
 :func:`cloudcost.__main__.run`, then exits without interpreter teardown.
 Each command imports only the modules it runs and builds only its own
@@ -43,6 +44,11 @@ def write_atomic(path: Path, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: Path, payload: object) -> None:
+    """Write ``payload`` as JSON indented by 2, one line feed at the end."""
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _warn(warnings: tuple[str, ...]) -> None:
@@ -145,9 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_atomic(out / "report.csv", report.to_csv(cost_report))
     write_atomic(out / "report.html",
                  report.to_html(cost_report, summary, model=parsed, totals=totals))
-    write_atomic(out / "summary.json",
-                 json.dumps(_summary_payload(summary, cost_report.currency),
-                            indent=2) + "\n")
+    write_json(out / "summary.json", _summary_payload(summary, cost_report.currency))
     _warn(cost_report.warnings)
     return 0
 

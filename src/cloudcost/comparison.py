@@ -4,12 +4,11 @@ Both price several scenarios over one window, print them side by side with
 each one's difference from the cheapest, and with ``--out`` also write
 comparison.json. Only these two commands import this module, so no other
 command compiles it. The helpers every command shares stay in
-:mod:`cloudcost.cli`, and files are written through ``cli.write_atomic``.
+:mod:`cloudcost.cli`, and comparison.json is written through ``cli.write_json``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import cli, engine, model, schema
@@ -57,8 +56,7 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
         print("  ".join(cells))
     cli._warn(table.warnings)
     if out:
-        cli.write_atomic(Path(out) / "comparison.json",
-                         json.dumps(_comparison_payload(table, currency), indent=2) + "\n")
+        cli.write_json(Path(out) / "comparison.json", _comparison_payload(table, currency))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -376,17 +376,17 @@ def _resolve_reserved(catalog: pricing.PriceCatalog, node: m.Node,
     if node.vm_spec is None or node.vm_spec.sku is None:
         raise PlanError(f"node {node.id!r} has no sku; raw-spec machines cannot be reserved")
     provider, region = node.placement.provider, node.placement.region
-    sku = catalog.find_sku(provider, region, node.vm_spec.sku)
-    if sku is None:
-        key = f"{provider}/{region}/sku/{node.vm_spec.sku}"
+    key = f"{provider}/{region}/sku/{node.vm_spec.sku}"
+    options = catalog.reserved.get((provider, region, node.vm_spec.sku))
+    if options is None:
         raise MissingRateError(f"{node.id}: no catalog sku for {key}", key)
-    option = sku.reserved_option(choice.term_months)
-    if option is None:
+    matching = [option for option in options
+                if choice.term_months in (None, option.term_months)]
+    if len(matching) != 1:
         term = "any term" if choice.term_months is None else f"{choice.term_months}m term"
-        key = f"{provider}/{region}/sku/{node.vm_spec.sku}/reserved"
-        raise MissingRateError(
-            f"{node.id}: no unique reserved option ({term}) for {key}", key)
-    return option
+        key += "/reserved"
+        raise MissingRateError(f"{node.id}: no unique reserved option ({term}) for {key}", key)
+    return matching[0]
 
 
 # --- rollups, summaries, comparisons ----------------------------------------

@@ -4,6 +4,11 @@ Catalogs are strict JSON with all prices written as decimal strings.
 Tiered rates are marginal (graduated): each tier charges only the portion
 of the quantity falling inside it. Missing rates are hard errors; a
 decision-support tool must never silently price a resource at zero.
+
+A loaded :class:`PriceCatalog` holds the two maps pricing reads: each rate
+key's entry, and each SKU's reserved options. A SKU's on-demand hours are
+priced at its ``vm_hours`` entry, so the reader checks the SKU's on-demand
+options but keeps their rates only to warn of a dearer reserved rate.
 """
 
 from __future__ import annotations
@@ -59,39 +64,22 @@ class RateEntry(NamedTuple):
 
 
 class PurchaseOption(NamedTuple):
-    kind: str  # on_demand or reserved
+    """A SKU's reserved option: its hourly rate, term and upfront fee."""
+
     hourly_rate: Decimal
-    term_months: int | None = None
-    upfront_fee: Decimal | None = None
+    term_months: int
+    upfront_fee: Decimal
 
 
-class InstanceSku(NamedTuple):
-    provider: str
-    region: str
-    name: str
-    purchase_options: tuple[PurchaseOption, ...]
+class PriceCatalog(NamedTuple):
+    """A validated catalog in one currency: each rate key's entry, and each
+    (provider, region, sku name)'s reserved options, ``()`` for a SKU with
+    none. It holds dicts, so it is unhashable; nothing mutates them."""
 
-    def reserved_option(self, term_months: int | None) -> PurchaseOption | None:
-        candidates = [o for o in self.purchase_options if o.kind == RESERVED]
-        if term_months is not None:
-            candidates = [o for o in candidates if o.term_months == term_months]
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-
-class PriceCatalog:
-    """Validated, immutable rate lookup for one currency."""
-
-    def __init__(self, currency: str, entries: tuple[RateEntry, ...],
-                 skus: tuple[InstanceSku, ...], warnings: tuple[str, ...] = ()):
-        self.currency = currency
-        self.warnings = warnings
-        self._rates = {entry.key: entry for entry in entries}
-        self._skus = {(sku.provider, sku.region, sku.name): sku for sku in skus}
-
-    def find_sku(self, provider: str, region: str, name: str) -> InstanceSku | None:
-        return self._skus.get((provider, region, name))
+    currency: str
+    rates: dict[tuple, RateEntry]
+    reserved: dict[tuple[str, str, str], tuple[PurchaseOption, ...]]
+    warnings: tuple[str, ...] = ()
 
 
 def _key_text(provider: str, region: str, dimension: str,
@@ -180,10 +168,13 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
     return RateEntry(provider, region, dimension, sku, scope, tiers=tuple(tiers))
 
 
-def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
+def _parse_sku(value: Any, path: str, warnings: list[str]
+               ) -> tuple[tuple[str, str, str], tuple[PurchaseOption, ...]]:
+    """The SKU's (provider, region, name) and its reserved options."""
     obj = schema.fields(value, path, ("provider", "region", "name", "purchase_options"))
     provider, region, name = (schema.string(obj, k, path) for k in ("provider", "region", "name"))
-    options = []
+    on_demand: list[Decimal] = []
+    reserved: list[PurchaseOption] = []
     for i, raw in enumerate(schema.nonempty_array(obj, "purchase_options", path)):
         where = f"{path}.purchase_options[{i}]"
         option = schema.fields(raw, where, ("kind", "hourly_rate"), ("term_months", "upfront_fee"))
@@ -192,24 +183,22 @@ def _parse_sku(value: Any, path: str, warnings: list[str]) -> InstanceSku:
                          "purchase option kind") == ON_DEMAND:
             if "term_months" in option or "upfront_fee" in option:
                 raise schema.Defect(where, "on_demand options carry no term or upfront fee")
-            options.append(PurchaseOption(ON_DEMAND, rate))
+            on_demand.append(rate)
             continue
         term = option.get("term_months")
         if not isinstance(term, int) or isinstance(term, bool) or term < 1:
             raise schema.Defect(f"{where}.term_months", "reserved options need a positive term")
         if "upfront_fee" not in option:
             raise schema.Defect(f"{where}.upfront_fee", "reserved options need an upfront fee")
-        options.append(PurchaseOption(RESERVED, rate, term,
-                                      _price_at(option, "upfront_fee", where)))
-    on_demand = [option.hourly_rate for option in options if option.kind == ON_DEMAND]
+        reserved.append(PurchaseOption(rate, term, _price_at(option, "upfront_fee", where)))
     if not on_demand:
         raise schema.Defect(path, "at least one on_demand purchase option is required")
     cheapest = min(on_demand)
-    for option in options:
-        if option.kind == RESERVED and option.hourly_rate > cheapest:
+    for option in reserved:
+        if option.hourly_rate > cheapest:
             warnings.append(f"{provider}/{region}/{name}: reserved hourly rate "
                             f"{option.hourly_rate} exceeds the on-demand rate {cheapest}")
-    return InstanceSku(provider, region, name, tuple(options))
+    return (provider, region, name), tuple(reserved)
 
 
 def load_catalog(text: str, source: str | None = None) -> PriceCatalog:
@@ -220,21 +209,20 @@ def load_catalog(text: str, source: str | None = None) -> PriceCatalog:
 def _build_catalog(data: Any) -> PriceCatalog:
     top = schema.fields(data, "$", ("currency", "entries"), ("skus",))
     currency = schema.nonempty_string(top, "currency", "$")
-    entries: dict[tuple, RateEntry] = {}
+    rates: dict[tuple, RateEntry] = {}
     for i, raw in enumerate(schema.array(top, "entries", "$")):
         entry = _parse_entry(raw, f"entries[{i}]")
-        if entry.key in entries:
+        if entry.key in rates:
             raise schema.Defect(f"entries[{i}]", f"duplicate rate key {_key_text(*entry.key)}")
-        entries[entry.key] = entry
+        rates[entry.key] = entry
     warnings: list[str] = []
-    skus: dict[tuple, InstanceSku] = {}
+    reserved: dict[tuple[str, str, str], tuple[PurchaseOption, ...]] = {}
     for i, raw in enumerate(schema.array(top, "skus", "$")):
-        sku = _parse_sku(raw, f"skus[{i}]", warnings)
-        key = (sku.provider, sku.region, sku.name)
-        if key in skus:
+        key, options = _parse_sku(raw, f"skus[{i}]", warnings)
+        if key in reserved:
             raise schema.Defect(f"skus[{i}]", f"duplicate sku {'/'.join(key)}")
-        skus[key] = sku
-    return PriceCatalog(currency, tuple(entries.values()), tuple(skus.values()), tuple(warnings))
+        reserved[key] = options
+    return PriceCatalog(currency, rates, reserved, tuple(warnings))
 
 
 def load_catalog_file(path: str) -> PriceCatalog:
@@ -246,7 +234,7 @@ def load_catalog_file(path: str) -> PriceCatalog:
 def lookup_rate(catalog: PriceCatalog, provider: str, region: str, dimension: str,
                 sku: str | None = None, scope: str | None = None) -> RateEntry:
     """The unique entry for the key; MissingRateError names the full key."""
-    entry = catalog._rates.get((provider, region, dimension, sku, scope))
+    entry = catalog.rates.get((provider, region, dimension, sku, scope))
     if entry is None:
         key = _key_text(provider, region, dimension, sku, scope)
         raise MissingRateError(f"no rate for {key}", key)
@@ -288,9 +276,6 @@ def reservation_charges(option: PurchaseOption,
     """Upfront fees aligned to ``window.months()``: the fee in the first month
     and at each term renewal, ``None`` in every other month; ``()`` for a zero
     fee."""
-    if option.kind != RESERVED:
-        raise ValueError("reservation charges apply to reserved options only")
-    assert option.term_months is not None and option.upfront_fee is not None
     if option.upfront_fee == 0:
         return ()
     fee, term = to_money(option.upfront_fee), option.term_months

@@ -118,7 +118,7 @@ def flat_catalog(rng: random.Random, placements: list[tuple[str, str]],
     sku ``std`` is reservable on each of ``terms``, in months. With ``tiered``,
     about half the entries carry 2-3 marginal tiers instead of a flat rate."""
     entries = []
-    skus = []
+    reserved = {}
     for provider, region in placements:
         def rate() -> Decimal:
             return Decimal(rng.randint(0, 5000)) / Decimal(10000)
@@ -141,12 +141,11 @@ def flat_catalog(rng: random.Random, placements: list[tuple[str, str]],
         for dim in (pricing.DATA_IN_GB, pricing.DATA_OUT_GB):
             for scope in pricing.SCOPES:
                 entries.append(priced(dim, scope=scope))
-        skus.append(pricing.InstanceSku(provider, region, "std", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, rate()),
-            *(pricing.PurchaseOption(pricing.RESERVED, rate() / 2, term,
-                                     Decimal(rng.randint(0, 200))) for term in terms),
-        )))
-    return pricing.PriceCatalog(currency, tuple(entries), tuple(skus))
+        rate()  # an on-demand hourly rate: a catalog holds none, but the seeded stream draws it
+        reserved[provider, region, "std"] = tuple(
+            pricing.PurchaseOption(rate() / 2, term, Decimal(rng.randint(0, 200)))
+            for term in terms)
+    return pricing.PriceCatalog(currency, {entry.key: entry for entry in entries}, reserved)
 
 
 PLACEMENTS = [("alpha", "east"), ("alpha", "west"), ("beta", "east")]

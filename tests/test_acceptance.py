@@ -232,14 +232,11 @@ def test_reserved_upfront_produces_first_month_spike():
     hourly = Decimal("0.05")
     usage_total = hourly * 720 * 36
     upfront = (usage_total * 3 / 7).quantize(Decimal("0.01"))  # 30% of the grand total
-    sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-        pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-        pricing.PurchaseOption(pricing.RESERVED, hourly, 36, upfront),
-    ))
-    catalog = pricing.PriceCatalog("USD", (
-        pricing.RateEntry("aws", "us-east", pricing.VM_HOURS, sku="standard.small",
-                          flat_price=Decimal("0.10")),
-    ), (sku,))
+    on_demand = pricing.RateEntry("aws", "us-east", pricing.VM_HOURS, sku="standard.small",
+                                  flat_price=Decimal("0.10"))
+    catalog = pricing.PriceCatalog("USD", {on_demand.key: on_demand}, {
+        ("aws", "us-east", "standard.small"): (pricing.PurchaseOption(hourly, 36, upfront),),
+    })
     node = m.Node("vm1", m.VIRTUAL_MACHINE, m.Placement("aws", "us-east"),
                   m.VmSpec("linux", sku="standard.small"),
                   requirements=(m.ResourceRequirement(m.VM_HOURS, 720.0),))

@@ -26,8 +26,12 @@ def entry(provider, region, dimension, price, sku=None, scope=None):
                              flat_price=Decimal(price))
 
 
-def catalog_of(*entries, skus=(), currency="USD"):
-    return pricing.PriceCatalog(currency, tuple(entries), tuple(skus))
+SMALL = ("aws", "us-east", "standard.small")  # a catalog's reserved-options key
+
+
+def catalog_of(*entries, reserved=(), currency="USD"):
+    return pricing.PriceCatalog(currency, {entry.key: entry for entry in entries},
+                                dict(reserved))
 
 
 def window(months, start=Month(2011, 1)):
@@ -116,13 +120,10 @@ class TestSimulate:
         hourly = Decimal("0.05")
         usage_total = hourly * 720 * 36  # 1296.00
         upfront = (usage_total * 3 / 7).quantize(Decimal("0.01"))  # 30% of grand total
-        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-            pricing.PurchaseOption(pricing.RESERVED, hourly, 36, upfront),
-        ))
+        reserved = {SMALL: (pricing.PurchaseOption(hourly, 36, upfront),)}
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
-            skus=(sku,))
+            reserved=reserved)
         plan = {"vm1": engine.PlanChoice(pricing.RESERVED, 36)}
         report = engine.simulate(m.DeploymentModel("r", (vm(),)), catalog,
                                  window(36), plan)
@@ -134,13 +135,10 @@ class TestSimulate:
         assert abs(upfront_share - Fraction(3, 10)) < Fraction(1, 1000)
 
     def test_reserved_hours_use_reserved_rate(self):
-        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.04"), 12, Decimal(100)),
-        ))
+        reserved = {SMALL: (pricing.PurchaseOption(Decimal("0.04"), 12, Decimal(100)),)}
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
-            skus=(sku,))
+            reserved=reserved)
         plan = {"vm1": engine.PlanChoice(pricing.RESERVED, 12)}
         report = engine.simulate(m.DeploymentModel("r", (vm(),)), catalog,
                                  window(2), plan)
@@ -151,13 +149,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("choice", [pricing.ON_DEMAND, pricing.RESERVED])
     def test_cost_too_large_for_decimal_names_the_line(self, choice):
-        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.04"), 12, Decimal(100)),
-        ))
+        reserved = {SMALL: (pricing.PurchaseOption(Decimal("0.04"), 12, Decimal(100)),)}
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
-            skus=(sku,))
+            reserved=reserved)
         plan = {"vm1": engine.PlanChoice(choice, 12 if choice == pricing.RESERVED else None)}
         grower = m.DeploymentModel("g", (vm(patterns=("perm: every month *1e6",)),))
         # May: 7.2e26 hours, a cost with more than 28 digits at 6 decimals
@@ -319,8 +314,8 @@ class TestSimulate:
                 for req in node.requirements:
                     expected[node.id, req.kind] = span.months()
                 if node.id in plan:
-                    option = catalog.find_sku(*node.placement, "std").reserved_option(
-                        plan[node.id].term_months)
+                    (option,) = [option for option in catalog.reserved[(*node.placement, "std")]
+                                 if option.term_months == plan[node.id].term_months]
                     fees = [month for month, fee in zip(
                         span.months(), pricing.reservation_charges(option, span))
                             if fee is not None]
@@ -398,13 +393,10 @@ class TestSimulate:
         assert by_key[("db", m.STORAGE_GB)] == Decimal("5.000000")
 
     def test_reservation_charges_agree_when_split_on_term_boundary(self):
-        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.04"), 12, Decimal(100)),
-        ))
+        reserved = {SMALL: (pricing.PurchaseOption(Decimal("0.04"), 12, Decimal(100)),)}
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
-            skus=(sku,))
+            reserved=reserved)
         scenario = m.DeploymentModel("r", (vm(),))
         plan = {"vm1": engine.PlanChoice(pricing.RESERVED, 12)}
         start = Month(2011, 1)
@@ -867,14 +859,11 @@ class TestCompareScenarios:
         small_nodes = tuple(vm(f"s{i}", sku="standard.small", hours=176.0)
                             for i in range(8))
         small = m.DeploymentModel("small", small_nodes)
-        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.03"), 36, Decimal(300)),
-        ))
+        reserved = {SMALL: (pricing.PurchaseOption(Decimal("0.03"), 36, Decimal(300)),)}
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
             entry("aws", "us-east", pricing.VM_HOURS, "0.55", sku="standard.large"),
-            skus=(sku,))
+            reserved=reserved)
         plan = {node.id: engine.PlanChoice(pricing.RESERVED, 36) for node in small_nodes}
         table = engine.compare_scenarios(
             [("large", large, None), ("small", small, plan)], catalog, window(36))

@@ -243,7 +243,7 @@ TABLE = [(reader, valid, changes, message)
 
 def test_the_documents_the_rows_change_are_valid(tmp_path):
     catalog = pricing.load_catalog(json.dumps(CATALOG))
-    assert catalog.find_sku("aws", "us-east", "small") is not None
+    assert catalog.reserved["aws", "us-east", "small"] != ()
     assert set(engine.load_plan(json.dumps(PLAN), "plan.json")) == set(PLAN)
     assert [item.id for item in assess.load_items(json.dumps(ITEMS))] == ["B1", "R1"]
     (tmp_path / "map.json").write_text(json.dumps(PROVIDER_MAP))

@@ -14,7 +14,7 @@ from cloudcost import engine, model as m, pricing, report
 from cloudcost.months import Month, SimulationWindow
 from cloudcost.money import format_money
 
-from test_engine import TRANSFER_CATALOG, catalog_of, entry, vm, window
+from test_engine import SMALL, TRANSFER_CATALOG, catalog_of, entry, vm, window
 
 DECADE = SimulationWindow(Month(2011, 1), Month(2020, 12))
 PROVIDERS = ("nimbus", "stratus", "cumulus")  # providers-3's map, all in us-east
@@ -69,13 +69,10 @@ class TestPriceMemo:
         assert len(pairs) < len(lines) / 5  # demo-120: 419 pairs for 3,720 lines
 
     def test_reserved_and_on_demand_nodes_on_one_sku_price_apart(self):
-        sku = pricing.InstanceSku("aws", "us-east", "standard.small", (
-            pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10")),
-            pricing.PurchaseOption(pricing.RESERVED, Decimal("0.04"), 12, Decimal(0)),
-        ))
+        reserved = {SMALL: (pricing.PurchaseOption(Decimal("0.04"), 12, Decimal(0)),)}
         catalog = catalog_of(
             entry("aws", "us-east", pricing.VM_HOURS, "0.10", sku="standard.small"),
-            skus=(sku,))
+            reserved=reserved)
         rates = {"on-demand": pricing.lookup_rate(catalog, "aws", "us-east",
                                                   pricing.VM_HOURS, "standard.small"),
                  "reserved": entry("aws", "us-east", pricing.VM_HOURS, "0.04",

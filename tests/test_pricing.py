@@ -126,18 +126,21 @@ class TestLoadCatalog:
                         "purchase_options": [
                             {"kind": "on_demand", "hourly_rate": "-0E+2"},
                             {"kind": "reserved", "hourly_rate": "-0.000", "term_months": 12,
-                             "upfront_fee": "-0.00"}]}]
+                             "upfront_fee": "-0.00"},
+                            {"kind": "reserved", "hourly_rate": "1", "term_months": 36,
+                             "upfront_fee": "0"}]}]
         catalog = load(doc)
         def rate(sku):
             return pricing.lookup_rate(catalog, "aws", "us-east", "vm_hours", sku)
 
         prices = [tier.unit_price for tier in rate("standard.small").tiers]
         prices.append(rate("small").flat_price)
-        for option in catalog.find_sku("aws", "us-east", "small").purchase_options:
-            prices.append(option.hourly_rate)
-            if option.upfront_fee is not None:
-                prices.append(option.upfront_fee)
-        assert list(map(str, prices)) == ["0.0", "0", "0", "0E+2", "0.000", "0.00"]
+        zero_option = catalog.reserved["aws", "us-east", "small"][0]
+        prices += [zero_option.hourly_rate, zero_option.upfront_fee]
+        assert list(map(str, prices)) == ["0.0", "0", "0", "0.000", "0.00"]
+        # the on-demand rate is kept only for this warning
+        assert catalog.warnings == (
+            "aws/us-east/small: reserved hourly rate 1 exceeds the on-demand rate 0E+2",)
 
     def test_unknown_dimension_rejected(self):
         doc = catalog_doc()
@@ -340,8 +343,7 @@ class TestPriceQuantity:
 
 class TestReservationCharges:
     def reserved(self, upfront, term):
-        return pricing.PurchaseOption(pricing.RESERVED, Decimal("0.05"),
-                                      term, Decimal(upfront))
+        return pricing.PurchaseOption(Decimal("0.05"), term, Decimal(upfront))
 
     def window(self, months):
         return SimulationWindow(Month(2011, 1), add_months(Month(2011, 1), months - 1))
@@ -376,8 +378,3 @@ class TestReservationCharges:
 
     def test_zero_upfront_is_empty(self):
         assert pricing.reservation_charges(self.reserved("0", 12), self.window(36)) == ()
-
-    def test_on_demand_rejected(self):
-        option = pricing.PurchaseOption(pricing.ON_DEMAND, Decimal("0.10"))
-        with pytest.raises(ValueError):
-            pricing.reservation_charges(option, self.window(12))

@@ -15,11 +15,12 @@ from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
 ROW = engine.SummaryRow("demo", Decimal("1.00"), Decimal("1.50"), Decimal("2.50"), 2)
-OPTION = pricing.PurchaseOption("reserved", Decimal("0.04"), 12, Decimal("100"))
+OPTION = pricing.PurchaseOption(Decimal("0.04"), 12, Decimal("100"))
 ENTRY = engine.ComparisonEntry(ROW, True, None, Decimal("0.000000"))
 SPEC = pt.PatternSpec("temp", 0b111000000, (0, 0b1100000), "/", 2.0,
                       "temp: every jun-aug on weekends /2")
 TIER = pricing.Tier(Decimal("10"), Decimal("0.12"))
+RATE = pricing.RateEntry("nimbus", "us-east", "vm_hours", "small", None, Decimal("0.085"))
 REQUIREMENT = m.ResourceRequirement("vm_hours", 720.0, ("perm: every month +10",))
 NODE = m.Node("web-1", "virtual_machine", m.Placement("nimbus", "us-east"),
               m.VmSpec("linux", "small"), None, (REQUIREMENT,))
@@ -44,10 +45,11 @@ RECORDS = [
                               "delta": Decimal("0.000000")}),
     (engine.ComparisonTable, {"entries": (ENTRY,), "baseline_label": "demo",
                               "warnings": ("tie",)}),
-    (pricing.PurchaseOption, {"kind": "reserved", "hourly_rate": Decimal("0.04"),
-                              "term_months": 12, "upfront_fee": Decimal("100")}),
-    (pricing.InstanceSku, {"provider": "nimbus", "region": "us-east", "name": "small",
-                           "purchase_options": (OPTION,)}),
+    (pricing.PurchaseOption, {"hourly_rate": Decimal("0.04"), "term_months": 12,
+                              "upfront_fee": Decimal("100")}),
+    (pricing.PriceCatalog, {"currency": "USD", "rates": {RATE.key: RATE},
+                            "reserved": {("nimbus", "us-east", "small"): (OPTION,)},
+                            "warnings": ("w",)}),
     (assess.AssessmentItem, {"id": "B1", "kind": "benefit", "category": "technical",
                              "statement": "s", "mitigation": None, "indicators": None,
                              "references": ("r",), "applies_to_private_cloud": True}),
@@ -103,7 +105,7 @@ def test_equality_and_hash_within_the_type(kind, fields):
     assert one == two and not one != two
     name = next(iter(fields))
     assert one != kind(**{**fields, name: OTHER_FIRST.get(kind, "other")})
-    if kind is assess.RatingSheet:  # its ratings dict is unhashable, as before
+    if kind in (assess.RatingSheet, pricing.PriceCatalog):  # they hold unhashable dicts
         with pytest.raises(TypeError):
             hash(one)
     else:
