@@ -60,6 +60,7 @@ RECORDS = [
     (pt.PatternSpec, {"mode": "temp", "months": 0b111000000, "days": (0, 0b1100000),
                       "op": "/", "operand": 2.0, "source": "temp: every jun-aug on weekends /2"}),
     (el.UsageSchedule, {"kind_class": "flow", "baseline": 720.0, "patterns": (SPEC,)}),
+    (Month, {"year": 2011, "month": 1}),
     (SimulationWindow, {"start": Month(2011, 1), "end": Month(2011, 3)}),
     (pricing.Tier, {"upper_bound": Decimal("10"), "unit_price": Decimal("0.12")}),
     (pricing.RateEntry, {"provider": "nimbus", "region": "us-east", "dimension": "data_out_gb",
@@ -88,9 +89,37 @@ RECORDS = [
                          "months": 2}),
 ]
 IDS = [kind.__name__ for kind, _ in RECORDS]
+# Each record's field defaults; a record not named here has none
+DEFAULTS = {
+    m.VmSpec: {"sku": None, "cpu_ghz": None, "ram_gb": None},
+    m.ArtifactItem: {"label": ""},
+    m.Group: {"label": "", "node_ids": ()},
+    engine.PlanChoice: {"kind": "on_demand", "term_months": None},
+    engine.ComparisonTable: {"warnings": ()},
+    pricing.PriceCatalog: {"warnings": ()},
+    assess.AssessmentItem: {"mitigation": None, "indicators": None, "references": (),
+                            "applies_to_private_cloud": False},
+    assess.RatingSheet: {"respondent": "", "role_view": "", "ratings": None},
+    pt.PatternSpec: {"source": ""},
+    el.UsageSchedule: {"patterns": ()},
+    pricing.RateEntry: {"sku": None, "scope": None, "flat_price": None, "tiers": ()},
+    m.ResourceRequirement: {"patterns": ()},
+    m.Node: {"placement": None, "vm_spec": None, "storage_spec": None, "requirements": ()},
+    m.DeploymentModel: {"nodes": (), "artifacts": (), "bindings": (), "paths": (),
+                        "groups": ()},
+    engine.CostLine: {"scope": None},
+    engine.CostReport: {"warnings": (), "currency": "USD"},
+}
 # A first field other than "other" where the construction check needs one
-OTHER_FIRST = {el.UsageSchedule: "stock", SimulationWindow: Month(2011, 2),
+OTHER_FIRST = {el.UsageSchedule: "stock", Month: 2012, SimulationWindow: Month(2011, 2),
                engine.CostReport: SimulationWindow(Month(2011, 2), Month(2011, 4))}
+
+
+@pytest.mark.parametrize("kind, fields", RECORDS, ids=IDS)
+def test_fields_and_their_defaults(kind, fields):
+    assert kind._fields == tuple(fields)
+    assert kind._field_defaults == DEFAULTS.get(kind, {})
+    assert list(kind._field_defaults) == list(fields)[len(fields) - len(kind._field_defaults):]
 
 
 @pytest.mark.parametrize("kind, fields", RECORDS, ids=IDS)
