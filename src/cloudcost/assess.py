@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import sys
-from typing import Any, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from . import schema
 from .errors import AssessmentError, Diagnostic
@@ -27,25 +29,15 @@ KINDS = (BENEFIT, RISK)
 CATEGORIES = ("organizational", "legal", "security", "technical", "financial")
 
 
-class AssessmentItem(NamedTuple):
-    id: str
-    kind: str
-    category: str
-    statement: str
-    mitigation: str | None = None
-    indicators: str | None = None
-    references: tuple[str, ...] = ()
-    applies_to_private_cloud: bool = False
+# mitigation, indicators: str | None; references: a tuple of str
+AssessmentItem = namedtuple("AssessmentItem", "id kind category statement mitigation "
+                            "indicators references applies_to_private_cloud",
+                            defaults=(None, None, (), False))
 
 
-class _RatingSheetFields(NamedTuple):
-    respondent: str = ""
-    role_view: str = ""
-    ratings: Mapping[str, int] = None  # item id -> 1..5
-
-
-class RatingSheet(_RatingSheetFields):
-    """One respondent's ratings, copied into a dict of its own."""
+class RatingSheet(namedtuple("RatingSheet", "respondent role_view ratings",
+                             defaults=("", "", None))):
+    """One respondent's ratings, item id -> 1..5, copied into a dict of its own."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace copies too
@@ -55,11 +47,7 @@ class RatingSheet(_RatingSheetFields):
         return super().__new__(cls, respondent, role_view, dict(ratings or {}))
 
 
-class CategoryAverage(NamedTuple):
-    kind: str
-    category: str
-    average: float
-    item_count: int
+CategoryAverage = namedtuple("CategoryAverage", "kind category average item_count")
 
 
 def natural_id_key(item_id: str) -> tuple:
@@ -74,7 +62,7 @@ def load_items(text: str, source: str | None = None) -> list[AssessmentItem]:
     return schema.read(text, _build_items, AssessmentError, source)
 
 
-def _build_items(data: Any) -> list[AssessmentItem]:
+def _build_items(data: object) -> list[AssessmentItem]:
     top = schema.fields(data, "$", ("items",))
     items: list[AssessmentItem] = []
     seen: set[str] = set()
@@ -213,8 +201,6 @@ def important_items(sheet: RatingSheet, items: Sequence[AssessmentItem],
 def cmd_assess(args: argparse.Namespace) -> int:
     """The ``assess`` command: print the radar and shortlist, and with
     ``--out`` write radar.json and important.json."""
-    from pathlib import Path
-
     from . import cli
 
     items = load_items_file(args.items)
@@ -232,7 +218,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     print(f"important (rating >= {args.threshold}): "
           f"{len(important[BENEFIT])} benefits, {len(important[RISK])} risks")
     if args.out:
-        out = Path(args.out)
-        cli.write_json(out / "radar.json", [row._asdict() for row in rows])
-        cli.write_json(out / "important.json", {"threshold": args.threshold, **important})
+        cli.write_json(os.path.join(args.out, "radar.json"), [row._asdict() for row in rows])
+        cli.write_json(os.path.join(args.out, "important.json"),
+                       {"threshold": args.threshold, **important})
     return 0

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
 (including a missing catalog, unreadable or non-UTF-8 input and unwritable
 output paths), 3 missing rate.
 All output files are written atomically (temp + rename), JSON ones through
-:func:`write_json`.
+:func:`write_json`; output paths are ``str`` paths joined with ``os.path``.
 :func:`main` returns the exit code; the process entry,
 :func:`cloudcost.__main__.run`, then exits without interpreter teardown.
 Each command imports only the modules it runs and builds only its own
@@ -23,18 +23,27 @@ import json
 import os
 import sys
 from importlib import import_module
-from pathlib import Path
 
 from .errors import CloudCostError, MissingRateError, ModelError, UsageError
 
 CATALOG_ENV = "CLOUDCOST_CATALOG"
 
 
-def write_atomic(path: Path, data: str) -> None:
-    import tempfile
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def write_atomic(path: str, data: str) -> None:
+    """Write ``data`` to ``path`` as UTF-8, whole or not at all: into a new
+    temp file in the same directory, which is made first, then renamed over
+    ``path`` with mode 0o644 whatever the umask."""
+    folder, name = os.path.split(path)
+    if folder:
+        os.makedirs(folder, exist_ok=True)
+    attempt = 0
+    while True:  # each try takes a new name, so a clash with a stale file ends
+        tmp = os.path.join(folder, f".{name}.{os.getpid()}.{attempt}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            break
+        except FileExistsError:
+            attempt += 1
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(data)
@@ -46,7 +55,7 @@ def write_atomic(path: Path, data: str) -> None:
         raise
 
 
-def write_json(path: Path, payload: object) -> None:
+def write_json(path: str, payload: object) -> None:
     """Write ``payload`` as JSON indented by 2, one line feed at the end."""
     write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
@@ -145,13 +154,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import engine, report
 
     parsed, cost_report = _run_simulation(args)
-    out = Path(args.out)
     totals = cost_report.monthly_totals()
     summary = engine.summarize(totals, parsed.name)
-    write_atomic(out / "report.csv", report.to_csv(cost_report))
-    write_atomic(out / "report.html",
+    write_atomic(os.path.join(args.out, "report.csv"), report.to_csv(cost_report))
+    write_atomic(os.path.join(args.out, "report.html"),
                  report.to_html(cost_report, summary, model=parsed, totals=totals))
-    write_json(out / "summary.json", _summary_payload(summary, cost_report.currency))
+    write_json(os.path.join(args.out, "summary.json"),
+               _summary_payload(summary, cost_report.currency))
     _warn(cost_report.warnings)
     return 0
 
@@ -160,7 +169,7 @@ def cmd_export_csv(args: argparse.Namespace) -> int:
     from . import report
 
     _, cost_report = _run_simulation(args)
-    write_atomic(Path(args.out) / "report.csv", report.to_csv(cost_report))
+    write_atomic(os.path.join(args.out, "report.csv"), report.to_csv(cost_report))
     _warn(cost_report.warnings)
     return 0
 

@@ -9,7 +9,7 @@ command compiles it. The helpers every command shares stay in
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from . import cli, engine, model, schema
 from .errors import CatalogError, UsageError
@@ -56,7 +56,7 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
         print("  ".join(cells))
     cli._warn(table.warnings)
     if out:
-        cli.write_json(Path(out) / "comparison.json", _comparison_payload(table, currency))
+        cli.write_json(os.path.join(out, "comparison.json"), _comparison_payload(table, currency))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import EvaluationError
 from .months import Month, SimulationWindow, month_calendar
@@ -58,14 +59,9 @@ STOCK = "stock"
 FLOW = "flow"
 
 
-class _ScheduleFields(NamedTuple):
-    kind_class: str  # STOCK or FLOW
-    baseline: float
-    patterns: tuple[PatternSpec, ...] = ()
-
-
-class UsageSchedule(_ScheduleFields):
-    """A resource's baseline plus its ordered elasticity patterns."""
+class UsageSchedule(namedtuple("UsageSchedule", "kind_class baseline patterns", defaults=((),))):
+    """A resource's kind class (STOCK or FLOW) and baseline, plus its ordered
+    elasticity patterns."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -119,11 +115,13 @@ def _firing_days(days: tuple[int, int], weekday1: int, month_days: int) -> int:
 
 
 # One pattern that applies in a month: its firing days, its operator's
-# function and operand, its index in the schedule and the pattern itself.
-PlannedPattern = tuple[int, Callable[[float, float], float], float, int, PatternSpec]
+# function and operand, its index in the schedule and the pattern itself,
+# (int, (float, float) -> float, float, int, PatternSpec).
+PlannedPattern = tuple
 # One window month: year, month, days, the days after day 1 that start a run
-# (day n+1 included), and its active perms and temps in declaration order.
-PlannedMonth = tuple[int, int, int, int, tuple[PlannedPattern, ...], tuple[PlannedPattern, ...]]
+# (day n+1 included), and its active perms and temps in declaration order,
+# (int, int, int, int, tuple of PlannedPattern, tuple of PlannedPattern).
+PlannedMonth = tuple
 
 
 def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow

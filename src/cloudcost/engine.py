@@ -52,11 +52,12 @@ line-order sum of the costs.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from decimal import Decimal
 from functools import partial
 from itertools import chain
 from operator import attrgetter, is_not
-from typing import Mapping, NamedTuple, Sequence
 
 from . import model as m
 from . import pricing, schema
@@ -85,11 +86,8 @@ _SERIES_KEY_OF = {"group": lambda series: series.group or "",
                   "dimension": attrgetter("dimension")}
 
 
-class PlanChoice(NamedTuple):
-    """Purchase choice for one node: on_demand (default) or reserved."""
-
-    kind: str = pricing.ON_DEMAND
-    term_months: int | None = None
+PlanChoice = namedtuple("PlanChoice", "kind term_months", defaults=(pricing.ON_DEMAND, None))
+PlanChoice.__doc__ = "Purchase choice for one node: on_demand (default) or reserved."
 
 
 ON_DEMAND_CHOICE = PlanChoice()
@@ -129,35 +127,16 @@ def _build_plan(data: object, source: str) -> dict[str, PlanChoice]:
     return plan
 
 
-class CostLine(NamedTuple):
-    month: Month
-    subject: str  # node id, or path id for transfer attribution lines
-    node_id: str  # the endpoint whose placement priced the line
-    dimension: str
-    quantity: float
-    unit: str
-    cost: Decimal
-    group: str | None
-    provider: str
-    region: str
-    scope: str | None = None
+# subject: the node id, or the path id for transfer attribution lines;
+# node_id: the endpoint whose placement priced the line; group, scope: str | None
+CostLine = namedtuple("CostLine", "month subject node_id dimension quantity unit cost group "
+                      "provider region scope", defaults=(None,))
 
-
-class CostSeries(NamedTuple):
-    """The cost lines of one requirement or path endpoint, or a reserved
-    node's fees: the fields a line repeats, then its quantities and costs,
-    one per window month. A month without a line holds ``None`` in both."""
-
-    subject: str
-    node_id: str
-    dimension: str
-    unit: str
-    group: str | None
-    provider: str
-    region: str
-    scope: str | None
-    quantities: tuple[float | None, ...]
-    costs: tuple[Decimal | None, ...]
+CostSeries = namedtuple("CostSeries", "subject node_id dimension unit group provider region "
+                        "scope quantities costs")
+CostSeries.__doc__ = """The cost lines of one requirement or path endpoint, or a reserved
+node's fees: the fields a line repeats, then its quantities and costs,
+one per window month. A month without a line holds ``None`` in both."""
 
 
 _series_key = attrgetter("subject", "dimension")  # a series' place in a report
@@ -165,14 +144,11 @@ _ZERO = Decimal(0)
 _is_cost = partial(is_not, None)  # a month with a line; a zero cost is one too
 
 
-class _ReportFields(NamedTuple):
-    window: SimulationWindow
-    series: tuple[CostSeries, ...]
-    warnings: tuple[str, ...] = ()
-    currency: str = "USD"
+class CostReport(namedtuple("CostReport", "window series warnings currency",
+                            defaults=((), "USD"))):
+    """The priced window: its CostSeries in (subject, dimension) order, the
+    run's warnings and the catalog's currency."""
 
-
-class CostReport(_ReportFields):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
@@ -406,19 +382,13 @@ def rollup(report: CostReport, by: str) -> list[tuple[str, Decimal]]:
             for key in sorted(columns)]
 
 
-class SummaryRow(NamedTuple):
-    """First month / monthly average / total, as printed in comparison tables.
+SummaryRow = namedtuple("SummaryRow", "label first_month monthly_avg total months")
+SummaryRow.__doc__ = """First month / monthly average / total, as printed in comparison tables.
 
-    The monthly average excludes the first month — avg = (total - first)/(n-1)
-    — and is that exact ratio rounded once, half-even, to cents; with one
-    month it is the total in cents. Every output prints it as it is.
-    """
-
-    label: str
-    first_month: Decimal
-    monthly_avg: Decimal
-    total: Decimal
-    months: int
+The monthly average excludes the first month — avg = (total - first)/(n-1)
+— and is that exact ratio rounded once, half-even, to cents; with one
+month it is the total in cents. Every output prints it as it is.
+"""
 
 
 def summarize(totals: Sequence, label: str) -> SummaryRow:
@@ -435,17 +405,11 @@ def summarize(totals: Sequence, label: str) -> SummaryRow:
     return SummaryRow(label, first, Decimal(cents).scaleb(-2), total, n)
 
 
-class ComparisonEntry(NamedTuple):
-    row: SummaryRow
-    is_baseline: bool
-    difference: str | None  # "+Nx" or "n/a" vs the baseline; None on the baseline row
-    delta: Decimal  # total - baseline total
-
-
-class ComparisonTable(NamedTuple):
-    entries: tuple[ComparisonEntry, ...]
-    baseline_label: str
-    warnings: tuple[str, ...] = ()
+# difference: "+Nx" or "n/a" vs the baseline, None on the baseline row;
+# delta: total - baseline total
+ComparisonEntry = namedtuple("ComparisonEntry", "row is_baseline difference delta")
+ComparisonTable = namedtuple("ComparisonTable", "entries baseline_label warnings",
+                             defaults=((),))
 
 
 def compare(rows: Sequence[SummaryRow]) -> ComparisonTable:

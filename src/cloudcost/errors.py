@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class Diagnostic(NamedTuple):
-    """A single validation finding: never thrown, always collected."""
+class Diagnostic(namedtuple("Diagnostic", "severity path message")):
+    """A single validation finding: never thrown, always collected.
+    ``severity`` is "error" or "warning"."""
 
-    severity: str  # "error" or "warning"
-    path: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.path}: {self.message}"

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from functools import cached_property
-from typing import Any, NamedTuple
 
 from . import schema
 from .errors import Diagnostic, ModelError, PatternError
@@ -54,72 +54,31 @@ LEGAL_REQUIREMENTS = {
 }
 
 
-class Placement(NamedTuple):
-    provider: str
-    region: str
+Placement = namedtuple("Placement", "provider region")
+# sku: str | None; cpu_ghz, ram_gb: float | None
+VmSpec = namedtuple("VmSpec", "operating_system sku cpu_ghz ram_gb", defaults=(None, None, None))
+StorageSpec = namedtuple("StorageSpec", "storage_type")
+# kind: one of REQUIREMENT_KINDS; patterns: the pattern texts, in order
+ResourceRequirement = namedtuple("ResourceRequirement", "kind baseline patterns",
+                                 defaults=((),))
+# placement, vm_spec, storage_spec: a Placement, VmSpec, StorageSpec or None;
+# requirements: a tuple of ResourceRequirement
+Node = namedtuple("Node", "id kind placement vm_spec storage_spec requirements",
+                  defaults=(None, None, None, ()))
+ArtifactItem = namedtuple("ArtifactItem", "id kind label", defaults=("",))
+DeploymentBinding = namedtuple("DeploymentBinding", "artifact_id node_id")
+# volume: the ResourceRequirement of the data it carries
+CommunicationPath = namedtuple("CommunicationPath", "id from_node to_node volume")
+Group = namedtuple("Group", "id label node_ids", defaults=("", ()))
 
 
-class VmSpec(NamedTuple):
-    operating_system: str
-    sku: str | None = None
-    cpu_ghz: float | None = None
-    ram_gb: float | None = None
+class DeploymentModel(namedtuple("DeploymentModel", "name nodes artifacts bindings paths groups",
+                                 defaults=((),) * 5)):
+    """A model: its name and tuples of its Node, ArtifactItem,
+    DeploymentBinding, CommunicationPath and Group records. It has no
+    ``__slots__``: its cached properties need a ``__dict__``."""
 
-
-class StorageSpec(NamedTuple):
-    storage_type: str
-
-
-class ResourceRequirement(NamedTuple):
-    kind: str
-    baseline: float
-    patterns: tuple[str, ...] = ()
-
-
-class Node(NamedTuple):
-    id: str
-    kind: str
-    placement: Placement | None = None
-    vm_spec: VmSpec | None = None
-    storage_spec: StorageSpec | None = None
-    requirements: tuple[ResourceRequirement, ...] = ()
-
-
-class ArtifactItem(NamedTuple):
-    id: str
-    kind: str
-    label: str = ""
-
-
-class DeploymentBinding(NamedTuple):
-    artifact_id: str
-    node_id: str
-
-
-class CommunicationPath(NamedTuple):
-    id: str
-    from_node: str
-    to_node: str
-    volume: ResourceRequirement
-
-
-class Group(NamedTuple):
-    id: str
-    label: str = ""
-    node_ids: tuple[str, ...] = ()
-
-
-class _ModelFields(NamedTuple):
-    name: str
-    nodes: tuple[Node, ...] = ()
-    artifacts: tuple[ArtifactItem, ...] = ()
-    bindings: tuple[DeploymentBinding, ...] = ()
-    paths: tuple[CommunicationPath, ...] = ()
-    groups: tuple[Group, ...] = ()
-
-
-class DeploymentModel(_ModelFields):  # no __slots__: its cached properties need a __dict__
-    def __setattr__(self, name: str, *value: Any) -> None:
+    def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: a DeploymentModel is read-only")
 
     __delattr__ = __setattr__
@@ -163,7 +122,7 @@ class DeploymentModel(_ModelFields):  # no __slots__: its cached properties need
 
 # --- structural parsing (strict: unknown keys are schema errors) ----------
 
-def _parse_requirement(value: Any, path: str) -> ResourceRequirement:
+def _parse_requirement(value: object, path: str) -> ResourceRequirement:
     obj = schema.fields(value, path, ("kind", "baseline"), ("patterns",))
     kind = schema.choice(schema.string(obj, "kind", path), f"{path}.kind",
                          REQUIREMENT_KINDS, "requirement kind")
@@ -171,7 +130,7 @@ def _parse_requirement(value: Any, path: str) -> ResourceRequirement:
                                schema.strings(obj, "patterns", path, "pattern strings"))
 
 
-def _parse_node(value: Any, path: str) -> Node:
+def _parse_node(value: object, path: str) -> Node:
     obj = schema.fields(value, path, ("id", "kind"),
                         ("placement", "vm_spec", "storage_spec", "requirements"))
     node_id = schema.string(obj, "id", path)
@@ -201,7 +160,7 @@ def _parse_node(value: Any, path: str) -> Node:
     return Node(node_id, kind, placement, vm_spec, storage_spec, requirements)
 
 
-def _build_model(data: Any) -> DeploymentModel:
+def _build_model(data: object) -> DeploymentModel:
     top = schema.fields(data, "$", ("name", "nodes"),
                         ("artifacts", "bindings", "paths", "groups"))
     name = schema.string(top, "name", "$")

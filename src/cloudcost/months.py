@@ -13,7 +13,8 @@ arithmetic (:func:`month_calendar`), not from the ``calendar`` module.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import WindowError
 
@@ -23,12 +24,7 @@ _LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # in a common year
 _OFFSETS = (0, 3, 2, 5, 0, 3, 5, 1, 4, 6, 2, 4)
 
 
-class _MonthFields(NamedTuple):
-    year: int
-    month: int
-
-
-class Month(_MonthFields):
+class Month(namedtuple("Month", "year month")):
     """A calendar month in the proleptic Gregorian calendar; read-only."""
 
     __slots__ = ()
@@ -83,12 +79,7 @@ def month_calendar(first: Month, last: Month) -> Iterator[tuple[int, int, int, i
         weekday = (weekday + length) % 7
 
 
-class _WindowFields(NamedTuple):
-    start: Month
-    end: Month
-
-
-class SimulationWindow(_WindowFields):
+class SimulationWindow(namedtuple("SimulationWindow", "start end")):
     """An inclusive month range; zero-length and reversed ranges are rejected."""
 
     __slots__ = ()

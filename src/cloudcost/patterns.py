@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple, NoReturn
+from collections import namedtuple
 
 from .errors import PatternError
 
@@ -43,21 +43,14 @@ OPERATORS = "+-*/^"
 _DAY_WORDS = {"everyday": 0b1111111, "weekdays": 0b0011111, "weekends": 0b1100000}
 
 
-class PatternSpec(NamedTuple):
-    """Parsed elasticity pattern.
+PatternSpec = namedtuple("PatternSpec", "mode months days op operand source", defaults=("",))
+PatternSpec.__doc__ = """Parsed elasticity pattern.
 
-    ``months`` has bit m set for each month m (1 is January) it selects; a
-    wrapped range is resolved here. ``days`` is None without a day clause,
-    else a (day-of-month mask, weekday mask) pair: bit d is day d and bit j
-    is weekday j, 0 being Monday. A day applies when either mask selects it.
-    """
-
-    mode: str
-    months: int
-    days: tuple[int, int] | None
-    op: str
-    operand: float
-    source: str = ""
+``months`` has bit m set for each month m (1 is January) it selects; a
+wrapped range is resolved here. ``days`` is None without a day clause,
+else a (day-of-month mask, weekday mask) pair: bit d is day d and bit j
+is weekday j, 0 being Monday. A day applies when either mask selects it.
+"""
 
 
 def _bits(lo: int, hi: int) -> int:
@@ -80,7 +73,8 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def fail(self, message: str, pos: int | None = None) -> NoReturn:
+    def fail(self, message: str, pos: int | None = None):
+        """Raise the PatternError for ``message`` at ``pos``, default the cursor."""
         raise PatternError(message, self.text, self.pos if pos is None else pos)
 
     def skip_ws(self) -> None:

@@ -13,8 +13,8 @@ options but keeps their rates only to warn of a dearer reserved rate.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation, Overflow, getcontext
-from typing import Any, NamedTuple
 
 from . import schema
 from .errors import CatalogError, MissingRateError
@@ -42,44 +42,29 @@ ON_DEMAND = "on_demand"
 RESERVED = "reserved"
 
 
-class Tier(NamedTuple):
-    """One pricing tier; upper_bound None means unbounded (the last tier)."""
-
-    upper_bound: Decimal | None
-    unit_price: Decimal
+Tier = namedtuple("Tier", "upper_bound unit_price")
+Tier.__doc__ = "One pricing tier; upper_bound None means unbounded (the last tier)."
 
 
-class RateEntry(NamedTuple):
-    provider: str
-    region: str
-    dimension: str
-    sku: str | None = None
-    scope: str | None = None
-    flat_price: Decimal | None = None
-    tiers: tuple[Tier, ...] = ()
+class RateEntry(namedtuple("RateEntry", "provider region dimension sku scope flat_price tiers",
+                           defaults=(None, None, None, ()))):
+    """A catalog entry: its rate key's parts, then a flat price (a Decimal)
+    or a tuple of :class:`Tier`."""
+
+    __slots__ = ()
 
     @property
     def key(self) -> tuple:
         return (self.provider, self.region, self.dimension, self.sku, self.scope)
 
 
-class PurchaseOption(NamedTuple):
-    """A SKU's reserved option: its hourly rate, term and upfront fee."""
+PurchaseOption = namedtuple("PurchaseOption", "hourly_rate term_months upfront_fee")
+PurchaseOption.__doc__ = "A SKU's reserved option: its hourly rate, term and upfront fee."
 
-    hourly_rate: Decimal
-    term_months: int
-    upfront_fee: Decimal
-
-
-class PriceCatalog(NamedTuple):
-    """A validated catalog in one currency: each rate key's entry, and each
-    (provider, region, sku name)'s reserved options, ``()`` for a SKU with
-    none. It holds dicts, so it is unhashable; nothing mutates them."""
-
-    currency: str
-    rates: dict[tuple, RateEntry]
-    reserved: dict[tuple[str, str, str], tuple[PurchaseOption, ...]]
-    warnings: tuple[str, ...] = ()
+PriceCatalog = namedtuple("PriceCatalog", "currency rates reserved warnings", defaults=((),))
+PriceCatalog.__doc__ = """A validated catalog in one currency: each rate key's entry, and each
+(provider, region, sku name)'s reserved options, ``()`` for a SKU with
+none. It holds dicts, so it is unhashable; nothing mutates them."""
 
 
 def _key_text(provider: str, region: str, dimension: str,
@@ -118,7 +103,7 @@ def _price_at(obj: dict, key: str, path: str) -> Decimal:
     return price if price else price.copy_abs()
 
 
-def _bound_at(value: Any, path: str) -> Decimal | None:
+def _bound_at(value: object, path: str) -> Decimal | None:
     if value is None:
         return None
     if isinstance(value, str):
@@ -128,7 +113,7 @@ def _bound_at(value: Any, path: str) -> Decimal | None:
     return Decimal(value)
 
 
-def _parse_entry(value: Any, path: str) -> RateEntry:
+def _parse_entry(value: object, path: str) -> RateEntry:
     obj = schema.fields(value, path, ("provider", "region", "dimension", "pricing"),
                         ("sku", "scope"))
     provider, region = schema.string(obj, "provider", path), schema.string(obj, "region", path)
@@ -168,7 +153,7 @@ def _parse_entry(value: Any, path: str) -> RateEntry:
     return RateEntry(provider, region, dimension, sku, scope, tiers=tuple(tiers))
 
 
-def _parse_sku(value: Any, path: str, warnings: list[str]
+def _parse_sku(value: object, path: str, warnings: list[str]
                ) -> tuple[tuple[str, str, str], tuple[PurchaseOption, ...]]:
     """The SKU's (provider, region, name) and its reserved options."""
     obj = schema.fields(value, path, ("provider", "region", "name", "purchase_options"))
@@ -206,7 +191,7 @@ def load_catalog(text: str, source: str | None = None) -> PriceCatalog:
     return schema.read(text, _build_catalog, CatalogError, source)
 
 
-def _build_catalog(data: Any) -> PriceCatalog:
+def _build_catalog(data: object) -> PriceCatalog:
     top = schema.fields(data, "$", ("currency", "entries"), ("skus",))
     currency = schema.nonempty_string(top, "currency", "$")
     rates: dict[tuple, RateEntry] = {}

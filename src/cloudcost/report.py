@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 from decimal import Decimal
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from . import engine, model as m
 from .engine import CostReport, SummaryRow

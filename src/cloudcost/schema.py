@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Callable
+from collections.abc import Callable
 
 from .errors import CloudCostError, InputError
 
@@ -37,8 +37,8 @@ def read_input(path: str) -> str:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
-         source: str | None = None) -> Any:
+def read(text: str, build: Callable[[object], object], error: type[CloudCostError],
+         source: str | None = None) -> object:
     """``build`` of the JSON document ``text``; every defect raises ``error``.
 
     A syntax error names its line and column, and nesting too deep to decode
@@ -65,7 +65,7 @@ def read(text: str, build: Callable[[Any], Any], error: type[CloudCostError],
         raise error.at(*defect.args) from None
 
 
-def _reject_surrogates_and_nuls(data: Any) -> None:
+def _reject_surrogates_and_nuls(data: object) -> None:
     """Fails at the first string or key of ``data``, in document order, with
     a surrogate or a NUL. JSON's paired ``\\uXXXX`` escapes decode to one
     character, so any surrogate left is lone, and no UTF-8 output can encode
@@ -98,7 +98,7 @@ def _member(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def fields(value: Any, path: str, required: tuple[str, ...] = (),
+def fields(value: object, path: str, required: tuple[str, ...] = (),
            optional: tuple[str, ...] = ()) -> dict:
     """``value``: an object with every required key and no key not allowed.
 
@@ -117,7 +117,7 @@ def fields(value: Any, path: str, required: tuple[str, ...] = (),
     return value
 
 
-def choice(value: Any, path: str, choices: tuple[str, ...], noun: str) -> str:
+def choice(value: object, path: str, choices: tuple[str, ...], noun: str) -> str:
     """``value``, one of ``choices``; anything else is an unknown ``noun``."""
     if value not in choices:
         raise Defect(path, f"unknown {noun} {value!r}")

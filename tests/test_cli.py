@@ -384,6 +384,62 @@ class TestUnusablePaths:
         assert (code, err) == (1, f"{prefix}{deep}: nesting too deep\n")
 
 
+EXPORT_ONE_MONTH = ("export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+                    "--start", "2011-01", "--end", "2011-01")
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("umask", [0o077, 0o022], ids=["umask-077", "umask-022"])
+    def test_an_output_has_mode_644_whatever_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert run(*EXPORT_ONE_MONTH, "--out", str(tmp_path)) == 0
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "report.csv").st_mode & 0o777 == 0o644
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    def test_an_empty_out_writes_into_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(*EXPORT_ONE_MONTH, "--out", "") == 0
+        assert os.listdir(tmp_path) == ["report.csv"]
+        assert (tmp_path / "report.csv").read_text().startswith("month,group,node,")
+
+    def test_a_temp_name_taken_by_a_file_is_skipped_and_the_file_kept(self, tmp_path,
+                                                                      monkeypatch):
+        tried = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, *args: tried.append(path)
+                            or real_open(path, *args))
+        target = str(tmp_path / "report.csv")
+        cli.write_atomic(target, "first")
+        taken = tried[0]
+        with open(taken, "w") as stale:
+            stale.write("stale")
+        cli.write_atomic(target, "second")
+        assert tried[:2] == [taken, taken] and len(tried) == 3 and tried[2] != taken
+        assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(taken), "report.csv"])
+        with open(taken) as stale, open(target) as written:
+            assert (stale.read(), written.read()) == ("stale", "second")
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_atomic(str(tmp_path / "report.csv"), "\ud800")  # no UTF-8 for it
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        (tmp_path / "report.csv").mkdir()  # os.replace cannot put a file there
+        assert run(*EXPORT_ONE_MONTH, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    def test_an_out_that_names_a_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(*EXPORT_ONE_MONTH, "--out", str(taken)) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{taken}'\n"
+
+
 class TestHugeQuantities:
     @pytest.mark.parametrize("where, message", [
         ("line", "error: web-1/vm_hours in 2011-05: amount "),
@@ -871,37 +927,56 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "cloudcost"))
 sys.exit(code)
 """
 
-WINDOW = ("--catalog", DEMO_CATALOG, "--start", "2011-01", "--end", "2011-01")
+# Each command as TestImports runs it: "{tmp}" is an output directory, "{map}"
+# a provider map; "import" is a bare `import cloudcost.cli`.
+FRESH_COMMANDS = {
+    "import": [],
+    "assess": ["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--out", "{tmp}"],
+    "validate": ["validate", DEMO_MODEL],
+    "export-csv": ["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+                   "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}"],
+    "simulate": ["simulate", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+                 "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
+    "compare": ["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--catalog", DEMO_CATALOG,
+                "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
+    "compare-providers": ["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+                          "--map", "{map}", "--start", "2011-01", "--end", "2011-02",
+                          "--out", "{tmp}"],
+}
+# Which of the modules named in argv[1] the command argv[2:] loads beyond
+# those loaded before cloudcost's import
+NEWLY_LOADED = """\
+import sys
+before = set(sys.modules)
+import cloudcost.cli
+code = cloudcost.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+print(sorted(set(sys.argv[1].split()) & (set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def fresh_process(tmp_path, script, args, *flags):
+    """The last line ``python *flags -c script *args`` prints, run as a fresh
+    process with cloudcost's source on the path; it must exit 0."""
+    src = Path(cloudcost.__file__).resolve().parents[1]
+    remap = tmp_path / "map.json"
+    remap.write_text(json.dumps({"A": {"provider": "nimbus", "region": "us-east"},
+                                 "B": {"provider": "stratus", "region": "us-east"}}))
+    args = [arg.replace("{tmp}", str(tmp_path / "out")).replace("{map}", str(remap))
+            for arg in args]
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, (args, proc.stderr)
+    return proc.stdout.splitlines()[-1]
 
 
 class TestImports:
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
         # each command in a fresh process: the cloudcost modules it has loaded
-        # when it returns; "import" is a bare `import cloudcost.cli`
-        src = Path(cloudcost.__file__).resolve().parents[1]
-        remap = tmp_path / "map.json"
-        remap.write_text(json.dumps({"A": {"provider": "nimbus", "region": "us-east"},
-                                     "B": {"provider": "stratus", "region": "us-east"}}))
-        out = str(tmp_path / "out")
-        commands = {
-            "import": [],
-            "validate": ["validate", DEMO_MODEL],
-            "assess": ["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS,
-                       "--out", out],
-            "export-csv": ["export-csv", "--model", DEMO_MODEL, *WINDOW, "--out", out],
-            "simulate": ["simulate", "--model", DEMO_MODEL, *WINDOW, "--out", out],
-            "compare": ["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", *WINDOW,
-                        "--out", out],
-            "compare-providers": ["compare-providers", "--model", DEMO_MODEL, *WINDOW,
-                                  "--map", str(remap), "--out", out],
-        }
-        loaded = {}
-        for name, argv in commands.items():
-            proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
-                                  env={**os.environ, "PYTHONPATH": str(src)},
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, (name, proc.stderr)
-            loaded[name] = proc.stdout.splitlines()[-1]
+        # when it returns
+        loaded = {name: fresh_process(tmp_path, FOOTPRINT, argv)
+                  for name, argv in FRESH_COMMANDS.items()}
         base = ["cloudcost", "cloudcost.cli", "cloudcost.errors"]
         # validate parses patterns, but loads neither the replay nor the calendar
         validate = [*base, "cloudcost.model", "cloudcost.patterns", "cloudcost.schema"]
@@ -921,44 +996,29 @@ class TestImports:
 
     # Standard-library modules a fresh process must not load, pinned by absence
     # so the pins hold whatever else each Python version's stdlib imports.
-    @pytest.mark.parametrize("argv, absent", [
-        ([], ("fractions", "dataclasses", "inspect", "html")),
-        (["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "html")),
-        (["validate", DEMO_MODEL],
-         ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html")),
-        (["export-csv", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
-          "--start", "2011-01", "--end", "2011-01", "--out", "{tmp}"],
-         ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html")),
-        (["simulate", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
-          "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "datetime", "html")),
-        (["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--catalog", DEMO_CATALOG,
-          "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "datetime", "html")),
-        (["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
-          "--map", "{map}", "--start", "2011-01", "--end", "2011-02", "--out", "{tmp}"],
-         ("fractions", "dataclasses", "inspect", "datetime", "html")),
-    ], ids=["import", "assess", "validate", "export-csv", "simulate", "compare",
-            "compare-providers"])
-    def test_a_fresh_command_never_loads_these_stdlib_modules(self, tmp_path, argv, absent):
-        script = ("import sys\n"
-                  "before = set(sys.modules)\n"
-                  "import cloudcost.cli\n"
-                  "code = cloudcost.cli.main(sys.argv[2:]) if sys.argv[2:] else 0\n"
-                  "print(sorted(set(sys.argv[1].split()) & (set(sys.modules) - before)))\n"
-                  "sys.exit(code)\n")
-        src = Path(cloudcost.__file__).resolve().parents[1]
-        remap = tmp_path / "map.json"
-        remap.write_text(json.dumps({"A": {"provider": "nimbus", "region": "us-east"},
-                                     "B": {"provider": "stratus", "region": "us-east"}}))
-        argv = [arg.replace("{tmp}", str(tmp_path / "out")).replace("{map}", str(remap))
-                for arg in argv]
-        proc = subprocess.run([sys.executable, "-c", script, " ".join(absent), *argv],
-                              env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+    ABSENT = {
+        "import": ("fractions", "dataclasses", "inspect", "html"),
+        "assess": ("fractions", "dataclasses", "inspect", "html"),
+        "validate": ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html"),
+        "export-csv": ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html"),
+        "simulate": ("fractions", "dataclasses", "inspect", "datetime", "html"),
+        "compare": ("fractions", "dataclasses", "inspect", "datetime", "html"),
+        "compare-providers": ("fractions", "dataclasses", "inspect", "datetime", "html"),
+    }
+
+    @pytest.mark.parametrize("command", FRESH_COMMANDS)
+    def test_a_fresh_command_never_loads_these_stdlib_modules(self, tmp_path, command):
+        absent = " ".join(self.ABSENT[command])
+        assert fresh_process(tmp_path, NEWLY_LOADED, [absent, *FRESH_COMMANDS[command]]) == "[]"
+
+    # Under -S no site hook loads anything first, as in an interpreter whose
+    # site-packages import nothing at start-up. random is what tempfile loaded.
+    @pytest.mark.parametrize("command", FRESH_COMMANDS)
+    def test_without_site_hooks_no_command_loads_typing_pathlib_or_tempfile(self, tmp_path,
+                                                                          command):
+        absent = "typing pathlib tempfile random"
+        assert fresh_process(tmp_path, NEWLY_LOADED, [absent, *FRESH_COMMANDS[command]],
+                             "-S") == "[]"
 
 
 SEED_PATTERNS = ("perm: every month +17", "temp: every jun-aug on weekends /2",

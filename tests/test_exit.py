@@ -7,6 +7,7 @@ unless a tool reports at exit. Each case runs with stdout block-buffered
 shows at a different point in each.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -227,3 +228,30 @@ class TestExitTimeTools:
         proc = python([*flags, "-c", script, "validate", DEMO_MODEL], buffered=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == ("torn down\n" if torn_down else "")
+
+
+class TestCollector:
+    """A ``cloudcost`` process runs with the cyclic collector off; a caller of
+    :func:`cloudcost.cli.main` keeps the collector as it set it."""
+
+    def test_a_process_runs_with_the_collector_off(self):
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print('collector on:', gc.isenabled()))\n"
+                  "sys.argv = ['cloudcost', *sys.argv[1:]]\n"
+                  "runpy.run_module('cloudcost', run_name='__main__')\n")
+        proc = python(["-c", script, "validate", DEMO_MODEL], buffered=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "collector on: False\n", "")
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_in_process_main_leaves_the_collector_as_it_was(self, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            import cloudcost.__main__  # noqa: F401 -- importing it changes nothing either
+            from cloudcost.cli import main
+
+            assert main(["validate", DEMO_MODEL]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert capsys.readouterr() == ("", "")

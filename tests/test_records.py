@@ -1,6 +1,7 @@
-"""Every record of the program is a NamedTuple: equal and hashed by its fields
-within its type, read-only, copied and pickled whole, and the tuple of its
-fields. No JSON payload carries one."""
+"""Every record of the program is a ``collections.namedtuple``, or a subclass
+of one: its fields and their defaults as pinned here, equal and hashed by its
+fields within its type, read-only, copied and pickled whole, and the tuple of
+its fields. No JSON payload carries one."""
 
 import copy
 import json
@@ -201,7 +202,7 @@ def test_rating_sheet_keeps_its_own_dict():
 
 def _records_in(value, path="$"):
     """Paths of every tuple inside a value handed to ``json.dumps``; a
-    NamedTuple record there would be written as a bare list."""
+    record there would be written as a bare list."""
     if isinstance(value, tuple):
         yield path
     if isinstance(value, dict):
