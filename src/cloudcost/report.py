@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal
 from collections.abc import Sequence
+from decimal import Decimal
 from itertools import accumulate
 
 from . import engine, model as m
