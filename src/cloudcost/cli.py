@@ -61,9 +61,10 @@ def write_json(path: str, payload: object) -> None:
 
 
 def _warn(warnings: tuple[str, ...]) -> None:
-    """The one way a command reports warnings: one stderr line each."""
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    """The one way a command reports warnings: one stderr line each, in one
+    write."""
+    if warnings:
+        sys.stderr.write("".join(f"warning: {warning}\n" for warning in warnings))
 
 
 def _load_catalog(args: argparse.Namespace) -> pricing.PriceCatalog:

@@ -4,7 +4,7 @@ and its patterns.
 The patterns themselves, their grammar and parser, are
 :mod:`cloudcost.patterns`, which makes each pattern's month and day masks
 once. This module replays parsed :class:`~cloudcost.patterns.PatternSpec`
-records day by day. It still decides the calendar side: which days of each
+records. It still decides the calendar side: which days of each
 month a weekday mask selects, and the two rules below for a pattern without
 a day clause.
 
@@ -16,8 +16,8 @@ Evaluation semantics:
   matching day.
 * A temp pattern without a day clause applies to every day of matching
   months; with a day clause, to matching days only.
-* All perm mutations for a day happen before temp transformations; within
-  each class, declaration order rules.
+* All perm mutations for a day happen before temp transformations; among
+  the perms and among the temps, declaration order rules.
 * Flows contribute level/days-in-month per day and bill the monthly sum;
   stocks contribute the level itself and bill the time-average (GB-month).
 * Every operator application clamps negative results to 0, recording a
@@ -28,20 +28,34 @@ Replay has two parts. :func:`month_plan` depends only on the patterns and
 the window: for each month it keeps the active perms and temps, each with a
 firing bitmask (bit ``dom`` set for each day it applies on: the weekday
 mask rotated to day 1's weekday and repeated over the month, or-ed with the
-day-of-month mask) and its operator as a function, plus a mask of the days
-that start a run of identical days. A run starts on day 1, on every day a perm fires
-and on every day the set of firing temps changes; the mask also holds day
-n+1 of an n-day month, which ends the last run. :func:`monthly_series` then
-walks the runs from the schedule's baseline, so one plan serves every
-baseline and kind class. Perms fire only on a run's first day, so the run's
-perms and then its temps are applied once, and each later day of the run
-repeats its value. A temp that clamps ends its run after that day, so each
-day that clamps is replayed on its own and warns under its own date, in pattern
-order, as a day-by-day walk would. A month's quantity still adds its daily
-values one by one from 0.0, once per day of each run: the order of float
+day-of-month mask) and its operator as a function, plus the month's day
+layout. The layout depends only on the month's length, the OR of the perm
+masks and the tuple of temp masks, so months and pattern sets that share
+those share one layout, kept in a memo the caller owns (the engine keeps
+one per command) and built one step per run:
+
+* a *run* is a stretch of days that starts on day 1, on every day a perm
+  fires and on every day the set of firing temps changes;
+* a *class* is a group of days that share one level and one set of firing
+  temps: (the perm-firing day that starts it, or 0; the positions of its
+  temps). A perm-firing day always starts a new class, whose later days
+  are the following days with the same temps before the next perm fires;
+* the layout's runs are (class, range of the run's days), in day order.
+
+:func:`monthly_series` then values each class once per series, in the
+order the classes first occur: the perms that fire on its day (if any) and
+then its temps, each in declaration order, with the clamp and overflow
+checks of a day-by-day walk. So one plan serves every baseline and kind
+class. A month's quantity still adds its daily values one by one from 0.0,
+the run's class value once per day of each run: the order of float
 operations is part of the output contract, so no ``value * n``, closed
 form, ``sum()`` (compensated since Python 3.12) or ``math.fsum`` stands in
 for the loop.
+
+A class that clamps warns on each of its days, in date order; on a
+perm-firing day the day's perm clamps come before its temp clamps, each
+group in pattern order: the sequence a day-by-day walk gives. Only a month
+that clamped walks its days to build those messages.
 """
 
 from __future__ import annotations
@@ -118,22 +132,67 @@ def _firing_days(days: tuple[int, int], weekday1: int, month_days: int) -> int:
 # function and operand, its index in the schedule and the pattern itself,
 # (int, (float, float) -> float, float, int, PatternSpec).
 PlannedPattern = tuple
-# One window month: year, month, days, the days after day 1 that start a run
-# (day n+1 included), and its active perms and temps in declaration order,
-# (int, int, int, int, tuple of PlannedPattern, tuple of PlannedPattern).
+# A month's day layout: its classes, each (the perm-firing day that starts
+# it or 0, the positions of its firing temps among the month's temps), and
+# its runs in day order, each (class index, range of its days); see the
+# module docstring.
+DayLayout = tuple
+# One window month: year, month, days, its active perms and temps in
+# declaration order and its day layout,
+# (int, int, int, tuple of PlannedPattern, tuple of PlannedPattern, DayLayout).
 PlannedMonth = tuple
 
 
-def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow
-               ) -> tuple[PlannedMonth, ...]:
+def _day_layout(days_in_month: int, perm_days: int, temp_days: tuple[int, ...]) -> DayLayout:
+    """The classes and runs of a month of ``days_in_month`` days whose perms
+    fire on the days in mask ``perm_days`` and whose temps each fire on the
+    days in their mask in ``temp_days``, built one step per run."""
+    month_days = (2 << days_in_month) - 2
+    starts = perm_days
+    for fires in temp_days:
+        starts |= fires ^ (fires << 1)  # the days it starts or stops firing
+    # day 1 always starts a run, so it is left out; day n+1 ends the last
+    starts = starts & month_days & ~2 | 2 << days_in_month
+    index: dict[int, int] = {}  # (level day, firing temps as bits) -> class
+    classes: list[tuple[int, tuple[int, ...]]] = []
+    runs: list[tuple[int, range]] = []
+    dom = 1
+    level = 0  # the day a perm last fired on, 0 before it first does
+    while starts:
+        first = starts & -starts  # the next run's first day, as a bit
+        starts ^= first
+        end = first.bit_length() - 1
+        if perm_days >> dom & 1:
+            level = dom
+        key = level
+        for fires in temp_days:
+            key = key << 1 | fires >> dom & 1
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(classes)
+            classes.append((level if level == dom else 0,
+                            tuple(k for k, fires in enumerate(temp_days) if fires >> dom & 1)))
+        runs.append((c, range(dom, end)))
+        dom = end
+    return tuple(classes), tuple(runs)
+
+
+def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow,
+               layouts: dict | None = None) -> tuple[PlannedMonth, ...]:
     """What a replay of ``patterns`` over ``window`` does in each month,
-    whatever the baseline and kind class; see the module docstring."""
+    whatever the baseline and kind class; see the module docstring.
+
+    ``layouts`` is the day-layout memo, keyed by (days in the month, perm
+    mask, temp masks); a fresh one is used by default."""
+    if layouts is None:
+        layouts = {}
     plan: list[PlannedMonth] = []
     for year, month, weekday1, days_in_month in month_calendar(window.start, window.end):
         month_days = (2 << days_in_month) - 2
         perms: list[PlannedPattern] = []
         temps: list[PlannedPattern] = []
-        starts = 0
+        perm_days = 0
+        temp_days: list[int] = []
         for i, p in enumerate(patterns):
             if not p.months >> month & 1:
                 continue
@@ -147,13 +206,15 @@ def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow
                 continue  # ... but leaves the first month (no quantity yet) at the raw baseline
             if p.mode == TEMP:
                 temps.append((fires, _OPERATIONS[p.op], p.operand, i, p))
-                starts |= fires ^ (fires << 1)  # the days it starts or stops firing
+                temp_days.append(fires)
             else:
                 perms.append((fires, _OPERATIONS[p.op], p.operand, i, p))
-                starts |= fires
-        # day 1 always starts a run, so it is left out; day n+1 ends the last
-        plan.append((year, month, days_in_month, starts & month_days & ~2 | 2 << days_in_month,
-                     tuple(perms), tuple(temps)))
+                perm_days |= fires
+        key = (days_in_month, perm_days, tuple(temp_days))
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _day_layout(*key)
+        plan.append((year, month, days_in_month, tuple(perms), tuple(temps), layout))
     return tuple(plan)
 
 
@@ -177,38 +238,44 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow, *,
     clamps: list[str] = []
     inf = math.inf
     try:
-        for year, month, days_in_month, starts, perms, temps in plan:
-            total = 0.0
-            dom = 1
-            while starts:
-                for fires, apply, operand, i, p in perms:
-                    if (fires >> dom) & 1:
-                        level = apply(level, operand)
-                        if not -inf < level < inf:
-                            raise _overflow(p)
-                        if level < 0:
-                            level = 0.0
-                            clamps.append(_clamp_message(p, i, year, month, dom))
+        for year, month, days_in_month, perms, temps, (classes, runs) in plan:
+            values: list[float] = []
+            # (class, pattern index, pattern, the perm's day or 0 for a temp)
+            clamped: list[tuple[int, int, PatternSpec, int]] = []
+            for perm_day, fired in classes:
+                if perm_day:
+                    for fires, apply, operand, i, p in perms:
+                        if fires >> perm_day & 1:
+                            level = apply(level, operand)
+                            if not -inf < level < inf:
+                                raise _overflow(p)
+                            if level < 0:
+                                level = 0.0
+                                clamped.append((len(values), i, p, perm_day))
                 value = level if stock else level / days_in_month
-                for fires, apply, operand, i, p in temps:
-                    if (fires >> dom) & 1:
-                        value = apply(value, operand)
-                        if not -inf < value < inf:
-                            raise _overflow(p)
-                        if value < 0:
-                            value = 0.0
-                            clamps.append(_clamp_message(p, i, year, month, dom))
-                            starts |= 2 << dom  # the next day warns on its own
-                first = starts & -starts  # the next run's first day, as a bit
-                starts ^= first
-                end = first.bit_length() - 1
-                for _ in range(dom, end):
+                for k in fired:
+                    _, apply, operand, i, p = temps[k]
+                    value = apply(value, operand)
+                    if not -inf < value < inf:
+                        raise _overflow(p)
+                    if value < 0:
+                        value = 0.0
+                        clamped.append((len(values), i, p, 0))
+                values.append(value)
+            total = 0.0
+            for c, days in runs:
+                value = values[c]
+                for _ in days:
                     total += value
-                dom = end
             if total == inf:
                 raise EvaluationError("value overflowed summing the month's days")
             quantities.append(total / days_in_month if stock else total)
+            if clamped:  # a perm's on its class's first day, a temp's on each day
+                clamps += [_clamp_message(p, i, year, month, day)
+                           for c, days in runs for day in days
+                           for cls, i, p, on in clamped if cls == c and on in (0, day)]
     except EvaluationError as exc:
         exc.month = Month(year, month)
         raise
     return tuple(quantities), tuple(clamps)
+

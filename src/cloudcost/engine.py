@@ -13,10 +13,13 @@ in a memo keyed by that triple, and an equal requirement reuses it; each
 requirement reports the messages under its own ``subject/kind:`` prefix.
 A replay's month plan (see :mod:`cloudcost.elasticity`) depends on the
 pattern texts alone, so the same memo keeps it beside the texts'
-concatenated specs, keyed by the texts, for every replay of them. The memo
-is owned by one command: :func:`simulate` makes a fresh one per call, and
-:func:`compare_scenarios` shares one across its scenarios, which all use the
-same window. Nothing is kept between commands.
+concatenated specs, keyed by the texts, for every replay of them. And a
+month's day layout depends on its length and firing masks alone, so the
+memo also holds the layouts every plan shares, keyed by (days in the month,
+perm mask, temp masks). The memo is owned by one command: :func:`simulate`
+makes a fresh one per call, and :func:`compare_scenarios` shares one across
+its scenarios, which all use the same window. Nothing is kept between
+commands.
 
 Prices repeat the same way: many lines share a rate entry and a quantity. So
 :func:`simulate` prices each distinct (rate entry, quantity) pair once, in a
@@ -189,10 +192,11 @@ class CostReport(namedtuple("CostReport", "window series warnings currency",
         return [to_money(sum(filter(_is_cost, costs), _ZERO)) for costs in zip(*columns)]
 
 
-# The replay memo: pattern texts -> (their specs, their month plan), and
+# The replay memo: pattern texts -> (their specs, their month plan),
 # (kind class, baseline, pattern texts) -> (quantity per window month, raw
-# clamp messages). A key of texts holds strings only, so the two kinds of key
-# never meet.
+# clamp messages), and (days in the month, perm mask, temp masks) -> day
+# layout. A key of texts holds strings only, a replay key starts with a
+# string and a layout key with an int, so the three kinds of key never meet.
 Replays = dict[tuple, tuple]
 
 
@@ -206,7 +210,7 @@ def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: Simula
         planned = replays.get(req.patterns)
         if planned is None:
             specs = tuple(spec for text in req.patterns for spec in model.parsed_patterns[text])
-            planned = replays[req.patterns] = (specs, month_plan(specs, window))
+            planned = replays[req.patterns] = (specs, month_plan(specs, window, replays))
         specs, plan = planned
         try:
             replayed = replays[key] = monthly_series(
@@ -290,7 +294,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
 
         for req in node.requirements:
             quantities, clamps = _series(model, req, window, node.id, replays)
-            warnings.extend(f"{node.id}/{req.kind}: {msg}" for msg in clamps)
+            if clamps:
+                warnings.extend(f"{node.id}/{req.kind}: {msg}" for msg in clamps)
             sku, scope = _rate_key_for(node, req.kind)
             emit(quantities, node.id, node, req.kind, sku, scope,
                  hourly if req.kind == m.VM_HOURS else None)
@@ -312,7 +317,8 @@ def simulate(model: m.DeploymentModel, catalog: pricing.PriceCatalog,
         if from_node.placement is None and to_node.placement is None:
             continue  # both endpoints outside the cloud: nothing is billed
         quantities, clamps = _series(model, path.volume, window, path.id, replays)
-        warnings.extend(f"{path.id}/{path.volume.kind}: {msg}" for msg in clamps)
+        if clamps:
+            warnings.extend(f"{path.id}/{path.volume.kind}: {msg}" for msg in clamps)
         for endpoint, kind in ((from_node, m.DATA_OUT_GB), (to_node, m.DATA_IN_GB)):
             if endpoint.placement is None:
                 continue  # only the cloud-side endpoint is billed

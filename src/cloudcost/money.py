@@ -23,7 +23,7 @@ def to_money(value: Decimal | int | float | str) -> Decimal:
     """
     d = as_decimal(value)
     try:
-        return d.quantize(MONEY_EXP, rounding=ROUND_HALF_EVEN)
+        return d.quantize(MONEY_EXP, ROUND_HALF_EVEN)
     except InvalidOperation as exc:
         raise too_large(d) from exc
 
@@ -36,11 +36,11 @@ def too_large(amount: object) -> EvaluationError:
 
 def as_decimal(value: Decimal | int | float | str) -> Decimal:
     """Exact decimal view of a quantity, without money quantization."""
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, float):
+    if isinstance(value, float):  # pricing's quantities, so tested first
         # str() gives the shortest round-trip form, avoiding binary artifacts
         return Decimal(str(value))
+    if isinstance(value, Decimal):
+        return value
     return Decimal(value)
 
 
@@ -57,9 +57,9 @@ def round_half_even(num: int, den: int) -> int:
 
 def format_money(value: Decimal) -> str:
     """Render with exactly 2 decimals, rounding half-even."""
-    return str(value.quantize(CENT_EXP, rounding=ROUND_HALF_EVEN))
+    return str(value.quantize(CENT_EXP, ROUND_HALF_EVEN))
 
 
 def format_money_grouped(value: Decimal) -> str:
     """Render with 2 decimals and thousands separators for console tables."""
-    return f"{value.quantize(CENT_EXP, rounding=ROUND_HALF_EVEN):,}"
+    return f"{value.quantize(CENT_EXP, ROUND_HALF_EVEN):,}"

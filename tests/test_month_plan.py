@@ -46,7 +46,7 @@ def planned_days(plan, count: int) -> list[dict[int, set[int]]]:
     """Each planned month's firing days of each of ``count`` patterns, by
     pattern index; an inactive pattern fires on no day."""
     months = []
-    for _, _, days_in_month, _, perms, temps in plan:
+    for _, _, days_in_month, perms, temps, _ in plan:
         fired = {i: set() for i in range(count)}
         for fires, _, _, i, _ in perms + temps:
             fired[i] = {day for day in range(1, days_in_month + 1) if fires >> day & 1}

@@ -1,11 +1,12 @@
-"""A command replays each distinct usage schedule once, and plans each
-distinct pattern set once.
+"""A command replays each distinct usage schedule once, plans each distinct
+pattern set once and builds each distinct day layout once.
 
 Replay depends on a requirement's kind class, baseline and pattern texts,
-not on its subject, placement or catalog, and its month plan on the pattern
-texts alone. These tests count the calls into ``engine.monthly_series`` and
-``engine.month_plan`` and check that sharing a replay changes neither the
-output bytes nor any subject's clamp warnings.
+not on its subject, placement or catalog, its month plan on the pattern
+texts alone, and a month's day layout on its length and firing masks alone.
+These tests count the calls into ``engine.monthly_series``,
+``engine.month_plan`` and ``elasticity._day_layout`` and check that sharing a
+replay changes neither the output bytes nor any subject's clamp warnings.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import cloudcost
-from cloudcost import engine, model as m
+from cloudcost import elasticity, engine, model as m
 from cloudcost.cli import main
 from cloudcost.elasticity import UsageSchedule, monthly_series
 from cloudcost.months import Month, SimulationWindow
@@ -59,11 +60,25 @@ def plans(monkeypatch):
     calls = Counter()
     original = engine.month_plan
 
-    def counting(patterns, window):
+    def counting(patterns, window, layouts=None):
         calls[tuple(patterns)] += 1
-        return original(patterns, window)
+        return original(patterns, window, layouts)
 
     monkeypatch.setattr(engine, "month_plan", counting)
+    return calls
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Counter of day-layout builds, by memo key."""
+    calls = Counter()
+    original = elasticity._day_layout
+
+    def counting(*key):
+        calls[key] += 1
+        return original(*key)
+
+    monkeypatch.setattr(elasticity, "_day_layout", counting)
     return calls
 
 
@@ -120,6 +135,49 @@ def test_each_simulate_builds_its_own_plans(plans):
     assert sum(plans.values()) == 3
     assert engine.simulate(model, catalog, window) == first
     assert sum(plans.values()) == len(plans) * 2 == 6
+
+
+def test_the_demo_decade_builds_each_distinct_layout_once(tmp_path, plans, layouts):
+    assert main(["simulate", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--start", "2011-01", "--end", "2020-12", "--out", str(tmp_path)]) == 0
+    assert sum(layouts.values()) == len(layouts)
+    assert 1 < len(layouts) < 120 * len(plans)  # months share their layouts
+
+
+def test_compare_providers_builds_each_layout_once_across_its_scenarios(tmp_path, layouts):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(THREE_PROVIDERS))
+    assert main(["compare-providers", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--map", str(mapping), "--start", "2011-01", "--end", "2013-12"]) == 0
+    assert sum(layouts.values()) == len(layouts) > 1  # not once per scenario
+
+
+def test_each_simulate_builds_its_own_layouts(layouts):
+    model = m.parse_model(DEMO_MODEL.read_text())
+    catalog = load_catalog(Path(DEMO_CATALOG).read_text())
+    window = SimulationWindow(Month(2011, 1), Month(2011, 12))
+    first = engine.simulate(model, catalog, window)
+    built = dict(layouts)
+    assert sum(built.values()) == len(built) > 1
+    assert engine.simulate(model, catalog, window) == first
+    assert layouts == {key: 2 for key in built}
+
+
+def test_a_simulate_call_grows_no_module_attribute(layouts):
+    # masks no other test makes, so a store kept between calls would grow
+    texts = ("temp: every month on 3-17 *1.37", "perm: every month on 9 +1")
+    model = m.DeploymentModel("fresh", (vm("a", patterns=texts),))
+    window = SimulationWindow(Month(2031, 1), Month(2031, 12))
+
+    def sizes():
+        return {(module.__name__, name): len(value)
+                for module in (elasticity, engine) for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))}
+
+    before = sizes()
+    engine.simulate(model, TRANSFER_CATALOG, window)
+    assert len(layouts) > 1
+    assert sizes() == before
 
 
 def test_a_replay_takes_the_schedule_and_window_positionally(monkeypatch):

@@ -85,6 +85,31 @@ def test_clamps_on_repeated_run_days_are_day_major_then_declared(month):
     assert clamps == expected
 
 
+# Two clamping temps split each week into three temp sets; the perm on the
+# 15th clamps the level, and the later perm fires on four days in a row, so
+# the days after each of them hold a level of their own.
+CLASS_ORDER = ("temp: every month on weekends -1e4, temp: every month on mon-wed -1e4, "
+               "perm: every month on 15 -1e9, perm: every month on 20-23 +250")
+
+
+@pytest.mark.parametrize("kind_class", [el.STOCK, el.FLOW])
+@pytest.mark.parametrize("first", [True, False], ids=["first_month", "later_month"])
+def test_clamps_across_classes_keep_the_day_by_day_order(kind_class, first):
+    sched = schedule(kind_class, 100, CLASS_ORDER)
+    perm_clamped = 0
+    for month in MONTHS:
+        start = month if first else add_months(month, -1)
+        window = SimulationWindow(start, month)
+        got, warnings = el.monthly_series(sched, window)
+        expected = [oracle_replay(kind_class, 100, sched.patterns, tuple(start), tuple(each))[0]
+                    for each in window.months()]
+        assert list(map(float.hex, got)) == list(map(float.hex, expected)), month
+        clamps = oracle_replay(kind_class, 100, sched.patterns, tuple(start), tuple(month))[1]
+        assert clamp_events(warnings) == clamps, month
+        perm_clamped += (date(month.year, month.month, 15), 2) in clamps
+    assert perm_clamped == len(MONTHS)  # and, on a weekend or mon-wed, before the temps
+
+
 # stderr of `simulate` for the demo model with web-1's vm_hours flooded by
 # `temp: every month on everyday -1000`, 2011-01..2013-12, as written when
 # every day was replayed on its own: 1096 lines, one per day
