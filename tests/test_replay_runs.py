@@ -1,10 +1,10 @@
-"""Replay in runs of identical days, checked against the day-loop oracle.
+"""Replay in classes and runs of days, checked against the day-loop oracle.
 
-``elasticity.monthly_series`` builds a firing-day bitmask per active
-pattern and month and replays each run of identical days once; a day on
-which a temp clamps ends its run. These tests cross every day-selector kind
-with every weekday of day 1 and every month length, and check that each
-clamping day warns under its own date in the order a day-by-day walk gives.
+``elasticity.monthly_series`` values each class of days of a month's layout
+once and adds its value on every day of its runs; a class that clamps warns
+on each of its days. These tests cross every day-selector kind with every
+weekday of day 1 and every month length, and check that each clamping day
+warns under its own date in the order a day-by-day walk gives.
 """
 
 import calendar
