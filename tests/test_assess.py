@@ -87,6 +87,19 @@ class TestParseRatings:
             assess.parse_ratings(f"item_id,rating\nB1,{cell}\n")
         assert str(exc.value) == f"rating row 2: rating must be an integer, got {cell!r}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("item_id,rating\nB1,5\nR1,3,4\n", "rating row 3: expected two cells"),
+        ("item_id,rating\nB1,5\nB1,4\n", "rating row 3: duplicate rating for 'B1'"),
+    ], ids=["three-cells", "duplicate"])
+    def test_a_bad_row_names_its_number(self, text, message):
+        with pytest.raises(AssessmentError) as exc:
+            assess.parse_ratings(text)
+        assert str(exc.value) == message
+
+    def test_blank_rows_between_ratings_are_skipped(self):
+        sheet = assess.parse_ratings("item_id,rating\nB1,5\n\n , \nR1,3\n")
+        assert sheet.ratings == {"B1": 5, "R1": 3}
+
     def test_bad_header_rejected(self):
         with pytest.raises(AssessmentError):
             assess.parse_ratings("id,score\nB1,5\n")

@@ -890,6 +890,15 @@ class TestAssess:
             "(choose from 1, 2, 3, 4, 5)\n")
         assert not (tmp_path / "out").exists()
 
+    def test_threshold_not_an_integer_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS,
+                "--threshold", "x", "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --threshold: invalid int value: 'x'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_ids_with_non_ascii_digits_sort_the_same_in_any_input_order(self, tmp_path,
                                                                        capsys):
         # B٣ (an Arabic-Indic three) is not B3, so input order must not decide

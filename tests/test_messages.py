@@ -3,6 +3,8 @@
 Each row changes one key of a valid document (or the whole document, at the
 empty key path) and pins ``str()`` of the error it raises. The rows marked
 "two defects" change two keys, so the first defect reported is pinned too.
+A model's validator reports every defect at once, so its rows pin one per
+rule, and one model with many defects pins their sorted order.
 """
 
 import contextlib
@@ -12,9 +14,10 @@ import json
 import pytest
 
 import cloudcost
-from cloudcost import assess, engine, pricing
+from cloudcost import assess, engine, model as m, pricing
 from cloudcost.cli import main
-from cloudcost.errors import AssessmentError, CatalogError, PlanError
+from cloudcost.errors import AssessmentError, CatalogError, ModelError, PlanError
+from cloudcost.months import Month, SimulationWindow
 
 from builders import DELETE, mutated
 
@@ -259,3 +262,159 @@ def test_the_documents_the_rows_change_are_valid(tmp_path):
                               for i, row in enumerate(TABLE)])
 def test_each_defect_reads_its_exact_message(tmp_path, reader, valid, changes, message):
     assert reader(mutated(valid, *changes), tmp_path) == message
+
+
+PLACED = {"provider": "aws", "region": "us-east"}
+VM_NODE = {"id": "vm", "kind": "virtual_machine", "placement": dict(PLACED),
+           "vm_spec": {"operating_system": "linux", "sku": "small"},
+           "requirements": [{"kind": "vm_hours", "baseline": 720,
+                             "patterns": ["perm: every month +1"]}]}
+DISK_NODE = {"id": "disk", "kind": "virtual_storage", "placement": dict(PLACED),
+             "storage_spec": {"storage_type": "block"},
+             "requirements": [{"kind": "storage_gb", "baseline": 100}]}
+USERS_NODE = {"id": "users", "kind": "remote_node"}
+APP, DATA = {"id": "app", "kind": "application"}, {"id": "data", "kind": "data_set"}
+OUT_PATH = {"id": "out", "from_node": "vm", "to_node": "users",
+            "volume": {"kind": "data_link_gb", "baseline": 10}}
+MODEL = {
+    "name": "pins",
+    "nodes": [VM_NODE, DISK_NODE, USERS_NODE],
+    "artifacts": [APP, DATA],
+    "bindings": [{"artifact_id": "app", "node_id": "vm"},
+                 {"artifact_id": "data", "node_id": "disk"}],
+    "paths": [OUT_PATH],
+    "groups": [{"id": "front", "node_ids": ["vm"]}, {"id": "back", "node_ids": ["disk"]}],
+}
+
+
+def model_message(doc):
+    """``str()`` of the ModelError a model raises: a document's from
+    ``parse_model``, a model built in code (which can hold the node and
+    artifact kinds the JSON reader rejects) from ``engine.simulate``."""
+    with pytest.raises(ModelError) as exc:
+        if isinstance(doc, m.DeploymentModel):
+            engine.simulate(doc, pricing.load_catalog(json.dumps(CATALOG)),
+                            SimulationWindow(Month(2011, 1), Month(2011, 1)))
+        else:
+            m.parse_model(json.dumps(doc))
+    return str(exc.value)
+
+
+VM, DISK, USERS = ("nodes", 0), ("nodes", 1), ("nodes", 2)
+VM_REQ = (*VM, "requirements", 0)
+INVALID = "model validation failed\n  error: "
+REFUSED = "cannot simulate an invalid model\n  error: "
+
+MODEL_ROWS = [
+    ([(("nodes",), [VM_NODE, DISK_NODE, USERS_NODE, USERS_NODE])],
+     INVALID + "nodes[3].id: duplicate node id 'users'"),
+    ([((), m.DeploymentModel("pins", (m.Node("vm", "bogus", m.Placement("aws", "us-east")),)))],
+     REFUSED + "nodes[0].kind: unknown node kind 'bogus'"),
+    ([((*USERS, "placement"), PLACED)], INVALID + "nodes[2].placement: remote nodes carry no placement"),
+    ([((*DISK, "placement"), DELETE)],
+     INVALID + "nodes[1].placement: virtual_storage requires a placement"),
+    ([((*VM, "placement", "provider"), "")],
+     INVALID + "nodes[0].placement.provider: provider must be non-empty"),
+    ([((*VM, "placement", "region"), "")],
+     INVALID + "nodes[0].placement.region: region must be non-empty"),
+    ([((*VM, "vm_spec"), DELETE)], INVALID + "nodes[0].vm_spec: virtual machines require a vm_spec"),
+    ([((*VM, "vm_spec"), {"operating_system": "linux", "cpu_ghz": 2})],
+     INVALID + "nodes[0].vm_spec: raw spec needs both cpu_ghz and ram_gb"),
+    ([((*VM, "vm_spec", "cpu_ghz"), 2), ((*VM, "vm_spec", "ram_gb"), 4)],
+     INVALID + "nodes[0].vm_spec: exactly one of sku or raw spec (cpu_ghz + ram_gb) is required"),
+    ([((*DISK, "vm_spec"), VM_NODE["vm_spec"])],
+     INVALID + "nodes[1].vm_spec: vm_spec is not allowed on a virtual_storage"),
+    ([((*VM, "storage_spec"), DISK_NODE["storage_spec"])],
+     INVALID + "nodes[0].storage_spec: storage_spec is not allowed on a virtual_machine"),
+    ([((*VM, "requirements"), [{"kind": "vm_hours", "baseline": 720},
+                               {"kind": "vm_hours", "baseline": 1}])],
+     INVALID + "nodes[0].requirements[1].kind: duplicate requirement kind 'vm_hours' on node 'vm'"),
+    ([((*VM_REQ, "kind"), "storage_gb")],
+     INVALID + "nodes[0].requirements[0].kind: requirement kind 'storage_gb' is not legal on a "
+               "virtual_machine"),
+    ([((*VM_REQ, "baseline"), float("inf"))],
+     INVALID + "nodes[0].requirements[0].baseline: baseline must be finite, got inf"),
+    ([((*VM_REQ, "baseline"), -1)],
+     INVALID + "nodes[0].requirements[0].baseline: baseline must be >= 0, got -1.0"),
+    ([((*VM_REQ, "patterns", 0), "sometimes")],
+     INVALID + "nodes[0].requirements[0].patterns[0]: unknown mode 'sometimes', expected 'temp' "
+               "or 'perm' (column 1 of 'sometimes')"),
+    ([(("artifacts",), [APP, DATA, DATA])], INVALID + "artifacts[2].id: duplicate artifact id 'data'"),
+    ([((), m.DeploymentModel("pins", artifacts=(m.ArtifactItem("app", "weird"),)))],
+     REFUSED + "artifacts[0].kind: unknown artifact kind 'weird'"),
+    ([(("bindings", 0, "artifact_id"), "ghost")],
+     INVALID + "bindings[0].artifact_id: binding references unknown artifact 'ghost'"),
+    ([(("bindings", 0, "node_id"), "ghost")],
+     INVALID + "bindings[0].node_id: binding references unknown node 'ghost'"),
+    ([(("bindings", 0, "node_id"), "disk")],
+     INVALID + "bindings[0]: application 'app' cannot be deployed on a virtual_storage"),
+    ([(("paths",), [OUT_PATH, OUT_PATH])], INVALID + "paths[1].id: duplicate path id 'out'"),
+    ([(("paths", 0, "id"), "vm")], INVALID + "paths[0].id: path id 'vm' collides with a node id"),
+    ([(("paths", 0, "to_node"), "ghost")],
+     INVALID + "paths[0].to_node: path references unknown node 'ghost'"),
+    ([(("paths", 0, "volume", "kind"), "data_out_gb")],
+     INVALID + "paths[0].volume.kind: path volume must have kind 'data_link_gb'"),
+    ([(("groups", 1, "id"), "front")], INVALID + "groups[1].id: duplicate group id 'front'"),
+    ([(("groups", 0, "node_ids"), ["ghost"])],
+     INVALID + "groups[0].node_ids[0]: group references unknown node 'ghost'"),
+    ([(("groups", 1, "node_ids"), ["disk", "vm"])],
+     INVALID + "groups[1].node_ids[1]: node 'vm' already belongs to group 'front'"),
+]
+
+# Repeated ids: a binding sees a node id's first node and an artifact id's
+# last artifact, so only "data" (last an application) fails to deploy.
+# Messages at one path sort by text, and indexes as integers.
+MANY_DEFECTS = mutated(MODEL, (("nodes",), [
+    mutated(VM_NODE, (("requirements", 0, "patterns"),
+                      ["perm: every month +1"] * 2 + ["x"] + ["perm: every month +1"] * 7 + ["y"])),
+    mutated(DISK_NODE, (("id",), "vm"), (("requirements", 0, "baseline"), -1)),
+    mutated(USERS_NODE, (("placement",), PLACED)),
+    DISK_NODE,
+]), (("artifacts",), [APP, DATA, {"id": "data", "kind": "application"}]), (("paths",), [
+    OUT_PATH, mutated(OUT_PATH, (("id",), "vm"), (("to_node",), "ghost")),
+    mutated(OUT_PATH, (("id",), "vm")),
+]), (("groups", 1, "node_ids"), ["ghost", "disk", "vm"]), (("groups", 1, "id"), "front"))
+
+MANY_DEFECTS_MESSAGE = "\n  error: ".join([
+    "model validation failed",
+    "artifacts[2].id: duplicate artifact id 'data'",
+    "bindings[1]: application 'data' cannot be deployed on a virtual_storage",
+    "groups[1].id: duplicate group id 'front'",
+    "groups[1].node_ids[0]: group references unknown node 'ghost'",
+    "groups[1].node_ids[2]: node 'vm' already belongs to group 'front'",
+    "nodes[0].requirements[0].patterns[2]: unknown mode 'x', expected 'temp' or 'perm' "
+    "(column 1 of 'x')",
+    "nodes[0].requirements[0].patterns[10]: unknown mode 'y', expected 'temp' or 'perm' "
+    "(column 1 of 'y')",
+    "nodes[1].id: duplicate node id 'vm'",
+    "nodes[1].requirements[0].baseline: baseline must be >= 0, got -1.0",
+    "nodes[2].placement: remote nodes carry no placement",
+    "paths[1].id: path id 'vm' collides with a node id",
+    "paths[1].to_node: path references unknown node 'ghost'",
+    "paths[2].id: duplicate path id 'vm'",
+    "paths[2].id: path id 'vm' collides with a node id",
+])
+
+
+def test_the_model_the_rows_change_is_valid():
+    assert m.validate(m.parse_model(json.dumps(MODEL))) == []
+
+
+@pytest.mark.parametrize("changes, message", MODEL_ROWS,
+                         ids=[f"model-{i}" for i in range(len(MODEL_ROWS))])
+def test_each_validator_rule_reads_its_exact_message(changes, message):
+    assert model_message(mutated(MODEL, *changes)) == message
+
+
+def test_many_defects_read_in_path_order():
+    assert model_message(MANY_DEFECTS) == MANY_DEFECTS_MESSAGE
+
+
+def test_simulate_refuses_an_invalid_model_with_its_diagnostics():
+    invalid = m.DeploymentModel("pins", (m.Node("vm", "bogus", m.Placement("aws", "us-east")),),
+                                (m.ArtifactItem("app", "weird"),))
+    with pytest.raises(ModelError) as exc:
+        engine.simulate(invalid, pricing.load_catalog(json.dumps(CATALOG)),
+                        SimulationWindow(Month(2011, 1), Month(2011, 1)))
+    assert exc.value.args == ("cannot simulate an invalid model",)
+    assert exc.value.diagnostics == m.validate(invalid) != []
