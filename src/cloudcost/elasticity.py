@@ -192,7 +192,6 @@ def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow,
         perms: list[PlannedPattern] = []
         temps: list[PlannedPattern] = []
         perm_days = 0
-        temp_days: list[int] = []
         for i, p in enumerate(patterns):
             if not p.months >> month & 1:
                 continue
@@ -206,11 +205,10 @@ def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow,
                 continue  # ... but leaves the first month (no quantity yet) at the raw baseline
             if p.mode == TEMP:
                 temps.append((fires, _OPERATIONS[p.op], p.operand, i, p))
-                temp_days.append(fires)
             else:
                 perms.append((fires, _OPERATIONS[p.op], p.operand, i, p))
                 perm_days |= fires
-        key = (days_in_month, perm_days, tuple(temp_days))
+        key = (days_in_month, perm_days, tuple(t[0] for t in temps))
         layout = layouts.get(key)
         if layout is None:
             layout = layouts[key] = _day_layout(*key)

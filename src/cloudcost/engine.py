@@ -16,10 +16,10 @@ pattern texts alone, so the same memo keeps it beside the texts'
 concatenated specs, keyed by the texts, for every replay of them. And a
 month's day layout depends on its length and firing masks alone, so the
 memo also holds the layouts every plan shares, keyed by (days in the month,
-perm mask, temp masks). The memo is owned by one command: :func:`simulate`
-makes a fresh one per call, and :func:`compare_scenarios` shares one across
-its scenarios, which all use the same window. Nothing is kept between
-commands.
+the OR of its perms' firing masks, its temps' firing masks in order). The
+memo is owned by one command: :func:`simulate` makes a fresh one per call,
+and :func:`compare_scenarios` shares one across its scenarios, which all use
+the same window. Nothing is kept between commands.
 
 Prices repeat the same way: many lines share a rate entry and a quantity. So
 :func:`simulate` prices each distinct (rate entry, quantity) pair once, in a
@@ -64,7 +64,7 @@ from operator import attrgetter, is_not
 
 from . import model as m
 from . import pricing, schema
-from .elasticity import UsageSchedule, month_plan, monthly_series
+from .elasticity import FLOW, STOCK, UsageSchedule, month_plan, monthly_series
 from .errors import CloudCostError, EvaluationError, MissingRateError, ModelError, PlanError
 from .money import MONEY_EXP, round_half_even, to_money
 from .months import Month, SimulationWindow
@@ -72,7 +72,9 @@ from .patterns import parse_patterns  # noqa: F401 -- bench/tracing.py wraps it 
 
 RESERVATION_UPFRONT = "reservation_upfront"
 
-# Requirement kind -> (catalog dimension, line unit). Stocks bill in GB-months.
+# Requirement kind -> (catalog dimension, line unit). storage_gb is a held
+# level, a stock billed by time-average in GB-months (see _series); every
+# other kind is a flow, a consumed monthly quantity.
 BILLING_FOR_KIND = {
     m.VM_HOURS: (pricing.VM_HOURS, "hours"),
     m.STORAGE_GB: (pricing.STORAGE_GB_MONTH, "GB-month"),
@@ -204,7 +206,7 @@ def _series(model: m.DeploymentModel, req: m.ResourceRequirement, window: Simula
             subject: str, replays: Replays) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """Quantities and raw clamp messages of a validated model's requirement,
     replayed unless ``replays`` holds an equal one."""
-    key = (m.KIND_CLASS[req.kind], req.baseline, req.patterns)
+    key = (STOCK if req.kind == m.STORAGE_GB else FLOW, req.baseline, req.patterns)
     replayed = replays.get(key)
     if replayed is None:
         planned = replays.get(req.patterns)

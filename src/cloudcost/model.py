@@ -38,10 +38,6 @@ DATA_LINK_GB = "data_link_gb"
 REQUIREMENT_KINDS = (VM_HOURS, STORAGE_GB, IO_IN_REQUESTS, IO_OUT_REQUESTS,
                      IO_GB, DATA_IN_GB, DATA_OUT_GB, DATA_LINK_GB)
 
-# storage_gb is a held level billed by time-average; everything else is a
-# consumed monthly quantity.
-KIND_CLASS = {kind: ("stock" if kind == STORAGE_GB else "flow") for kind in REQUIREMENT_KINDS}
-
 # Which requirement kinds may appear on which node kinds. data_link_gb is
 # path-only and therefore legal on no node kind.
 LEGAL_REQUIREMENTS = {
@@ -229,12 +225,16 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
     def err(path: str, message: str) -> None:
         diags.append(Diagnostic("error", path, message))
 
-    node_ids: dict[str, int] = {}
+    for collection in ("nodes", "artifacts", "paths", "groups"):
+        seen: set[str] = set()
+        for i, item in enumerate(getattr(model, collection)):
+            if item.id in seen:
+                err(f"{collection}[{i}].id", f"duplicate {collection[:-1]} id {item.id!r}")
+            seen.add(item.id)
+
+    node_ids: dict[str, int] = {}  # each id's first node
     for i, node in enumerate(model.nodes):
-        if node.id in node_ids:
-            err(f"nodes[{i}].id", f"duplicate node id {node.id!r}")
-        else:
-            node_ids[node.id] = i
+        node_ids.setdefault(node.id, i)
         if node.kind not in NODE_KINDS:
             err(f"nodes[{i}].kind", f"unknown node kind {node.kind!r}")
         if node.kind == REMOTE_NODE:
@@ -274,15 +274,11 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
                     f"requirement kind {req.kind!r} is not legal on a {node.kind}")
             _check_requirement(model, req, path, err)
 
-    artifact_ids: set[str] = set()
     for i, artifact in enumerate(model.artifacts):
-        if artifact.id in artifact_ids:
-            err(f"artifacts[{i}].id", f"duplicate artifact id {artifact.id!r}")
-        artifact_ids.add(artifact.id)
         if artifact.kind not in ARTIFACT_KINDS:
             err(f"artifacts[{i}].kind", f"unknown artifact kind {artifact.kind!r}")
 
-    artifact_by_id = {a.id: a for a in model.artifacts}
+    artifact_by_id = {a.id: a for a in model.artifacts}  # each id's last artifact
     for i, binding in enumerate(model.bindings):
         artifact = artifact_by_id.get(binding.artifact_id)
         if artifact is None:
@@ -300,11 +296,7 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
                 err(f"bindings[{i}]",
                     f"{artifact.kind} {artifact.id!r} cannot be deployed on a {node.kind}")
 
-    path_ids: set[str] = set()
     for i, path in enumerate(model.paths):
-        if path.id in path_ids:
-            err(f"paths[{i}].id", f"duplicate path id {path.id!r}")
-        path_ids.add(path.id)
         if path.id in node_ids:
             err(f"paths[{i}].id", f"path id {path.id!r} collides with a node id")
         for key, ref in (("from_node", path.from_node), ("to_node", path.to_node)):
@@ -314,12 +306,8 @@ def _findings(model: DeploymentModel) -> tuple[Diagnostic, ...]:
             err(f"paths[{i}].volume.kind", "path volume must have kind 'data_link_gb'")
         _check_requirement(model, path.volume, f"paths[{i}].volume", err)
 
-    group_ids: set[str] = set()
     grouped: dict[str, str] = {}
     for i, group in enumerate(model.groups):
-        if group.id in group_ids:
-            err(f"groups[{i}].id", f"duplicate group id {group.id!r}")
-        group_ids.add(group.id)
         for j, node_id in enumerate(group.node_ids):
             if node_id not in node_ids:
                 err(f"groups[{i}].node_ids[{j}]",

@@ -83,14 +83,15 @@ def layouts(monkeypatch):
 
 
 def distinct_schedules(doc):
-    """(kind class, baseline, patterns) of every billed requirement of a model document."""
+    """(kind class, baseline, patterns) of every billed requirement of a model
+    document; storage_gb is the one stock kind, every other kind a flow."""
     placed = {node["id"] for node in doc["nodes"] if "placement" in node}
     reqs = [req for node in doc["nodes"] if node["id"] in placed
             for req in node.get("requirements", [])]
     reqs += [path["volume"] for path in doc.get("paths", [])
              if {path["from_node"], path["to_node"]} & placed]
-    return {(m.KIND_CLASS[req["kind"]], float(req["baseline"]), tuple(req.get("patterns", ())))
-            for req in reqs}
+    return {("stock" if req["kind"] == "storage_gb" else "flow", float(req["baseline"]),
+             tuple(req.get("patterns", ()))) for req in reqs}
 
 
 def test_compare_providers_replays_each_distinct_schedule_once(tmp_path, replays):
