@@ -27,6 +27,8 @@ def _flushed() -> bool:
     """Flush stdout and stderr, each unless closed at start (``None``); False
     when stdout cannot take the output, an unwritable output as when a write
     fails during the command (exit 2)."""
+    from .cli import to_stderr
+
     flushed = True
     try:
         if sys.stdout is not None:
@@ -36,7 +38,7 @@ def _flushed() -> bool:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
+        to_stderr(f"error: {exc}\n")
         flushed = False
     try:
         if sys.stderr is not None:

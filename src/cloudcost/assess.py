@@ -15,7 +15,6 @@ import csv
 import io
 import os
 import re
-import sys
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
@@ -206,8 +205,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     items = load_items_file(args.items)
     sheet = parse_ratings_file(args.ratings)
     diagnostics = validate_sheet(sheet, items)
-    for diag in diagnostics:
-        print(str(diag), file=sys.stderr)
+    cli.to_stderr("".join(f"{diag}\n" for diag in diagnostics))
     if any(d.severity == "error" for d in diagnostics):
         return 1
     rows = radar(sheet, items)

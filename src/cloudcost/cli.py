@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error
 (including a missing catalog, unreadable or non-UTF-8 input and unwritable
-output paths), 3 missing rate.
+output paths), 3 missing rate. A stderr that cannot be written changes none
+of them: every stderr line goes through :func:`to_stderr`.
 All output files are written atomically (temp + rename), JSON ones through
 :func:`write_json`; output paths are ``str`` paths joined with ``os.path``.
 :func:`main` returns the exit code; the process entry,
@@ -60,11 +61,22 @@ def write_json(path: str, payload: object) -> None:
     write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
+def to_stderr(text: str) -> None:
+    """Write ``text`` to stderr, the one way cloudcost writes there. A stderr
+    closed at start (``None``) or that cannot take the text (``OSError``) is
+    skipped, so it changes no exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
+
+
 def _warn(warnings: tuple[str, ...]) -> None:
     """The one way a command reports warnings: one stderr line each, in one
     write."""
     if warnings:
-        sys.stderr.write("".join(f"warning: {warning}\n" for warning in warnings))
+        to_stderr("".join(f"warning: {warning}\n" for warning in warnings))
 
 
 def _load_catalog(args: argparse.Namespace) -> pricing.PriceCatalog:
@@ -135,7 +147,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         model.load_model(args.model)
     except ModelError as exc:
-        print(str(exc), file=sys.stderr)
+        to_stderr(f"{exc}\n")
         return 1
     return 0
 
@@ -265,13 +277,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return getattr(import_module(f".{module}", __package__), handler)(args)
     except MissingRateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        to_stderr(f"error: {exc}\n")
         return 3
     except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        to_stderr(f"error: {exc}\n")
         return 2
     except CloudCostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        to_stderr(f"error: {exc}\n")
         return 1
 
 

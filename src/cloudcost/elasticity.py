@@ -50,7 +50,12 @@ class. A month's quantity still adds its daily values one by one from 0.0,
 the run's class value once per day of each run: the order of float
 operations is part of the output contract, so no ``value * n``, closed
 form, ``sum()`` (compensated since Python 3.12) or ``math.fsum`` stands in
-for the loop.
+for the loop. A layout of exactly one class (one run over days 1..n) keeps a
+store of the month totals that loop gave, by class value, and a month of it
+whose value is stored reuses that total: it is the result of the same n
+additions from 0.0, so it has the loop's bits on every Python version.
+``0.0`` and ``-0.0`` share a key, as a sum from +0.0 of either is +0.0. A
+layout of two or more classes keeps no store and always loops.
 
 A class that clamps warns on each of its days, in date order; on a
 perm-firing day the day's perm clamps come before its temp clamps, each
@@ -133,9 +138,10 @@ def _firing_days(days: tuple[int, int], weekday1: int, month_days: int) -> int:
 # (int, (float, float) -> float, float, int, PatternSpec).
 PlannedPattern = tuple
 # A month's day layout: its classes, each (the perm-firing day that starts
-# it or 0, the positions of its firing temps among the month's temps), and
-# its runs in day order, each (class index, range of its days); see the
-# module docstring.
+# it or 0, the positions of its firing temps among the month's temps), its
+# runs in day order, each (class index, range of its days), and for a
+# one-class layout its store of month totals by class value, else None; see
+# the module docstring.
 DayLayout = tuple
 # One window month: year, month, days, its active perms and temps in
 # declaration order and its day layout,
@@ -146,7 +152,8 @@ PlannedMonth = tuple
 def _day_layout(days_in_month: int, perm_days: int, temp_days: tuple[int, ...]) -> DayLayout:
     """The classes and runs of a month of ``days_in_month`` days whose perms
     fire on the days in mask ``perm_days`` and whose temps each fire on the
-    days in their mask in ``temp_days``, built one step per run."""
+    days in their mask in ``temp_days``, built one step per run, and an empty
+    store of month totals when there is one class."""
     month_days = (2 << days_in_month) - 2
     starts = perm_days
     for fires in temp_days:
@@ -174,7 +181,7 @@ def _day_layout(days_in_month: int, perm_days: int, temp_days: tuple[int, ...]) 
                             tuple(k for k, fires in enumerate(temp_days) if fires >> dom & 1)))
         runs.append((c, range(dom, end)))
         dom = end
-    return tuple(classes), tuple(runs)
+    return tuple(classes), tuple(runs), {} if len(classes) == 1 else None
 
 
 def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow,
@@ -225,8 +232,11 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow, *,
 
     ``plan`` is ``month_plan(schedule.patterns, window)``, built here when
     not given. A month's quantity is the sequential sum of its daily values,
-    divided by its length for stocks, so results are bit-reproducible. An
-    overflow raises EvaluationError with its ``month`` set.
+    divided by its length for stocks, so results are bit-reproducible. A
+    one-class month whose layout has summed its value before reuses that
+    total, the bits of the same sum; a new total is stored only once it
+    passes the overflow check. An overflow raises EvaluationError with its
+    ``month`` set.
     """
     if plan is None:
         plan = month_plan(schedule.patterns, window)
@@ -236,7 +246,7 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow, *,
     clamps: list[str] = []
     inf = math.inf
     try:
-        for year, month, days_in_month, perms, temps, (classes, runs) in plan:
+        for year, month, days_in_month, perms, temps, (classes, runs, totals) in plan:
             values: list[float] = []
             # (class, pattern index, pattern, the perm's day or 0 for a temp)
             clamped: list[tuple[int, int, PatternSpec, int]] = []
@@ -260,13 +270,18 @@ def monthly_series(schedule: UsageSchedule, window: SimulationWindow, *,
                         value = 0.0
                         clamped.append((len(values), i, p, 0))
                 values.append(value)
-            total = 0.0
-            for c, days in runs:
-                value = values[c]
-                for _ in days:
-                    total += value
-            if total == inf:
-                raise EvaluationError("value overflowed summing the month's days")
+            # a one-class month's total, if this value was summed before
+            total = totals.get(values[0]) if totals is not None else None
+            if total is None:
+                total = 0.0
+                for c, days in runs:
+                    value = values[c]
+                    for _ in days:
+                        total += value
+                if total == inf:
+                    raise EvaluationError("value overflowed summing the month's days")
+                if totals is not None:
+                    totals[values[0]] = total
             quantities.append(total / days_in_month if stock else total)
             if clamped:  # a perm's on its class's first day, a temp's on each day
                 clamps += [_clamp_message(p, i, year, month, day)

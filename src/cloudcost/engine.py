@@ -16,7 +16,9 @@ pattern texts alone, so the same memo keeps it beside the texts'
 concatenated specs, keyed by the texts, for every replay of them. And a
 month's day layout depends on its length and firing masks alone, so the
 memo also holds the layouts every plan shares, keyed by (days in the month,
-the OR of its perms' firing masks, its temps' firing masks in order). The
+the OR of its perms' firing masks, its temps' firing masks in order), with
+the store of month totals by class value that each one-class layout keeps,
+so a one-run month is summed once per (layout, value) in a command. The
 memo is owned by one command: :func:`simulate` makes a fresh one per call,
 and :func:`compare_scenarios` shares one across its scenarios, which all use
 the same window. Nothing is kept between commands.

@@ -92,6 +92,41 @@ def cloudcost_process(argv, buffered, **streams):
     return python(["-m", "cloudcost", *argv], buffered, **streams)
 
 
+def closed_fd_process(fd, argv, buffered):
+    """``cloudcost_process`` with file descriptor ``fd`` closed before start."""
+    close = "import os, sys; os.close(int(sys.argv[1])); os.execv(sys.executable, sys.argv[2:])"
+    return python(["-c", close, str(fd), sys.executable, "-m", "cloudcost", *argv], buffered)
+
+
+def patterns_simulate(out):
+    """simulate argv of the pattern forms model, which clamps every weekend."""
+    return ["simulate", "--model", str(GOLDEN / "patterns_model.json"), "--catalog",
+            DEMO_CATALOG, "--start", "2011-11", "--end", "2012-03", "--out", str(out)]
+
+
+def invalid_model(tmp_path):
+    """A model file whose one pattern names day 32."""
+    bad = tmp_path / "invalid.json"
+    bad.write_text(json.dumps({"name": "broken", "nodes": [
+        {"id": "vm-1", "kind": "virtual_machine",
+         "placement": {"provider": "nimbus", "region": "us-east"},
+         "vm_spec": {"operating_system": "linux", "sku": "standard.small"},
+         "requirements": [{"kind": "vm_hours", "baseline": 720,
+                           "patterns": ["temp: every month on 32 +1"]}]}]}))
+    return str(bad)
+
+
+def norate_simulate(tmp_path, out):
+    """simulate argv of the demo model against a catalog without nimbus vm_hours."""
+    doc = json.loads(Path(DEMO_CATALOG).read_text())
+    doc["entries"] = [e for e in doc["entries"]
+                      if (e["provider"], e["dimension"]) != ("nimbus", "vm_hours")]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    return ["simulate", "--model", DEMO_MODEL, "--catalog", str(catalog),
+            "--start", "2011-01", "--end", "2011-02", "--out", str(out)]
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 class TestExitPaths:
     def test_clean_validate_is_silent(self, buffered):
@@ -100,9 +135,7 @@ class TestExitPaths:
 
     def test_clamping_simulate_writes_its_files_then_warns(self, tmp_path, buffered):
         out = tmp_path / "out"
-        proc = cloudcost_process(["simulate", "--model", str(GOLDEN / "patterns_model.json"),
-                                  "--catalog", DEMO_CATALOG, "--start", "2011-11",
-                                  "--end", "2012-03", "--out", str(out)], buffered)
+        proc = cloudcost_process(patterns_simulate(out), buffered)
         assert (proc.returncode, proc.stdout) == (0, "")
         assert proc.stderr == "".join(
             f"warning: vm-clamping-temp/vm_hours: clamped negative value to 0 on {day} "
@@ -112,14 +145,7 @@ class TestExitPaths:
         assert (out / "report.csv").read_bytes() == (GOLDEN / "patterns_report.csv").read_bytes()
 
     def test_invalid_model_exits_1(self, tmp_path, buffered):
-        bad = tmp_path / "invalid.json"
-        bad.write_text(json.dumps({"name": "broken", "nodes": [
-            {"id": "vm-1", "kind": "virtual_machine",
-             "placement": {"provider": "nimbus", "region": "us-east"},
-             "vm_spec": {"operating_system": "linux", "sku": "standard.small"},
-             "requirements": [{"kind": "vm_hours", "baseline": 720,
-                               "patterns": ["temp: every month on 32 +1"]}]}]}))
-        proc = cloudcost_process(["validate", str(bad)], buffered)
+        proc = cloudcost_process(["validate", invalid_model(tmp_path)], buffered)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
             "model validation failed\n"
@@ -150,15 +176,8 @@ class TestExitPaths:
         assert proc.stderr == f"error: [Errno 2] No such file or directory: '{absent}'\n"
 
     def test_missing_rate_exits_3_and_writes_nothing(self, tmp_path, buffered):
-        doc = json.loads(Path(DEMO_CATALOG).read_text())
-        doc["entries"] = [e for e in doc["entries"]
-                          if (e["provider"], e["dimension"]) != ("nimbus", "vm_hours")]
-        catalog = tmp_path / "catalog.json"
-        catalog.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        proc = cloudcost_process(["simulate", "--model", DEMO_MODEL, "--catalog", str(catalog),
-                                  "--start", "2011-01", "--end", "2011-02", "--out", str(out)],
-                                 buffered)
+        proc = cloudcost_process(norate_simulate(tmp_path, out), buffered)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == ("error: web-1/vm_hours: no rate for "
                                "nimbus/us-east/vm_hours/standard.small\n")
@@ -166,9 +185,7 @@ class TestExitPaths:
 
     def test_closed_stdout_is_skipped(self, buffered):
         # fd 1 closed before start: sys.stdout is None, as the teardown expects
-        close_stdout = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
-        proc = python(["-c", close_stdout, sys.executable, "-m", "cloudcost", "validate",
-                       DEMO_MODEL], buffered)
+        proc = closed_fd_process(1, ["validate", DEMO_MODEL], buffered)
         assert (proc.returncode, proc.stderr) == (0, "")
 
     # A stdout that cannot take the output is an unwritable output: exit 2 and
@@ -191,6 +208,46 @@ class TestExitPaths:
             os.close(write)
         assert proc.returncode == 2
         assert proc.stderr == (TIE if buffered else "") + "error: [Errno 32] Broken pipe\n"
+
+
+def unwritable_stderr_process(argv, buffered, stderr):
+    """``cloudcost_process`` with a stderr of /dev/full or closed at start."""
+    if stderr == "closed":
+        return closed_fd_process(2, argv, buffered)
+    with open("/dev/full", "w") as full:
+        return cloudcost_process(argv, buffered, stderr=full)
+
+
+# A stderr that cannot take cloudcost's warnings and errors changes no exit
+# code and no output: each line is skipped, whether the write fails or there
+# is no stderr (fd 2 closed at start, sys.stderr is None).
+@pytest.mark.parametrize("stderr", [
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="needs /dev/full")),
+    "closed",
+])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+class TestUnwritableStderr:
+    def test_clamping_simulate_exits_0(self, tmp_path, buffered, stderr):
+        out = tmp_path / "out"
+        proc = unwritable_stderr_process(patterns_simulate(out), buffered, stderr)
+        assert (proc.returncode, proc.stdout) == (0, "")
+        assert (out / "report.csv").read_bytes() == (GOLDEN / "patterns_report.csv").read_bytes()
+
+    def test_missing_file_exits_2(self, tmp_path, buffered, stderr):
+        proc = unwritable_stderr_process(["validate", str(tmp_path / "absent.json")],
+                                         buffered, stderr)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_invalid_model_exits_1(self, tmp_path, buffered, stderr):
+        proc = unwritable_stderr_process(["validate", invalid_model(tmp_path)], buffered, stderr)
+        assert (proc.returncode, proc.stdout) == (1, "")
+
+    def test_missing_rate_exits_3_and_writes_nothing(self, tmp_path, buffered, stderr):
+        out = tmp_path / "out"
+        proc = unwritable_stderr_process(norate_simulate(tmp_path, out), buffered, stderr)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert not out.exists()
 
 
 class TestExitTimeTools:

@@ -1,12 +1,14 @@
 """A command replays each distinct usage schedule once, plans each distinct
-pattern set once and builds each distinct day layout once.
+pattern set once, builds each distinct day layout once and sums each
+one-run month once per (layout, value).
 
 Replay depends on a requirement's kind class, baseline and pattern texts,
 not on its subject, placement or catalog, its month plan on the pattern
 texts alone, and a month's day layout on its length and firing masks alone.
 These tests count the calls into ``engine.monthly_series``,
-``engine.month_plan`` and ``elasticity._day_layout`` and check that sharing a
-replay changes neither the output bytes nor any subject's clamp warnings.
+``engine.month_plan`` and ``elasticity._day_layout``, read the month totals
+that one-class layouts store, and check that sharing a replay changes neither
+the output bytes nor any subject's clamp warnings.
 """
 
 import hashlib
@@ -70,13 +72,16 @@ def plans(monkeypatch):
 
 @pytest.fixture
 def layouts(monkeypatch):
-    """Counter of day-layout builds, by memo key."""
+    """Counter of day-layout builds, by memo key; its ``built`` lists every
+    layout built, in build order."""
     calls = Counter()
+    calls.built = []
     original = elasticity._day_layout
 
     def counting(*key):
         calls[key] += 1
-        return original(*key)
+        calls.built.append(original(*key))
+        return calls.built[-1]
 
     monkeypatch.setattr(elasticity, "_day_layout", counting)
     return calls
@@ -162,6 +167,46 @@ def test_each_simulate_builds_its_own_layouts(layouts):
     assert sum(built.values()) == len(built) > 1
     assert engine.simulate(model, catalog, window) == first
     assert layouts == {key: 2 for key in built}
+
+
+def stored_totals(layouts):
+    """The month totals that the built one-class layouts hold; a layout of two
+    or more classes holds no store."""
+    assert all((len(classes) == 1) == (totals is not None)
+               for classes, _, totals in layouts.built)
+    return [totals for _, _, totals in layouts.built if totals is not None]
+
+
+def test_the_demo_decade_sums_each_one_class_layout_and_value_once(tmp_path, replays, layouts):
+    assert main(["simulate", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--start", "2011-01", "--end", "2020-12", "--out", str(tmp_path)]) == 0
+    assert sum(replays.values()) * 120 == 1440  # series-months
+    assert sum(map(len, stored_totals(layouts))) == 280
+
+
+def test_compare_providers_sums_each_one_class_layout_and_value_once(tmp_path, replays,
+                                                                     layouts):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(THREE_PROVIDERS))
+    assert main(["compare-providers", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--map", str(mapping), "--start", "2011-01", "--end", "2013-12"]) == 0
+    assert sum(replays.values()) * 36 == 432  # series-months, across the three scenarios
+    assert sum(map(len, stored_totals(layouts))) == 112
+
+
+def test_two_simulate_calls_share_no_store(layouts):
+    model = m.parse_model(DEMO_MODEL.read_text())
+    catalog = load_catalog(Path(DEMO_CATALOG).read_text())
+    window = SimulationWindow(Month(2011, 1), Month(2011, 12))
+    engine.simulate(model, catalog, window)
+    first = stored_totals(layouts)
+    filled = [dict(totals) for totals in first]
+    assert sum(map(len, filled)) > 0
+    engine.simulate(model, catalog, window)
+    second = stored_totals(layouts)[len(first):]
+    assert [dict(totals) for totals in second] == filled  # each filled from empty
+    assert not {id(totals) for totals in first} & {id(totals) for totals in second}
+    assert [dict(totals) for totals in first] == filled  # and the first left as it was
 
 
 def test_a_simulate_call_grows_no_module_attribute(layouts):

@@ -2,26 +2,30 @@
 
 ``elasticity.monthly_series`` values each class of days of a month's layout
 once and adds its value on every day of its runs; a class that clamps warns
-on each of its days. These tests cross every day-selector kind with every
-weekday of day 1 and every month length, and check that each clamping day
-warns under its own date in the order a day-by-day walk gives.
+on each of its days, and a one-class month reuses the total an earlier month
+of its layout summed for the same value. These tests cross every day-selector
+kind with every weekday of day 1 and every month length, check that each
+clamping day warns under its own date in the order a day-by-day walk gives,
+and that a reused total has the day loop's bits.
 """
 
 import calendar
 import hashlib
 import json
+import math
 from datetime import date
 
 import pytest
 
 import cloudcost
-from cloudcost import elasticity as el, patterns as pt
+from cloudcost import elasticity as el, engine, model as m, patterns as pt
 from cloudcost.cli import main
 from cloudcost.months import Month, SimulationWindow
 
 from builders import add_months, month_days
 from oracle import oracle_replay
 from test_elasticity import clamp_events, schedule
+from test_engine import TRANSFER_CATALOG, vm
 
 
 def _months_by_shape():
@@ -151,3 +155,52 @@ def test_flood_model_in_year_zero_simulates_and_validates(tmp_path, capsys):
                    for line in lines)
         months = {row.split(",")[0] for row in (out / "report.csv").read_text().splitlines()[1:]}
         assert months == {"0000-01", "0000-02"}
+
+
+# every month length, and a leap February
+TWO_YEARS = SimulationWindow(Month(2011, 1), Month(2012, 12))
+
+
+def oracle_series(kind_class, baseline, patterns, window):
+    return [oracle_replay(kind_class, baseline, patterns, tuple(window.start), tuple(month))[0]
+            for month in window.months()]
+
+
+def assert_same_bits(got, expected):
+    """Equal month by month by ``==`` and by sign, so -0.0 for +0.0 fails."""
+    assert list(got) == expected
+    assert [math.copysign(1.0, q) for q in got] == [math.copysign(1.0, q) for q in expected]
+
+
+@pytest.mark.parametrize("kind_class", [el.STOCK, el.FLOW])
+def test_a_reused_total_is_the_day_loops(kind_class):
+    sched = schedule(kind_class, 100)
+    got, _ = el.monthly_series(sched, TWO_YEARS)
+    assert_same_bits(got, oracle_series(kind_class, 100, (), TWO_YEARS))
+
+
+def test_a_month_total_is_not_its_closed_form():
+    got, _ = el.monthly_series(schedule(el.FLOW, 100), TWO_YEARS)
+    assert got[0] == 99.99999999999993 != (100 / 31) * 31
+
+
+@pytest.mark.parametrize("kind_class", [el.STOCK, el.FLOW])
+def test_a_negative_zero_level_sums_to_positive_zero(kind_class):
+    # the level alternates between -0.0 and +0.0 from February on, and months
+    # of one length share one store whatever the zero's sign
+    sched = schedule(kind_class, 0, "perm: every month *-1")
+    got, warnings = el.monthly_series(sched, TWO_YEARS)
+    assert warnings == ()
+    assert_same_bits(got, oracle_series(kind_class, 0, sched.patterns, TWO_YEARS))
+    assert all(math.copysign(1.0, q) == 1.0 for q in got)
+
+
+def test_pattern_sets_that_share_a_layout_and_value_share_its_total():
+    # outside July, "a" has no active pattern, so its months have b's layouts
+    # and values
+    model = m.DeploymentModel("shared", (vm("a", patterns=("temp: every jul *3",)), vm("b")))
+    report = engine.simulate(model, TRANSFER_CATALOG, TWO_YEARS)
+    assert [item.subject for item in report.series] == ["a", "b"]
+    for item, texts in zip(report.series, (("temp: every jul *3",), ())):
+        patterns = tuple(spec for text in texts for spec in pt.parse_patterns(text))
+        assert_same_bits(item.quantities, oracle_series(el.FLOW, 720.0, patterns, TWO_YEARS))
