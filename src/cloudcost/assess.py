@@ -17,6 +17,7 @@ import os
 import re
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from types import SimpleNamespace
 
 from . import schema
 from .errors import AssessmentError, Diagnostic
@@ -197,7 +198,7 @@ def important_items(sheet: RatingSheet, items: Sequence[AssessmentItem],
     return result
 
 
-def cmd_assess(args: argparse.Namespace) -> int:
+def cmd_assess(args: SimpleNamespace) -> int:
     """The ``assess`` command: print the radar and shortlist, and with
     ``--out`` write radar.json and important.json."""
     from . import cli

@@ -8,22 +8,26 @@ All output files are written atomically (temp + rename), JSON ones through
 :func:`write_json`; output paths are ``str`` paths joined with ``os.path``.
 :func:`main` returns the exit code; the process entry,
 :func:`cloudcost.__main__.run`, then exits without interpreter teardown.
-Each command imports only the modules it runs and builds only its own
-argument parser, so a short one starts fast; help, usage and errors read as
-they do with every parser built. The handlers of validate, simulate and
-export-csv live here. Those of compare and compare-providers live in
-:mod:`cloudcost.comparison`, and that of assess in :mod:`cloudcost.assess`,
-modules no other command imports, so no other command compiles them;
-:data:`COMMANDS` names each handler by module and name.
+Each command imports only the modules it runs, so a short one starts fast.
+A canonical command line is read straight from the argument tables in
+:data:`COMMANDS`, without importing argparse (:func:`read_command_line`). Any
+other line goes to an argparse parser built from the same tables, with only
+the named command's subparser, so help, usage and errors are argparse's own
+and read as they do with every parser built. The handlers of validate,
+simulate and export-csv live here. Those of compare and compare-providers
+live in :mod:`cloudcost.comparison`, and that of assess in
+:mod:`cloudcost.assess`, modules no other command imports, so no other
+command compiles them; :data:`COMMANDS` names each handler by module and name.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import CloudCostError, MissingRateError, ModelError, UsageError
 
@@ -79,7 +83,7 @@ def _warn(warnings: tuple[str, ...]) -> None:
         to_stderr("".join(f"warning: {warning}\n" for warning in warnings))
 
 
-def _load_catalog(args: argparse.Namespace) -> pricing.PriceCatalog:
+def _load_catalog(args: SimpleNamespace) -> pricing.PriceCatalog:
     from . import pricing
 
     path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
@@ -105,6 +109,8 @@ def _month_arg(text: str) -> Month:
     try:
         return Month.parse(text)
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -114,13 +120,17 @@ def _rating_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= 5:
-        raise argparse.ArgumentTypeError(f"invalid choice: {value} (choose from 1, 2, 3, 4, 5)")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if 1 <= value <= 5:
+            return value
+        message = f"invalid choice: {value} (choose from 1, 2, 3, 4, 5)"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def _window(args: argparse.Namespace) -> SimulationWindow:
+def _window(args: SimpleNamespace) -> SimulationWindow:
     from .months import SimulationWindow
 
     return SimulationWindow(args.start, args.end)
@@ -141,7 +151,7 @@ def _summary_payload(row: engine.SummaryRow, currency: str) -> dict:
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     from . import model
 
     try:
@@ -152,7 +162,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_simulation(args: argparse.Namespace) -> tuple[model.DeploymentModel,
+def _run_simulation(args: SimpleNamespace) -> tuple[model.DeploymentModel,
                                                        engine.CostReport]:
     from . import engine, model
 
@@ -163,7 +173,7 @@ def _run_simulation(args: argparse.Namespace) -> tuple[model.DeploymentModel,
     return parsed, cost_report
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     from . import engine, report
 
     parsed, cost_report = _run_simulation(args)
@@ -178,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_export_csv(args: argparse.Namespace) -> int:
+def cmd_export_csv(args: SimpleNamespace) -> int:
     from . import report
 
     _, cost_report = _run_simulation(args)
@@ -187,63 +197,87 @@ def cmd_export_csv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _catalog_and_window_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--catalog", help=f"price catalog (default ${CATALOG_ENV})")
-    p.add_argument("--start", required=True, type=_month_arg, metavar="YYYY-MM")
-    p.add_argument("--end", required=True, type=_month_arg, metavar="YYYY-MM")
-
-
-def _sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True)
-    _catalog_and_window_args(p)
-    p.add_argument("--plan", help="purchase plan JSON (node id -> choice)")
-
-
-def _validate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model")
-
-
-def _simulate_args(p: argparse.ArgumentParser) -> None:
-    _sim_args(p)
-    p.add_argument("--out", required=True)
-
-
-def _compare_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--models", required=True, help="comma-separated model files")
-    p.add_argument("--plans", help="comma-separated plan files, one per model; '-' or an "
-                   "empty entry for on-demand (on-demand first: --plans=-,... or --plans ,...)")
-    _catalog_and_window_args(p)
-    p.add_argument("--out")
-
-
-def _compare_providers_args(p: argparse.ArgumentParser) -> None:
-    _sim_args(p)
-    p.add_argument("--map", required=True,
-                   help="JSON file: label -> {provider, region}")
-    p.add_argument("--out")
-
-
-def _assess_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--items", required=True)
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--threshold", type=_rating_arg, default=4, metavar="{1,2,3,4,5}",
-                   help="shortlist items rated at or above this (default 4)")
-    p.add_argument("--out")
-
+# Each command's arguments, (flag, add_argument keywords) in the order help
+# lists them; a flag without a leading "-" is a positional
+_WINDOW = (
+    ("--catalog", {"help": f"price catalog (default ${CATALOG_ENV})"}),
+    ("--start", {"required": True, "type": _month_arg, "metavar": "YYYY-MM"}),
+    ("--end", {"required": True, "type": _month_arg, "metavar": "YYYY-MM"}),
+)
+_SIMULATION = (
+    ("--model", {"required": True}),
+    *_WINDOW,
+    ("--plan", {"help": "purchase plan JSON (node id -> choice)"}),
+)
+_SIMULATE = (*_SIMULATION, ("--out", {"required": True}))
+_COMPARE = (
+    ("--models", {"required": True, "help": "comma-separated model files"}),
+    ("--plans", {"help": "comma-separated plan files, one per model; '-' or an empty entry "
+                         "for on-demand (on-demand first: --plans=-,... or --plans ,...)"}),
+    *_WINDOW,
+    ("--out", {}),
+)
+_COMPARE_PROVIDERS = (
+    *_SIMULATION,
+    ("--map", {"required": True, "help": "JSON file: label -> {provider, region}"}),
+    ("--out", {}),
+)
+_ASSESS = (
+    ("--items", {"required": True}),
+    ("--ratings", {"required": True}),
+    ("--threshold", {"type": _rating_arg, "default": 4, "metavar": "{1,2,3,4,5}",
+                     "help": "shortlist items rated at or above this (default 4)"}),
+    ("--out", {}),
+)
 
 # name -> (help, arguments, handler's module, handler), in the order help
 # lists the commands; main imports the handler's module when its command runs
 COMMANDS = {
-    "validate": ("validate a deployment model file", _validate_args, "cli", "cmd_validate"),
-    "simulate": ("simulate costs and write reports", _simulate_args, "cli", "cmd_simulate"),
-    "export-csv": ("simulate and write only report.csv", _simulate_args,
-                   "cli", "cmd_export_csv"),
-    "compare": ("compare scenario models side by side", _compare_args,
-                "comparison", "cmd_compare"),
+    "validate": ("validate a deployment model file", (("model", {}),), "cli", "cmd_validate"),
+    "simulate": ("simulate costs and write reports", _SIMULATE, "cli", "cmd_simulate"),
+    "export-csv": ("simulate and write only report.csv", _SIMULATE, "cli", "cmd_export_csv"),
+    "compare": ("compare scenario models side by side", _COMPARE, "comparison", "cmd_compare"),
     "compare-providers": ("re-place all nodes per provider map and compare",
-                          _compare_providers_args, "comparison", "cmd_compare_providers"),
-    "assess": ("score a Likert rating sheet", _assess_args, "assess", "cmd_assess"),
+                          _COMPARE_PROVIDERS, "comparison", "cmd_compare_providers"),
+    "assess": ("score a Likert rating sheet", _ASSESS, "assess", "cmd_assess"),
 }
+
+
+def read_command_line(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv`` when it is a canonical command
+    line, else None. Canonical: a command name first, then from its arguments
+    in :data:`COMMANDS` its positionals in order and each option at most once
+    as ``--flag value``, with no value that starts with ``-``, every required
+    one present and every ``type`` converting. Anything else, such as help,
+    ``--flag=value``, an abbreviation, a repeat, ``--`` or a bad value, is
+    left to the parser :func:`build_parser` makes, to read or to reject."""
+    if not argv or not all(isinstance(arg, str) for arg in argv) or argv[0] not in COMMANDS:
+        return None
+    arguments = dict(COMMANDS[argv[0]][1])
+    positionals = iter([flag for flag in arguments if not flag.startswith("-")])
+    given: dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, value = token, next(tokens, "-")  # "-" stands in for a missing value
+        else:
+            flag, value = next(positionals, None), token
+        if flag not in arguments or flag in given or value.startswith("-"):
+            return None
+        given[flag] = value
+    namespace = SimpleNamespace(command=argv[0])
+    for flag, keywords in arguments.items():
+        if flag in given:
+            try:
+                value = keywords.get("type", str)(given[flag])
+            except Exception:  # argparse reports it
+                return None
+        elif keywords.get("required") or not flag.startswith("-"):
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(namespace, flag.lstrip("-").replace("-", "_"), value)
+    return namespace
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -254,6 +288,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     usage line lists every command through a metavar, which the full parser
     must not set: it would rename ``argument command`` in its errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cloudcost",
         description="Estimate IaaS deployment costs and score migration "
@@ -262,17 +298,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(COMMANDS) + "}" if one else None)
     for name in [command] if one else COMMANDS:
-        help_text, add_arguments, _, _ = COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        help_text, arguments, _, _ = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            subparser.add_argument(flag, **keywords)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run the command ``argv`` (default ``sys.argv[1:]``) names; its exit code.
-    A first argument that names a command builds only that command's parser."""
+    A canonical command line is read by :func:`read_command_line` without
+    argparse; any other is parsed by argparse, with only the named command's
+    parser built when the first argument names one."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = read_command_line(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv, SimpleNamespace())
     _, _, module, handler = COMMANDS[args.command]
     try:
         return getattr(import_module(f".{module}", __package__), handler)(args)

@@ -10,6 +10,7 @@ command compiles it. The helpers every command shares stay in
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 from . import cli, engine, model, schema
 from .errors import CatalogError, UsageError
@@ -59,7 +60,7 @@ def _emit_comparison(table: engine.ComparisonTable, currency: str,
         cli.write_json(os.path.join(out, "comparison.json"), _comparison_payload(table, currency))
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     model_paths = [p for p in args.models.split(",") if p]
     if len(model_paths) < 2:
         raise UsageError("compare needs at least two models")
@@ -85,7 +86,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare_providers(args: argparse.Namespace) -> int:
+def cmd_compare_providers(args: SimpleNamespace) -> int:
     parsed = model.load_model(args.model)
     catalog = cli._load_catalog(args)
 

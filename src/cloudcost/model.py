@@ -83,7 +83,11 @@ class DeploymentModel(namedtuple("DeploymentModel", "name nodes artifacts bindin
         """Copy of the model with every placed node moved to provider/region.
 
         The copy carries the same pattern texts, so it shares this model's
-        parsed pattern table instead of parsing them again.
+        parsed pattern table instead of parsing them again. Moving changes
+        only which provider and region a placement names, and the only rules
+        that read them want both non-empty; so when this model validates
+        clean and both are non-empty, the copy carries its empty findings
+        instead of being walked again.
         """
         placement = Placement(provider, region)
         nodes = tuple(
@@ -92,6 +96,8 @@ class DeploymentModel(namedtuple("DeploymentModel", "name nodes artifacts bindin
         )
         moved = self._replace(nodes=nodes)
         moved.__dict__["parsed_patterns"] = self.parsed_patterns  # the cached_property's slot
+        if provider and region and not self._diagnostics:
+            moved.__dict__["_diagnostics"] = ()
         return moved
 
     @cached_property
@@ -213,7 +219,7 @@ def validate(model: DeploymentModel) -> list[Diagnostic]:
 
     The model is immutable, so they are found once and kept on it; each call
     returns a new list. A copy made by :meth:`DeploymentModel.replaced` is
-    checked afresh.
+    checked afresh, unless it carries its clean source's findings.
     """
     return list(model._diagnostics)
 

@@ -6,10 +6,12 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,15 @@ class TestOneParser:
          "--start", "2011-13", "--end", "2011-01", "--out", "unwritten"],
         ["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS, "--threshold", "9"],
         ["simulate", "validate"],
+        # canonical lines, which no parser reads; an --out that is no directory
+        # and a missing map end each run before it writes
+        *([name, "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG, "--start", "2011-01",
+           "--end", "2011-01", "--out", os.devnull] for name in ("simulate", "export-csv")),
+        ["compare", "--models", f"{DEMO_MODEL},{DEMO_MODEL}", "--catalog", DEMO_CATALOG,
+         "--start", "2011-01", "--end", "2011-01"],
+        ["compare-providers", "--model", DEMO_MODEL, "--catalog", DEMO_CATALOG,
+         "--map", "missing-map.json", "--start", "2011-01", "--end", "2011-01"],
+        ["assess", "--items", DEMO_ITEMS, "--ratings", DEMO_RATINGS],
     ], ids=lambda argv: " ".join(argv).replace(DEMO_MODEL, "M") or "none")
     @pytest.mark.parametrize("columns", ["80", "200"])
     def test_output_equals_the_all_commands_parser(self, monkeypatch, argv, columns):
@@ -272,7 +283,7 @@ class TestOneParser:
         # the console script calls main() with no argument
         monkeypatch.setattr(sys, "argv", ["cloudcost", "validate", DEMO_MODEL])
         assert main() == 0
-        assert built == ["validate"]
+        assert built == []  # a canonical command line builds no parser
         monkeypatch.setattr(sys, "argv", ["cloudcost", "bogus"])
         with pytest.raises(SystemExit) as exc:
             main()
@@ -1004,15 +1015,21 @@ class TestImports:
         )}
 
     # Standard-library modules a fresh process must not load, pinned by absence
-    # so the pins hold whatever else each Python version's stdlib imports.
+    # so the pins hold whatever else each Python version's stdlib imports. A
+    # canonical command line is read without argparse, which would load
+    # gettext and locale as it builds a parser.
+    PARSER = ("argparse", "gettext", "locale")
     ABSENT = {
-        "import": ("fractions", "dataclasses", "inspect", "html"),
-        "assess": ("fractions", "dataclasses", "inspect", "html"),
-        "validate": ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html"),
-        "export-csv": ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html"),
-        "simulate": ("fractions", "dataclasses", "inspect", "datetime", "html"),
-        "compare": ("fractions", "dataclasses", "inspect", "datetime", "html"),
-        "compare-providers": ("fractions", "dataclasses", "inspect", "datetime", "html"),
+        "import": ("fractions", "dataclasses", "inspect", "html", *PARSER),
+        "assess": ("fractions", "dataclasses", "inspect", "html", *PARSER),
+        "validate": ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html",
+                     *PARSER),
+        "export-csv": ("calendar", "fractions", "dataclasses", "inspect", "datetime", "html",
+                       *PARSER),
+        "simulate": ("fractions", "dataclasses", "inspect", "datetime", "html", *PARSER),
+        "compare": ("fractions", "dataclasses", "inspect", "datetime", "html", *PARSER),
+        "compare-providers": ("fractions", "dataclasses", "inspect", "datetime", "html",
+                              *PARSER),
     }
 
     @pytest.mark.parametrize("command", FRESH_COMMANDS)
@@ -1021,13 +1038,144 @@ class TestImports:
         assert fresh_process(tmp_path, NEWLY_LOADED, [absent, *FRESH_COMMANDS[command]]) == "[]"
 
     # Under -S no site hook loads anything first, as in an interpreter whose
-    # site-packages import nothing at start-up. random is what tempfile loaded.
+    # site-packages import nothing at start-up. random is what tempfile loaded;
+    # shutil is what argparse's help formatter loaded.
     @pytest.mark.parametrize("command", FRESH_COMMANDS)
     def test_without_site_hooks_no_command_loads_typing_pathlib_or_tempfile(self, tmp_path,
                                                                           command):
-        absent = "typing pathlib tempfile random"
+        absent = "typing pathlib tempfile random shutil"
         assert fresh_process(tmp_path, NEWLY_LOADED, [absent, *FRESH_COMMANDS[command]],
                              "-S") == "[]"
+
+
+def by_argparse(argv):
+    """The namespace the argparse parser gives for ``argv``, or None when it
+    exits with help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser(argv[0]).parse_args(argv, SimpleNamespace())
+        except SystemExit:
+            return None
+
+
+# Each argument type's values: those a canonical line may give, then others
+ARGUMENT_VALUES = {
+    cli._month_arg: (("2011-01", "2013-12", "2099-12"),
+                     ("2011-13", "2011-1", "x", "", "-2011-01")),
+    cli._rating_arg: (("1", "4", "5", " 3", "+2"), ("0", "9", "x", "", "-1", "4.0")),
+    None: (("a.json", "out/", "a,b", "", "a=b", " -x"), ("-", "-,a.json", "-x", "--out", "--")),
+}
+SPELLINGS = ("--flag value", "--flag=value", "abbreviation")
+EDITS = ("repeat", "cut", "extra", "--", "-h", "--help")
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, and whether it is canonical by construction. Half are:
+    a command, then its required arguments and some of its optional ones in
+    any order, each option spelled ``--flag value`` with a value its type
+    converts. The others may also leave out a required option, give a bad
+    value, spell an option another way argparse reads, and take up to two
+    edits: a repeated first argument, a cut last token, an extra positional,
+    or ``--``, ``-h`` or ``--help`` inserted anywhere."""
+    messy = draw(st.booleans())
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    argv = [name]
+    for flag, keywords in draw(st.permutations(cli.COMMANDS[name][1])):
+        positional = not flag.startswith("-")
+        required = positional or keywords.get("required")
+        if (messy or not required) and draw(st.integers(0, 3)) == 0:
+            continue
+        good, bad = ARGUMENT_VALUES[keywords.get("type")]
+        value = draw(st.sampled_from(good + bad if messy else good))
+        if positional:
+            argv.append(value)
+            continue
+        spelling = draw(st.sampled_from(SPELLINGS if messy else SPELLINGS[:1]))
+        if spelling == "--flag=value":
+            argv.append(f"{flag}={value}")
+        else:
+            cut = len(flag) if spelling == SPELLINGS[0] else draw(st.integers(3, len(flag) - 1))
+            argv += [flag[:cut], value]
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=2)) if messy else ():
+        if edit == "repeat":
+            argv += argv[1:3]
+        elif edit == "cut" and len(argv) > 1:
+            argv.pop()
+        elif edit == "extra":
+            argv.append("extra")
+        elif edit != "cut":
+            argv.insert(draw(st.integers(1, len(argv))), edit)
+    return argv, not messy
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# The argv of every command of the benchmark's four workloads, as JSON
+BENCH_LINES = """\
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run
+out = Path(sys.argv[2])
+print(json.dumps([command.argv(out) for name in run.WORKLOADS
+                  for command in run.build_workload(name, 1, out, False)]))
+"""
+
+
+class TestCommandLineReader:
+    """``cli.read_command_line`` reads a canonical command line as argparse
+    does, and leaves every other line to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_a_line_it_reads_gives_the_namespace_argparse_gives(self, line):
+        argv, canonical = line
+        read = cli.read_command_line(argv)
+        assert read is not None or not canonical
+        if read is not None:
+            assert read == by_argparse(argv)
+
+    def test_every_line_readme_fresh_commands_and_the_benchmark_run_is_read(self, tmp_path):
+        readme = README.read_text(encoding="utf-8").replace("\\\n", " ")
+        shown = [shlex.split(line)[1:] for line in readme.splitlines()
+                 if line.startswith("cloudcost ")]
+        # README's one --flag=value line is left to argparse
+        assert [argv for argv in shown if cli.read_command_line(argv) is None] == [
+            ["compare", "--models", "modelA.json,modelB.json", "--plans=-,plan.json",
+             "--catalog", "$DATA/demo_catalog.json", "--start", "2011-01", "--end", "2013-12"]]
+        bench = subprocess.run(
+            [sys.executable, "-B", "-c", BENCH_LINES, str(README.parent / "bench"),
+             str(tmp_path)], capture_output=True, text=True, check=True)
+        lines = [*(argv for argv in shown if "--plans=-,plan.json" not in argv),
+                 *(argv for argv in FRESH_COMMANDS.values() if argv),
+                 *json.loads(bench.stdout.splitlines()[-1])]
+        assert {argv[0] for argv in lines} == set(COMMAND_NAMES)
+        for argv in lines:
+            read = cli.read_command_line(argv)
+            assert read is not None, argv
+            assert read == by_argparse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["validate"], ["validate", "m.json", "extra"],
+        ["validate", "-h", "m.json"], ["validate", "--", "m.json"], ["validate", "-"],
+        ["assess", "--items", "i.json"],
+        ["assess", "--items", "i.json", "--ratings", "r.csv", "--items", "i.json"],
+        ["assess", "--items=i.json", "--ratings", "r.csv"],
+        ["assess", "--item", "i.json", "--ratings", "r.csv"],
+        ["assess", "--items", "i.json", "--ratings", "r.csv", "--out"],
+        ["assess", "--items", "i.json", "--ratings", "r.csv", "--out", "-x"],
+        ["assess", "--items", "i.json", "--ratings", "r.csv", "--threshold", "9"],
+        ["export-csv", "--model", "m.json", "--start", "2011-13", "--end", "2011-01",
+         "--out", "o"],
+        [Path("validate"), DEMO_MODEL], ["validate", Path(DEMO_MODEL)],
+        [b"validate", DEMO_MODEL], ["validate", DEMO_MODEL.encode()],
+        ["assess", "--items", "i.json", "--ratings", "r.csv", "--threshold", 4],
+    ], ids=["none", "help", "bogus", "missing-positional", "extra-positional", "help-inside",
+            "double-dash", "dash-value", "missing-option", "repeat", "equals", "abbreviation",
+            "missing-value", "dash-led-value", "bad-threshold", "bad-month", "command-path",
+            "value-path", "command-bytes", "value-bytes", "value-int"])
+    def test_any_other_line_is_left_to_argparse(self, argv):
+        assert cli.read_command_line(argv) is None
 
 
 SEED_PATTERNS = ("perm: every month +17", "temp: every jun-aug on weekends /2",

@@ -344,3 +344,40 @@ class TestValidateOnce:
         assert [str(d) for d in m.validate(moved)] == [
             "error: nodes[0].placement.region: region must be non-empty"]
         assert m.validate(source) == []
+
+    def test_compare_providers_walks_its_model_once(self, monkeypatch, tmp_path, capsys):
+        walked = []
+        findings = m._findings
+        monkeypatch.setattr(m, "_findings", lambda model: walked.append(model) or findings(model))
+        remap = tmp_path / "map.json"
+        remap.write_text(json.dumps({label: {"provider": provider, "region": "us-east"}
+                                     for label, provider in (("A", "nimbus"), ("B", "stratus"),
+                                                             ("C", "cumulus"))}))
+        assert main(["compare-providers", "--model", str(cloudcost.data_path("demo_model.json")),
+                     "--catalog", str(cloudcost.data_path("demo_catalog.json")),
+                     "--map", str(remap), "--start", "2011-01", "--end", "2011-01"]) == 0
+        assert len(walked) == 1
+
+    @pytest.mark.parametrize("provider, region", [("aws", "eu-west"), ("x", "y")])
+    def test_a_clean_model_moved_to_a_place_carries_what_a_fresh_walk_finds(self, provider,
+                                                                          region):
+        moved = minimal_model().replaced(provider, region)
+        assert moved.__dict__["_diagnostics"] == m._findings(moved) == ()
+
+    @pytest.mark.parametrize("provider, region, paths", [
+        ("", "us-east", ["nodes[0].placement.provider"]),
+        ("", "", ["nodes[0].placement.provider", "nodes[0].placement.region"]),
+    ])
+    def test_a_copy_with_an_empty_place_reports_its_own_findings(self, provider, region, paths):
+        moved = minimal_model().replaced(provider, region)
+        assert "_diagnostics" not in moved.__dict__
+        assert [d.path for d in m.validate(moved)] == paths
+
+    def test_a_copy_of_an_invalid_model_reports_its_own_findings(self):
+        source = m.DeploymentModel("x", (
+            m.Node("n", m.VIRTUAL_MACHINE, m.Placement("", "r")),
+            m.Node("n", m.REMOTE_NODE)))
+        assert [d.path for d in m.validate(source)] == [
+            "nodes[0].placement.provider", "nodes[0].vm_spec", "nodes[1].id"]
+        assert [d.path for d in m.validate(source.replaced("aws", "us-east"))] == [
+            "nodes[0].vm_spec", "nodes[1].id"]
