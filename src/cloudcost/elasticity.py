@@ -29,10 +29,14 @@ the window: for each month it keeps the active perms and temps, each with a
 firing bitmask (bit ``dom`` set for each day it applies on: the weekday
 mask rotated to day 1's weekday and repeated over the month, or-ed with the
 day-of-month mask) and its operator as a function, plus the month's day
-layout. The layout depends only on the month's length, the OR of the perm
-masks and the tuple of temp masks, so months and pattern sets that share
-those share one layout, kept in a memo the caller owns (the engine keeps
-one per command) and built one step per run:
+layout. A pattern's masks depend only on the pattern and the window's
+calendar, so a memo the caller owns (the engine keeps one per command)
+holds, keyed by the window, its calendar and each pattern's column: its
+mask in each window month, or None in a month it does not apply in, built
+once per pattern. A plan assembles its months from its patterns' columns.
+The layout depends only on the month's length, the OR of the perm masks and
+the tuple of temp masks, so months and pattern sets that share those share
+one layout, kept in the same memo and built one step per run:
 
 * a *run* is a stretch of days that starts on day 1, on every day a perm
   fires and on every day the set of firing temps changes;
@@ -184,41 +188,65 @@ def _day_layout(days_in_month: int, perm_days: int, temp_days: tuple[int, ...]) 
     return tuple(classes), tuple(runs), {} if len(classes) == 1 else None
 
 
+def _firing_column(pattern: PatternSpec, calendar: Sequence[tuple[int, int, int, int]]
+                   ) -> tuple[int | None, ...]:
+    """The days ``pattern`` fires on in each month of a window's ``calendar``,
+    as a mask, or None in a month it does not apply in."""
+    column: list[int | None] = []
+    for position, (_, month, weekday1, days_in_month) in enumerate(calendar):
+        fires = None
+        if pattern.months >> month & 1:
+            month_days = (2 << days_in_month) - 2
+            if pattern.days is not None:
+                fires = _firing_days(pattern.days, weekday1, month_days)
+            elif pattern.mode == TEMP:
+                fires = month_days  # a day-less temp applies every day
+            elif position:  # the first month (no quantity yet) keeps the raw baseline
+                fires = 2  # a day-less perm fires on day 1
+        column.append(fires)
+    return tuple(column)
+
+
 def month_plan(patterns: Sequence[PatternSpec], window: SimulationWindow,
-               layouts: dict | None = None) -> tuple[PlannedMonth, ...]:
+               memo: dict | None = None) -> tuple[PlannedMonth, ...]:
     """What a replay of ``patterns`` over ``window`` does in each month,
     whatever the baseline and kind class; see the module docstring.
 
-    ``layouts`` is the day-layout memo, keyed by (days in the month, perm
-    mask, temp masks); a fresh one is used by default."""
-    if layouts is None:
-        layouts = {}
+    ``memo`` holds, keyed by the window, its calendar and a dict of each
+    pattern's column, and the day layouts, keyed by (days in the month, perm
+    mask, temp masks). One memo may serve several windows. A fresh one is
+    used by default."""
+    if memo is None:
+        memo = {}
+    planned = memo.get(window)
+    if planned is None:
+        planned = memo[window] = (tuple(month_calendar(window.start, window.end)), {})
+    calendar, columns = planned
+    # (column, temp?, operator, operand, index, pattern) of each pattern
+    uses = []
+    for i, p in enumerate(patterns):
+        column = columns.get(p)
+        if column is None:
+            column = columns[p] = _firing_column(p, calendar)
+        uses.append((column, p.mode == TEMP, _OPERATIONS[p.op], p.operand, i, p))
     plan: list[PlannedMonth] = []
-    for year, month, weekday1, days_in_month in month_calendar(window.start, window.end):
-        month_days = (2 << days_in_month) - 2
+    for position, (year, month, _, days_in_month) in enumerate(calendar):
         perms: list[PlannedPattern] = []
         temps: list[PlannedPattern] = []
         perm_days = 0
-        for i, p in enumerate(patterns):
-            if not p.months >> month & 1:
+        for column, temp, apply, operand, i, p in uses:
+            fires = column[position]
+            if fires is None:
                 continue
-            if p.days is not None:
-                fires = _firing_days(p.days, weekday1, month_days)
-            elif p.mode == TEMP:
-                fires = month_days  # a day-less temp applies every day
-            elif plan:
-                fires = 2  # a day-less perm fires on day 1 ...
+            if temp:
+                temps.append((fires, apply, operand, i, p))
             else:
-                continue  # ... but leaves the first month (no quantity yet) at the raw baseline
-            if p.mode == TEMP:
-                temps.append((fires, _OPERATIONS[p.op], p.operand, i, p))
-            else:
-                perms.append((fires, _OPERATIONS[p.op], p.operand, i, p))
+                perms.append((fires, apply, operand, i, p))
                 perm_days |= fires
-        key = (days_in_month, perm_days, tuple(t[0] for t in temps))
-        layout = layouts.get(key)
+        key = (days_in_month, perm_days, tuple([t[0] for t in temps]))
+        layout = memo.get(key)
         if layout is None:
-            layout = layouts[key] = _day_layout(*key)
+            layout = memo[key] = _day_layout(*key)
         plan.append((year, month, days_in_month, tuple(perms), tuple(temps), layout))
     return tuple(plan)
 

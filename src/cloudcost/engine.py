@@ -13,15 +13,19 @@ in a memo keyed by that triple, and an equal requirement reuses it; each
 requirement reports the messages under its own ``subject/kind:`` prefix.
 A replay's month plan (see :mod:`cloudcost.elasticity`) depends on the
 pattern texts alone, so the same memo keeps it beside the texts'
-concatenated specs, keyed by the texts, for every replay of them. And a
-month's day layout depends on its length and firing masks alone, so the
-memo also holds the layouts every plan shares, keyed by (days in the month,
-the OR of its perms' firing masks, its temps' firing masks in order), with
-the store of month totals by class value that each one-class layout keeps,
-so a one-run month is summed once per (layout, value) in a command. The
-memo is owned by one command: :func:`simulate` makes a fresh one per call,
-and :func:`compare_scenarios` shares one across its scenarios, which all use
-the same window. Nothing is kept between commands.
+concatenated specs, keyed by the texts, for every replay of them. A
+pattern's firing masks depend on the pattern and the window's calendar
+alone, so the memo keeps, keyed by the window, the window's calendar and
+each pattern's column of firing masks, built once per command and read by
+every plan that uses the pattern. And a month's day layout depends on its
+length and firing masks alone, so the memo also holds the layouts every
+plan shares, keyed by (days in the month, the OR of its perms' firing
+masks, its temps' firing masks in order), with the store of month totals by
+class value that each one-class layout keeps, so a one-run month is summed
+once per (layout, value) in a command. The memo is owned by one command:
+:func:`simulate` makes a fresh one per call, and :func:`compare_scenarios`
+shares one across its scenarios, which all use the same window. Nothing is
+kept between commands.
 
 Prices repeat the same way: many lines share a rate entry and a quantity. So
 :func:`simulate` prices each distinct (rate entry, quantity) pair once, in a
@@ -198,9 +202,11 @@ class CostReport(namedtuple("CostReport", "window series warnings currency",
 
 # The replay memo: pattern texts -> (their specs, their month plan),
 # (kind class, baseline, pattern texts) -> (quantity per window month, raw
-# clamp messages), and (days in the month, perm mask, temp masks) -> day
+# clamp messages), the window -> (its calendar, each pattern's column of
+# firing masks), and (days in the month, perm mask, temp masks) -> day
 # layout. A key of texts holds strings only, a replay key starts with a
-# string and a layout key with an int, so the three kinds of key never meet.
+# string, a window key with a Month and a layout key with an int, so the four
+# kinds of key never meet; and a column sits under its own window's key.
 Replays = dict[tuple, tuple]
 
 

@@ -97,23 +97,23 @@ def _apply(value: float, op: str, operand: float) -> float:
     raise AssertionError(op)
 
 
-def oracle_replay(kind_class: str, baseline: float, patterns,
-                  sim_start: tuple[int, int], month: tuple[int, int]
-                  ) -> tuple[float, list[tuple[date, int]]]:
-    """Day-by-day replay of the documented pattern semantics.
+def oracle_replay_months(kind_class: str, baseline: float, patterns,
+                         sim_start: tuple[int, int], last: tuple[int, int]
+                         ) -> tuple[list[float], list[tuple[date, int]]]:
+    """Day-by-day replay of the documented pattern semantics, in one pass
+    from the first simulated day through the last day of month ``last``.
 
     Each pattern is read from its ``source`` text by :func:`_read_pattern`.
-    Returns the target month's quantity and every clamp from the first
-    simulated day through the target month's last day, in order, as
+    Returns each month's quantity, in order, and every clamp, in order, as
     (day, zero-based pattern index).
     """
     read = [_read_pattern(p.source) for p in patterns]
     start_year, start_month = sim_start
-    target_year, target_month = month
+    last_year, last_month = last
     level = float(baseline)
     day = date(start_year, start_month, 1)
-    end = date(target_year, target_month, _days_in_month(target_year, target_month))
-    total = 0.0
+    end = date(last_year, last_month, _days_in_month(last_year, last_month))
+    quantities: list[float] = []
     clamps: list[tuple[date, int]] = []
 
     def clamped(value: float, index: int) -> float:
@@ -123,6 +123,9 @@ def oracle_replay(kind_class: str, baseline: float, patterns,
         return 0.0
 
     while day <= end:
+        days = _days_in_month(day.year, day.month)
+        if day.day == 1:
+            total = 0.0
         in_first_month = (day.year, day.month) == (start_year, start_month)
         for index, pattern in enumerate(read):
             if pattern[0] == "perm" and _fires(pattern, day, in_first_month):
@@ -130,16 +133,25 @@ def oracle_replay(kind_class: str, baseline: float, patterns,
         if kind_class == "stock":
             value = level
         else:
-            value = level / _days_in_month(day.year, day.month)
+            value = level / days
         for index, pattern in enumerate(read):
             if pattern[0] == "temp" and _fires(pattern, day, in_first_month):
                 value = clamped(_apply(value, *pattern[3:]), index)
-        if (day.year, day.month) == (target_year, target_month):
-            total += value
+        total += value
+        if day.day == days:
+            quantities.append(total / days if kind_class == "stock" else total)
         day += timedelta(days=1)
-    if kind_class == "stock":
-        return total / _days_in_month(target_year, target_month), clamps
-    return total, clamps
+    return quantities, clamps
+
+
+def oracle_replay(kind_class: str, baseline: float, patterns,
+                  sim_start: tuple[int, int], month: tuple[int, int]
+                  ) -> tuple[float, list[tuple[date, int]]]:
+    """The target month's quantity and every clamp from the first simulated
+    day through the target month's last day, from
+    :func:`oracle_replay_months`."""
+    quantities, clamps = oracle_replay_months(kind_class, baseline, patterns, sim_start, month)
+    return quantities[-1], clamps
 
 
 def oracle_month_quantity(kind_class: str, baseline: float, patterns,

@@ -1,14 +1,17 @@
 """A command replays each distinct usage schedule once, plans each distinct
-pattern set once, builds each distinct day layout once and sums each
+pattern set once, builds its window's calendar once, each distinct
+pattern's firing masks once and each distinct day layout once, and sums each
 one-run month once per (layout, value).
 
 Replay depends on a requirement's kind class, baseline and pattern texts,
 not on its subject, placement or catalog, its month plan on the pattern
-texts alone, and a month's day layout on its length and firing masks alone.
-These tests count the calls into ``engine.monthly_series``,
-``engine.month_plan`` and ``elasticity._day_layout``, read the month totals
-that one-class layouts store, and check that sharing a replay changes neither
-the output bytes nor any subject's clamp warnings.
+texts alone, a pattern's firing masks on the pattern and the window's
+calendar alone, and a month's day layout on its length and firing masks
+alone. These tests count the calls into ``engine.monthly_series``,
+``engine.month_plan``, ``elasticity.month_calendar``,
+``elasticity._firing_column`` and ``elasticity._day_layout``, read the month
+totals that one-class layouts store, and check that sharing a replay changes
+neither the output bytes nor any subject's clamp warnings.
 """
 
 import hashlib
@@ -84,6 +87,34 @@ def layouts(monkeypatch):
         return calls.built[-1]
 
     monkeypatch.setattr(elasticity, "_day_layout", counting)
+    return calls
+
+
+@pytest.fixture
+def calendars(monkeypatch):
+    """Counter of window calendars built, by (first month, last month)."""
+    calls = Counter()
+    original = elasticity.month_calendar
+
+    def counting(first, last):
+        calls[first, last] += 1
+        return original(first, last)
+
+    monkeypatch.setattr(elasticity, "month_calendar", counting)
+    return calls
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    """Counter of firing-mask columns built, by pattern spec."""
+    calls = Counter()
+    original = elasticity._firing_column
+
+    def counting(pattern, calendar):
+        calls[pattern] += 1
+        return original(pattern, calendar)
+
+    monkeypatch.setattr(elasticity, "_firing_column", counting)
     return calls
 
 
@@ -167,6 +198,65 @@ def test_each_simulate_builds_its_own_layouts(layouts):
     assert sum(built.values()) == len(built) > 1
     assert engine.simulate(model, catalog, window) == first
     assert layouts == {key: 2 for key in built}
+
+
+def distinct_specs(doc):
+    """Every distinct parsed pattern of the billed requirements of a model
+    document."""
+    return {spec for _, _, texts in distinct_schedules(doc)
+            for text in texts for spec in parse_patterns(text)}
+
+
+def test_the_demo_decade_builds_its_calendar_and_each_patterns_masks_once(tmp_path, calendars,
+                                                                          columns):
+    assert main(["simulate", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--start", "2011-01", "--end", "2020-12", "--out", str(tmp_path)]) == 0
+    assert calendars == {(Month(2011, 1), Month(2020, 12)): 1}
+    specs = distinct_specs(json.loads(DEMO_MODEL.read_text()))
+    assert len(specs) > 1
+    assert set(columns) == specs and sum(columns.values()) == len(specs)
+
+
+def test_compare_providers_builds_one_calendar_and_masks_across_its_scenarios(
+        tmp_path, calendars, columns):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(THREE_PROVIDERS))
+    assert main(["compare-providers", "--model", str(DEMO_MODEL), "--catalog", DEMO_CATALOG,
+                 "--map", str(mapping), "--start", "2011-01", "--end", "2013-12"]) == 0
+    assert calendars == {(Month(2011, 1), Month(2013, 12)): 1}  # not once per scenario
+    specs = distinct_specs(json.loads(DEMO_MODEL.read_text()))
+    assert set(columns) == specs and sum(columns.values()) == len(specs)
+
+
+def test_one_memo_plans_several_windows_as_fresh_calls_do(calendars, columns):
+    # a day-less perm waits out each window's own first month, and a weekday
+    # clause lands on each month's own calendar
+    specs = tuple(parse_patterns("perm: every month +5, temp: every month on weekends *0.5, "
+                                 "perm: every nov-feb on fri -3"))
+    windows = [SimulationWindow(Month(2011, 1), Month(2011, 6)),
+               SimulationWindow(Month(2011, 3), Month(2011, 12)),  # another start
+               SimulationWindow(Month(2011, 1), Month(2012, 12)),  # the same start, longer
+               SimulationWindow(Month(2016, 2), Month(2016, 3))]  # other weekdays, a leap year
+    memo = {}
+    shared = [elasticity.month_plan(specs, window, memo) for window in windows]
+    assert calendars == {tuple(window): 1 for window in windows}
+    assert columns == {spec: len(windows) for spec in specs}
+    assert [elasticity.month_plan(specs, window, memo) for window in windows] == shared
+    assert sum(calendars.values()) == len(windows)  # the second round built nothing
+    assert sum(columns.values()) == len(specs) * len(windows)
+    assert shared == [elasticity.month_plan(specs, window) for window in windows]
+
+
+def test_two_simulate_calls_share_no_calendar_or_masks(calendars, columns):
+    model = m.parse_model(DEMO_MODEL.read_text())
+    catalog = load_catalog(Path(DEMO_CATALOG).read_text())
+    window = SimulationWindow(Month(2011, 1), Month(2011, 12))
+    first = engine.simulate(model, catalog, window)
+    built = dict(columns)
+    assert calendars == {tuple(window): 1} and sum(built.values()) == len(built) > 1
+    assert engine.simulate(model, catalog, window) == first
+    assert calendars == {tuple(window): 2}
+    assert columns == {spec: 2 for spec in built}
 
 
 def stored_totals(layouts):
